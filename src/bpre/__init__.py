@@ -4,7 +4,7 @@ Library layout:
 
   laws         offspring laws (finite support / linear fractional)
   environment  environment models, tilting, rate function, regimes
-  pgf          truncated generating-function series and composition
+  pgf          batched truncated-series kernels (*_rows) for pgf composition
   exact        quenched and annealed exact probabilities, subadditive bounds
   lf           linear-fractional closed forms
   simulate     forward / genealogy / conditioned-spine samplers, MRCA
@@ -15,12 +15,10 @@ Library layout:
 from .environment import (
     EnvironmentModel,
     Regime,
-    WalkIncrementSummary,
     classify_regime,
     lattice_span,
     rate_function_at_zero,
     solve_critical_tilt,
-    summarize_increments,
     tilt,
 )
 from .errors import (
@@ -35,7 +33,6 @@ from .errors import (
 from .exact import (
     EnvSequence,
     FeketeTable,
-    QuenchedLaw,
     annealed_pmf,
     annealed_pmf_row,
     fekete_bounds,
@@ -54,7 +51,6 @@ from .lf import (
     lf_quenched_pmf,
     lf_rho,
 )
-from .pgf import TruncatedPGF, compose
 from .rates import (
     MonotoneRho,
     MrcaRegimeReport,

@@ -39,7 +39,8 @@ class ExperimentConfig:
     """One fully resolved run: command, inputs, budgets, seed, output paths.
 
     A seed is required for every stochastic command (and for the estimate
-    mode of ``exact``); model paths are validated before execution.
+    mode of ``exact``); numeric options are checked in ``from_args`` and
+    model paths are validated before execution.
     """
 
     command: str
@@ -71,10 +72,28 @@ class ExperimentConfig:
         fields = {k: v for k, v in vars(args).items() if k in known}
         if "n_list" in fields and isinstance(fields["n_list"], str):
             fields["n_list"] = _parse_n_list(fields["n_list"])
-        config = cls(command=command, **fields)
-        if config.command in STOCHASTIC_COMMANDS or config.estimate:
-            config.require_seed()
-        return config
+        c = cls(command=command, **fields)
+        j_top = c.j_max if c.j_max is not None else c.j
+        checks = (
+            (c.n is not None and c.n < 0, "--n must be >= 0"),
+            (c.replicates is not None and c.replicates < 1, "--replicates must be >= 1"),
+            (command == "rho" and c.n_max < 2, "--n-max must be >= 2 (the slope needs n = 2)"),
+            (command == "examples" and c.n_max < 1, "--n-max must be >= 1"),
+            (c.j is not None and c.j < 0, "--j must be >= 0"),
+            (c.j_max is not None and c.j_max < 0, "--j-max must be >= 0"),
+            (c.j is not None and j_top < c.j, "--j must not exceed --j-max"),
+            (c.estimate and j_top is not None and j_top < 1, "--estimate needs --j-max >= 1"),
+            (c.nu is not None and not math.isfinite(c.nu), "--nu must be finite"),
+            (c.n_list is not None and min(c.n_list, default=0) < 1,
+             "--n-list needs one or more horizons, each >= 1"),
+            (not 0.0 <= c.delta <= 1.0, "--delta must lie in [0, 1]"),
+        )
+        for failed, message in checks:
+            if failed:
+                raise ContractError(message)
+        if c.command in STOCHASTIC_COMMANDS or c.estimate:
+            c.require_seed()
+        return c
 
     def require_seed(self) -> int:
         if self.seed is None:
@@ -373,8 +392,6 @@ def _build_parser(command: str) -> argparse.ArgumentParser:
     if command in ("simulate", "exact"):
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--z0", type=int, default=1)
-    if command == "simulate":
-        pass
     if command == "exact":
         p.add_argument("--j", type=int, default=None)
         p.add_argument("--j-max", dest="j_max", type=int, default=None)

@@ -118,30 +118,6 @@ class EnvironmentModel:
 
 
 @dataclass(frozen=True)
-class WalkIncrementSummary:
-    """Per-state walk increments and the moments derived from them."""
-
-    values: tuple[float, ...]
-    weights: tuple[float, ...]
-    drift: float
-    cross_moment: float
-
-    def tilted_moment(self, lam: float) -> float:
-        w = np.asarray(self.weights)
-        x = np.asarray(self.values)
-        return float(np.dot(w, np.exp(-lam * x)))
-
-
-def summarize_increments(model: EnvironmentModel) -> WalkIncrementSummary:
-    return WalkIncrementSummary(
-        values=model.x_values,
-        weights=model.weights,
-        drift=model.drift,
-        cross_moment=model.cross_moment,
-    )
-
-
-@dataclass(frozen=True)
 class RateFunctionAtZero:
     """Minimizer and value of ``-log inf_{lambda>=0} E[exp(-lambda X)]``.
 

@@ -20,7 +20,7 @@ import numpy as np
 from .environment import EnvironmentModel
 from .errors import BudgetError, ContractError, TruncationError
 from .laws import FiniteLaw, OffspringLaw
-from .pgf import DEFAULT_DEGREE, MAX_DEGREE, TruncatedPGF, apply_law_rows, pow_rows
+from .pgf import MAX_DEGREE, apply_law_rows, pow_rows
 
 ENUMERATION_BUDGET = 1 << 26
 _CHUNK_ROWS = 1 << 18
@@ -63,12 +63,20 @@ class EnvSequence:
         out[1:] = np.cumsum(np.asarray(etas) * np.exp(-self.walk[:-1]))
         return out
 
-    def extinction_ladder(self) -> np.ndarray:
-        """t_k = f_{k,n}(0) = P(Z_n = 0 | Z_k = 1, env) for k = 0..n."""
+    @cached_property
+    def _ladder(self) -> np.ndarray:
         t = np.zeros(self.n + 1)
         for k in range(self.n - 1, -1, -1):
             t[k] = self.laws[k].pgf(t[k + 1])
+        t.flags.writeable = False
         return t
+
+    def extinction_ladder(self) -> np.ndarray:
+        """t_k = f_{k,n}(0) = P(Z_n = 0 | Z_k = 1, env) for k = 0..n.
+
+        Computed once per sequence; every call returns the same read-only array.
+        """
+        return self._ladder
 
 
 def quenched_coeff_row(env: EnvSequence, z0: int, j_max: int) -> np.ndarray:
@@ -110,37 +118,6 @@ def quenched_survival(env: EnvSequence, z0: int) -> float:
     return 1.0 - t0**z0
 
 
-@dataclass(frozen=True)
-class QuenchedLaw:
-    """Full truncated pmf of Z_n given the environment and Z_0 = z0."""
-
-    pmf: TruncatedPGF
-    survival: float
-
-    def __post_init__(self):
-        if abs((1.0 - self.pmf.coeffs[0]) - self.survival) > 1e-9:
-            raise ContractError("quenched law inconsistent: survival != 1 - pmf[0]")
-
-    @classmethod
-    def from_env(
-        cls,
-        env: EnvSequence,
-        z0: int,
-        degree: int = DEFAULT_DEGREE,
-        tail_target: float = 1e-10,
-    ) -> "QuenchedLaw":
-        """Build the pmf at ``degree``, doubling until the tail is certified small."""
-        width = degree
-        while True:
-            row = quenched_coeff_row(env, z0, width)
-            tail = 1.0 - float(row.sum())
-            if tail < tail_target or width >= MAX_DEGREE:
-                break
-            width = min(2 * width, MAX_DEGREE)
-        series = TruncatedPGF(row)
-        return cls(pmf=series, survival=1.0 - float(row[0]))
-
-
 def phi_n(env: EnvSequence, z0: int) -> float:
     """Quenched probability of the single-spine event.
 
@@ -151,17 +128,25 @@ def phi_n(env: EnvSequence, z0: int) -> float:
     """
     if env.n < 1:
         raise ContractError("phi needs at least one generation")
-    t = env.extinction_ladder()
     qn = env.laws[-1].prob(z0)
     if qn == 0.0:
         return 0.0
-    log_val = math.log(qn) + math.log(z0)
-    if z0 > 1:
+    return _spine_product(env, z0, math.log(qn))
+
+
+def _spine_product(env: EnvSequence, z: int, log_lead: float) -> float:
+    """exp(log_lead) * z * t_0^{z-1} * prod_{k=1}^{n-1} f_k'(t_k), in the log domain.
+
+    Returns 0 as soon as a factor vanishes.
+    """
+    t = env.extinction_ladder()
+    log_val = log_lead + math.log(z)
+    if z > 1:
         if t[0] == 0.0:
             return 0.0
-        log_val += (z0 - 1) * math.log(t[0])
-    for i in range(1, env.n):
-        d = env.laws[i - 1].pgf_prime(t[i])
+        log_val += (z - 1) * math.log(t[0])
+    for k in range(1, env.n):
+        d = env.laws[k - 1].pgf_prime(t[k])
         if d <= 0.0:
             return 0.0
         log_val += math.log(d)
@@ -212,18 +197,7 @@ def subtree_extinction_identity(env: EnvSequence, z: int) -> tuple[float, float]
         lhs *= p_ratio * total
 
     # rhs: telescoped product
-    log_rhs = math.log(1.0 - t[n - 1]) - math.log(surv)
-    log_rhs += math.log(z)
-    if z > 1:
-        if t[0] == 0.0:
-            return lhs, 0.0
-        log_rhs += (z - 1) * math.log(t[0])
-    for k in range(1, n):
-        d = env.laws[k - 1].pgf_prime(t[k])
-        if d <= 0.0:
-            return lhs, 0.0
-        log_rhs += math.log(d)
-    return lhs, math.exp(log_rhs)
+    return lhs, _spine_product(env, z, math.log(1.0 - t[n - 1]) - math.log(surv))
 
 
 @dataclass(frozen=True)
@@ -296,10 +270,6 @@ def _sumset(support: list[int], z: int, cap: int) -> tuple[set[int], bool]:
     return reachable, overflow
 
 
-def _enumeration_count(alphabet: int, n: int) -> float:
-    return alphabet**n
-
-
 def annealed_pmf_row(
     model: EnvironmentModel,
     z0: int,
@@ -317,7 +287,7 @@ def annealed_pmf_row(
     if n < 0:
         raise ContractError("n must be >= 0")
     a = len(model.states)
-    if _enumeration_count(a, n) > budget:
+    if a**n > budget:
         raise BudgetError(
             f"enumeration of {a}^{n} sequences exceeds budget {budget}; "
             "use the Monte Carlo path (tilted importance sampling)"

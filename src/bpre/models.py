@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from .environment import EnvironmentModel
+from .errors import ContractError
 from .laws import FiniteLaw, LinearFractionalLaw
 
 
@@ -35,7 +36,7 @@ def gw_binary(p0: float = 0.25) -> EnvironmentModel:
 def example1_model(r: float, p: float) -> EnvironmentModel:
     """Two states: deterministic single offspring (weight r) and {0: p, 2: 1-p}."""
     if not (0.0 < r < 1.0 and 0.0 < p < 1.0):
-        raise ValueError("r and p must lie in (0, 1)")
+        raise ContractError("r and p must lie in (0, 1)")
     q1 = FiniteLaw((0.0, 1.0))
     q2 = FiniteLaw((p, 0.0, 1.0 - p))
     return EnvironmentModel((q1, q2), (r, 1.0 - r))
@@ -43,10 +44,12 @@ def example1_model(r: float, p: float) -> EnvironmentModel:
 
 def example2_model(r: float, p: float, a: int) -> EnvironmentModel:
     """Two states: {1: p, a: 1-p} (weight r) and {0: p, 2: p, a: 1-2p}."""
+    if not (0.0 < r < 1.0):
+        raise ContractError("r must lie in (0, 1)")
     if not (0.0 < p < 0.5):
-        raise ValueError("p must lie in (0, 1/2)")
+        raise ContractError("p must lie in (0, 1/2)")
     if a <= 2:
-        raise ValueError("a must exceed 2")
+        raise ContractError("a must exceed 2")
     probs1 = [0.0] * (a + 1)
     probs1[1] = p
     probs1[a] = 1.0 - p

@@ -1,30 +1,24 @@
-"""Truncated probability generating functions and their composition.
+"""Batched kernels for truncated probability generating function series.
 
-Series are coefficient rows ``c_0..c_D`` with the mass beyond degree D
-reported as ``tail_mass = 1 - sum(c)``.  Composition is computed so that the
-kept coefficients are exact whenever the outer law is exact (finite support,
-or linear-fractional via exact rational series expansion): the coefficient
-of ``s^j`` in ``f(g(s))`` only depends on the coefficients of ``g`` up to
-degree ``j``.  Truncating the *outer* series instead loses mass, which is
-what the conservative tail bound accounts for.
+A series is a coefficient row ``c_0..c_D``; the ``*_rows`` kernels operate
+on batches of shape (M, D+1), one series per row, truncated at the common
+degree D.  They are the only series machinery in the package, shared by the
+quenched evaluator, the annealed enumerator and importance sampling.
 
-The ``*_rows`` kernels operate on batches: shape (M, D+1), one series per
-row.  They are shared by the quenched evaluator and the annealed enumerator.
+Composition is exact for the kept degrees: the coefficient of ``s^j`` in
+``f(g(s))`` only depends on the coefficients of ``g`` up to degree ``j``, so
+applying a law to a truncated row (finite support, or linear-fractional via
+an exact reciprocal-series recurrence) loses no kept coefficient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
-from .errors import ContractError, TruncationError
+from .errors import ContractError
 from .laws import FiniteLaw, OffspringLaw
 
-DEFAULT_DEGREE = 256
 MAX_DEGREE = 1 << 14
-_COEFF_TOL = 1e-12
 
 
 def mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -88,88 +82,3 @@ def apply_law_rows(law: OffspringLaw, c: np.ndarray) -> np.ndarray:
     res = -mul_rows(u, recip_rows(w))
     res[:, 0] += 1.0
     return res
-
-
-@dataclass(frozen=True)
-class TruncatedPGF:
-    """Power series c_0..c_D of a pgf with certified tail mass."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ContractError("coefficients must be a nonempty 1-D array")
-        if np.any(arr < -_COEFF_TOL):
-            raise ContractError("negative series coefficient")
-        total = float(arr.sum())
-        if total > 1.0 + _COEFF_TOL:
-            raise ContractError(f"series mass {total!r} exceeds 1")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-    @cached_property
-    def tail_mass(self) -> float:
-        return max(0.0, 1.0 - float(self.coeffs.sum()))
-
-    def __call__(self, s: float) -> float:
-        out = 0.0
-        for ck in self.coeffs[::-1]:
-            out = out * s + ck
-        return out
-
-    def derivative(self, s: float) -> float:
-        out = 0.0
-        for k in range(self.degree, 0, -1):
-            out = out * s + k * self.coeffs[k]
-        return out
-
-    def power(self, z: int) -> "TruncatedPGF":
-        row = pow_rows(self.coeffs[None, :], z)[0]
-        return TruncatedPGF(np.clip(row, 0.0, None))
-
-    @classmethod
-    def identity(cls, degree: int = 1) -> "TruncatedPGF":
-        c = np.zeros(degree + 1)
-        c[1] = 1.0
-        return cls(c)
-
-    @classmethod
-    def constant(cls, value: float, degree: int = 0) -> "TruncatedPGF":
-        c = np.zeros(degree + 1)
-        c[0] = value
-        return cls(c)
-
-    @classmethod
-    def from_law(cls, law: OffspringLaw, degree: int = DEFAULT_DEGREE) -> "TruncatedPGF":
-        if degree > MAX_DEGREE:
-            raise TruncationError(f"required degree {degree} exceeds cap {MAX_DEGREE}")
-        return cls(law.coefficients(degree))
-
-
-def compose(outer: TruncatedPGF, inner: TruncatedPGF, degree: int | None = None) -> TruncatedPGF:
-    """Series of ``outer(inner(s))`` truncated at ``degree``.
-
-    The tail mass of the result conservatively covers both the outer tail
-    and the mass pushed past the truncation degree.
-    """
-    if degree is None:
-        degree = max(outer.degree, inner.degree)
-    if degree > MAX_DEGREE:
-        raise TruncationError(f"required degree {degree} exceeds cap {MAX_DEGREE}")
-    if inner(1.0) > 1.0 + 1e-9:
-        raise ContractError("inner series is not a sub-probability generating function")
-    g = np.zeros((1, degree + 1))
-    upto = min(degree, inner.degree)
-    g[0, : upto + 1] = inner.coeffs[: upto + 1]
-    out = np.zeros((1, degree + 1))
-    out[0, 0] = outer.coeffs[-1]
-    for k in range(outer.degree - 1, -1, -1):
-        out = mul_rows(out, g)
-        out[0, 0] += outer.coeffs[k]
-    return TruncatedPGF(np.clip(out[0], 0.0, None))

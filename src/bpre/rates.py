@@ -182,6 +182,13 @@ class Example1Report:
         }
 
 
+def _log_prob(prob: float) -> float:
+    """log of a positive probability; one that underflowed to 0 is a contract error."""
+    if prob <= 0.0:
+        raise ContractError("probability underflows to 0; choose r and p further from 0")
+    return math.log(prob)
+
+
 def example1_suite(
     r: float,
     p: float,
@@ -198,14 +205,14 @@ def example1_suite(
     checked = 0
     for n in range(1, min(n_max, enumeration_limit) + 1):
         exact = annealed_pmf(model, 1, n, 1)
-        max_err = max(max_err, abs(math.log(exact) - n * math.log(r)))
+        max_err = max(max_err, abs(_log_prob(exact) - n * math.log(r)))
         checked += 1
     # beyond the enumeration limit the identity is exact by the parity argument
 
     threshold = 2.0 * (1.0 - p) * p / (1.0 + 2.0 * (1.0 - p) * p)
     separated = r < threshold
     ns = tuple(range(1, min(n_max, table_limit) + 1))
-    log_p2 = tuple(math.log(annealed_pmf(model, 1, n, 2)) / n for n in ns)
+    log_p2 = tuple(_log_prob(annealed_pmf(model, 1, n, 2)) / n for n in ns)
     gap = (log_p2[-1] - math.log(r)) if ns else None
     return Example1Report(
         r=r,
@@ -289,8 +296,8 @@ def example2_suite(r: float, p: float, a: int, n_max: int) -> Example2Report:
     log_p1 = []
     log_p2 = []
     for n in ns:
-        log_p1.append(math.log(annealed_pmf(model, 1, n, 2)) / n)
-        log_p2.append(math.log(annealed_pmf(model, 2, n, 2)) / n)
+        log_p1.append(_log_prob(annealed_pmf(model, 1, n, 2)) / n)
+        log_p2.append(_log_prob(annealed_pmf(model, 2, n, 2)) / n)
     return Example2Report(
         r=r,
         p=p,
@@ -302,8 +309,8 @@ def example2_suite(r: float, p: float, a: int, n_max: int) -> Example2Report:
         table_n=ns,
         log_p1_over_n=tuple(log_p1),
         log_p2_over_n=tuple(log_p2),
-        upper_bound_p2=math.log(3.0 * p * p),
-        lower_bound_p1=math.log(r * p),
+        upper_bound_p2=_log_prob(3.0 * p * p),
+        lower_bound_p1=_log_prob(r * p),
         conclusive=sufficiency and 3.0 * p * p < r * p,
     )
 

@@ -62,11 +62,16 @@ def subseed(root_seed: int, *tags) -> int:
 
 
 def worker_count() -> int:
+    """Worker processes from BPRE_THREADS; a malformed value warns and means 1."""
     raw = os.environ.get("BPRE_THREADS", "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
+        count = 0
+    if count < 1:
+        logger.warning("ignoring malformed BPRE_THREADS=%r; using 1 worker", raw)
         return 1
+    return count
 
 
 def _map_chunks(fn, payloads, workers, progress_every=None):

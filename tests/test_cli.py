@@ -1,12 +1,21 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bpre.cli import ExperimentConfig, emit_plot_data, main
 from bpre.errors import ContractError
+
+GW_MODEL = {"states": [{"type": "finite", "probs": [0.25, 0.0, 0.75]}], "weights": [1.0]}
+WEAKLY_MODEL = {
+    "states": [{"type": "lf", "m": 2.0, "b": 8.0}, {"type": "lf", "m": 0.5, "b": 0.5}],
+    "weights": [2.0 / 3.0, 1.0 / 3.0],
+}
 
 
 def test_experiment_config_invariants(tmp_path):
@@ -27,29 +36,25 @@ def test_experiment_config_invariants(tmp_path):
 @pytest.fixture
 def gw_path(tmp_path):
     path = tmp_path / "gw.json"
-    path.write_text(
-        json.dumps(
-            {"states": [{"type": "finite", "probs": [0.25, 0.0, 0.75]}], "weights": [1.0]}
-        )
-    )
+    path.write_text(json.dumps(GW_MODEL))
     return str(path)
 
 
 @pytest.fixture
 def weakly_path(tmp_path):
     path = tmp_path / "weakly.json"
-    path.write_text(
-        json.dumps(
-            {
-                "states": [
-                    {"type": "lf", "m": 2.0, "b": 8.0},
-                    {"type": "lf", "m": 0.5, "b": 0.5},
-                ],
-                "weights": [2.0 / 3.0, 1.0 / 3.0],
-            }
-        )
-    )
+    path.write_text(json.dumps(WEAKLY_MODEL))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def model_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("models")
+    paths = {}
+    for name, obj in (("gw", GW_MODEL), ("weakly", WEAKLY_MODEL)):
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    return {name: str(path) for name, path in paths.items()}
 
 
 def test_unknown_command_exits_one(capsys):
@@ -261,3 +266,98 @@ def test_emit_plot_data_variants():
     }
     csv = emit_plot_data(empty_estimated)
     assert "2,log_p2_over_n,-1.0,," in csv
+
+
+# argv that used to escape ``main`` as an exception (or, for the empty
+# n-list, to exit 0 with an empty report); {gw}/{weakly} are model paths
+BAD_ARGV = [
+    "rho --model {gw} --n-max 1",
+    "rho --model {gw} --n-max 0",
+    "exact --model {weakly} --n 3 --j -1",
+    "exact --model {weakly} --n 3 --j-max -1",
+    "simulate --model {weakly} --n -3 --seed 1",
+    "simulate --model {weakly} --n 3 --replicates 0 --seed 1",
+    "mrca --model {weakly} --n-list 4 --delta nan --seed 1",
+    "examples --which 1 --r 2.0 --p 0.5",
+    "mrca --model {weakly} --n-list= --seed 1",
+]
+
+
+@pytest.mark.parametrize("template", BAD_ARGV)
+def test_bad_options_exit_two_with_one_line(template, model_paths, capsys):
+    argv = template.format(**model_paths).split()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    proc = subprocess.run(
+        [sys.executable, "-m", "bpre.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == err
+
+
+_INTS = st.integers(-3, 6)
+# edge values first: non-finite, zero, and positives that underflow when raised
+_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 5e-324, 1e-200]), st.floats(-2.0, 2.0)
+)
+
+
+def _req(flag, values):
+    return values.map(lambda v: [flag, repr(v)])
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), _req(flag, values))
+
+
+_SEED = _opt("--seed", st.integers(-1, 5))
+_REPLICATES = _opt("--replicates", st.integers(-2, 64))
+_COMMAND_OPTIONS = {
+    "validate": [],
+    "rho": [_opt("--n-max", st.integers(-2, 4))],
+    "simulate": [_req("--n", _INTS), _opt("--z0", _INTS), _REPLICATES, _SEED],
+    "exact": [
+        _req("--n", _INTS),
+        _opt("--z0", _INTS),
+        _opt("--j", _INTS),
+        _opt("--j-max", _INTS),
+        _opt("--degree", _INTS),
+        st.sampled_from([[], ["--estimate"]]),
+        _opt("--nu", _FLOATS),
+        _REPLICATES,
+        _SEED,
+    ],
+    "mrca": [
+        st.lists(_INTS, max_size=3).map(lambda ns: ["--n-list=" + ",".join(map(str, ns))]),
+        _opt("--target-size", _INTS),
+        _opt("--delta", _FLOATS),
+        st.sampled_from([[], ["--method", "rejection"]]),
+        _REPLICATES,
+        _SEED,
+    ],
+    "examples": [
+        _req("--which", st.integers(0, 3)),
+        _req("--r", _FLOATS),
+        _req("--p", _FLOATS),
+        _opt("--a", _INTS),
+        _opt("--n-max", st.integers(-2, 4)),
+    ],
+}
+
+
+@st.composite
+def cli_argv(draw, command):
+    argv = [command]
+    if command != "examples":
+        argv += ["--model", draw(st.sampled_from(["{gw}", "{weakly}"]))]
+    for option in _COMMAND_OPTIONS[command]:
+        argv += draw(option)
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_OPTIONS))
+@given(data=st.data())
+def test_cli_fuzz_exit_codes(command, model_paths, data):
+    argv = [arg.format(**model_paths) for arg in data.draw(cli_argv(command))]
+    assert main(argv) in (0, 1, 2, 3)

@@ -13,7 +13,6 @@ from bpre.environment import (
     lattice_span,
     rate_function_at_zero,
     solve_critical_tilt,
-    summarize_increments,
     tilt,
 )
 from bpre.errors import ContractError, NotSupercriticalError
@@ -51,12 +50,12 @@ def test_json_round_trip_exact_schema(tmp_path):
         EnvironmentModel.from_json({"weights": [1.0]})
 
 
-def test_increment_summary():
+def test_model_walk_moments():
     model = two_point_model(math.log(2.0), -math.log(2.0), 2.0 / 3.0)
-    inc = summarize_increments(model)
-    assert inc.drift == pytest.approx(math.log(2.0) / 3.0, rel=1e-12)
-    assert inc.tilted_moment(0.0) == pytest.approx(1.0, abs=1e-15)
-    assert inc.cross_moment == pytest.approx(model.cross_moment)
+    assert model.drift == pytest.approx(math.log(2.0) / 3.0, rel=1e-12)
+    assert model.tilted_moment(0.0) == pytest.approx(1.0, abs=1e-15)
+    # E[X e^-X] = (2/3) log2 / 2 - (1/3) log2 * 2 = -log2 / 3
+    assert model.cross_moment == pytest.approx(-math.log(2.0) / 3.0, rel=1e-12)
 
 
 def test_rate_function_two_point_log2():

@@ -10,7 +10,6 @@ from bpre.environment import EnvironmentModel
 from bpre.errors import BudgetError, ContractError, TruncationError
 from bpre.exact import (
     EnvSequence,
-    QuenchedLaw,
     annealed_pmf,
     annealed_pmf_row,
     fekete_bounds,
@@ -35,6 +34,9 @@ def test_env_sequence_walk():
     assert lad[2] == 0.0
     assert lad[1] == pytest.approx(0.0)
     assert lad[0] == pytest.approx(0.25)
+    # computed once per sequence and handed out read-only
+    assert env.extinction_ladder() is lad
+    assert not lad.flags.writeable
     reversed_env = EnvSequence((FiniteLaw((0.0, 1.0)), FiniteLaw((0.25, 0.0, 0.75))))
     assert reversed_env.extinction_ladder()[0] == pytest.approx(0.25)
 
@@ -55,19 +57,6 @@ def test_quenched_pmf_truncation_contract():
     env = EnvSequence((FiniteLaw((0.5, 0.5)),))
     with pytest.raises(TruncationError):
         quenched_pmf(env, 1, 5, degree=3)
-
-
-def test_quenched_law_doubles_until_tail_certified():
-    env = EnvSequence(
-        (LinearFractionalLaw(2.0, 8.0), LinearFractionalLaw(0.5, 0.5), LinearFractionalLaw(2.0, 8.0))
-    )
-    law = QuenchedLaw.from_env(env, 2, degree=16)
-    assert law.pmf.tail_mass < 1e-10
-    assert law.pmf.degree > 16  # doubled past the request to certify the tail
-    assert law.pmf.coeffs[0] == pytest.approx(env.extinction_ladder()[0] ** 2, abs=1e-12)
-    assert law.survival == pytest.approx(quenched_survival(env, 2), abs=1e-12)
-    # pmf mass up to the kept degree accounts for everything but the tail
-    assert float(law.pmf.coeffs.sum()) >= 1.0 - law.pmf.tail_mass - 1e-12
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -99,6 +88,11 @@ def test_quenched_matches_lf_closed_form():
             assert quenched_pmf(env, 1, j) == pytest.approx(
                 lf_quenched_pmf(state, 1, j), abs=1e-10
             )
+        # the pmf row from two founders agrees with the extinction ladder
+        row = quenched_coeff_row(env, 2, 16)
+        assert row[0] == pytest.approx(env.extinction_ladder()[0] ** 2, abs=1e-12)
+        assert 1.0 - row[0] == pytest.approx(quenched_survival(env, 2), abs=1e-12)
+        assert row.sum() <= 1.0 + 1e-12
 
 
 def test_phi_single_generation():

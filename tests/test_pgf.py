@@ -3,17 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bpre.errors import ContractError, TruncationError
+from bpre.errors import TruncationError
+from bpre.exact import EnvSequence, quenched_pmf
 from bpre.laws import FiniteLaw, LinearFractionalLaw
-from bpre.pgf import (
-    MAX_DEGREE,
-    TruncatedPGF,
-    apply_law_rows,
-    compose,
-    mul_rows,
-    pow_rows,
-    recip_rows,
-)
+from bpre.pgf import MAX_DEGREE, apply_law_rows, mul_rows, pow_rows, recip_rows
 
 
 def test_mul_rows_matches_convolution():
@@ -58,66 +51,51 @@ def test_apply_law_rows_lf_matches_direct_composition():
 
 
 def test_compose_identity_outer():
-    g = TruncatedPGF.from_law(FiniteLaw((0.25, 0.0, 0.75)), degree=6)
-    out = compose(TruncatedPGF.identity(), g)
-    assert np.allclose(out.coeffs[: g.degree + 1], g.coeffs, atol=1e-15)
+    g = FiniteLaw((0.25, 0.0, 0.75)).coefficients(6)[None, :]
+    out = apply_law_rows(FiniteLaw((0.0, 1.0)), g.copy())
+    assert np.allclose(out, g, atol=1e-15)
 
 
 def test_compose_self_composition_value():
-    f = TruncatedPGF.from_law(FiniteLaw((0.25, 0.0, 0.75)), degree=8)
-    out = compose(f, f)
-    assert out.coeffs[0] == pytest.approx(0.296875, abs=1e-15)
-    assert out(1.0) == pytest.approx(1.0, abs=1e-12)
+    law = FiniteLaw((0.25, 0.0, 0.75))
+    out = apply_law_rows(law, law.coefficients(8)[None])[0]
+    assert out[0] == pytest.approx(0.296875, abs=1e-15)
+    assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_compose_with_constant_one():
-    f = TruncatedPGF.from_law(FiniteLaw((0.25, 0.25, 0.5)), degree=5)
-    out = compose(f, TruncatedPGF.constant(1.0))
-    assert out.coeffs[0] == pytest.approx(float(f.coeffs.sum()), abs=1e-12)
-    assert np.all(out.coeffs[1:] == 0.0)
-
-
-def test_super_probability_series_rejected():
-    # mass above 1 is caught at construction, before compose can see it
-    with pytest.raises(ContractError):
-        TruncatedPGF(np.array([0.9, 0.2]))
+    law = FiniteLaw((0.25, 0.25, 0.5))
+    one = np.zeros((1, 6))
+    one[0, 0] = 1.0
+    out = apply_law_rows(law, one)[0]
+    assert out[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.all(out[1:] == 0.0)
 
 
 def test_degree_cap():
+    env = EnvSequence((FiniteLaw((0.5, 0.5)),))
     with pytest.raises(TruncationError):
-        TruncatedPGF.from_law(FiniteLaw((0.5, 0.5)), degree=MAX_DEGREE + 1)
+        quenched_pmf(env, 1, 0, degree=MAX_DEGREE + 1)
 
 
 @st.composite
-def small_pgfs(draw):
-    size = draw(st.integers(2, 5))
-    raw = [draw(st.floats(0.0, 1.0)) for _ in range(size)]
-    total = sum(raw) or 1.0
-    return TruncatedPGF(np.array([v / total for v in raw]))
+def small_laws(draw):
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4).filter(lambda v: sum(v) > 0))
+    return FiniteLaw(tuple(v / sum(raw) for v in raw))
 
 
-@given(small_pgfs(), small_pgfs(), small_pgfs())
+@given(small_laws(), small_laws(), small_laws())
 def test_compose_associativity_within_tail(f, g, h):
-    degree = 12
-    left = compose(compose(f, g, degree), h, degree)
-    right = compose(f, compose(g, h, degree), degree)
-    slack = 2.0 * (left.tail_mass + right.tail_mass) + 1e-10
-    assert np.max(np.abs(left.coeffs - right.coeffs)) <= slack
-
-
-def test_truncated_pgf_validation():
-    with pytest.raises(ContractError):
-        TruncatedPGF(np.array([0.7, 0.7]))
-    with pytest.raises(ContractError):
-        TruncatedPGF(np.array([-0.2, 0.5]))
-    series = TruncatedPGF(np.array([0.25, 0.25]))
-    assert series.tail_mass == pytest.approx(0.5)
-    assert series(1.0) == pytest.approx(0.5)
-    assert series.derivative(1.0) == pytest.approx(0.25)
+    # (f o g) o h against f o (g o h): f o g has degree <= 9, so its row at
+    # degree 9 is an exact finite law and both sides are exact to degree 12
+    h_row = h.coefficients(12)[None, :]
+    fg = FiniteLaw(tuple(apply_law_rows(f, g.coefficients(9)[None, :])[0]))
+    left = apply_law_rows(fg, h_row.copy())
+    right = apply_law_rows(f, apply_law_rows(g, h_row.copy()))
+    assert np.max(np.abs(left - right)) <= 1e-12
 
 
 def test_power_of_series():
-    g = TruncatedPGF(np.array([0.5, 0.0, 0.5]))
-    sq = g.power(2)
-    assert np.allclose(sq.coeffs, [0.25, 0.0, 0.5], atol=1e-15)  # s^4 truncated away
-    assert sq.tail_mass == pytest.approx(0.25)
+    sq = pow_rows(np.array([[0.5, 0.0, 0.5]]), 2)[0]
+    assert np.allclose(sq, [0.25, 0.0, 0.5], atol=1e-15)  # s^4 truncated away
+    assert 1.0 - sq.sum() == pytest.approx(0.25)

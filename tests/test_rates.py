@@ -156,9 +156,9 @@ def test_example2_sufficiency_always_holds_for_valid_inputs():
         for a in (3, 5, 12):
             rep = example2_suite(0.5, p, a, n_max=2)
             assert rep.sufficiency_holds
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractError):
         example2_suite(0.5, 0.6, 10, n_max=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractError):
         example2_suite(0.5, 0.1, 2, n_max=2)
 
 

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from bpre.simulate import (
     simulate_tree,
     stream,
     subseed,
+    worker_count,
 )
 
 
@@ -264,6 +266,24 @@ def test_conditioned_mrca_deterministic_across_workers():
     d2 = conditioned_mrca_sample(model, 5, 2, "geiger", 30_000, root_seed=7, workers=2)
     assert d1.counts == d2.counts
     assert d1.accepted == d2.accepted
+
+
+@pytest.mark.parametrize("raw", ["abc", "-2", "0", "1.5"])
+def test_worker_count_warns_on_malformed_env(raw, monkeypatch, caplog):
+    monkeypatch.setenv("BPRE_THREADS", raw)
+    with caplog.at_level(logging.WARNING, logger="bpre.simulate"):
+        assert worker_count() == 1
+    assert len(caplog.records) == 1
+    assert repr(raw) in caplog.records[0].getMessage()
+
+
+def test_worker_count_reads_env(monkeypatch, caplog):
+    monkeypatch.setenv("BPRE_THREADS", "3")
+    with caplog.at_level(logging.WARNING, logger="bpre.simulate"):
+        assert worker_count() == 3
+    monkeypatch.delenv("BPRE_THREADS")
+    assert worker_count() == 1
+    assert not caplog.records
 
 
 def test_conditioned_mrca_generic_lane_matches_lf_lane():
