@@ -59,6 +59,26 @@ def test_quenched_pmf_truncation_contract():
         quenched_pmf(env, 1, 5, degree=3)
 
 
+def test_quenched_law_doubles_until_tail_certified():
+    env = EnvSequence(
+        (LinearFractionalLaw(2.0, 8.0), LinearFractionalLaw(0.5, 0.5), LinearFractionalLaw(2.0, 8.0))
+    )
+    degree, row = 16, quenched_coeff_row(env, 2, 16)
+    while 1.0 - row.sum() >= 1e-10:
+        wider = quenched_coeff_row(env, 2, 2 * degree)
+        # raising the degree keeps every lower coefficient exact
+        np.testing.assert_allclose(wider[: degree + 1], row, rtol=0.0, atol=1e-15)
+        degree, row = 2 * degree, wider
+    tail_mass = max(0.0, 1.0 - float(row.sum()))
+    assert tail_mass < 1e-10
+    assert degree > 16  # doubled past the request to certify the tail
+    assert row[0] == pytest.approx(env.extinction_ladder()[0] ** 2, abs=1e-12)
+    assert 1.0 - row[0] == pytest.approx(quenched_survival(env, 2), abs=1e-12)
+    # pmf mass up to the kept degree accounts for everything but the tail
+    assert float(row.sum()) >= 1.0 - tail_mass - 1e-12
+    assert float(row.sum()) <= 1.0 + 1e-12
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_quenched_distribution_matches_push_forward(seed):
     rng = np.random.default_rng(seed)
@@ -88,11 +108,6 @@ def test_quenched_matches_lf_closed_form():
             assert quenched_pmf(env, 1, j) == pytest.approx(
                 lf_quenched_pmf(state, 1, j), abs=1e-10
             )
-        # the pmf row from two founders agrees with the extinction ladder
-        row = quenched_coeff_row(env, 2, 16)
-        assert row[0] == pytest.approx(env.extinction_ladder()[0] ** 2, abs=1e-12)
-        assert 1.0 - row[0] == pytest.approx(quenched_survival(env, 2), abs=1e-12)
-        assert row.sum() <= 1.0 + 1e-12
 
 
 def test_phi_single_generation():
