@@ -46,6 +46,8 @@ class EnvironmentModel:
             raise ContractError("environment model needs at least one state")
         if len(states) != len(weights):
             raise ContractError("states and weights length mismatch")
+        if not all(math.isfinite(w) for w in weights):
+            raise ContractError("environment weights must be finite")
         if any(w < -PROB_TOL for w in weights):
             raise ContractError("negative environment weight")
         if abs(sum(weights) - 1.0) > PROB_TOL:

@@ -15,6 +15,7 @@ mistakes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -37,6 +38,8 @@ class FiniteLaw:
             raise ContractError("finite law needs at least one probability")
         probs = tuple(float(p) for p in self.probs)
         object.__setattr__(self, "probs", probs)
+        if not all(math.isfinite(p) for p in probs):
+            raise ContractError("offspring probabilities must be finite")
         if any(p < -PROB_TOL for p in probs):
             raise ContractError("negative offspring probability")
         if abs(sum(probs) - 1.0) > PROB_TOL:
@@ -138,6 +141,8 @@ class LinearFractionalLaw:
     def __post_init__(self):
         object.__setattr__(self, "m", float(self.m))
         object.__setattr__(self, "b", float(self.b))
+        if not (math.isfinite(self.m) and math.isfinite(self.b)):
+            raise ContractError("LF law needs finite m and b")
         if not self.m > 0.0:
             raise ContractError("LF law needs mean m > 0")
         if self.b < 0.0:

@@ -43,13 +43,22 @@ def recip_rows(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def pow_rows(c: np.ndarray, z: int) -> np.ndarray:
-    """Row-wise z-th power of truncated series (z >= 0)."""
-    if z < 0:
+def pow_rows(c: np.ndarray, z) -> np.ndarray:
+    """Row-wise z-th power of truncated series; ``z`` is an int or one per row (>= 0)."""
+    if np.any(np.asarray(z) < 0):
         raise ContractError("negative power")
     out = np.zeros_like(c)
     out[:, 0] = 1.0
     base = c
+    if np.ndim(z):  # row r takes the multiplications of the scalar power z[r]
+        e = np.array(z, dtype=np.int64)
+        while e.any():
+            odd = (e & 1).astype(bool)
+            out[odd] = mul_rows(out[odd], base[odd])
+            e >>= 1
+            if e.any():
+                base = mul_rows(base, base)
+        return out
     e = z
     while e > 0:
         if e & 1:

@@ -13,7 +13,13 @@ of the surviving line have explicit one-dimensional laws (geometric sums in
 closed form for LF laws, direct summation for finite laws), and the
 population at the horizon is 1 + Y_n + sum of the subtree survivor counts.
 Trees conditioned on extinction to the left of the line carry no horizon
-individuals and are never materialized.
+individuals and are never materialized.  ``geiger_sample`` draws one such
+population for a fixed environment, simulating each side subtree forward.
+The conditioned MRCA sampler runs the same construction batched over a
+chunk of environments and never simulates a subtree: the subtree founded
+at generation k by Y_k individuals has horizon pgf f_{k,n}^{Y_k}, so its
+outcomes are marginalized with the ``*_rows`` series kernels truncated at
+the target size, for every law family and every target.
 
 When the environment is random, conditioning on {Z_n = target} under the
 annealed law is NOT the same as sampling an environment, conditioning on
@@ -37,7 +43,7 @@ from .environment import EnvironmentModel, tilt
 from .errors import BudgetError, ContractError, PopulationCapError
 from .exact import EnvSequence
 from .laws import FiniteLaw, LinearFractionalLaw, OffspringLaw
-from .pgf import apply_law_rows, pow_rows
+from .pgf import apply_law_rows, mul_rows, pow_rows
 
 _MASK64 = (1 << 64) - 1
 DEFAULT_POPULATION_CAP = 10_000_000
@@ -346,6 +352,16 @@ class ImportanceEstimate:
     replicates: int
 
 
+def _apply_generation(
+    states: tuple[OffspringLaw, ...], col: np.ndarray, rows: np.ndarray, out: np.ndarray
+) -> None:
+    """Set ``out[r]`` to ``states[col[r]]`` applied to series row r; ``out`` may be ``rows``."""
+    for a, law in enumerate(states):
+        sel = np.nonzero(col == a)[0]
+        if sel.size:
+            out[sel] = apply_law_rows(law, rows[sel])
+
+
 def _quenched_small_value_rows(
     states: tuple[OffspringLaw, ...], idx: np.ndarray, z0: int, j_max: int
 ) -> np.ndarray:
@@ -354,11 +370,7 @@ def _quenched_small_value_rows(
     rows = np.zeros((b, j_max + 1))
     rows[:, 1] = 1.0
     for g in range(n - 1, -1, -1):
-        col = idx[:, g]
-        for a, law in enumerate(states):
-            sel = np.nonzero(col == a)[0]
-            if sel.size:
-                rows[sel] = apply_law_rows(law, rows[sel])
+        _apply_generation(states, idx[:, g], rows, rows)
     powered = pow_rows(rows, z0)
     return powered[:, 1:].sum(axis=1)
 
@@ -377,7 +389,8 @@ def importance_estimate(
 
     Environments are drawn under the exp(-nu X) tilt; each quenched
     small-value probability is computed exactly and reweighted by
-    mu^n exp(nu S_n), which removes the tilt in expectation.
+    mu^n exp(nu S_n), formed in log space, which removes the tilt in
+    expectation.  A weight that still overflows raises ContractError.
     """
     if replicates < 1:
         raise ContractError("replicates must be >= 1")
@@ -391,9 +404,11 @@ def importance_estimate(
         idx = tilted.sample_indices(rng, (hi - lo, n))
         probs = _quenched_small_value_rows(model.states, idx, z0, j_max)
         s_n = x[idx].sum(axis=1)
-        values[lo:hi] = probs * mu**n * np.exp(nu * s_n)
+        values[lo:hi] = probs * np.exp(n * math.log(mu) + nu * s_n)
     est = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else math.inf
+    if not math.isfinite(est) or (replicates > 1 and not math.isfinite(se)):
+        raise ContractError(f"importance estimate overflows at tilt nu={nu!r}")
     return ImportanceEstimate(estimate=est, std_error=se, nu=nu, mu=mu, replicates=replicates)
 
 
@@ -438,157 +453,98 @@ def _merge_counts(parts) -> tuple[dict[int, int], int]:
     return counts, accepted
 
 
-def _lf_arrays(model: EnvironmentModel):
-    etas = np.asarray([law.eta_lf for law in model.states])
-    ratios = np.asarray([law.ratio for law in model.states])
-    xs = np.asarray(model.x_values)
-    return xs, etas, ratios
+def _spine_y(states, idx: np.ndarray, t: np.ndarray, rng) -> np.ndarray:
+    """Right-sibling counts Y_1..Y_n of the spine, one row per proposal.
 
-
-def _mrca_geiger_lf_chunk(payload) -> dict[int, int]:
-    """One proposal chunk of the batched LF spine sampler; returns MRCA counts.
-
-    The ladder, survival thinning and Y-draws are vectorized.  For target 2
-    the subtree outcomes are marginalized exactly: each subtree founded at
-    generation k evolves by the composed LF law f_{k,n}, so "dead by n" has
-    probability t_k per founder and "exactly one horizon survivor" has the
-    closed-form first coefficient; one categorical draw per row replaces the
-    forward simulation of every subtree.  Larger targets fall back to direct
-    subtree simulation.
+    LF states draw Geometric(1 - c) - 1 in one call over their cells in C
+    order; finite states invert the table of ``_yk_table`` with one uniform
+    per cell.  ``t`` holds the extinction ladder rows t_0..t_n.
     """
-    model_json, n, target, root_seed, chunk_index, chunk_size, cap = payload
+    lf = [isinstance(law, LinearFractionalLaw) for law in states]
+    ratios = np.array([law.ratio if is_lf else 0.0 for law, is_lf in zip(states, lf)])
+    lf_cell = np.array(lf)[idx]
+    y = np.zeros(idx.shape, dtype=np.int64)
+    y[lf_cell] = rng.geometric(1.0 - ratios[idx[lf_cell]]) - 1
+    rows, gens = np.nonzero(~lf_cell)
+    u = rng.random(rows.size)
+    for a, law in enumerate(states):
+        sel = np.nonzero(idx[rows, gens] == a)[0]
+        if lf[a] or sel.size == 0:
+            continue
+        r, k = rows[sel], gens[sel] + 1
+        table = _yk_rows(law, t[r, k], (1.0 - t[r, k]) / (1.0 - t[r, k - 1]))
+        total = table.sum(axis=1)
+        if not np.all((0.999999999 < total) & (total < 1.000000001)):
+            raise ContractError("conditioned offspring table does not normalize")
+        cdf = np.cumsum(table / total[:, None], axis=1)
+        y[r, k - 1] = (cdf[:, :-1] <= u[sel, None]).sum(axis=1)
+    return y
+
+
+def _yk_rows(law: FiniteLaw, tk: np.ndarray, p_ratio: np.ndarray) -> np.ndarray:
+    """Row r is ``_yk_table(law, tk[r], p_ratio[r])``, by Horner's rule in t."""
+    kmax = law.max_support
+    out = np.zeros((tk.size, max(kmax, 1)))
+    acc = np.zeros(tk.size)
+    for i in range(kmax - 1, -1, -1):
+        acc = law.prob(i + 1) + tk * acc
+        out[:, i] = p_ratio * acc
+    return out
+
+
+def _mrca_spine_chunk(payload) -> dict[int, int]:
+    """One proposal chunk of the batched spine sampler; returns MRCA counts.
+
+    Every step is batched over the chunk.  The rows of f_{k,n} truncated at
+    s^(target-1) give the extinction ladder (column 0), which thins the
+    proposals by quenched survival.  A side subtree founded at generation k
+    by Y_k individuals has horizon pgf G_k = f_{k,n}^{Y_k}, so the subtree
+    outcomes are marginalized exactly: with b = target - 1 - Y_n extras
+    needed, the first contributing generation k has probability
+    prod_{j<k} G_j(0) [s^b] (G_k - G_k(0)) prod_{j>k} G_j, and "all subtrees
+    dead" has probability prod_j G_j(0) when b = 0.  One uniform per row
+    picks k by a categorical in ascending k, with "all dead" (k = n) last;
+    the rest of the mass rejects.  The MRCA age is n - k + 1.
+    """
+    model_json, n, target, root_seed, chunk_index, chunk_size, _cap = payload
     model = EnvironmentModel.from_json(model_json)
-    xs, etas, ratios = _lf_arrays(model)
     rng = stream(root_seed, chunk_index)
 
     idx = model.sample_indices(rng, (chunk_size, n))
-    x = xs[idx]
-    s = np.cumsum(x, axis=1)  # S_1..S_n
-    s_full = np.concatenate([np.zeros((chunk_size, 1)), s], axis=1)
-    terms = etas[idx] * np.exp(-s_full[:, :-1])  # eta_j e^{-S_{j-1}}, j = 1..n
-    suffix = np.zeros((chunk_size, n + 1))
-    suffix[:, :-1] = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
-    denom = np.exp(-s[:, -1])[:, None] + suffix  # e^{-S_n} + tail eta sums
-    scaled = np.exp(s_full) * denom  # s_exp_k + H_k of the composed law f_{k,n}
-    t = 1.0 - 1.0 / scaled  # extinction ladder rows, k = 0..n
-    survival = 1.0 - t[:, 0]
+    f = np.zeros((n + 1, chunk_size, target))
+    f[n][:, 1] = 1.0
+    for g in range(n - 1, -1, -1):
+        _apply_generation(model.states, idx[:, g], f[g + 1], f[g])
+    survival = 1.0 - f[0][:, 0]
 
     keep = rng.random(chunk_size) < survival  # annealed-conditioning thinning
     rows = np.nonzero(keep)[0]
-    counts: dict[int, int] = {}
     if rows.size == 0:
-        return counts
+        return {}
+    f = f[:, rows]
+    y = _spine_y(model.states, idx[rows], f[:, :, 0].T, rng)  # Y_1..Y_n
+    u = rng.random(rows.size)
 
-    c = ratios[idx[rows]]  # geometric ratios per kept row and generation
-    y = rng.geometric(1.0 - c) - 1  # Y_1..Y_n per kept row
-    allowed = target - 1
-
-    if target == 2:
-        # single-survivor coefficient of f_{k,n} per row: q1_k = s_exp_k / (s_exp_k+H_k)^2
-        q1 = np.exp(-(s[rows, -1])[:, None] + s_full[rows]) / (scaled[rows] ** 2)
-        u = rng.random(rows.size)
-        for r_pos in range(rows.size):
-            y_n = int(y[r_pos, n - 1])
-            if y_n > 1:
-                continue
-            t_row = t[rows[r_pos]]
-            dead_all = 1.0
-            for k in range(1, n):
-                yk = y[r_pos, k - 1]
-                if yk:
-                    dead_all *= t_row[k] ** int(yk)
-            if y_n == 1:
-                if u[r_pos] < dead_all:
-                    counts[1] = counts.get(1, 0) + 1
-                continue
-            # need exactly one survivor among the subtrees
-            acc = 0.0
-            uu = u[r_pos]
-            hit = None
-            for k in range(1, n):
-                yk = int(y[r_pos, k - 1])
-                if yk == 0:
-                    continue
-                p_one = yk * q1[r_pos, k] * t_row[k] ** (yk - 1)
-                for j in range(1, n):
-                    if j != k and y[r_pos, j - 1]:
-                        p_one *= t_row[j] ** int(y[r_pos, j - 1])
-                acc += p_one
-                if uu < acc:
-                    hit = k
-                    break
-            if hit is not None:
-                age = n - hit + 1
-                counts[age] = counts.get(age, 0) + 1
-        return counts
-
-    for r_pos, row in enumerate(rows):
-        y_n = int(y[r_pos, n - 1])
-        if y_n > allowed:
-            continue
-        budget = allowed - y_n
-        extras = 0
-        k_first = None
-        laws_idx = idx[row]
-        ok = True
-        for k in range(1, n):  # subtree founded in generation k
-            yk = int(y[r_pos, k - 1])
-            if yk == 0:
-                continue
-            z = yk
-            for j in range(k, n):
-                law = model.states[laws_idx[j]]
-                alive = rng.binomial(z, 1.0 - law.p0) if law.p0 > 0.0 else z
-                if alive == 0:
-                    z = 0
-                    break
-                ratio = law.ratio
-                if ratio > 0.0:
-                    z = alive + int(rng.negative_binomial(alive, 1.0 - ratio))
-                else:
-                    z = alive
-                if z > cap:
-                    raise PopulationCapError("explosive subtree in conditioned sampler")
-            if z > 0:
-                extras += z
-                if k_first is None:
-                    k_first = k
-                if extras > budget:
-                    ok = False
-                    break
-        if not ok or extras != budget:
-            continue
-        if k_first is None:
-            # all side subtrees dead; the extras are the final brood
-            k_first = n
-        age = n - k_first + 1
-        counts[age] = counts.get(age, 0) + 1
-    return counts
-
-
-def _mrca_geiger_generic_chunk(payload) -> dict[int, int]:
-    model_json, n, target, root_seed, chunk_index, chunk_size, cap = payload
-    model = EnvironmentModel.from_json(model_json)
-    rng = stream(root_seed, chunk_index)
-    counts: dict[int, int] = {}
-    for _ in range(chunk_size):
-        idx = model.sample_indices(rng, n)
-        env = EnvSequence.from_indices(model, idx)
-        t0 = env.extinction_ladder()[0]
-        survival = 1.0 - t0
-        if rng.random() >= survival:
-            continue
-        sample = geiger_sample(env, 1, rng, cap)
-        if sample.z_n != target:
-            continue
-        contributing = [k for k, f in enumerate(sample.subtree_finals) if f > 0]
-        if sample.y_counts[-1] > 0 or not contributing:
-            k_first = n if not contributing else min(contributing + [n])
-        else:
-            k_first = min(contributing)
-        age = n - k_first + 1
-        counts[age] = counts.get(age, 0) + 1
-    return counts
+    r = rows.size
+    sub = pow_rows(f[1:n].reshape(-1, target), y[:, : n - 1].T.ravel()).reshape(n - 1, r, target)
+    tail = np.zeros((n + 1, r, target))  # tail[k] = prod_{j>=k} G_j, tail[n] = 1
+    tail[n][:, 0] = 1.0
+    for k in range(n - 1, 1, -1):
+        tail[k] = mul_rows(sub[k - 1], tail[k + 1])
+    first = sub.copy()
+    first[:, :, 0] = 0.0
+    first = mul_rows(first.reshape(-1, target), tail[2:].reshape(-1, target))
+    b = target - 1 - y[:, n - 1]
+    p = np.ones((n, r))  # p[k-1]: first contributing generation k, p[n-1]: all dead
+    p[1:] = np.cumprod(sub[:, :, 0], axis=0)
+    p[:-1] *= first.reshape(n - 1, r, target)[:, np.arange(r), np.maximum(b, 0)]
+    p[-1] *= b == 0
+    p *= b >= 0
+    cum = np.cumsum(p, axis=0)
+    hit = u < cum[-1]
+    ages = n - np.argmax(u[hit] < cum[:, hit], axis=0)
+    values, counts = np.unique(ages, return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
 def _mrca_rejection_chunk(payload) -> dict[int, int]:
@@ -618,10 +574,14 @@ def conditioned_mrca_sample(
 ) -> MrcaDistribution:
     """Empirical law of MRCA_n given Z_n = target_size, Z_0 = 1.
 
-    ``proposals`` counts environment draws (method "geiger") or full forward
-    trees (method "rejection"); the accepted sample count is random.  Chunks
-    are seeded by index, so the result is a pure function of
-    (model, n, target_size, method, proposals, root_seed, chunk).
+    Method "geiger" runs the batched spine lane (``_mrca_spine_chunk``) for
+    every model and target: environments thinned by quenched survival, spine
+    counts Y_k drawn, and the side-subtree outcomes marginalized exactly, so
+    ``cap`` does not apply.  Method "rejection" simulates full forward trees
+    and raises PopulationCapError beyond ``cap``.  ``proposals`` counts
+    environment draws (geiger) or trees (rejection); the accepted sample
+    count is random.  Chunks are seeded by index, so the result is a pure
+    function of (model, n, target_size, method, proposals, root_seed, chunk).
     """
     if target_size < 2:
         raise ContractError("target size must be >= 2 for a meaningful MRCA")
@@ -641,12 +601,7 @@ def conditioned_mrca_sample(
     for c in range(n_chunks):
         size = min(chunk, proposals - c * chunk)
         payloads.append((model.to_json(), n, target_size, root_seed, c, size, cap))
-    if method == "rejection":
-        fn = _mrca_rejection_chunk
-    elif model.is_lf_pure:
-        fn = _mrca_geiger_lf_chunk
-    else:
-        fn = _mrca_geiger_generic_chunk
+    fn = _mrca_rejection_chunk if method == "rejection" else _mrca_spine_chunk
     logger.info(
         "conditioned MRCA: %s proposals in %s chunks (method=%s, n=%s, target=%s)",
         proposals,

@@ -78,3 +78,25 @@ def spine_event_probability(env_laws, z0, cap=256):
         if dist[z] > 0.0:
             total += dist[z] * z * last.prob(z0) * last.prob(0) ** (z - 1)
     return total
+
+
+def mrca_pair_law(env_laws, cap=128):
+    """P(Z_n = 2 and MRCA age a | env, Z_0 = 1) for a = 0..n (entry 0 is 0).
+
+    Brute force by convolution: the MRCA sits at generation g = n - a, where
+    one individual has two children with one horizon descendant each, its
+    other children leave none, and so does every other generation-g
+    individual.
+    """
+    n = len(env_laws)
+    out = np.zeros(n + 1)
+    z = np.arange(cap + 1)
+    for a in range(1, n + 1):
+        g = n - a
+        size_g = push_forward_distribution(env_laws[:g], 1, cap=cap)
+        dead_g = push_forward_distribution(env_laws[g:], 1, cap=cap)[0]
+        child = push_forward_distribution(env_laws[g + 1 :], 1, cap=cap)
+        brood = law_pmf_vector(env_laws[g], cap)
+        split = np.sum(brood * z * (z - 1) / 2 * child[0] ** np.maximum(z - 2, 0)) * child[1] ** 2
+        out[a] = np.sum(size_g * z * dead_g ** np.maximum(z - 1, 0)) * split
+    return out

@@ -125,6 +125,23 @@ def test_missing_model_file(capsys):
     assert main(["validate", "--model", "/nonexistent.json"]) == 2
 
 
+NAN_MODELS = [
+    '{"states": [{"type": "finite", "probs": [NaN, 0.25, 0.75]}], "weights": [1.0]}',
+    '{"states": [{"type": "lf", "m": 2.0, "b": 8.0}, {"type": "lf", "m": 0.5, "b": 0.5}],'
+    ' "weights": [NaN, NaN]}',
+    '{"states": [{"type": "lf", "m": 2.0, "b": NaN}], "weights": [1.0]}',
+]
+
+
+@pytest.mark.parametrize("text", NAN_MODELS)
+def test_validate_rejects_nan_model(text, tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(text)
+    assert main(["validate", "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_validate_gw(gw_path, capsys):
     assert main(["validate", "--model", gw_path]) == 0
     out = capsys.readouterr().out
@@ -176,6 +193,14 @@ def test_exact_estimate_path(weakly_path, capsys):
         ]
     )
     assert rc == 0
+    assert "[estimated]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("nu", ["700", "-700"])
+def test_exact_estimate_strong_tilt_stays_finite(nu, weakly_path, capsys):
+    # the weight mu^n exp(nu S_n) is formed in log space; mu**n alone overflows
+    argv = ["exact", "--model", weakly_path, "--n", "6", "--estimate", "--nu", nu, "--seed", "1"]
+    assert main(argv) == 0
     assert "[estimated]" in capsys.readouterr().out
 
 

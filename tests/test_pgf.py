@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bpre.errors import TruncationError
+from bpre.errors import ContractError, TruncationError
 from bpre.exact import EnvSequence, quenched_pmf
 from bpre.laws import FiniteLaw, LinearFractionalLaw
 from bpre.pgf import MAX_DEGREE, apply_law_rows, mul_rows, pow_rows, recip_rows
@@ -99,3 +99,21 @@ def test_power_of_series():
     sq = pow_rows(np.array([[0.5, 0.0, 0.5]]), 2)[0]
     assert np.allclose(sq, [0.25, 0.0, 0.5], atol=1e-15)  # s^4 truncated away
     assert 1.0 - sq.sum() == pytest.approx(0.25)
+
+
+def test_pow_rows_per_row_exponents_match_scalar_power():
+    rng = np.random.default_rng(3)
+    c = rng.random((12, 5)) / 3.0
+    z = np.array([0, 1, 2, 3, 0, 5, 8, 13, 0, 31, 64, 7])
+    out = pow_rows(c, z)
+    for r in range(c.shape[0]):
+        assert np.array_equal(out[r], pow_rows(c[r : r + 1], int(z[r]))[0])
+    assert np.array_equal(pow_rows(c, np.zeros(12, dtype=np.int64)), pow_rows(c, 0))
+
+
+def test_pow_rows_rejects_negative_exponents():
+    c = np.ones((2, 3))
+    with pytest.raises(ContractError, match="negative power"):
+        pow_rows(c, -1)
+    with pytest.raises(ContractError, match="negative power"):
+        pow_rows(c, np.array([2, -1]))

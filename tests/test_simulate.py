@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 
@@ -7,10 +8,20 @@ from scipy import stats
 
 from bpre.environment import EnvironmentModel, solve_critical_tilt
 from bpre.errors import ContractError
-from bpre.exact import EnvSequence, annealed_pmf_row, phi_n, quenched_coeff_row, quenched_survival
+from bpre.exact import (
+    EnvSequence,
+    annealed_pmf,
+    annealed_pmf_row,
+    phi_n,
+    quenched_coeff_row,
+    quenched_survival,
+)
 from bpre.laws import FiniteLaw, LinearFractionalLaw
 from bpre.models import intermediate_model, weakly_mrca_model, weakly_model
 from bpre.simulate import (
+    _spine_y,
+    _yk_rows,
+    _yk_table,
     GenealogyTree,
     conditioned_mrca_sample,
     geiger_sample,
@@ -22,6 +33,8 @@ from bpre.simulate import (
     subseed,
     worker_count,
 )
+
+from helpers import mrca_pair_law
 
 
 def test_stream_is_pure_function_of_seed_and_index():
@@ -287,9 +300,9 @@ def test_worker_count_reads_env(monkeypatch, caplog):
 
 
 def test_conditioned_mrca_generic_lane_matches_lf_lane():
-    # mixed-law guard: run the generic spine lane on an LF model via a
-    # finite-law twin with the same conditional structure is impractical;
-    # instead check the generic lane against rejection on a finite model
+    # every model shares one spine lane; this checks it on a finite-law
+    # model, where the Y-draws invert the finite spine table, against
+    # forward-tree rejection
     q1 = FiniteLaw((0.2, 0.5, 0.3))
     q2 = FiniteLaw((0.4, 0.2, 0.4))
     model = EnvironmentModel((q1, q2), (0.6, 0.4))
@@ -325,3 +338,99 @@ def test_mrca_distribution_json_schema():
     assert doc["proposed"] == 20_000
     assert sum(b["count"] for b in doc["bins"]) == doc["accepted"]
     assert all(set(b) == {"k", "count"} for b in doc["bins"])
+
+
+FINITE_MODEL = EnvironmentModel(
+    (FiniteLaw((0.2, 0.5, 0.3)), FiniteLaw((0.4, 0.2, 0.4))), (0.6, 0.4)
+)
+MIXED_MODEL = EnvironmentModel(
+    (LinearFractionalLaw(m=1.5, b=3.0), FiniteLaw((0.3, 0.3, 0.4))), (0.5, 0.5)
+)
+
+
+def _annealed_pair_law(model, n):
+    """P(Z_n = 2, MRCA age a) for a = 0..n, averaged over all environments."""
+    total = np.zeros(n + 1)
+    for env in itertools.product(range(len(model.states)), repeat=n):
+        weight = math.prod(model.weights[i] for i in env)
+        total += weight * mrca_pair_law([model.states[i] for i in env])
+    return total
+
+
+@pytest.mark.parametrize(
+    "model, n",
+    [(intermediate_model(), 3), (intermediate_model(), 5), (FINITE_MODEL, 6), (MIXED_MODEL, 4)],
+)
+def test_mrca_pair_law_oracle_sums_to_annealed_pmf(model, n):
+    pair = _annealed_pair_law(model, n)
+    assert pair[0] == 0.0
+    assert abs(pair.sum() - annealed_pmf(model, 1, n, 2)) < 1e-12
+
+
+@pytest.mark.parametrize("model, seed", [(intermediate_model(), 61), (FINITE_MODEL, 62)])
+def test_spine_lane_ages_match_pair_law_oracle(model, seed):
+    n, proposals = 5, 200_000
+    oracle = _annealed_pair_law(model, n)
+    d = conditioned_mrca_sample(model, n, 2, "geiger", proposals, root_seed=seed)
+    assert set(d.counts) <= set(range(1, n + 1))
+    for age in range(1, n + 1):
+        p = oracle[age]
+        se = math.sqrt(p * (1.0 - p) / proposals)
+        assert abs(d.counts.get(age, 0) / proposals - p) < 4 * se, age
+
+
+@pytest.mark.parametrize("model, seed", [(intermediate_model(), 71), (MIXED_MODEL, 73)])
+def test_spine_lane_target_three_matches_rejection(model, seed):
+    n = 4
+    d_g = conditioned_mrca_sample(model, n, 3, "geiger", 200_000, root_seed=seed)
+    d_r = conditioned_mrca_sample(model, n, 3, "rejection", 60_000, root_seed=seed + 1)
+    p3 = annealed_pmf(model, 1, n, 3)
+    se = math.sqrt(p3 * (1.0 - p3) / d_g.proposed)
+    assert abs(d_g.accepted / d_g.proposed - p3) < 4 * se
+    assert d_r.accepted > 1000
+    ks = sorted(set(d_g.counts) | set(d_r.counts))
+    obs = np.array([[d_g.counts.get(k, 0) for k in ks], [d_r.counts.get(k, 0) for k in ks]])
+    keep = obs.sum(axis=0) >= 10
+    chi2, p, _, _ = stats.chi2_contingency(obs[:, keep])[:4]
+    assert p > 0.001
+
+
+def test_batched_finite_table_matches_scalar_table():
+    law = FiniteLaw((0.1, 0.0, 0.3, 0.2, 0.4))
+    rng = np.random.default_rng(5)
+    tk = rng.random(300)
+    tk[:3] = (0.0, 1.0, 0.5)
+    p_ratio = rng.uniform(0.1, 3.0, 300)
+    rows = _yk_rows(law, tk, p_ratio)
+    for r in range(tk.size):
+        ref = _yk_table(law, tk[r], p_ratio[r])
+        assert np.allclose(rows[r], ref, rtol=1e-13, atol=1e-15)
+
+
+def test_spine_y_finite_draws_invert_scalar_table():
+    # a one-state model makes every cell a draw from one finite table; on a
+    # consistent ladder t_{k-1} = f(t_k) the batched draw is the inverse CDF
+    # of _yk_table at the cell's uniform
+    law = FiniteLaw((0.1, 0.2, 0.3, 0.4))
+    rows, n = 400, 3
+    t = np.zeros((rows, n + 1))
+    t[:, n] = np.random.default_rng(6).random(rows)
+    for k in range(n, 0, -1):
+        t[:, k - 1] = law.pgf(t[:, k])
+    y = _spine_y((law,), np.zeros((rows, n), dtype=np.int64), t, stream(8, 0))
+    u = stream(8, 0).random(rows * n).reshape(rows, n)
+    for r in range(rows):
+        for g in range(n):
+            k = g + 1
+            table = _yk_table(law, t[r, k], (1.0 - t[r, k]) / (1.0 - t[r, k - 1]))
+            cdf = np.cumsum(table / table.sum())
+            expect = min(int(np.searchsorted(cdf, u[r, g], side="right")), table.size - 1)
+            assert y[r, g] == expect
+
+
+def test_spine_y_rejects_unnormalized_table():
+    # t_0 is not f(t_1), so the generation-1 table does not sum to 1
+    law = FiniteLaw((0.1, 0.2, 0.3, 0.4))
+    t = np.array([[0.9, 0.4, 0.0]])
+    with pytest.raises(ContractError, match="does not normalize"):
+        _spine_y((law,), np.zeros((1, 2), dtype=np.int64), t, stream(1, 0))
