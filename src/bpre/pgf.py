@@ -45,27 +45,26 @@ def recip_rows(w: np.ndarray) -> np.ndarray:
 
 def pow_rows(c: np.ndarray, z) -> np.ndarray:
     """Row-wise z-th power of truncated series; ``z`` is an int or one per row (>= 0)."""
-    if np.any(np.asarray(z) < 0):
+    e = np.broadcast_to(np.asarray(z, dtype=np.int64), c.shape[:1]).copy()
+    if np.any(e < 0):
         raise ContractError("negative power")
     out = np.zeros_like(c)
     out[:, 0] = 1.0
     base = c
-    if np.ndim(z):  # row r takes the multiplications of the scalar power z[r]
-        e = np.array(z, dtype=np.int64)
-        while e.any():
-            odd = (e & 1).astype(bool)
-            out[odd] = mul_rows(out[odd], base[odd])
-            e >>= 1
-            if e.any():
-                base = mul_rows(base, base)
-        return out
-    e = z
-    while e > 0:
-        if e & 1:
-            out = mul_rows(out, base)
+    while e.any():  # row r takes the multiplications of the scalar power e[r]
+        out = _mul_rows_where((e & 1) == 1, out, base)
         e >>= 1
-        if e:
-            base = mul_rows(base, base)
+        if e.any():  # only rows with bits left need the next square
+            base = _mul_rows_where(e > 0, base, base)
+    return out
+
+
+def _mul_rows_where(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a`` with its rows in ``mask`` multiplied by those of ``b``; copies no row if all are in."""
+    if mask.all():
+        return mul_rows(a, b)
+    out = a.copy()
+    out[mask] = mul_rows(a[mask], b[mask])
     return out
 
 

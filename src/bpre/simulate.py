@@ -248,10 +248,15 @@ def _yk_table(law: FiniteLaw, tk: float, p_ratio: float) -> np.ndarray:
     return probs
 
 
+def _check_table_totals(total) -> None:
+    """Raise ContractError unless every conditioned table total is 1 to within 1e-9."""
+    if not np.all((0.999999999 < total) & (total < 1.000000001)):
+        raise ContractError("conditioned offspring table does not normalize")
+
+
 def _draw_table(probs: np.ndarray, rng: np.random.Generator) -> int:
     total = probs.sum()
-    if not 0.999999999 < total < 1.000000001:
-        raise ContractError("conditioned offspring table does not normalize")
+    _check_table_totals(total)
     return int(np.searchsorted(np.cumsum(probs / total), rng.random(), side="right"))
 
 
@@ -474,8 +479,7 @@ def _spine_y(states, idx: np.ndarray, t: np.ndarray, rng) -> np.ndarray:
         r, k = rows[sel], gens[sel] + 1
         table = _yk_rows(law, t[r, k], (1.0 - t[r, k]) / (1.0 - t[r, k - 1]))
         total = table.sum(axis=1)
-        if not np.all((0.999999999 < total) & (total < 1.000000001)):
-            raise ContractError("conditioned offspring table does not normalize")
+        _check_table_totals(total)
         cdf = np.cumsum(table / total[:, None], axis=1)
         y[r, k - 1] = (cdf[:, :-1] <= u[sel, None]).sum(axis=1)
     return y
@@ -492,15 +496,30 @@ def _yk_rows(law: FiniteLaw, tk: np.ndarray, p_ratio: np.ndarray) -> np.ndarray:
     return out
 
 
+def _horizon_rows(states, idx: np.ndarray, width: int) -> np.ndarray:
+    """Rows of f_{k,n}, k = 0..n, for each environment row of idx, truncated at s^(width-1).
+
+    Column 0 of layer k is the extinction ladder t_k, the same arithmetic at
+    every width.
+    """
+    b, n = idx.shape
+    f = np.zeros((n + 1, b, width))
+    f[n][:, 1:2] = 1.0  # f_{n,n}(s) = s
+    for g in range(n - 1, -1, -1):
+        _apply_generation(states, idx[:, g], f[g + 1], f[g])
+    return f
+
+
 def _mrca_spine_chunk(payload) -> dict[int, int]:
     """One proposal chunk of the batched spine sampler; returns MRCA counts.
 
-    Every step is batched over the chunk.  The rows of f_{k,n} truncated at
-    s^(target-1) give the extinction ladder (column 0), which thins the
-    proposals by quenched survival.  A side subtree founded at generation k
-    by Y_k individuals has horizon pgf G_k = f_{k,n}^{Y_k}, so the subtree
-    outcomes are marginalized exactly: with b = target - 1 - Y_n extras
-    needed, the first contributing generation k has probability
+    Every step is batched over the chunk.  The extinction ladder, built at
+    width 1 for the whole chunk, thins the proposals by quenched survival;
+    the rows of f_{k,n} truncated at s^(target-1) are built for the kept
+    proposals only.  A side subtree founded at generation k by Y_k
+    individuals has horizon pgf G_k = f_{k,n}^{Y_k}, so the subtree outcomes
+    are marginalized exactly: with b = target - 1 - Y_n extras needed, the
+    first contributing generation k has probability
     prod_{j<k} G_j(0) [s^b] (G_k - G_k(0)) prod_{j>k} G_j, and "all subtrees
     dead" has probability prod_j G_j(0) when b = 0.  One uniform per row
     picks k by a categorical in ascending k, with "all dead" (k = n) last;
@@ -511,32 +530,28 @@ def _mrca_spine_chunk(payload) -> dict[int, int]:
     rng = stream(root_seed, chunk_index)
 
     idx = model.sample_indices(rng, (chunk_size, n))
-    f = np.zeros((n + 1, chunk_size, target))
-    f[n][:, 1] = 1.0
-    for g in range(n - 1, -1, -1):
-        _apply_generation(model.states, idx[:, g], f[g + 1], f[g])
-    survival = 1.0 - f[0][:, 0]
+    survival = 1.0 - _horizon_rows(model.states, idx, 1)[0, :, 0]
 
     keep = rng.random(chunk_size) < survival  # annealed-conditioning thinning
     rows = np.nonzero(keep)[0]
     if rows.size == 0:
         return {}
-    f = f[:, rows]
-    y = _spine_y(model.states, idx[rows], f[:, :, 0].T, rng)  # Y_1..Y_n
+    idx = idx[rows]
+    f = _horizon_rows(model.states, idx, target)
+    y = _spine_y(model.states, idx, f[:, :, 0].T, rng)  # Y_1..Y_n
     u = rng.random(rows.size)
 
     r = rows.size
     sub = pow_rows(f[1:n].reshape(-1, target), y[:, : n - 1].T.ravel()).reshape(n - 1, r, target)
-    tail = np.zeros((n + 1, r, target))  # tail[k] = prod_{j>=k} G_j, tail[n] = 1
-    tail[n][:, 0] = 1.0
-    for k in range(n - 1, 1, -1):
-        tail[k] = mul_rows(sub[k - 1], tail[k + 1])
-    first = sub.copy()
-    first[:, :, 0] = 0.0
-    first = mul_rows(first.reshape(-1, target), tail[2:].reshape(-1, target))
+    tail = np.zeros((n - 1, r, target))  # tail[i] = prod_{j>=i+2} G_j, last layer 1
+    tail[-1:, :, 0] = 1.0  # a slice, since n = 1 has no layers
+    for i in range(n - 3, -1, -1):
+        tail[i] = mul_rows(sub[i + 1], tail[i + 1])
     b = target - 1 - y[:, n - 1]
     p = np.ones((n, r))  # p[k-1]: first contributing generation k, p[n-1]: all dead
     p[1:] = np.cumprod(sub[:, :, 0], axis=0)
+    sub[:, :, 0] = 0.0  # G_k - G_k(0)
+    first = mul_rows(sub.reshape(-1, target), tail.reshape(-1, target))
     p[:-1] *= first.reshape(n - 1, r, target)[:, np.arange(r), np.maximum(b, 0)]
     p[-1] *= b == 0
     p *= b >= 0
