@@ -1,16 +1,24 @@
 """Exact quenched and annealed probabilities for finite-alphabet environments.
 
 Quenched quantities condition on a fixed environment sequence (q_1..q_n);
-annealed ones average over all |A|^n sequences by depth-first enumeration.
-The enumerator composes generating functions from the innermost generation
-outward, so the per-node state is the coefficient row of f_{k,n} up to the
-target degree and each node costs one law application.  Partial sums are
-combined in a fixed order, independent of chunking.
+annealed ones average over all |A|^n sequences by enumeration.  The
+enumerator composes generating functions from the innermost generation
+outward, so its state is a block of coefficient rows of f_{k,n} up to the
+target degree, one row per environment of the generations composed so far.
+The innermost generations form one shared block, built breadth-first from
+the identity row up to a fixed row ceiling; the outermost generations are
+then visited depth-first, each node one law application on the whole block.
+Every horizon up to the deepest requested one passes through this sweep, so
+one call reports all of them (the Fekete table needs n = 1..n_max).  Partial
+sums are combined in a fixed order.
+
+The reachability closure behind z0 works on Python-int bitmasks: bit k of a
+mask marks size k, and the sizes reachable from z in one generation are the
+z-fold sumset of a state's support, built once per distinct support.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,7 +31,7 @@ from .laws import FiniteLaw, OffspringLaw
 from .pgf import MAX_DEGREE, apply_law_rows, pow_rows
 
 ENUMERATION_BUDGET = 1 << 26
-_CHUNK_ROWS = 1 << 18
+_BLOCK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -213,61 +221,58 @@ class ReachableSet:
 def smallest_reachable(model: EnvironmentModel, cap: int = 64) -> ReachableSet:
     """z0 = min{j >= 1 : some state has q(j) > 0 and q(0) > 0}, plus closure."""
     z0 = None
-    for law, w in zip(model.states, model.weights):
-        if w <= 0.0 or law.p0 <= 0.0:
-            continue
-        support, _ = law.support(cap)
-        positive = [j for j in support if j >= 1]
-        if positive:
-            cand = min(positive)
-            z0 = cand if z0 is None else min(z0, cand)
-    if z0 is None:
-        raise ContractError("no extinction possible: use monotone-case formula")
-
-    supports = []
-    any_unbounded = False
+    capped = False
+    masks = {}  # one table of z-fold sumsets per distinct support
     for law, w in zip(model.states, model.weights):
         if w <= 0.0:
             continue
-        sup, unbounded = law.support(cap)
-        supports.append(sorted(sup))
-        any_unbounded = any_unbounded or unbounded
+        support, unbounded = law.support(cap)
+        capped = capped or unbounded
+        key = tuple(sorted(support))
+        if key not in masks:
+            masks[key] = _sum_masks(key, cap)
+        positive = [j for j in key if j >= 1]
+        if law.p0 > 0.0 and positive:
+            z0 = positive[0] if z0 is None else min(z0, positive[0])
+    if z0 is None:
+        raise ContractError("no extinction possible: use monotone-case formula")
 
-    closure: set[int] = set()
-    frontier = {z0}
-    capped = any_unbounded
+    closure = 0
+    frontier = [z0]
     while frontier:
         z = frontier.pop()
-        if z in closure or z < 1 or z > cap:
-            capped = capped or z > cap
+        if closure >> z & 1:
             continue
-        closure.add(z)
-        for sup in supports:
-            sums, overflowed = _sumset(sup, z, cap)
+        closure |= 1 << z
+        reach = 0
+        for table in masks.values():
+            sums, overflowed = table[z]
+            reach |= sums
             capped = capped or overflowed
-            for k in sums:
-                if 1 <= k <= cap and k not in closure:
-                    frontier.add(k)
-    return ReachableSet(z0=z0, closure=frozenset(closure), capped=capped, cap=cap)
+        fresh = reach & ~closure & ~1
+        frontier.extend(k for k in range(1, cap + 1) if fresh >> k & 1)
+    members = frozenset(k for k in range(1, cap + 1) if closure >> k & 1)
+    return ReachableSet(z0=z0, closure=members, capped=capped, cap=cap)
 
 
-def _sumset(support: list[int], z: int, cap: int) -> tuple[set[int], bool]:
-    """All achievable sums of z draws from ``support``, truncated at cap."""
-    reachable = {0}
-    overflow = False
-    for _ in range(z):
-        nxt = set()
-        for base in reachable:
-            for v in support:
-                s = base + v
-                if s <= cap:
-                    nxt.add(s)
-                else:
-                    overflow = True
-        reachable = nxt
-        if not reachable:
-            break
-    return reachable, overflow
+def _sum_masks(support: tuple[int, ...], cap: int) -> list[tuple[int, bool]]:
+    """Sums of z draws from ``support`` as bitmasks over 0..cap, for z = 0..cap.
+
+    Entry z is (mask, overflowed): bit k of mask is set when k is such a sum,
+    and overflowed records whether some sum above cap was formed at any of the
+    first z steps.
+    """
+    keep = (1 << (cap + 1)) - 1
+    mask, overflowed = 1, False
+    out = [(mask, overflowed)]
+    for _ in range(cap):
+        sums = 0
+        for v in support:
+            sums |= mask << v
+        overflowed = overflowed or sums > keep
+        mask = sums & keep
+        out.append((mask, overflowed))
+    return out
 
 
 def annealed_pmf_row(
@@ -279,53 +284,71 @@ def annealed_pmf_row(
 ) -> np.ndarray:
     """Exact annealed coefficients: P(Z_n = j | Z_0 = z0) for j = 0..j_max.
 
-    Enumerates every environment sequence depth-first; the running state is
-    the coefficient row of f_{k,n}, extended by one law application per node.
+    Enumerates every environment sequence: the innermost generations form
+    one shared block of coefficient rows, built breadth-first from the
+    identity row, and any generations beyond the block are visited
+    depth-first, one law application on the whole block per node.
     """
     if z0 < 1:
         raise ContractError("initial size must be >= 1")
     if n < 0:
         raise ContractError("n must be >= 0")
+    return np.clip(_annealed_rows(model, z0, (n,), j_max, budget)[n], 0.0, None)
+
+
+def _annealed_rows(
+    model: EnvironmentModel,
+    z0: int,
+    horizons,
+    j_max: int,
+    budget: int,
+) -> dict[int, np.ndarray]:
+    """Unclipped sum over environments of w(env) * coefficients of f_{0,n}^{z0}, per horizon n.
+
+    The state after d generations is the block of rows of f_{n-d+1,n} for
+    every environment of those d generations.  It grows breadth-first while
+    it fits in ``_BLOCK_ROWS`` rows; deeper generations are the outermost
+    ones, enumerated depth-first so that each node is one ``apply_law_rows``
+    call on the block.  A horizon's row is summed only where it is requested,
+    so one sweep serves every horizon up to the largest.
+    """
+    n_max = max(horizons, default=0)
     a = len(model.states)
-    if a**n > budget:
+    if a**n_max > budget:
         raise BudgetError(
-            f"enumeration of {a}^{n} sequences exceeds budget {budget}; "
+            f"enumeration of {a}^{n_max} sequences exceeds budget {budget}; "
             "use the Monte Carlo path (tilted importance sampling)"
         )
+    states = [(law, w) for law, w in zip(model.states, np.asarray(model.weights)) if w > 0.0]
     width = j_max + 1
-    if n == 0:
-        out = np.zeros(width)
-        if z0 <= j_max:
-            out[z0] = 1.0
-        return out
+    totals = {n: np.zeros(width) for n in horizons}
 
-    # fix enough innermost generations that the vectorized sweep fits in memory
-    d_vec = min(n, max(0, int(math.log(_CHUNK_ROWS, max(a, 2)))))
-    d_fix = n - d_vec
-    weights = np.asarray(model.weights)
+    def report(depth: int, rows: np.ndarray, wvec: np.ndarray) -> None:
+        if depth in totals:
+            totals[depth] += wvec @ pow_rows(rows, z0)
 
-    identity = np.zeros(width)
+    rows = np.zeros((1, width))
     if width > 1:
-        identity[1] = 1.0
+        rows[0, 1] = 1.0
+    wvec = np.ones(1)
+    depth = 0
+    report(depth, rows, wvec)
+    while depth < n_max and len(rows) * len(states) <= _BLOCK_ROWS:
+        rows = np.vstack([apply_law_rows(law, rows) for law, _ in states])
+        wvec = np.concatenate([wvec * w for _, w in states])
+        depth += 1
+        report(depth, rows, wvec)
 
-    total = np.zeros(width)
-    for prefix in itertools.product(range(a), repeat=d_fix):
-        # prefix fixes generations n, n-1, ..., n-d_fix+1 (innermost first)
-        row = identity[None, :].copy()
-        w_prefix = 1.0
-        for idx in prefix:
-            row = apply_law_rows(model.states[idx], row)
-            w_prefix *= model.weights[idx]
-        if w_prefix == 0.0:
-            continue
-        rows = row
-        wvec = np.array([w_prefix])
-        for _ in range(d_vec):
-            rows = np.vstack([apply_law_rows(law, rows) for law in model.states])
-            wvec = np.concatenate([wvec * w for w in weights])
-        powered = pow_rows(rows, z0)
-        total += wvec @ powered
-    return np.clip(total, 0.0, None)
+    def descend(rows: np.ndarray, wvec: np.ndarray, depth: int) -> None:
+        for law, w in states:
+            child, child_w = apply_law_rows(law, rows), wvec * w
+            report(depth + 1, child, child_w)
+            if depth + 1 < n_max:
+                descend(child, child_w, depth + 1)
+
+    if depth < n_max:
+        descend(rows, wvec, depth)
+    return totals
 
 
 def annealed_pmf(
@@ -390,10 +413,11 @@ def fekete_bounds(
     """
     if z0 is None:
         z0 = smallest_reachable(model).z0
+    totals = _annealed_rows(model, z0, range(1, n_max + 1), z0, budget)
     values = {}
     rows = []
     for n in range(1, n_max + 1):
-        p = annealed_pmf(model, z0, n, z0, budget)
+        p = float(totals[n][z0])
         if p <= 0.0:
             raise ContractError(f"P_z0(Z_{n} = z0) = 0; subadditive sequence undefined")
         a_n = -math.log(p)

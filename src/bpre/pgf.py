@@ -50,9 +50,14 @@ def pow_rows(c: np.ndarray, z) -> np.ndarray:
         raise ContractError("negative power")
     out = np.zeros_like(c)
     out[:, 0] = 1.0
+    unit = np.ones(e.shape, dtype=bool)  # rows of ``out`` still holding the unit series
     base = c
     while e.any():  # row r takes the multiplications of the scalar power e[r]
-        out = _mul_rows_where((e & 1) == 1, out, base)
+        bit = (e & 1) == 1
+        # a row's first factor is copied, not multiplied into the unit series
+        out = _mul_rows_where(bit & ~unit, out, base)
+        out = _copy_rows_where(bit & unit, out, base)
+        unit &= ~bit
         e >>= 1
         if e.any():  # only rows with bits left need the next square
             base = _mul_rows_where(e > 0, base, base)
@@ -63,9 +68,20 @@ def _mul_rows_where(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
     """``a`` with its rows in ``mask`` multiplied by those of ``b``; copies no row if all are in."""
     if mask.all():
         return mul_rows(a, b)
+    if not mask.any():
+        return a
     out = a.copy()
     out[mask] = mul_rows(a[mask], b[mask])
     return out
+
+
+def _copy_rows_where(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a`` with its rows in ``mask`` replaced by copies of those of ``b``; writes into ``a``."""
+    if mask.all():
+        return b.copy()
+    if mask.any():
+        a[mask] = b[mask]
+    return a
 
 
 def apply_law_rows(law: OffspringLaw, c: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ so agreement with the engine is a two-route check.
 
 import numpy as np
 
+from bpre.errors import ContractError
 from bpre.laws import FiniteLaw, LinearFractionalLaw
 
 
@@ -100,3 +101,71 @@ def mrca_pair_law(env_laws, cap=128):
         split = np.sum(brood * z * (z - 1) / 2 * child[0] ** np.maximum(z - 2, 0)) * child[1] ** 2
         out[a] = np.sum(size_g * z * dead_g ** np.maximum(z - 1, 0)) * split
     return out
+
+
+def gapped_finite_law(rng, top=9):
+    """Random finite law with q(0) > 0 on {0} plus one to three sizes in 1..top."""
+    k = rng.integers(1, 4)
+    sizes = np.sort(rng.choice(np.arange(1, top + 1), size=k, replace=False))
+    probs = np.zeros(sizes[-1] + 1)
+    probs[0] = rng.uniform(0.1, 0.5)
+    probs[sizes] = rng.random(k) + 0.05
+    return FiniteLaw(tuple(probs / probs.sum()))
+
+
+def reachable_closure_oracle(model, cap=64):
+    """(z0, closure, capped) of ``smallest_reachable`` by explicit set sumsets.
+
+    Sizes reachable in one generation from z are the sums of z draws from a
+    state's support; the closure follows them from z0 within 1..cap, and
+    capped records an unbounded support or any sum formed above cap.
+    """
+    z0 = None
+    for law, w in zip(model.states, model.weights):
+        if w <= 0.0 or law.p0 <= 0.0:
+            continue
+        positive = [j for j in law.support(cap)[0] if j >= 1]
+        if positive:
+            z0 = min(positive) if z0 is None else min(z0, min(positive))
+    if z0 is None:
+        raise ContractError("no extinction possible")
+
+    supports = []
+    capped = False
+    for law, w in zip(model.states, model.weights):
+        if w <= 0.0:
+            continue
+        sup, unbounded = law.support(cap)
+        supports.append(sorted(sup))
+        capped = capped or unbounded
+
+    closure = set()
+    frontier = {z0}
+    while frontier:
+        z = frontier.pop()
+        if z in closure:
+            continue
+        closure.add(z)
+        for sup in supports:
+            sums, overflowed = _set_sumset(sup, z, cap)
+            capped = capped or overflowed
+            frontier |= {k for k in sums if 1 <= k and k not in closure}
+    return z0, frozenset(closure), capped
+
+
+def _set_sumset(support, z, cap):
+    """All sums of z draws from ``support`` up to cap, and whether one exceeded cap."""
+    reachable = {0}
+    overflow = False
+    for _ in range(z):
+        nxt = set()
+        for base in reachable:
+            for v in support:
+                if base + v <= cap:
+                    nxt.add(base + v)
+                else:
+                    overflow = True
+        reachable = nxt
+        if not reachable:
+            break
+    return reachable, overflow

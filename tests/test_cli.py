@@ -9,7 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bpre.cli import ExperimentConfig, emit_plot_data, main
+from bpre.environment import EnvironmentModel
 from bpre.errors import ContractError
+
+from helpers import reachable_closure_oracle
 
 GW_MODEL = {"states": [{"type": "finite", "probs": [0.25, 0.0, 0.75]}], "weights": [1.0]}
 WEAKLY_MODEL = {
@@ -148,6 +151,31 @@ def test_validate_gw(gw_path, capsys):
     assert "supercritical: yes" in out
     assert "z0: 2" in out
     assert "lf_pure: no" in out
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        WEAKLY_MODEL,
+        {
+            "states": [
+                {"type": "finite", "probs": [0.3, 0.0, 0.0, 0.3, 0.0, 0.0, 0.0, 0.4]},
+                {"type": "finite", "probs": [0.1, 0.0, 0.0, 0.0, 0.0, 0.9]},
+            ],
+            "weights": [0.5, 0.5],
+        },
+    ],
+    ids=["lf", "finite_gaps"],
+)
+def test_validate_closure_line_matches_oracle(obj, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate", "--model", str(path)]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("z0: ")]
+    z0, closure, capped = reachable_closure_oracle(EnvironmentModel.from_json(obj))
+    members = sorted(closure)
+    shown = ",".join(map(str, members[:16])) + ("..." if len(members) > 16 else "")
+    assert lines == [f"z0: {z0} closure: [{shown}] capped: {'yes' if capped else 'no'}"]
 
 
 def test_validate_boundary_warning(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bpre.environment import EnvironmentModel
 from bpre.errors import BudgetError, ContractError, TruncationError
+from bpre import exact
 from bpre.exact import (
     EnvSequence,
     annealed_pmf,
@@ -23,7 +24,14 @@ from bpre.exact import (
 from bpre.laws import FiniteLaw, LinearFractionalLaw
 from bpre.models import example1_model, gw_binary, weakly_model
 
-from helpers import push_forward_distribution, random_finite_law, spine_event_probability
+from helpers import (
+    gapped_finite_law,
+    push_forward_distribution,
+    random_finite_law,
+    random_lf_law,
+    reachable_closure_oracle,
+    spine_event_probability,
+)
 
 
 def test_env_sequence_walk():
@@ -191,6 +199,68 @@ def test_smallest_reachable_examples():
         smallest_reachable(no_ext)
 
 
+def _closure_models():
+    rng = np.random.default_rng(41)
+    models = {}
+    for i in range(4):
+        laws = tuple(gapped_finite_law(rng) for _ in range(2))
+        models[f"gapped{i}"] = EnvironmentModel(laws, (0.5, 0.5))
+    models["gaps_0_3_7"] = EnvironmentModel(
+        (FiniteLaw((0.3, 0.0, 0.0, 0.3, 0.0, 0.0, 0.0, 0.4)),), (1.0,)
+    )
+    # support {0, 1}: nothing overflows, so the closure is {1}, uncapped
+    models["lf_ratio_zero"] = EnvironmentModel((LinearFractionalLaw(m=0.7, b=0.0),), (1.0,))
+    models["lf_ratio_zero_with_gaps"] = EnvironmentModel(
+        (LinearFractionalLaw(m=0.7, b=0.0), FiniteLaw((0.2, 0.0, 0.0, 0.8))), (0.5, 0.5)
+    )
+    models["mixed_lf_finite"] = EnvironmentModel(
+        (random_lf_law(rng), FiniteLaw((0.4, 0.0, 0.6))), (0.3, 0.7)
+    )
+    # the zero-weight state would set z0 = 1 in the first model and cap the second
+    models["zero_weight_state"] = EnvironmentModel(
+        (FiniteLaw((0.3, 0.0, 0.0, 0.7)), FiniteLaw((0.5, 0.5))), (1.0, 0.0)
+    )
+    models["zero_weight_unbounded_state"] = EnvironmentModel(
+        (FiniteLaw((0.5, 0.5)), random_lf_law(rng)), (1.0, 0.0)
+    )
+    return models
+
+
+@pytest.mark.parametrize("cap", [1, 7, 64])
+@pytest.mark.parametrize("name", sorted(_closure_models()))
+def test_smallest_reachable_matches_set_closure_oracle(name, cap):
+    model = _closure_models()[name]
+    try:
+        z0, closure, capped = reachable_closure_oracle(model, cap)
+    except ContractError:
+        with pytest.raises(ContractError):
+            smallest_reachable(model, cap)
+        return
+    reach = smallest_reachable(model, cap)
+    assert (reach.z0, reach.closure, reach.capped, reach.cap) == (z0, closure, capped, cap)
+
+
+def test_smallest_reachable_matches_oracle_on_random_supports():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        laws = []
+        for _ in range(rng.integers(1, 4)):
+            probs = rng.random(rng.integers(2, 8)) * (rng.random() < 0.8)
+            probs = probs * (rng.random(len(probs)) < 0.5)
+            probs[-1] += 0.1
+            laws.append(FiniteLaw(tuple(probs / probs.sum())))
+        model = EnvironmentModel(tuple(laws), (1.0 / len(laws),) * len(laws))
+        cap = int(rng.integers(1, 13))
+        try:
+            expect = reachable_closure_oracle(model, cap)
+        except ContractError:
+            with pytest.raises(ContractError):
+                smallest_reachable(model, cap)
+            continue
+        reach = smallest_reachable(model, cap)
+        assert (reach.z0, reach.closure, reach.capped) == expect
+
+
 def test_annealed_matches_naive_enumeration():
     rng = np.random.default_rng(123)
     model = EnvironmentModel(
@@ -244,6 +314,69 @@ def test_budget_guard():
     model = weakly_model()
     with pytest.raises(BudgetError, match="Monte Carlo"):
         annealed_pmf(model, 1, 40, 1)
+    with pytest.raises(BudgetError, match="Monte Carlo"):
+        fekete_bounds(model, n_max=40)
+
+
+def _block_depth(model):
+    """Deepest horizon the enumerator covers with its breadth-first block."""
+    a = sum(1 for w in model.weights if w > 0.0)
+    return max(d for d in range(64) if a**d <= exact._BLOCK_ROWS)
+
+
+@pytest.mark.parametrize(
+    "model, z0, n_max",
+    [
+        (
+            EnvironmentModel(
+                (
+                    FiniteLaw((0.2, 0.5, 0.3)),
+                    FiniteLaw((0.4, 0.2, 0.4)),
+                    LinearFractionalLaw(m=1.5, b=4.0),
+                ),
+                (0.3, 0.3, 0.4),
+            ),
+            1,
+            12,
+        ),
+        (gw_binary(), 2, 10),
+        (
+            EnvironmentModel(
+                (FiniteLaw((0.2, 0.5, 0.3)), FiniteLaw((0.5, 0.5)), FiniteLaw((0.3, 0.3, 0.4))),
+                (0.5, 0.0, 0.5),
+            ),
+            1,
+            18,
+        ),
+    ],
+    ids=["three_states", "gw_binary", "zero_weight_state"],
+)
+def test_fekete_sweep_matches_per_horizon_enumeration(model, z0, n_max):
+    budget = len(model.states) ** n_max  # the budget counts zero-weight states too
+    table = fekete_bounds(model, z0=z0, n_max=n_max, budget=budget)
+    depth = _block_depth(model)
+    assert table.z0 == z0
+    for row in table.rows:
+        a_n = -math.log(annealed_pmf(model, z0, row.n, z0, budget))
+        if row.n <= depth:
+            assert row.a_n == a_n
+        else:
+            assert abs(row.a_n - a_n) <= 1e-12
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 9])
+def test_depth_first_pass_matches_breadth_first_block(block_rows, monkeypatch):
+    rng = np.random.default_rng(5)
+    model = EnvironmentModel(
+        (random_finite_law(rng, 3, with_extinction=True), random_lf_law(rng)), (0.45, 0.55)
+    )
+    wide = fekete_bounds(model, z0=1, n_max=9)
+    rows = annealed_pmf_row(model, 2, 9, 6)
+    monkeypatch.setattr(exact, "_BLOCK_ROWS", block_rows)
+    narrow = fekete_bounds(model, z0=1, n_max=9)
+    for w, v in zip(wide.rows, narrow.rows):
+        assert abs(w.a_n - v.a_n) <= 1e-12
+    assert np.allclose(annealed_pmf_row(model, 2, 9, 6), rows, rtol=1e-12, atol=0.0)
 
 
 def test_fekete_table_and_csv():
