@@ -21,8 +21,9 @@ from dataclasses import asdict, dataclass
 from .environment import EnvironmentModel, classify_regime, lattice_span, rate_function_at_zero
 from .errors import BudgetError, ContractError, TruncationError
 from .exact import annealed_pmf_row, smallest_reachable
+from .pgf import MAX_DEGREE
 from .rates import example1_suite, example2_suite, mrca_regime_suite, rho_report
-from .simulate import importance_estimate, simulate_forward, stream
+from .simulate import DEFAULT_POPULATION_CAP, importance_estimate, simulate_forward, stream
 
 COMMANDS = ("simulate", "exact", "rho", "mrca", "examples", "validate")
 STOCHASTIC_COMMANDS = frozenset({"simulate", "mrca"})
@@ -79,8 +80,11 @@ class ExperimentConfig:
             (c.replicates is not None and c.replicates < 1, "--replicates must be >= 1"),
             (command == "rho" and c.n_max < 2, "--n-max must be >= 2 (the slope needs n = 2)"),
             (command == "examples" and c.n_max < 1, "--n-max must be >= 1"),
+            (c.z0 > DEFAULT_POPULATION_CAP, f"--z0 must be <= {DEFAULT_POPULATION_CAP}"),
             (c.j is not None and c.j < 0, "--j must be >= 0"),
             (c.j_max is not None and c.j_max < 0, "--j-max must be >= 0"),
+            (j_top is not None and j_top > MAX_DEGREE, f"--j and --j-max must be <= {MAX_DEGREE}"),
+            (c.target_size > MAX_DEGREE, f"--target-size must be <= {MAX_DEGREE}"),
             (c.j is not None and j_top < c.j, "--j must not exceed --j-max"),
             (c.estimate and j_top is not None and j_top < 1, "--estimate needs --j-max >= 1"),
             (c.nu is not None and not math.isfinite(c.nu), "--nu must be finite"),
@@ -182,7 +186,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     trajectories = []
     for rep in range(cfg.replicates):
         rng = stream(seed, rep)
-        traj = simulate_forward(model, cfg.z0, cfg.n, rng, provenance=(seed, rep))
+        traj = simulate_forward(model, cfg.z0, cfg.n, rng)
         trajectories.append({"replicate": rep, "sizes": list(traj.sizes)})
     final_sizes = [t["sizes"][-1] for t in trajectories]
     artifact = {

@@ -1,16 +1,19 @@
 """Exact quenched and annealed probabilities for finite-alphabet environments.
 
 Quenched quantities condition on a fixed environment sequence (q_1..q_n);
-annealed ones average over all |A|^n sequences by enumeration.  The
-enumerator composes generating functions from the innermost generation
-outward, so its state is a block of coefficient rows of f_{k,n} up to the
-target degree, one row per environment of the generations composed so far.
-The innermost generations form one shared block, built breadth-first from
-the identity row up to a fixed row ceiling; the outermost generations are
-then visited depth-first, each node one law application on the whole block.
-Every horizon up to the deepest requested one passes through this sweep, so
-one call reports all of them (the Fekete table needs n = 1..n_max).  Partial
-sums are combined in a fixed order.
+annealed ones average over all |A|^n sequences by enumeration.
+
+One batched kernel, ``horizon_rows``, composes a block of environments into
+the rows of f_{k,n} = f_{k+1} o ... o f_n truncated at a common degree; its
+column 0 is the extinction ladder t_k = f_{k,n}(0).  It serves the ladder of
+an ``EnvSequence`` (at width 1), ``quenched_coeff_row``, importance sampling
+and the MRCA spine lane.
+
+The annealed enumerator (``_annealed_rows``) composes from the innermost
+generation outward: a shared breadth-first block, then the outermost
+generations depth-first, in one sweep that reports every horizon up to the
+deepest requested one (the Fekete table needs n = 1..n_max).  Partial sums
+are combined in a fixed order.
 
 The reachability closure behind z0 works on Python-int bitmasks: bit k of a
 mask marks size k, and the sizes reachable from z in one generation are the
@@ -72,10 +75,17 @@ class EnvSequence:
         return out
 
     @cached_property
+    def _indexed(self) -> tuple[tuple[OffspringLaw, ...], np.ndarray]:
+        """The sequence as ``horizon_rows`` input: its distinct laws and a (1, n) index row."""
+        index: dict[OffspringLaw, int] = {}
+        row = [index.setdefault(law, len(index)) for law in self.laws]
+        idx = np.array(row, dtype=np.int64).reshape(1, self.n)
+        idx.flags.writeable = False
+        return tuple(index), idx
+
+    @cached_property
     def _ladder(self) -> np.ndarray:
-        t = np.zeros(self.n + 1)
-        for k in range(self.n - 1, -1, -1):
-            t[k] = self.laws[k].pgf(t[k + 1])
+        t = horizon_rows(*self._indexed, 1, layers=True)[:, 0, 0]
         t.flags.writeable = False
         return t
 
@@ -87,23 +97,34 @@ class EnvSequence:
         return self._ladder
 
 
+def horizon_rows(
+    states: tuple[OffspringLaw, ...], idx: np.ndarray, width: int, *, layers: bool = False
+) -> np.ndarray:
+    """Rows (b, width) of f_{0,n} for each environment row of idx, truncated at s^(width-1).
+
+    ``idx[r, g]`` indexes ``states`` for generation g+1.  With ``layers`` the
+    result is (n+1, b, width), layer k holding f_{k,n}; without, generations
+    are applied in place, so memory does not grow with n.  Column 0 is the
+    extinction ladder, the same arithmetic at every width.
+    """
+    b, n = idx.shape
+    f = np.zeros((n + 1 if layers else 1, b, width))
+    f[-1, :, 1:2] = 1.0  # f_{n,n}(s) = s
+    for g in range(n - 1, -1, -1):
+        src, dst = (f[g + 1], f[g]) if layers else (f[0], f[0])
+        for a, law in enumerate(states):  # each state's rows in one call
+            sel = np.nonzero(idx[:, g] == a)[0]
+            if sel.size:
+                dst[sel] = apply_law_rows(law, src[sel])
+    return f if layers else f[0]
+
+
 def quenched_coeff_row(env: EnvSequence, z0: int, j_max: int) -> np.ndarray:
     """Exact coefficients c_0..c_{j_max} of f_{0,n}(s)^{z0}."""
     if z0 < 0:
         raise ContractError("initial size must be >= 0")
-    width = j_max + 1
-    if env.n == 0:
-        out = np.zeros(width)
-        if z0 <= j_max:
-            out[z0] = 1.0
-        return out
-    row = np.zeros((1, width))
-    if j_max >= 1:
-        row[0, 1] = 1.0
-    for law in reversed(env.laws):
-        row = apply_law_rows(law, row)
-    out = pow_rows(row, z0)[0]
-    return np.clip(out, 0.0, None)
+    row = horizon_rows(*env._indexed, j_max + 1)
+    return np.clip(pow_rows(row, z0)[0], 0.0, None)
 
 
 def quenched_pmf(env: EnvSequence, z0: int, j: int, degree: int | None = None) -> float:
@@ -313,13 +334,13 @@ def _annealed_rows(
     so one sweep serves every horizon up to the largest.
     """
     n_max = max(horizons, default=0)
-    a = len(model.states)
+    states = [(law, w) for law, w in zip(model.states, np.asarray(model.weights)) if w > 0.0]
+    a = len(states)  # zero-weight states are never enumerated
     if a**n_max > budget:
         raise BudgetError(
             f"enumeration of {a}^{n_max} sequences exceeds budget {budget}; "
             "use the Monte Carlo path (tilted importance sampling)"
         )
-    states = [(law, w) for law, w in zip(model.states, np.asarray(model.weights)) if w > 0.0]
     width = j_max + 1
     totals = {n: np.zeros(width) for n in horizons}
 

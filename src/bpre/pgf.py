@@ -3,7 +3,8 @@
 A series is a coefficient row ``c_0..c_D``; the ``*_rows`` kernels operate
 on batches of shape (M, D+1), one series per row, truncated at the common
 degree D.  They are the only series machinery in the package, shared by the
-quenched evaluator, the annealed enumerator and importance sampling.
+composition kernel ``exact.horizon_rows`` (extinction ladder, quenched rows,
+importance sampling, MRCA spine lane) and the annealed enumerator.
 
 Composition is exact for the kept degrees: the coefficient of ``s^j`` in
 ``f(g(s))`` only depends on the coefficients of ``g`` up to degree ``j``, so

@@ -19,7 +19,8 @@ The conditioned MRCA sampler runs the same construction batched over a
 chunk of environments and never simulates a subtree: the subtree founded
 at generation k by Y_k individuals has horizon pgf f_{k,n}^{Y_k}, so its
 outcomes are marginalized with the ``*_rows`` series kernels truncated at
-the target size, for every law family and every target.
+the target size, for every law family and every target.  Those rows of
+f_{k,n}, and importance sampling's, come from ``exact.horizon_rows``.
 
 When the environment is random, conditioning on {Z_n = target} under the
 annealed law is NOT the same as sampling an environment, conditioning on
@@ -41,9 +42,9 @@ import numpy as np
 
 from .environment import EnvironmentModel, tilt
 from .errors import BudgetError, ContractError, PopulationCapError
-from .exact import EnvSequence
+from .exact import EnvSequence, horizon_rows
 from .laws import FiniteLaw, LinearFractionalLaw, OffspringLaw
-from .pgf import apply_law_rows, mul_rows, pow_rows
+from .pgf import mul_rows, pow_rows
 
 _MASK64 = (1 << 64) - 1
 DEFAULT_POPULATION_CAP = 10_000_000
@@ -100,7 +101,6 @@ def _map_chunks(fn, payloads, workers, progress_every=None):
 class Trajectory:
     sizes: tuple[int, ...]
     env: EnvSequence
-    provenance: tuple[int, int] | None = None
 
     @property
     def n(self) -> int:
@@ -113,7 +113,6 @@ def simulate_forward(
     n: int,
     rng: np.random.Generator,
     cap: int = DEFAULT_POPULATION_CAP,
-    provenance: tuple[int, int] | None = None,
 ) -> Trajectory:
     """Draw an i.i.d. environment, then per-individual offspring counts."""
     if z0 < 0:
@@ -130,7 +129,7 @@ def simulate_forward(
         if z > cap:
             raise PopulationCapError(f"explosive trajectory: population {z} exceeds cap {cap}")
         sizes.append(z)
-    return Trajectory(sizes=tuple(sizes), env=env, provenance=provenance)
+    return Trajectory(sizes=tuple(sizes), env=env)
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,6 @@ class GenealogyTree:
     z0: int
     parents: tuple[np.ndarray, ...]
     env: EnvSequence
-    provenance: tuple[int, int] | None = None
 
     @property
     def n(self) -> int:
@@ -162,7 +160,6 @@ def simulate_tree(
     n: int,
     rng: np.random.Generator,
     cap: int = DEFAULT_POPULATION_CAP,
-    provenance: tuple[int, int] | None = None,
 ) -> GenealogyTree:
     if z0 < 0:
         raise ContractError("initial size must be >= 0")
@@ -180,7 +177,7 @@ def simulate_tree(
             raise PopulationCapError(f"explosive trajectory: population {total} exceeds cap {cap}")
         parents.append(np.repeat(np.arange(z, dtype=np.int64), counts))
         z = total
-    return GenealogyTree(z0=z0, parents=tuple(parents), env=env, provenance=provenance)
+    return GenealogyTree(z0=z0, parents=tuple(parents), env=env)
 
 
 def mrca(tree: GenealogyTree) -> int:
@@ -357,27 +354,11 @@ class ImportanceEstimate:
     replicates: int
 
 
-def _apply_generation(
-    states: tuple[OffspringLaw, ...], col: np.ndarray, rows: np.ndarray, out: np.ndarray
-) -> None:
-    """Set ``out[r]`` to ``states[col[r]]`` applied to series row r; ``out`` may be ``rows``."""
-    for a, law in enumerate(states):
-        sel = np.nonzero(col == a)[0]
-        if sel.size:
-            out[sel] = apply_law_rows(law, rows[sel])
-
-
 def _quenched_small_value_rows(
     states: tuple[OffspringLaw, ...], idx: np.ndarray, z0: int, j_max: int
 ) -> np.ndarray:
     """Exact P(1 <= Z_n <= j_max | env) for each environment row of idx."""
-    b, n = idx.shape
-    rows = np.zeros((b, j_max + 1))
-    rows[:, 1] = 1.0
-    for g in range(n - 1, -1, -1):
-        _apply_generation(states, idx[:, g], rows, rows)
-    powered = pow_rows(rows, z0)
-    return powered[:, 1:].sum(axis=1)
+    return pow_rows(horizon_rows(states, idx, j_max + 1), z0)[:, 1:].sum(axis=1)
 
 
 def importance_estimate(
@@ -496,20 +477,6 @@ def _yk_rows(law: FiniteLaw, tk: np.ndarray, p_ratio: np.ndarray) -> np.ndarray:
     return out
 
 
-def _horizon_rows(states, idx: np.ndarray, width: int) -> np.ndarray:
-    """Rows of f_{k,n}, k = 0..n, for each environment row of idx, truncated at s^(width-1).
-
-    Column 0 of layer k is the extinction ladder t_k, the same arithmetic at
-    every width.
-    """
-    b, n = idx.shape
-    f = np.zeros((n + 1, b, width))
-    f[n][:, 1:2] = 1.0  # f_{n,n}(s) = s
-    for g in range(n - 1, -1, -1):
-        _apply_generation(states, idx[:, g], f[g + 1], f[g])
-    return f
-
-
 def _mrca_spine_chunk(payload) -> dict[int, int]:
     """One proposal chunk of the batched spine sampler; returns MRCA counts.
 
@@ -530,14 +497,14 @@ def _mrca_spine_chunk(payload) -> dict[int, int]:
     rng = stream(root_seed, chunk_index)
 
     idx = model.sample_indices(rng, (chunk_size, n))
-    survival = 1.0 - _horizon_rows(model.states, idx, 1)[0, :, 0]
+    survival = 1.0 - horizon_rows(model.states, idx, 1)[:, 0]
 
     keep = rng.random(chunk_size) < survival  # annealed-conditioning thinning
     rows = np.nonzero(keep)[0]
     if rows.size == 0:
         return {}
     idx = idx[rows]
-    f = _horizon_rows(model.states, idx, target)
+    f = horizon_rows(model.states, idx, target, layers=True)
     y = _spine_y(model.states, idx, f[:, :, 0].T, rng)  # Y_1..Y_n
     u = rng.random(rows.size)
 

@@ -40,6 +40,15 @@ def law_pmf_vector(law, upto):
     return np.array([law.prob(k) for k in range(upto + 1)])
 
 
+def scalar_extinction_ladder(env_laws):
+    """t_k = f_{k,n}(0) for k = 0..n by the scalar recursion t_k = q_{k+1}.pgf(t_{k+1}), t_n = 0."""
+    n = len(env_laws)
+    t = np.zeros(n + 1)
+    for k in range(n - 1, -1, -1):
+        t[k] = env_laws[k].pgf(t[k + 1])
+    return t
+
+
 def push_forward_distribution(env_laws, z0, cap=4096):
     """Distribution of Z_n by explicit convolution; independent oracle.
 

@@ -333,6 +333,12 @@ BAD_ARGV = [
     "mrca --model {weakly} --n-list 4 --delta nan --seed 1",
     "examples --which 1 --r 2.0 --p 0.5",
     "mrca --model {weakly} --n-list= --seed 1",
+    "exact --model {weakly} --n 2 --j-max 2 --z0 100000000000000000000000",
+    "exact --model {weakly} --n 2 --j-max 2 --z0 100000000000000000000000 --estimate --seed 1",
+    "simulate --model {weakly} --n 3 --z0 100000000000000000000000 --seed 1",
+    "mrca --model {weakly} --n-list 4 --target-size 100000000000000000000 --seed 1",
+    "exact --model {weakly} --n 1 --j-max 1000000000000",
+    "exact --model {weakly} --n 1 --j 1000000000000 --j-max 1000000000000",
 ]
 
 

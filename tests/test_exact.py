@@ -30,6 +30,7 @@ from helpers import (
     random_finite_law,
     random_lf_law,
     reachable_closure_oracle,
+    scalar_extinction_ladder,
     spine_event_probability,
 )
 
@@ -47,6 +48,53 @@ def test_env_sequence_walk():
     assert not lad.flags.writeable
     reversed_env = EnvSequence((FiniteLaw((0.0, 1.0)), FiniteLaw((0.25, 0.0, 0.75))))
     assert reversed_env.extinction_ladder()[0] == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("family", ["lf", "finite", "mixed"])
+def test_extinction_ladder_matches_scalar_recursion(family):
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 7, 30):
+        if family == "lf":
+            laws = tuple(random_lf_law(rng) for _ in range(n))
+        elif family == "finite":
+            laws = tuple(random_finite_law(rng, 4, with_extinction=True) for _ in range(n))
+        else:
+            alphabet = (random_lf_law(rng), random_finite_law(rng, 3), random_lf_law(rng))
+            laws = tuple(alphabet[i] for i in rng.integers(0, 3, n))
+        lad = EnvSequence(laws).extinction_ladder()
+        np.testing.assert_allclose(lad, scalar_extinction_ladder(laws), rtol=1e-14, atol=0.0)
+
+
+def test_horizon_rows_layers_and_widths_agree():
+    # the in-place block is layer 0, and column 0 (the ladder) is the same at every width
+    rng = np.random.default_rng(3)
+    states = (random_lf_law(rng), random_finite_law(rng, 3, with_extinction=True))
+    idx = rng.integers(0, 2, (32, 6))
+    f = exact.horizon_rows(states, idx, 5, layers=True)
+    assert f.shape == (7, 32, 5)
+    assert np.array_equal(exact.horizon_rows(states, idx, 5), f[0])
+    assert np.array_equal(exact.horizon_rows(states, idx, 1, layers=True)[..., 0], f[..., 0])
+    for r in range(4):
+        env = EnvSequence(tuple(states[a] for a in idx[r]))
+        assert np.array_equal(env.extinction_ladder(), f[:, r, 0])
+
+
+@pytest.mark.parametrize(
+    "laws, z0, j_max",
+    [
+        ((), 2, 5),  # n = 0: the identity row, s^z0
+        ((), 3, 2),  # n = 0 and z0 > j_max: nothing kept
+        ((), 0, 0),
+        ((FiniteLaw((0.3, 0.2, 0.5)), LinearFractionalLaw(1.5, 4.0)), 2, 0),  # j_max = 0: t_0^z0
+        ((FiniteLaw((0.3, 0.2, 0.5)), LinearFractionalLaw(1.5, 4.0)), 0, 4),  # z0 = 0: Z_n = 0
+        ((FiniteLaw((0.3, 0.2, 0.5)), FiniteLaw((0.6, 0.0, 0.4))), 5, 3),  # z0 > j_max
+    ],
+)
+def test_quenched_coeff_row_edge_cases(laws, z0, j_max):
+    row = quenched_coeff_row(EnvSequence(laws), z0, j_max)
+    oracle = push_forward_distribution(laws, z0, cap=512)
+    assert row.shape == (j_max + 1,)
+    np.testing.assert_allclose(row, oracle[: j_max + 1], rtol=0.0, atol=1e-12)
 
 
 def test_quenched_pmf_examples():
@@ -316,6 +364,14 @@ def test_budget_guard():
         annealed_pmf(model, 1, 40, 1)
     with pytest.raises(BudgetError, match="Monte Carlo"):
         fekete_bounds(model, n_max=40)
+    # only positive-weight states are enumerated, so only they count: 2^17 fits, 2^27 does not
+    zero_weight = EnvironmentModel(
+        (FiniteLaw((0.2, 0.5, 0.3)), FiniteLaw((0.5, 0.5)), FiniteLaw((0.3, 0.3, 0.4))),
+        (0.5, 0.0, 0.5),
+    )
+    assert len(fekete_bounds(zero_weight, n_max=17).rows) == 17
+    with pytest.raises(BudgetError, match=r"2\^27"):
+        fekete_bounds(zero_weight, n_max=27)
 
 
 def _block_depth(model):
@@ -352,12 +408,11 @@ def _block_depth(model):
     ids=["three_states", "gw_binary", "zero_weight_state"],
 )
 def test_fekete_sweep_matches_per_horizon_enumeration(model, z0, n_max):
-    budget = len(model.states) ** n_max  # the budget counts zero-weight states too
-    table = fekete_bounds(model, z0=z0, n_max=n_max, budget=budget)
+    table = fekete_bounds(model, z0=z0, n_max=n_max)
     depth = _block_depth(model)
     assert table.z0 == z0
     for row in table.rows:
-        a_n = -math.log(annealed_pmf(model, z0, row.n, z0, budget))
+        a_n = -math.log(annealed_pmf(model, z0, row.n, z0))
         if row.n <= depth:
             assert row.a_n == a_n
         else:

@@ -19,6 +19,7 @@ from bpre.exact import (
 from bpre.laws import FiniteLaw, LinearFractionalLaw
 from bpre.models import intermediate_model, weakly_mrca_model, weakly_model
 from bpre.simulate import (
+    _quenched_small_value_rows,
     _spine_y,
     _yk_rows,
     _yk_table,
@@ -64,7 +65,7 @@ def test_forward_conditional_mean():
     z0, n, reps = 2, 5, 20_000
     vals = np.empty(reps)
     for rep in range(reps):
-        traj = simulate_forward(model, z0, n, stream(99, rep), provenance=(99, rep))
+        traj = simulate_forward(model, z0, n, stream(99, rep))
         vals[rep] = traj.sizes[-1] * math.exp(-traj.env.walk[-1])
     se = vals.std(ddof=1) / math.sqrt(reps)
     assert abs(vals.mean() - z0) < 3 * se
@@ -241,6 +242,20 @@ def test_importance_estimate_tilted_matches_exact():
     exact = annealed_pmf_row(model, 1, 10, 4)[1:].sum()
     est = importance_estimate(model, 1, 10, 4, nu, 3000, root_seed=23)
     assert abs(est.estimate - exact) < 3 * est.std_error
+
+
+@pytest.mark.parametrize("z0, j_max", [(1, 4), (2, 9), (3, 1)])
+def test_quenched_small_value_rows_match_quenched_coeff_row(z0, j_max):
+    # the batched rows of importance sampling against one environment at a time, bit for bit
+    model = EnvironmentModel(
+        (LinearFractionalLaw(1.6, 5.0), FiniteLaw((0.3, 0.2, 0.5)), LinearFractionalLaw(0.7, 0.4)),
+        (0.4, 0.3, 0.3),
+    )
+    idx = model.sample_indices(np.random.default_rng(8), (64, 9))
+    rows = _quenched_small_value_rows(model.states, idx, z0, j_max)
+    for r in range(idx.shape[0]):
+        row = quenched_coeff_row(EnvSequence.from_indices(model, idx[r]), z0, j_max)
+        assert rows[r] == row[1:].sum()
 
 
 def test_importance_estimate_variance_reduction():
