@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Conditioned-MRCA regime experiment on the three canonical models.
 
-For each regime, samples MRCA_n given Z_n = 2 across horizons with the
-conditioned spine sampler and writes the per-horizon statistics (endpoint
-masses, tail mass above delta*n, scaled sequences) with their standard
-errors.  Proposal budgets per horizon scale with 1/P(Z_n = 2).
+For each regime, samples MRCA_n given Z_n = 2 across horizons from its
+exact quenched law (method "geiger") and writes the per-horizon statistics
+(endpoint masses, tail mass above delta*n, scaled sequences) with their
+standard errors.  Proposal budgets per horizon scale with 1/P(Z_n = 2).
 """
 
 import argparse

@@ -7,7 +7,9 @@ One batched kernel, ``horizon_rows``, composes a block of environments into
 the rows of f_{k,n} = f_{k+1} o ... o f_n truncated at a common degree; its
 column 0 is the extinction ladder t_k = f_{k,n}(0).  It serves the ladder of
 an ``EnvSequence`` (at width 1), ``quenched_coeff_row``, importance sampling
-and the MRCA spine lane.
+and ``mrca_rows``, the exact quenched MRCA law.  One log-derivative helper
+forms the products prod f_k'(t_k) of ``mrca_rows``, ``phi_n`` and the
+subtree identity.
 
 The annealed enumerator (``_annealed_rows``) composes from the innermost
 generation outward: a shared breadth-first block, then the outermost
@@ -34,7 +36,7 @@ from .laws import FiniteLaw, OffspringLaw
 from .pgf import MAX_DEGREE, apply_law_rows, pow_rows
 
 ENUMERATION_BUDGET = 1 << 26
-_BLOCK_ROWS = 1 << 16
+_BLOCK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -119,10 +121,45 @@ def horizon_rows(
     return f if layers else f[0]
 
 
+def _log_derivatives(
+    states: tuple[OffspringLaw, ...], idx: np.ndarray, t: np.ndarray
+) -> np.ndarray:
+    """log f'(t[r, c]) for the law ``states[idx[r, c]]`` of each cell; -inf where it vanishes."""
+    d = np.empty(idx.shape)
+    for a, law in enumerate(states):  # each state's cells in one call
+        sel = idx == a
+        d[sel] = law.pgf_prime(t[sel])
+    with np.errstate(divide="ignore"):
+        return np.log(d)
+
+
+def mrca_rows(states: tuple[OffspringLaw, ...], idx: np.ndarray, target: int) -> np.ndarray:
+    """Rows (b, n): P(Z_n = target, MRCA in generation g | env, Z_0 = 1) for g = 0..n-1.
+
+    The MRCA age is n - g.  With t_k = f_{k,n}(0), the probability that
+    Z_n = target and every horizon individual descends from one
+    generation-g individual is A_g = f'_{0,g}(t_g) [s^target] f_{g,n}, where
+    f'_{0,g}(t_g) = prod_{k=1..g} f_k'(t_k) is summed in log space.  These
+    events shrink with g and A_n = 0, so column g is A_g - A_{g+1}, clipped
+    at 0; a row sums to P(Z_n = target | env).
+    """
+    if target < 2:
+        raise ContractError("target size must be >= 2 for a meaningful MRCA")
+    b, n = idx.shape
+    f = horizon_rows(states, idx, target + 1, layers=True)
+    log_prefix = np.zeros((b, n))
+    np.cumsum(_log_derivatives(states, idx[:, :-1], f[1:n, :, 0].T), axis=1, out=log_prefix[:, 1:])
+    a = np.zeros((b, n + 1))
+    a[:, :n] = np.exp(log_prefix) * f[:n, :, target].T
+    return np.clip(a[:, :-1] - a[:, 1:], 0.0, None)
+
+
 def quenched_coeff_row(env: EnvSequence, z0: int, j_max: int) -> np.ndarray:
     """Exact coefficients c_0..c_{j_max} of f_{0,n}(s)^{z0}."""
     if z0 < 0:
         raise ContractError("initial size must be >= 0")
+    if j_max < 0:
+        raise ContractError("j_max must be >= 0")
     row = horizon_rows(*env._indexed, j_max + 1)
     return np.clip(pow_rows(row, z0)[0], 0.0, None)
 
@@ -166,7 +203,8 @@ def phi_n(env: EnvSequence, z0: int) -> float:
 def _spine_product(env: EnvSequence, z: int, log_lead: float) -> float:
     """exp(log_lead) * z * t_0^{z-1} * prod_{k=1}^{n-1} f_k'(t_k), in the log domain.
 
-    Returns 0 as soon as a factor vanishes.
+    The product is a one-row call of the helper behind ``mrca_rows``; the
+    value is 0 when a factor vanishes.
     """
     t = env.extinction_ladder()
     log_val = log_lead + math.log(z)
@@ -174,11 +212,8 @@ def _spine_product(env: EnvSequence, z: int, log_lead: float) -> float:
         if t[0] == 0.0:
             return 0.0
         log_val += (z - 1) * math.log(t[0])
-    for k in range(1, env.n):
-        d = env.laws[k - 1].pgf_prime(t[k])
-        if d <= 0.0:
-            return 0.0
-        log_val += math.log(d)
+    states, idx = env._indexed
+    log_val += float(_log_derivatives(states, idx[:, :-1], t[None, 1:-1]).sum())
     return math.exp(log_val)
 
 
@@ -328,10 +363,11 @@ def _annealed_rows(
 
     The state after d generations is the block of rows of f_{n-d+1,n} for
     every environment of those d generations.  It grows breadth-first while
-    it fits in ``_BLOCK_ROWS`` rows; deeper generations are the outermost
-    ones, enumerated depth-first so that each node is one ``apply_law_rows``
-    call on the block.  A horizon's row is summed only where it is requested,
-    so one sweep serves every horizon up to the largest.
+    it fits in ``_BLOCK_CELLS`` cells (rows x width); deeper generations are
+    the outermost ones, enumerated depth-first so that each node is one
+    ``apply_law_rows`` call on the block.  A horizon's row is summed only
+    where it is requested, so one sweep serves every horizon up to the
+    largest.
     """
     n_max = max(horizons, default=0)
     states = [(law, w) for law, w in zip(model.states, np.asarray(model.weights)) if w > 0.0]
@@ -354,7 +390,7 @@ def _annealed_rows(
     wvec = np.ones(1)
     depth = 0
     report(depth, rows, wvec)
-    while depth < n_max and len(rows) * len(states) <= _BLOCK_ROWS:
+    while depth < n_max and len(rows) * len(states) * width <= _BLOCK_CELLS:
         rows = np.vstack([apply_law_rows(law, rows) for law, _ in states])
         wvec = np.concatenate([wvec * w for _, w in states])
         depth += 1

@@ -4,7 +4,7 @@ A series is a coefficient row ``c_0..c_D``; the ``*_rows`` kernels operate
 on batches of shape (M, D+1), one series per row, truncated at the common
 degree D.  They are the only series machinery in the package, shared by the
 composition kernel ``exact.horizon_rows`` (extinction ladder, quenched rows,
-importance sampling, MRCA spine lane) and the annealed enumerator.
+importance sampling, MRCA rows) and the annealed enumerator.
 
 Composition is exact for the kept degrees: the coefficient of ``s^j`` in
 ``f(g(s))`` only depends on the coefficients of ``g`` up to degree ``j``, so
@@ -44,45 +44,26 @@ def recip_rows(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def pow_rows(c: np.ndarray, z) -> np.ndarray:
-    """Row-wise z-th power of truncated series; ``z`` is an int or one per row (>= 0)."""
-    e = np.broadcast_to(np.asarray(z, dtype=np.int64), c.shape[:1]).copy()
-    if np.any(e < 0):
+def pow_rows(c: np.ndarray, z: int) -> np.ndarray:
+    """Row-wise z-th power (z >= 0) of truncated series, by binary powering.
+
+    The first factor is copied, not multiplied into the unit series, so
+    ``pow_rows(c, 1)`` is a fresh bit-for-bit copy of ``c``.
+    """
+    if z < 0:
         raise ContractError("negative power")
-    out = np.zeros_like(c)
-    out[:, 0] = 1.0
-    unit = np.ones(e.shape, dtype=bool)  # rows of ``out`` still holding the unit series
+    out = None
     base = c
-    while e.any():  # row r takes the multiplications of the scalar power e[r]
-        bit = (e & 1) == 1
-        # a row's first factor is copied, not multiplied into the unit series
-        out = _mul_rows_where(bit & ~unit, out, base)
-        out = _copy_rows_where(bit & unit, out, base)
-        unit &= ~bit
-        e >>= 1
-        if e.any():  # only rows with bits left need the next square
-            base = _mul_rows_where(e > 0, base, base)
+    while z:
+        if z & 1:
+            out = base.copy() if out is None else mul_rows(out, base)
+        z >>= 1
+        if z:
+            base = mul_rows(base, base)
+    if out is None:
+        out = np.zeros_like(c)
+        out[:, 0] = 1.0
     return out
-
-
-def _mul_rows_where(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a`` with its rows in ``mask`` multiplied by those of ``b``; copies no row if all are in."""
-    if mask.all():
-        return mul_rows(a, b)
-    if not mask.any():
-        return a
-    out = a.copy()
-    out[mask] = mul_rows(a[mask], b[mask])
-    return out
-
-
-def _copy_rows_where(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a`` with its rows in ``mask`` replaced by copies of those of ``b``; writes into ``a``."""
-    if mask.all():
-        return b.copy()
-    if mask.any():
-        a[mask] = b[mask]
-    return a
 
 
 def apply_law_rows(law: OffspringLaw, c: np.ndarray) -> np.ndarray:

@@ -15,18 +15,19 @@ population at the horizon is 1 + Y_n + sum of the subtree survivor counts.
 Trees conditioned on extinction to the left of the line carry no horizon
 individuals and are never materialized.  ``geiger_sample`` draws one such
 population for a fixed environment, simulating each side subtree forward.
-The conditioned MRCA sampler runs the same construction batched over a
-chunk of environments and never simulates a subtree: the subtree founded
-at generation k by Y_k individuals has horizon pgf f_{k,n}^{Y_k}, so its
-outcomes are marginalized with the ``*_rows`` series kernels truncated at
-the target size, for every law family and every target.  Those rows of
-f_{k,n}, and importance sampling's, come from ``exact.horizon_rows``.
+
+The conditioned MRCA sampler simulates no tree.  For each environment,
+``exact.mrca_rows`` gives the exact quenched law
+P(Z_n = target, MRCA age a | env) from the layers of ``exact.horizon_rows``
+(the kernel behind importance sampling too), so one uniform per proposal
+decides both acceptance and the age, for every law family and every target.
 
 When the environment is random, conditioning on {Z_n = target} under the
 annealed law is NOT the same as sampling an environment, conditioning on
 survival, and filtering: that would over-represent low-survival
-environments.  The sampler therefore thins environments by their quenched
-survival probability first, which restores exact annealed conditioning.
+environments.  The sampler therefore accepts each environment with its
+quenched probability P(Z_n = target | env), which is exact annealed
+conditioning.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ import numpy as np
 
 from .environment import EnvironmentModel, tilt
 from .errors import BudgetError, ContractError, PopulationCapError
-from .exact import EnvSequence, horizon_rows
+from .exact import EnvSequence, horizon_rows, mrca_rows
 from .laws import FiniteLaw, LinearFractionalLaw, OffspringLaw
-from .pgf import mul_rows, pow_rows
+from .pgf import pow_rows
 
 _MASK64 = (1 << 64) - 1
 DEFAULT_POPULATION_CAP = 10_000_000
@@ -245,15 +246,10 @@ def _yk_table(law: FiniteLaw, tk: float, p_ratio: float) -> np.ndarray:
     return probs
 
 
-def _check_table_totals(total) -> None:
-    """Raise ContractError unless every conditioned table total is 1 to within 1e-9."""
-    if not np.all((0.999999999 < total) & (total < 1.000000001)):
-        raise ContractError("conditioned offspring table does not normalize")
-
-
 def _draw_table(probs: np.ndarray, rng: np.random.Generator) -> int:
     total = probs.sum()
-    _check_table_totals(total)
+    if not 0.999999999 < total < 1.000000001:
+        raise ContractError("conditioned offspring table does not normalize")
     return int(np.searchsorted(np.cumsum(probs / total), rng.random(), side="right"))
 
 
@@ -439,92 +435,29 @@ def _merge_counts(parts) -> tuple[dict[int, int], int]:
     return counts, accepted
 
 
-def _spine_y(states, idx: np.ndarray, t: np.ndarray, rng) -> np.ndarray:
-    """Right-sibling counts Y_1..Y_n of the spine, one row per proposal.
-
-    LF states draw Geometric(1 - c) - 1 in one call over their cells in C
-    order; finite states invert the table of ``_yk_table`` with one uniform
-    per cell.  ``t`` holds the extinction ladder rows t_0..t_n.
-    """
-    lf = [isinstance(law, LinearFractionalLaw) for law in states]
-    ratios = np.array([law.ratio if is_lf else 0.0 for law, is_lf in zip(states, lf)])
-    lf_cell = np.array(lf)[idx]
-    y = np.zeros(idx.shape, dtype=np.int64)
-    y[lf_cell] = rng.geometric(1.0 - ratios[idx[lf_cell]]) - 1
-    rows, gens = np.nonzero(~lf_cell)
-    u = rng.random(rows.size)
-    for a, law in enumerate(states):
-        sel = np.nonzero(idx[rows, gens] == a)[0]
-        if lf[a] or sel.size == 0:
-            continue
-        r, k = rows[sel], gens[sel] + 1
-        table = _yk_rows(law, t[r, k], (1.0 - t[r, k]) / (1.0 - t[r, k - 1]))
-        total = table.sum(axis=1)
-        _check_table_totals(total)
-        cdf = np.cumsum(table / total[:, None], axis=1)
-        y[r, k - 1] = (cdf[:, :-1] <= u[sel, None]).sum(axis=1)
-    return y
-
-
-def _yk_rows(law: FiniteLaw, tk: np.ndarray, p_ratio: np.ndarray) -> np.ndarray:
-    """Row r is ``_yk_table(law, tk[r], p_ratio[r])``, by Horner's rule in t."""
-    kmax = law.max_support
-    out = np.zeros((tk.size, max(kmax, 1)))
-    acc = np.zeros(tk.size)
-    for i in range(kmax - 1, -1, -1):
-        acc = law.prob(i + 1) + tk * acc
-        out[:, i] = p_ratio * acc
-    return out
-
-
 def _mrca_spine_chunk(payload) -> dict[int, int]:
-    """One proposal chunk of the batched spine sampler; returns MRCA counts.
+    """One proposal chunk of the exact MRCA sampler; returns MRCA counts.
 
-    Every step is batched over the chunk.  The extinction ladder, built at
-    width 1 for the whole chunk, thins the proposals by quenched survival;
-    the rows of f_{k,n} truncated at s^(target-1) are built for the kept
-    proposals only.  A side subtree founded at generation k by Y_k
-    individuals has horizon pgf G_k = f_{k,n}^{Y_k}, so the subtree outcomes
-    are marginalized exactly: with b = target - 1 - Y_n extras needed, the
-    first contributing generation k has probability
-    prod_{j<k} G_j(0) [s^b] (G_k - G_k(0)) prod_{j>k} G_j, and "all subtrees
-    dead" has probability prod_j G_j(0) when b = 0.  One uniform per row
-    picks k by a categorical in ascending k, with "all dead" (k = n) last;
-    the rest of the mass rejects.  The MRCA age is n - k + 1.
+    Every step is batched over the chunk.  Each proposal draws an
+    environment and one uniform u.  The width-1 extinction ladder keeps the
+    proposals with u < P(Z_n > 0 | env), which loses nothing because
+    P(Z_n = target | env) is at most that.  For the kept ones,
+    ``exact.mrca_rows`` gives the quenched law of the MRCA generation g;
+    u < P(Z_n = target | env) accepts, and the first g whose cumulative sum
+    exceeds u gives the age n - g.
     """
     model_json, n, target, root_seed, chunk_index, chunk_size, _cap = payload
     model = EnvironmentModel.from_json(model_json)
     rng = stream(root_seed, chunk_index)
 
     idx = model.sample_indices(rng, (chunk_size, n))
+    u = rng.random(chunk_size)
     survival = 1.0 - horizon_rows(model.states, idx, 1)[:, 0]
-
-    keep = rng.random(chunk_size) < survival  # annealed-conditioning thinning
-    rows = np.nonzero(keep)[0]
-    if rows.size == 0:
-        return {}
-    idx = idx[rows]
-    f = horizon_rows(model.states, idx, target, layers=True)
-    y = _spine_y(model.states, idx, f[:, :, 0].T, rng)  # Y_1..Y_n
-    u = rng.random(rows.size)
-
-    r = rows.size
-    sub = pow_rows(f[1:n].reshape(-1, target), y[:, : n - 1].T.ravel()).reshape(n - 1, r, target)
-    tail = np.zeros((n - 1, r, target))  # tail[i] = prod_{j>=i+2} G_j, last layer 1
-    tail[-1:, :, 0] = 1.0  # a slice, since n = 1 has no layers
-    for i in range(n - 3, -1, -1):
-        tail[i] = mul_rows(sub[i + 1], tail[i + 1])
-    b = target - 1 - y[:, n - 1]
-    p = np.ones((n, r))  # p[k-1]: first contributing generation k, p[n-1]: all dead
-    p[1:] = np.cumprod(sub[:, :, 0], axis=0)
-    sub[:, :, 0] = 0.0  # G_k - G_k(0)
-    first = mul_rows(sub.reshape(-1, target), tail.reshape(-1, target))
-    p[:-1] *= first.reshape(n - 1, r, target)[:, np.arange(r), np.maximum(b, 0)]
-    p[-1] *= b == 0
-    p *= b >= 0
-    cum = np.cumsum(p, axis=0)
-    hit = u < cum[-1]
-    ages = n - np.argmax(u[hit] < cum[:, hit], axis=0)
+    keep = u < survival
+    cum = np.cumsum(mrca_rows(model.states, idx[keep], target), axis=1)
+    u = u[keep]
+    hit = u < cum[:, -1]
+    ages = n - np.argmax(u[hit, None] < cum[hit], axis=1)
     values, counts = np.unique(ages, return_counts=True)
     return dict(zip(values.tolist(), counts.tolist()))
 
@@ -556,11 +489,13 @@ def conditioned_mrca_sample(
 ) -> MrcaDistribution:
     """Empirical law of MRCA_n given Z_n = target_size, Z_0 = 1.
 
-    Method "geiger" runs the batched spine lane (``_mrca_spine_chunk``) for
-    every model and target: environments thinned by quenched survival, spine
-    counts Y_k drawn, and the side-subtree outcomes marginalized exactly, so
-    ``cap`` does not apply.  Method "rejection" simulates full forward trees
-    and raises PopulationCapError beyond ``cap``.  ``proposals`` counts
+    Method "geiger" samples the exact law (``_mrca_spine_chunk``) for every
+    model and target: each environment is accepted with its quenched
+    probability P(Z_n = target | env) and its MRCA age is drawn from the
+    quenched law of ``exact.mrca_rows``, with one uniform per proposal and
+    no tree simulated, so ``cap`` does not apply.  Method "rejection"
+    simulates full forward trees and raises PopulationCapError beyond
+    ``cap``.  ``proposals`` counts
     environment draws (geiger) or trees (rejection); the accepted sample
     count is random.  Chunks are seeded by index, so the result is a pure
     function of (model, n, target_size, method, proposals, root_seed, chunk).

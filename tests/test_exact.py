@@ -23,6 +23,7 @@ from bpre.exact import (
 )
 from bpre.laws import FiniteLaw, LinearFractionalLaw
 from bpre.models import example1_model, gw_binary, weakly_model
+from bpre.pgf import apply_law_rows
 
 from helpers import (
     gapped_finite_law,
@@ -95,6 +96,8 @@ def test_quenched_coeff_row_edge_cases(laws, z0, j_max):
     oracle = push_forward_distribution(laws, z0, cap=512)
     assert row.shape == (j_max + 1,)
     np.testing.assert_allclose(row, oracle[: j_max + 1], rtol=0.0, atol=1e-12)
+    with pytest.raises(ContractError, match="j_max"):
+        quenched_coeff_row(EnvSequence(laws), z0, -1)
 
 
 def test_quenched_pmf_examples():
@@ -374,10 +377,10 @@ def test_budget_guard():
         fekete_bounds(zero_weight, n_max=27)
 
 
-def _block_depth(model):
-    """Deepest horizon the enumerator covers with its breadth-first block."""
+def _block_depth(model, width):
+    """Deepest horizon the enumerator covers with its breadth-first block of rows of ``width``."""
     a = sum(1 for w in model.weights if w > 0.0)
-    return max(d for d in range(64) if a**d <= exact._BLOCK_ROWS)
+    return max(d for d in range(64) if a**d * width <= exact._BLOCK_CELLS)
 
 
 @pytest.mark.parametrize(
@@ -409,7 +412,7 @@ def _block_depth(model):
 )
 def test_fekete_sweep_matches_per_horizon_enumeration(model, z0, n_max):
     table = fekete_bounds(model, z0=z0, n_max=n_max)
-    depth = _block_depth(model)
+    depth = _block_depth(model, z0 + 1)
     assert table.z0 == z0
     for row in table.rows:
         a_n = -math.log(annealed_pmf(model, z0, row.n, z0))
@@ -427,11 +430,28 @@ def test_depth_first_pass_matches_breadth_first_block(block_rows, monkeypatch):
     )
     wide = fekete_bounds(model, z0=1, n_max=9)
     rows = annealed_pmf_row(model, 2, 9, 6)
-    monkeypatch.setattr(exact, "_BLOCK_ROWS", block_rows)
+    # at width 7 (j_max = 6) the block holds at most block_rows rows
+    monkeypatch.setattr(exact, "_BLOCK_CELLS", 7 * block_rows)
     narrow = fekete_bounds(model, z0=1, n_max=9)
     for w, v in zip(wide.rows, narrow.rows):
         assert abs(w.a_n - v.a_n) <= 1e-12
     assert np.allclose(annealed_pmf_row(model, 2, 9, 6), rows, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("j_max, n", [(1, 18), (8, 15), (64, 12)])
+def test_breadth_first_block_stays_under_cell_cap(j_max, n, monkeypatch):
+    # each n is two generations past the deepest block of 2^d rows of width
+    # j_max + 1 that fits the cap, so a block grown past the cap would have
+    # a law applied to it, and the depth-first pass applies laws to the block
+    calls = []
+
+    def spy(law, c):
+        calls.append(c.size)
+        return apply_law_rows(law, c)
+
+    monkeypatch.setattr(exact, "apply_law_rows", spy)
+    annealed_pmf_row(weakly_model(), 1, n, j_max)
+    assert max(calls) <= exact._BLOCK_CELLS < 2 * max(calls)
 
 
 def test_fekete_table_and_csv():

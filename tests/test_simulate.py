@@ -12,6 +12,7 @@ from bpre.exact import (
     EnvSequence,
     annealed_pmf,
     annealed_pmf_row,
+    mrca_rows,
     phi_n,
     quenched_coeff_row,
     quenched_survival,
@@ -19,9 +20,8 @@ from bpre.exact import (
 from bpre.laws import FiniteLaw, LinearFractionalLaw
 from bpre.models import intermediate_model, weakly_mrca_model, weakly_model
 from bpre.simulate import (
+    _draw_table,
     _quenched_small_value_rows,
-    _spine_y,
-    _yk_rows,
     _yk_table,
     GenealogyTree,
     conditioned_mrca_sample,
@@ -315,9 +315,8 @@ def test_worker_count_reads_env(monkeypatch, caplog):
 
 
 def test_conditioned_mrca_generic_lane_matches_lf_lane():
-    # every model shares one spine lane; this checks it on a finite-law
-    # model, where the Y-draws invert the finite spine table, against
-    # forward-tree rejection
+    # every model shares one exact sampler; this checks it on a finite-law
+    # model against forward-tree rejection
     q1 = FiniteLaw((0.2, 0.5, 0.3))
     q2 = FiniteLaw((0.4, 0.2, 0.4))
     model = EnvironmentModel((q1, q2), (0.6, 0.4))
@@ -410,42 +409,65 @@ def test_spine_lane_target_three_matches_rejection(model, seed):
     assert p > 0.001
 
 
-def test_batched_finite_table_matches_scalar_table():
-    law = FiniteLaw((0.1, 0.0, 0.3, 0.2, 0.4))
-    rng = np.random.default_rng(5)
-    tk = rng.random(300)
-    tk[:3] = (0.0, 1.0, 0.5)
-    p_ratio = rng.uniform(0.1, 3.0, 300)
-    rows = _yk_rows(law, tk, p_ratio)
-    for r in range(tk.size):
-        ref = _yk_table(law, tk[r], p_ratio[r])
-        assert np.allclose(rows[r], ref, rtol=1e-13, atol=1e-15)
+QZERO_MODEL = EnvironmentModel(
+    (FiniteLaw((0.3, 0.0, 0.4, 0.3)), FiniteLaw((0.0, 0.6, 0.4))), (0.5, 0.5)
+)
+MRCA_MODELS = [FINITE_MODEL, MIXED_MODEL, intermediate_model(), QZERO_MODEL]
+MRCA_MODEL_IDS = ["finite", "mixed", "intermediate", "no_single_birth"]
 
 
-def test_spine_y_finite_draws_invert_scalar_table():
-    # a one-state model makes every cell a draw from one finite table; on a
-    # consistent ladder t_{k-1} = f(t_k) the batched draw is the inverse CDF
-    # of _yk_table at the cell's uniform
-    law = FiniteLaw((0.1, 0.2, 0.3, 0.4))
-    rows, n = 400, 3
-    t = np.zeros((rows, n + 1))
-    t[:, n] = np.random.default_rng(6).random(rows)
-    for k in range(n, 0, -1):
-        t[:, k - 1] = law.pgf(t[:, k])
-    y = _spine_y((law,), np.zeros((rows, n), dtype=np.int64), t, stream(8, 0))
-    u = stream(8, 0).random(rows * n).reshape(rows, n)
-    for r in range(rows):
-        for g in range(n):
-            k = g + 1
-            table = _yk_table(law, t[r, k], (1.0 - t[r, k]) / (1.0 - t[r, k - 1]))
-            cdf = np.cumsum(table / table.sum())
-            expect = min(int(np.searchsorted(cdf, u[r, g], side="right")), table.size - 1)
-            assert y[r, g] == expect
+def _all_envs(model, n):
+    """Every environment of n generations as index rows, with its weight."""
+    idx = np.array(list(itertools.product(range(len(model.states)), repeat=n)), dtype=np.int64)
+    return idx, np.prod(np.asarray(model.weights)[idx], axis=1)
+
+
+@pytest.mark.parametrize("model", MRCA_MODELS, ids=MRCA_MODEL_IDS)
+def test_mrca_rows_match_pair_law_oracle_per_environment(model):
+    # on no_single_birth, q(1) = 0 right before a generation that cannot die
+    # gives f'(t) = f'(0) = 0, a -inf log-derivative
+    for n in (1, 2, 5):
+        idx, _ = _all_envs(model, n)
+        rows = mrca_rows(model.states, idx, 2)
+        assert rows.shape == (idx.shape[0], n)
+        for r in range(idx.shape[0]):
+            oracle = mrca_pair_law([model.states[a] for a in idx[r]])
+            # column g is the MRCA generation, the oracle's index the age n - g
+            assert np.max(np.abs(rows[r, ::-1] - oracle[1:])) <= 1e-15
+    with pytest.raises(ContractError, match="target size"):
+        mrca_rows(model.states, idx, 1)
+
+
+@pytest.mark.parametrize("target", [2, 3, 5])
+@pytest.mark.parametrize("model", MRCA_MODELS, ids=MRCA_MODEL_IDS)
+def test_mrca_rows_sum_to_annealed_pmf(model, target):
+    n = 6
+    idx, weights = _all_envs(model, n)
+    total = weights @ mrca_rows(model.states, idx, target).sum(axis=1)
+    exact = annealed_pmf(model, 1, n, target)
+    assert exact > 0.0
+    assert abs(total - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("target, seed", [(2, 81), (3, 83)])
+def test_mrca_sampler_matches_rejection_without_single_births(target, seed):
+    n = 4
+    d_g = conditioned_mrca_sample(QZERO_MODEL, n, target, "geiger", 200_000, root_seed=seed)
+    d_r = conditioned_mrca_sample(QZERO_MODEL, n, target, "rejection", 60_000, root_seed=seed + 1)
+    p = annealed_pmf(QZERO_MODEL, 1, n, target)
+    se = math.sqrt(p * (1.0 - p) / d_g.proposed)
+    assert abs(d_g.accepted / d_g.proposed - p) < 4 * se
+    assert d_r.accepted > 1000
+    ks = sorted(set(d_g.counts) | set(d_r.counts))
+    obs = np.array([[d_g.counts.get(k, 0) for k in ks], [d_r.counts.get(k, 0) for k in ks]])
+    keep = obs.sum(axis=0) >= 10
+    chi2, pval, _, _ = stats.chi2_contingency(obs[:, keep])[:4]
+    assert pval > 0.001
 
 
 def test_spine_y_rejects_unnormalized_table():
-    # t_0 is not f(t_1), so the generation-1 table does not sum to 1
+    # t_0 is not f(t_1), so the generation-1 table of the scalar spine draw does not sum to 1
     law = FiniteLaw((0.1, 0.2, 0.3, 0.4))
-    t = np.array([[0.9, 0.4, 0.0]])
+    table = _yk_table(law, 0.4, (1.0 - 0.4) / (1.0 - 0.9))
     with pytest.raises(ContractError, match="does not normalize"):
-        _spine_y((law,), np.zeros((1, 2), dtype=np.int64), t, stream(1, 0))
+        _draw_table(table, stream(1, 0))
