@@ -7,15 +7,21 @@ One batched kernel, ``horizon_rows``, composes a block of environments into
 the rows of f_{k,n} = f_{k+1} o ... o f_n truncated at a common degree; its
 column 0 is the extinction ladder t_k = f_{k,n}(0).  It serves the ladder of
 an ``EnvSequence`` (at width 1), ``quenched_coeff_row``, importance sampling
-and ``mrca_rows``, the exact quenched MRCA law.  One log-derivative helper
-forms the products prod f_k'(t_k) of ``mrca_rows``, ``phi_n`` and the
+and ``mrca_rows``, the exact quenched MRCA law.  It has two routes, chosen
+per environment row: a row whose laws are all linear fractional is itself
+LF at every k and takes the closed form, O(n + width) per row, from two
+suffix statistics carried in bounded form; any other row takes the series
+route, one ``pgf.apply_law_rows`` per generation, O(n width^2) per row (at
+width 1 a finite law is just its pgf on the ladder).  One log-derivative
+helper forms the products prod f_k'(t_k) of ``mrca_rows``, ``phi_n`` and the
 subtree identity.
 
 The annealed enumerator (``_annealed_rows``) composes from the innermost
-generation outward: a shared breadth-first block, then the outermost
-generations depth-first, in one sweep that reports every horizon up to the
-deepest requested one (the Fekete table needs n = 1..n_max).  Partial sums
-are combined in a fixed order.
+generation outward with the series route only: a shared breadth-first
+block, then the outermost generations depth-first, in one sweep that
+reports every horizon up to the deepest requested one (the Fekete table
+needs n = 1..n_max, the example suites every n of their tables).  Partial
+sums are combined in a fixed order.
 
 The reachability closure behind z0 works on Python-int bitmasks: bit k of a
 mask marks size k, and the sizes reachable from z in one generation are the
@@ -32,7 +38,7 @@ import numpy as np
 
 from .environment import EnvironmentModel
 from .errors import BudgetError, ContractError, TruncationError
-from .laws import FiniteLaw, OffspringLaw
+from .laws import FiniteLaw, LinearFractionalLaw, OffspringLaw
 from .pgf import MAX_DEGREE, apply_law_rows, pow_rows
 
 ENUMERATION_BUDGET = 1 << 26
@@ -105,20 +111,86 @@ def horizon_rows(
     """Rows (b, width) of f_{0,n} for each environment row of idx, truncated at s^(width-1).
 
     ``idx[r, g]`` indexes ``states`` for generation g+1.  With ``layers`` the
-    result is (n+1, b, width), layer k holding f_{k,n}; without, generations
-    are applied in place, so memory does not grow with n.  Column 0 is the
+    result is (n+1, b, width), layer k holding f_{k,n}.  Column 0 is the
     extinction ladder, the same arithmetic at every width.
+
+    The route is chosen per row, so a row gets the same arithmetic in any
+    block: a row whose laws are all LF takes the closed form
+    (``_lf_layers``), any other row the series route (``_series_layers``).
+    """
+    b, n = idx.shape
+    is_lf = np.array([isinstance(law, LinearFractionalLaw) for law in states], dtype=bool)
+    closed = is_lf[idx].all(axis=1)
+    if closed.all() or not closed.any():
+        f = (_lf_layers if closed.all() else _series_layers)(states, idx, width, layers)
+    else:
+        f = np.empty((n + 1 if layers else 1, b, width))
+        f[:, closed] = _lf_layers(states, idx[closed], width, layers)
+        f[:, ~closed] = _series_layers(states, idx[~closed], width, layers)
+    return f if layers else f[0]
+
+
+def _lf_layers(
+    states: tuple[OffspringLaw, ...], idx: np.ndarray, width: int, layers: bool
+) -> np.ndarray:
+    """Rows of f_{k,n} for environment rows whose laws are all LF, in closed form.
+
+    f_{k,n}(s) = 1 - (1-s) / (A_k + B_k (1-s)) with the suffix statistics
+    A_k = A_{k+1} / m_{k+1}, B_k = eta_{k+1} + B_{k+1} / m_{k+1} (eta =
+    ``eta_lf``), A_n = 1, B_n = 0.  With D = A + B the rows are
+    [s^0] = 1 - 1/D and [s^j] = (A/D^2) (B/D)^(j-1).  A grows like a product
+    of 1/m, so the recursion carries p = 1/D, a = A/D and r = B/D, all in
+    [0, 1]: with x = eta m p and q = 1 + x, a <- a/q, r <- (x + r)/q and
+    p <- m p / q.  Powers of r are running products, so every value is
+    elementwise arithmetic on the row alone, whatever the block.
+    """
+    b, n = idx.shape
+    # (m, eta) per state; these rows never index a finite state's placeholder
+    params = np.array(
+        [(law.m, law.eta_lf) if isinstance(law, LinearFractionalLaw) else (1.0, 0.0) for law in states]
+    ).reshape(len(states), 2)
+    n_out = n + 1 if layers else 1
+    p, a, r = np.empty((n_out, b)), np.empty((n_out, b)), np.empty((n_out, b))
+    p[-1], a[-1], r[-1] = 1.0, 1.0, 0.0  # f_{n,n}(s) = s
+    for g in range(n - 1, -1, -1):
+        src, dst = (g + 1, g) if layers else (0, 0)
+        m, eta = params[idx[:, g]].T
+        x = eta * m * p[src]
+        q = 1.0 + x
+        a[dst] = a[src] / q
+        r[dst] = (x + r[src]) / q
+        p[dst] = m * p[src] / q
+    f = np.empty((n_out, b, width))
+    np.subtract(1.0, p, out=f[..., 0])
+    if width > 1:
+        np.multiply(p, a, out=f[..., 1])
+    for j in range(2, width):
+        np.multiply(f[..., j - 1], r, out=f[..., j])
+    return f
+
+
+def _series_layers(
+    states: tuple[OffspringLaw, ...], idx: np.ndarray, width: int, layers: bool
+) -> np.ndarray:
+    """Rows of f_{k,n} by applying each generation's law to the rows below it.
+
+    Without ``layers`` generations are applied in place, so memory does not
+    grow with n.  At width 1 a finite law is its pgf evaluated on column 0,
+    the same Horner arithmetic as column 0 of ``apply_law_rows``.
     """
     b, n = idx.shape
     f = np.zeros((n + 1 if layers else 1, b, width))
     f[-1, :, 1:2] = 1.0  # f_{n,n}(s) = s
     for g in range(n - 1, -1, -1):
         src, dst = (f[g + 1], f[g]) if layers else (f[0], f[0])
-        for a, law in enumerate(states):  # each state's rows in one call
-            sel = np.nonzero(idx[:, g] == a)[0]
-            if sel.size:
+        for a in np.bincount(idx[:, g]).nonzero()[0]:
+            law = states[a]  # each state's rows in one call
+            sel = (idx[:, g] == a).nonzero()[0]
+            if width == 1 and isinstance(law, FiniteLaw):
+                dst[sel, 0] = law.pgf(src[sel, 0])
+            else:
                 dst[sel] = apply_law_rows(law, src[sel])
-    return f if layers else f[0]
+    return f
 
 
 def _log_derivatives(

@@ -3,8 +3,10 @@
 A series is a coefficient row ``c_0..c_D``; the ``*_rows`` kernels operate
 on batches of shape (M, D+1), one series per row, truncated at the common
 degree D.  They are the only series machinery in the package, shared by the
-composition kernel ``exact.horizon_rows`` (extinction ladder, quenched rows,
-importance sampling, MRCA rows) and the annealed enumerator.
+series route of the composition kernel ``exact.horizon_rows`` (environment
+rows that contain a finite law) and the annealed enumerator.  Rows whose
+laws are all linear fractional take the kernel's closed-form route instead
+and never reach ``apply_law_rows``.
 
 Composition is exact for the kept degrees: the coefficient of ``s^j`` in
 ``f(g(s))`` only depends on the coefficients of ``g`` up to degree ``j``, so

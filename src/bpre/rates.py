@@ -17,7 +17,7 @@ from .errors import ContractError
 from .exact import (
     ENUMERATION_BUDGET,
     FeketeTable,
-    annealed_pmf,
+    _annealed_rows,
     fekete_bounds,
     smallest_reachable,
 )
@@ -201,25 +201,23 @@ def example1_suite(
     # support argument: q1 is the copy law, q2 moves to {0} or even sizes
     if not (q1.prob(1) == 1.0 and q2.prob(1) == 0.0 and q2.max_support % 2 == 0):
         raise ContractError("example-1 support structure violated")
-    max_err = 0.0
-    checked = 0
-    for n in range(1, min(n_max, enumeration_limit) + 1):
-        exact = annealed_pmf(model, 1, n, 1)
-        max_err = max(max_err, abs(_log_prob(exact) - n * math.log(r)))
-        checked += 1
+    checked = range(1, min(n_max, enumeration_limit) + 1)
+    p1 = _annealed_rows(model, 1, checked, 1, ENUMERATION_BUDGET)
+    max_err = max((abs(_log_prob(p1[n][1]) - n * math.log(r)) for n in checked), default=0.0)
     # beyond the enumeration limit the identity is exact by the parity argument
 
     threshold = 2.0 * (1.0 - p) * p / (1.0 + 2.0 * (1.0 - p) * p)
     separated = r < threshold
     ns = tuple(range(1, min(n_max, table_limit) + 1))
-    log_p2 = tuple(_log_prob(annealed_pmf(model, 1, n, 2)) / n for n in ns)
+    p2 = _annealed_rows(model, 1, ns, 2, ENUMERATION_BUDGET)
+    log_p2 = tuple(_log_prob(p2[n][2]) / n for n in ns)
     gap = (log_p2[-1] - math.log(r)) if ns else None
     return Example1Report(
         r=r,
         p=p,
         n_max=n_max,
         identity_max_log_error=max_err,
-        identity_checked_by_enumeration=checked,
+        identity_checked_by_enumeration=len(checked),
         threshold=threshold,
         separated=separated,
         table_n=ns,
@@ -293,11 +291,7 @@ def example2_suite(r: float, p: float, a: int, n_max: int) -> Example2Report:
     below = s_e <= 2.0 * p if sufficiency else None
 
     ns = tuple(range(1, n_max + 1))
-    log_p1 = []
-    log_p2 = []
-    for n in ns:
-        log_p1.append(_log_prob(annealed_pmf(model, 1, n, 2)) / n)
-        log_p2.append(_log_prob(annealed_pmf(model, 2, n, 2)) / n)
+    p1, p2 = (_annealed_rows(model, z0, ns, 2, ENUMERATION_BUDGET) for z0 in (1, 2))
     return Example2Report(
         r=r,
         p=p,
@@ -307,8 +301,8 @@ def example2_suite(r: float, p: float, a: int, n_max: int) -> Example2Report:
         sufficiency_holds=sufficiency,
         fixed_point_below_2p=below,
         table_n=ns,
-        log_p1_over_n=tuple(log_p1),
-        log_p2_over_n=tuple(log_p2),
+        log_p1_over_n=tuple(_log_prob(p1[n][2]) / n for n in ns),
+        log_p2_over_n=tuple(_log_prob(p2[n][2]) / n for n in ns),
         upper_bound_p2=_log_prob(3.0 * p * p),
         lower_bound_p1=_log_prob(r * p),
         conclusive=sufficiency and 3.0 * p * p < r * p,

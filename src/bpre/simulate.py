@@ -21,6 +21,10 @@ The conditioned MRCA sampler simulates no tree.  For each environment,
 P(Z_n = target, MRCA age a | env) from the layers of ``exact.horizon_rows``
 (the kernel behind importance sampling too), so one uniform per proposal
 decides both acceptance and the age, for every law family and every target.
+That kernel takes the LF closed form for environments whose laws are all
+linear fractional and the series route for the rest, so survival thinning,
+acceptance and the importance-sampling rows use closed-form values on LF
+models.
 
 When the environment is random, conditioning on {Z_n = target} under the
 annealed law is NOT the same as sampling an environment, conditioning on
@@ -371,8 +375,11 @@ def importance_estimate(
 
     Environments are drawn under the exp(-nu X) tilt; each quenched
     small-value probability is computed exactly and reweighted by
-    mu^n exp(nu S_n), formed in log space, which removes the tilt in
-    expectation.  A weight that still overflows raises ContractError.
+    mu^n exp(nu S_n), which removes the tilt in expectation.  Each value is
+    exp(log p + log w), so a zero probability never meets an infinite
+    weight; the mean and standard error are taken of the values divided by
+    their maximum and scaled back, so squares of tiny values do not
+    underflow.  A value that still overflows raises ContractError.
     """
     if replicates < 1:
         raise ContractError("replicates must be >= 1")
@@ -386,11 +393,16 @@ def importance_estimate(
         idx = tilted.sample_indices(rng, (hi - lo, n))
         probs = _quenched_small_value_rows(model.states, idx, z0, j_max)
         s_n = x[idx].sum(axis=1)
-        values[lo:hi] = probs * np.exp(n * math.log(mu) + nu * s_n)
-    est = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else math.inf
-    if not math.isfinite(est) or (replicates > 1 and not math.isfinite(se)):
+        with np.errstate(divide="ignore"):
+            log_p = np.log(np.clip(probs, 0.0, None))
+        values[lo:hi] = np.exp(log_p + (n * math.log(mu) + nu * s_n))
+    scale = float(values.max())
+    if not math.isfinite(scale):
         raise ContractError(f"importance estimate overflows at tilt nu={nu!r}")
+    if scale > 0.0:
+        values /= scale
+    est = scale * float(values.mean())
+    se = scale * float(values.std(ddof=1)) / math.sqrt(replicates) if replicates > 1 else math.inf
     return ImportanceEstimate(estimate=est, std_error=se, nu=nu, mu=mu, replicates=replicates)
 
 

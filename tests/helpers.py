@@ -9,6 +9,7 @@ import numpy as np
 
 from bpre.errors import ContractError
 from bpre.laws import FiniteLaw, LinearFractionalLaw
+from bpre.pgf import apply_law_rows
 
 
 def random_finite_law(rng, max_support=3, with_extinction=None):
@@ -47,6 +48,21 @@ def scalar_extinction_ladder(env_laws):
     for k in range(n - 1, -1, -1):
         t[k] = env_laws[k].pgf(t[k + 1])
     return t
+
+
+def series_horizon_rows(states, idx, width, layers=False):
+    """``exact.horizon_rows`` by the series route alone: ``apply_law_rows`` per generation.
+
+    Every row, LF or not, is composed from the identity row s one law at a
+    time, the innermost generation first; the reference for the LF closed form.
+    """
+    b, n = idx.shape
+    f = np.zeros((n + 1, b, width))
+    f[n, :, 1:2] = 1.0
+    for g in range(n - 1, -1, -1):
+        for r in range(b):
+            f[g, r] = apply_law_rows(states[idx[r, g]], f[g + 1, r][None, :])[0]
+    return f if layers else f[0]
 
 
 def push_forward_distribution(env_laws, z0, cap=4096):

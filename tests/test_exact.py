@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from helpers import (
     random_lf_law,
     reachable_closure_oracle,
     scalar_extinction_ladder,
+    series_horizon_rows,
     spine_event_probability,
 )
 
@@ -78,6 +80,78 @@ def test_horizon_rows_layers_and_widths_agree():
     for r in range(4):
         env = EnvSequence(tuple(states[a] for a in idx[r]))
         assert np.array_equal(env.extinction_ladder(), f[:, r, 0])
+
+
+def _mp_lf_rows(laws, width):
+    """Rows of f_{0,n} for an all-LF sequence from its suffix statistics, at 60 digits."""
+    with mpmath.workdps(60):
+        a, b = mpmath.mpf(1), mpmath.mpf(0)
+        for law in reversed(laws):
+            m = mpmath.mpf(law.m)
+            a, b = a / m, mpmath.mpf(law.b) / (2 * m * m) + b / m
+        d = a + b
+        return [1 - 1 / d] + [a / d**2 * (b / d) ** (j - 1) for j in range(1, width)]
+
+
+def test_lf_closed_form_rows_match_mpmath():
+    model = weakly_model()
+    idx = model.sample_indices(np.random.default_rng(40), (40, 40))
+    rows = exact.horizon_rows(model.states, idx, 65)
+    for r in range(idx.shape[0]):
+        oracle = _mp_lf_rows([model.states[a] for a in idx[r]], 65)
+        for j, value in enumerate(oracle):
+            assert abs(rows[r, j] - value) <= 1e-13 * abs(value), (r, j)
+
+
+@pytest.mark.parametrize("width", [1, 3, 65])
+@pytest.mark.parametrize("layers", [False, True])
+def test_lf_closed_form_matches_series_route(width, layers):
+    rng = np.random.default_rng(width)
+    for _ in range(6):
+        states = tuple(random_lf_law(rng) for _ in range(3))
+        idx = rng.integers(0, 3, (8, int(rng.integers(0, 25))))
+        rows = exact.horizon_rows(states, idx, width, layers=layers)
+        np.testing.assert_allclose(
+            rows, series_horizon_rows(states, idx, width, layers), rtol=1e-11, atol=1e-300
+        )
+
+
+@pytest.mark.parametrize("width", [1, 65])
+@pytest.mark.parametrize("sub_first", [True, False])
+def test_lf_closed_form_survives_long_excursions(width, sub_first):
+    # 1100 generations at m = 0.5 and 1100 at m = 2: the suffix statistic A
+    # reaches 2^1100, yet the bounded recursion stays finite and nonnegative
+    states = (LinearFractionalLaw(0.5, 0.5), LinearFractionalLaw(2.0, 8.0))
+    order = [0, 1] if sub_first else [1, 0]
+    idx = np.repeat(order, 1100)[None, :]
+    rows = exact.horizon_rows(states, idx, width)
+    assert np.all(np.isfinite(rows)) and np.all(rows >= 0.0)
+    np.testing.assert_allclose(rows, series_horizon_rows(states, idx, width), rtol=0.0, atol=1e-300)
+    layered = exact.horizon_rows(states, idx, width, layers=True)
+    assert np.all(np.isfinite(layered)) and np.all(layered >= 0.0)
+    np.testing.assert_allclose(
+        layered, series_horizon_rows(states, idx, width, True), rtol=1e-11, atol=1e-300
+    )
+
+
+@pytest.mark.parametrize("width", [1, 4, 65])
+@pytest.mark.parametrize("layers", [False, True])
+def test_horizon_rows_route_per_row_in_mixed_block(width, layers):
+    # all-LF rows take the closed form, rows with a finite law the series
+    # route, and each row equals its one-row call bit for bit
+    rng = np.random.default_rng(11)
+    states = (random_lf_law(rng), random_finite_law(rng, 3, with_extinction=True), random_lf_law(rng))
+    idx = rng.choice([0, 2], (24, 9))
+    idx[1::2, rng.integers(0, 9, 12)] = 1
+    closed = np.arange(24) % 2 == 0
+    f = exact.horizon_rows(states, idx, width, layers=layers)
+    if not layers:
+        f = f[None]
+    assert np.array_equal(f[:, closed], exact._lf_layers(states, idx[closed], width, layers))
+    assert np.array_equal(f[:, ~closed], exact._series_layers(states, idx[~closed], width, layers))
+    for r in range(idx.shape[0]):
+        one = exact.horizon_rows(states, idx[r : r + 1], width, layers=layers)
+        assert np.array_equal(one[:, 0] if layers else one[0], f[:, r] if layers else f[0, r])
 
 
 @pytest.mark.parametrize(

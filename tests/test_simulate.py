@@ -18,7 +18,7 @@ from bpre.exact import (
     quenched_survival,
 )
 from bpre.laws import FiniteLaw, LinearFractionalLaw
-from bpre.models import intermediate_model, weakly_mrca_model, weakly_model
+from bpre.models import intermediate_model, strongly_model, weakly_mrca_model, weakly_model
 from bpre.simulate import (
     _draw_table,
     _quenched_small_value_rows,
@@ -256,6 +256,15 @@ def test_quenched_small_value_rows_match_quenched_coeff_row(z0, j_max):
     for r in range(idx.shape[0]):
         row = quenched_coeff_row(EnvSequence.from_indices(model, idx[r]), z0, j_max)
         assert rows[r] == row[1:].sum()
+
+
+def test_importance_estimate_standard_error_does_not_underflow():
+    # values near 1e-229 square below the double range; the spread is taken
+    # of the values divided by their maximum
+    model = strongly_model()
+    est = importance_estimate(model, 1, 1500, 4, solve_critical_tilt(model), 512, root_seed=1)
+    assert 0.0 < est.estimate < 1e-200
+    assert math.isfinite(est.std_error) and est.std_error > 0.0
 
 
 def test_importance_estimate_variance_reduction():
