@@ -174,38 +174,40 @@ def emit_plot_data(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _maybe_write_csv(cfg: ExperimentConfig, report: dict) -> None:
+def _emit(cfg: ExperimentConfig, doc: dict, summary: str) -> int:
+    """Stamp ``doc`` with the command and config hash, write --out and --csv, print ``summary``."""
+    doc["command"] = cfg.command
+    doc["config_hash"] = cfg.config_hash
+    if cfg.out:
+        _write_json(cfg.out, doc)
     if cfg.csv:
         with open(cfg.csv, "w") as fh:
-            fh.write(emit_plot_data(report))
+            fh.write(emit_plot_data(doc))
+    print(summary)
+    return 0
 
 
 def _cmd_simulate(cfg: ExperimentConfig) -> int:
-    seed = cfg.require_seed()
     model = cfg.load_model()
     trajectories = []
     for rep in range(cfg.replicates):
-        rng = stream(seed, rep)
-        traj = simulate_forward(model, cfg.z0, cfg.n, rng)
+        traj = simulate_forward(model, cfg.z0, cfg.n, stream(cfg.seed, rep))
         trajectories.append({"replicate": rep, "sizes": list(traj.sizes)})
     final_sizes = [t["sizes"][-1] for t in trajectories]
     artifact = {
-        "command": "simulate",
-        "config_hash": cfg.config_hash,
-        "seed": seed,
+        "seed": cfg.seed,
         "model_id": model.model_id,
         "n": cfg.n,
         "z0": cfg.z0,
         "trajectories": trajectories,
     }
-    if cfg.out:
-        _write_json(cfg.out, artifact)
     survived = sum(1 for z in final_sizes if z > 0)
-    print(
+    return _emit(
+        cfg,
+        artifact,
         f"simulate n={cfg.n} replicates={cfg.replicates} "
-        f"survived={survived} mean_final={sum(final_sizes) / len(final_sizes):.3f} [estimated]"
+        f"survived={survived} mean_final={sum(final_sizes) / len(final_sizes):.3f} [estimated]",
     )
-    return 0
 
 
 def _cmd_exact(cfg: ExperimentConfig) -> int:
@@ -214,17 +216,14 @@ def _cmd_exact(cfg: ExperimentConfig) -> int:
     if cfg.degree is not None and j_max > cfg.degree:
         raise TruncationError(f"raise truncation degree: need {j_max}, have {cfg.degree}")
     if cfg.estimate:
-        seed = cfg.require_seed()
         from .environment import solve_critical_tilt
 
         nu = cfg.nu if cfg.nu is not None else solve_critical_tilt(model)
         est = importance_estimate(
-            model, cfg.z0, cfg.n, j_max, nu, cfg.replicates, root_seed=seed
+            model, cfg.z0, cfg.n, j_max, nu, cfg.replicates, root_seed=cfg.seed
         )
         artifact = {
-            "command": "exact",
-            "config_hash": cfg.config_hash,
-            "seed": seed,
+            "seed": cfg.seed,
             "model_id": model.model_id,
             "certified": {},
             "estimated": {
@@ -238,17 +237,14 @@ def _cmd_exact(cfg: ExperimentConfig) -> int:
                 "j_max": j_max,
             },
         }
-        if cfg.out:
-            _write_json(cfg.out, artifact)
-        print(
+        return _emit(
+            cfg,
+            artifact,
             f"exact n={cfg.n} z0={cfg.z0} P(1<=Z<={j_max})~{est.estimate:.6e} "
-            f"se={est.std_error:.2e} [estimated]"
+            f"se={est.std_error:.2e} [estimated]",
         )
-        return 0
     row = annealed_pmf_row(model, cfg.z0, cfg.n, j_max)
     artifact = {
-        "command": "exact",
-        "config_hash": cfg.config_hash,
         "model_id": model.model_id,
         "certified": {
             "n": cfg.n,
@@ -258,33 +254,24 @@ def _cmd_exact(cfg: ExperimentConfig) -> int:
         },
         "estimated": {},
     }
-    if cfg.out:
-        _write_json(cfg.out, artifact)
     if cfg.j is not None:
-        print(f"exact n={cfg.n} z0={cfg.z0} P(Z_n={cfg.j})={row[cfg.j]:.6e} [certified]")
+        summary = f"exact n={cfg.n} z0={cfg.z0} P(Z_n={cfg.j})={row[cfg.j]:.6e} [certified]"
     else:
-        print(
-            f"exact n={cfg.n} z0={cfg.z0} P(1<=Z<={j_max})={row[1:].sum():.6e} [certified]"
-        )
-    return 0
+        summary = f"exact n={cfg.n} z0={cfg.z0} P(1<=Z<={j_max})={row[1:].sum():.6e} [certified]"
+    return _emit(cfg, artifact, summary)
 
 
 def _cmd_rho(cfg: ExperimentConfig) -> int:
     model = cfg.load_model()
     report = rho_report(model, n_max=cfg.n_max)
-    doc = report.to_json()
-    doc["command"] = "rho"
-    doc["config_hash"] = cfg.config_hash
-    if cfg.out:
-        _write_json(cfg.out, doc)
-    _maybe_write_csv(cfg, doc)
     lf_txt = "" if report.lf_closed_form is None else f" lf_rho={report.lf_closed_form:.6f}"
-    print(
+    return _emit(
+        cfg,
+        report.to_json(),
         f"rho z0={report.z0} fekete_upper={report.fekete_upper:.6f} "
         f"lambda0={report.lambda0:.6f}{lf_txt} [certified] "
-        f"slope={report.slope_estimate:.6f} [estimated]"
+        f"slope={report.slope_estimate:.6f} [estimated]",
     )
-    return 0
 
 
 def _parse_n_list(raw: str) -> tuple[int, ...]:
@@ -295,37 +282,31 @@ def _parse_n_list(raw: str) -> tuple[int, ...]:
 
 
 def _cmd_mrca(cfg: ExperimentConfig) -> int:
-    seed = cfg.require_seed()
     model = cfg.load_model()
     report = mrca_regime_suite(
         model,
         cfg.n_list,
         proposals=cfg.replicates,
-        root_seed=seed,
+        root_seed=cfg.seed,
         delta=cfg.delta,
         target_size=cfg.target_size,
         method=cfg.method,
     )
     doc = report.to_json()
-    doc["command"] = "mrca"
-    doc["config_hash"] = cfg.config_hash
-    doc["seed"] = seed
-    if cfg.out:
-        _write_json(cfg.out, doc)
-    _maybe_write_csv(cfg, doc)
+    doc["seed"] = cfg.seed
     accepted = ",".join(str(pt.accepted) for pt in report.points)
     n_txt = ",".join(map(str, cfg.n_list))
-    print(
+    return _emit(
+        cfg,
+        doc,
         f"mrca regime={report.regime} n_list={n_txt} accepted=[{accepted}] "
-        f"target={cfg.target_size} [estimated]"
+        f"target={cfg.target_size} [estimated]",
     )
-    return 0
 
 
 def _cmd_examples(cfg: ExperimentConfig) -> int:
     if cfg.which == 1:
         report = example1_suite(cfg.r, cfg.p, n_max=cfg.n_max)
-        doc = report.to_json()
         summary = (
             f"examples which=1 r={cfg.r} p={cfg.p} "
             f"identity_err={report.identity_max_log_error:.2e} "
@@ -335,20 +316,13 @@ def _cmd_examples(cfg: ExperimentConfig) -> int:
         if cfg.a is None:
             raise ContractError("example 2 needs --a")
         report = example2_suite(cfg.r, cfg.p, cfg.a, n_max=cfg.n_max)
-        doc = report.to_json()
         summary = (
             f"examples which=2 r={cfg.r} p={cfg.p} a={cfg.a} "
             f"fixed_point={report.fixed_point:.6f} conclusive={report.conclusive} [certified]"
         )
     else:
         raise ContractError(f"unknown example {cfg.which}; use 1 or 2")
-    doc["command"] = "examples"
-    doc["config_hash"] = cfg.config_hash
-    if cfg.out:
-        _write_json(cfg.out, doc)
-    _maybe_write_csv(cfg, doc)
-    print(summary)
-    return 0
+    return _emit(cfg, report.to_json(), summary)
 
 
 def _cmd_validate(cfg: ExperimentConfig) -> int:

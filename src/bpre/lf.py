@@ -157,11 +157,12 @@ def agresti_survival_bounds(env: EnvSequence) -> SurvivalBounds:
     """
     s = env.walk
     s_exp = math.exp(-s[-1])
-    h_general = float(env.eta_prefix("general")[-1])
-    lower = 1.0 / (s_exp + h_general)
+    # sum eta_lf_{i+1} exp(-S_i); eta_general = 2 eta_lf, and doubling is exact
+    terms = np.array([law.eta_lf for law in env.laws]) * np.exp(-s[:-1])
+    h_lf = float(np.cumsum(terms)[-1]) if env.n >= 1 else 0.0
+    lower = 1.0 / (s_exp + 2.0 * h_lf)
     upper = math.exp(min(0.0, float(np.min(s[1:])))) if env.n >= 1 else 1.0
     lf_exact = None
     if all(isinstance(law, LinearFractionalLaw) for law in env.laws):
-        h_lf = float(env.eta_prefix("lf")[-1])
         lf_exact = 1.0 / (s_exp + h_lf)
     return SurvivalBounds(lower=lower, upper=upper, lf_exact=lf_exact)

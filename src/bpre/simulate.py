@@ -2,10 +2,12 @@
 
 Randomness contract: every stochastic routine is a deterministic function of
 (root_seed, index).  Single trajectories derive a counter-based Philox stream
-per replicate index; the batched Monte Carlo engines derive one stream per
-fixed-size proposal chunk, so results are independent of the worker count
-(the BPRE_THREADS environment variable only changes how chunks are mapped to
-processes, never the draws).
+per replicate index.  Importance sampling and both MRCA methods share one
+driver, ``_map_chunks``, which gives chunk c of at most ``_CHUNK`` units the
+stream (root_seed, c), so results are independent of the worker count
+(BPRE_THREADS only maps MRCA chunks to processes, never changes the draws;
+importance sampling stays serial).  Trajectories, trees and the spine
+sampler's side subtrees grow by one branching step, ``_generations``.
 
 The conditioned sampler follows the spine construction: given survival to
 the horizon, the counts Y_k of unconditioned subtrees founded to the right
@@ -42,6 +44,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -86,20 +89,47 @@ def worker_count() -> int:
     return count
 
 
-def _map_chunks(fn, payloads, workers, progress_every=None):
-    if workers <= 1 or len(payloads) <= 1:
+def _map_chunks(fn, total: int, root_seed: int, workers: int) -> list:
+    """[fn(stream(root_seed, c), size) for each chunk c of ``total`` units], in chunk order.
+
+    Chunk c holds units c*_CHUNK .. min((c+1)*_CHUNK, total) - 1.  With more
+    than one worker and more than one chunk the calls run in a process pool.
+    """
+    sizes = [min(_CHUNK, total - lo) for lo in range(0, total, _CHUNK)]
+    if workers <= 1 or len(sizes) <= 1:
         out = []
-        for i, p in enumerate(payloads):
-            out.append(fn(p))
-            if progress_every and (i + 1) % progress_every == 0:
-                logger.info("progress: %d/%d chunks", i + 1, len(payloads))
+        every = max(1, len(sizes) // 10)
+        for c, size in enumerate(sizes):
+            out.append(fn(stream(root_seed, c), size))
+            if (c + 1) % every == 0:
+                logger.info("progress: %d/%d chunks", c + 1, len(sizes))
         return out
+    streams = [stream(root_seed, c) for c in range(len(sizes))]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, payloads))
+        return list(pool.map(fn, streams, sizes))
 
 
 # ---------------------------------------------------------------------------
 # forward simulation
+
+
+def _generations(laws, z: int, rng: np.random.Generator):
+    """Branch z individuals through ``laws``: yield (size, offspring counts) per generation.
+
+    An extinct generation yields (0, None) and makes no draw.  A size above
+    ``DEFAULT_POPULATION_CAP`` raises PopulationCapError.
+    """
+    for law in laws:
+        if z == 0:
+            yield 0, None
+            continue
+        counts = law.sample(rng, z)
+        z = int(counts.sum())
+        if z > DEFAULT_POPULATION_CAP:
+            raise PopulationCapError(
+                f"explosive population: {z} exceeds cap {DEFAULT_POPULATION_CAP}"
+            )
+        yield z, counts
 
 
 @dataclass(frozen=True)
@@ -113,28 +143,14 @@ class Trajectory:
 
 
 def simulate_forward(
-    model: EnvironmentModel,
-    z0: int,
-    n: int,
-    rng: np.random.Generator,
-    cap: int = DEFAULT_POPULATION_CAP,
+    model: EnvironmentModel, z0: int, n: int, rng: np.random.Generator
 ) -> Trajectory:
     """Draw an i.i.d. environment, then per-individual offspring counts."""
     if z0 < 0:
         raise ContractError("initial size must be >= 0")
-    idx = model.sample_indices(rng, n)
-    env = EnvSequence.from_indices(model, idx)
-    sizes = [z0]
-    z = z0
-    for k in range(n):
-        if z == 0:
-            sizes.append(0)
-            continue
-        z = int(env.laws[k].sample(rng, z).sum())
-        if z > cap:
-            raise PopulationCapError(f"explosive trajectory: population {z} exceeds cap {cap}")
-        sizes.append(z)
-    return Trajectory(sizes=tuple(sizes), env=env)
+    env = EnvSequence.from_indices(model, model.sample_indices(rng, n))
+    sizes = (z0,) + tuple(z for z, _ in _generations(env.laws, z0, rng))
+    return Trajectory(sizes=sizes, env=env)
 
 
 @dataclass(frozen=True)
@@ -160,28 +176,16 @@ class GenealogyTree:
 
 
 def simulate_tree(
-    model: EnvironmentModel,
-    z0: int,
-    n: int,
-    rng: np.random.Generator,
-    cap: int = DEFAULT_POPULATION_CAP,
+    model: EnvironmentModel, z0: int, n: int, rng: np.random.Generator
 ) -> GenealogyTree:
     if z0 < 0:
         raise ContractError("initial size must be >= 0")
-    idx = model.sample_indices(rng, n)
-    env = EnvSequence.from_indices(model, idx)
-    parents: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    z = z0
-    for k in range(n):
-        if z == 0:
-            parents.append(np.empty(0, dtype=np.int64))
-            continue
-        counts = env.laws[k].sample(rng, z)
-        total = int(counts.sum())
-        if total > cap:
-            raise PopulationCapError(f"explosive trajectory: population {total} exceeds cap {cap}")
-        parents.append(np.repeat(np.arange(z, dtype=np.int64), counts))
-        z = total
+    env = EnvSequence.from_indices(model, model.sample_indices(rng, n))
+    empty = np.empty(0, dtype=np.int64)
+    parents = [empty] + [
+        empty if counts is None else np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+        for _, counts in _generations(env.laws, z0, rng)
+    ]
     return GenealogyTree(z0=z0, parents=tuple(parents), env=env)
 
 
@@ -287,24 +291,16 @@ def _draw_spine_position(law: OffspringLaw, tk: float, y: int, rng) -> int:
     return int(ls[np.searchsorted(np.cumsum(weights / total), rng.random(), side="right")])
 
 
-def _subtree_final(env: EnvSequence, start_gen: int, size: int, rng, cap: int) -> int:
+def _subtree_final(env: EnvSequence, start_gen: int, size: int, rng) -> int:
     """Horizon head-count of an unconditioned subtree founded at start_gen."""
     z = size
-    for j in range(start_gen, env.n):
+    for z, _ in _generations(env.laws[start_gen:], size, rng):
         if z == 0:
-            return 0
-        z = int(env.laws[j].sample(rng, z).sum())
-        if z > cap:
-            raise PopulationCapError(f"explosive subtree: population {z} exceeds cap {cap}")
+            break
     return z
 
 
-def geiger_sample(
-    env: EnvSequence,
-    z0: int,
-    rng: np.random.Generator,
-    cap: int = DEFAULT_POPULATION_CAP,
-) -> SpineSample:
+def geiger_sample(env: EnvSequence, z0: int, rng: np.random.Generator) -> SpineSample:
     """Sample the horizon population conditioned on {Z_n > 0} for a fixed env."""
     if z0 < 1:
         raise ContractError("initial size must be >= 1")
@@ -332,7 +328,7 @@ def geiger_sample(
         if y[k] == 0:
             finals.append(0)
             continue
-        finals.append(_subtree_final(env, k, int(y[k]), rng, cap))
+        finals.append(_subtree_final(env, k, int(y[k]), rng))
     return SpineSample(
         z0=z0,
         y_counts=tuple(int(v) for v in y),
@@ -361,6 +357,18 @@ def _quenched_small_value_rows(
     return pow_rows(horizon_rows(states, idx, j_max + 1), z0)[:, 1:].sum(axis=1)
 
 
+def _importance_chunk(
+    tilted: EnvironmentModel, mu: float, z0: int, n: int, j_max: int, nu: float, rng, size: int
+) -> np.ndarray:
+    """Values p(env) mu^n exp(nu S_n) of ``size`` environments drawn from the ``tilted`` model."""
+    idx = tilted.sample_indices(rng, (size, n))
+    probs = _quenched_small_value_rows(tilted.states, idx, z0, j_max)
+    s_n = np.asarray(tilted.x_values)[idx].sum(axis=1)
+    with np.errstate(divide="ignore"):
+        log_p = np.log(np.clip(probs, 0.0, None))
+    return np.exp(log_p + (n * math.log(mu) + nu * s_n))
+
+
 def importance_estimate(
     model: EnvironmentModel,
     z0: int,
@@ -369,7 +377,6 @@ def importance_estimate(
     nu: float,
     replicates: int,
     root_seed: int,
-    chunk: int = _CHUNK,
 ) -> ImportanceEstimate:
     """Unbiased tilted estimator of the annealed P(1 <= Z_n <= j_max).
 
@@ -379,23 +386,14 @@ def importance_estimate(
     exp(log p + log w), so a zero probability never meets an infinite
     weight; the mean and standard error are taken of the values divided by
     their maximum and scaled back, so squares of tiny values do not
-    underflow.  A value that still overflows raises ContractError.
+    underflow.  A value that still overflows raises ContractError.  The
+    chunks run serially, in one process.
     """
     if replicates < 1:
         raise ContractError("replicates must be >= 1")
     tilted, mu = tilt(model, nu)
-    x = np.asarray(model.x_values)
-    values = np.empty(replicates)
-    n_chunks = (replicates + chunk - 1) // chunk
-    for c in range(n_chunks):
-        lo, hi = c * chunk, min((c + 1) * chunk, replicates)
-        rng = stream(root_seed, c)
-        idx = tilted.sample_indices(rng, (hi - lo, n))
-        probs = _quenched_small_value_rows(model.states, idx, z0, j_max)
-        s_n = x[idx].sum(axis=1)
-        with np.errstate(divide="ignore"):
-            log_p = np.log(np.clip(probs, 0.0, None))
-        values[lo:hi] = np.exp(log_p + (n * math.log(mu) + nu * s_n))
+    fn = partial(_importance_chunk, tilted, mu, z0, n, j_max, nu)
+    values = np.concatenate(_map_chunks(fn, replicates, root_seed, 1))
     scale = float(values.max())
     if not math.isfinite(scale):
         raise ContractError(f"importance estimate overflows at tilt nu={nu!r}")
@@ -447,7 +445,9 @@ def _merge_counts(parts) -> tuple[dict[int, int], int]:
     return counts, accepted
 
 
-def _mrca_spine_chunk(payload) -> dict[int, int]:
+def _mrca_spine_chunk(
+    model: EnvironmentModel, n: int, target: int, rng: np.random.Generator, size: int
+) -> dict[int, int]:
     """One proposal chunk of the exact MRCA sampler; returns MRCA counts.
 
     Every step is batched over the chunk.  Each proposal draws an
@@ -458,12 +458,8 @@ def _mrca_spine_chunk(payload) -> dict[int, int]:
     u < P(Z_n = target | env) accepts, and the first g whose cumulative sum
     exceeds u gives the age n - g.
     """
-    model_json, n, target, root_seed, chunk_index, chunk_size, _cap = payload
-    model = EnvironmentModel.from_json(model_json)
-    rng = stream(root_seed, chunk_index)
-
-    idx = model.sample_indices(rng, (chunk_size, n))
-    u = rng.random(chunk_size)
+    idx = model.sample_indices(rng, (size, n))
+    u = rng.random(size)
     survival = 1.0 - horizon_rows(model.states, idx, 1)[:, 0]
     keep = u < survival
     cum = np.cumsum(mrca_rows(model.states, idx[keep], target), axis=1)
@@ -474,13 +470,13 @@ def _mrca_spine_chunk(payload) -> dict[int, int]:
     return dict(zip(values.tolist(), counts.tolist()))
 
 
-def _mrca_rejection_chunk(payload) -> dict[int, int]:
-    model_json, n, target, root_seed, chunk_index, chunk_size, cap = payload
-    model = EnvironmentModel.from_json(model_json)
-    rng = stream(root_seed, chunk_index)
+def _mrca_rejection_chunk(
+    model: EnvironmentModel, n: int, target: int, rng: np.random.Generator, size: int
+) -> dict[int, int]:
+    """One chunk of forward trees from Z_0 = 1; returns MRCA counts of those with Z_n = target."""
     counts: dict[int, int] = {}
-    for _ in range(chunk_size):
-        tree = simulate_tree(model, 1, n, rng, cap)
+    for _ in range(size):
+        tree = simulate_tree(model, 1, n, rng)
         if tree.sizes[n] != target:
             continue
         age = mrca(tree)
@@ -495,8 +491,6 @@ def conditioned_mrca_sample(
     method: str,
     proposals: int,
     root_seed: int,
-    chunk: int = _CHUNK,
-    cap: int = DEFAULT_POPULATION_CAP,
     workers: int | None = None,
 ) -> MrcaDistribution:
     """Empirical law of MRCA_n given Z_n = target_size, Z_0 = 1.
@@ -505,12 +499,13 @@ def conditioned_mrca_sample(
     model and target: each environment is accepted with its quenched
     probability P(Z_n = target | env) and its MRCA age is drawn from the
     quenched law of ``exact.mrca_rows``, with one uniform per proposal and
-    no tree simulated, so ``cap`` does not apply.  Method "rejection"
-    simulates full forward trees and raises PopulationCapError beyond
-    ``cap``.  ``proposals`` counts
-    environment draws (geiger) or trees (rejection); the accepted sample
-    count is random.  Chunks are seeded by index, so the result is a pure
-    function of (model, n, target_size, method, proposals, root_seed, chunk).
+    no tree simulated.  Method "rejection" simulates full forward trees and
+    raises PopulationCapError when a population exceeds
+    ``DEFAULT_POPULATION_CAP``.  ``proposals`` counts environment draws
+    (geiger) or trees (rejection); the accepted sample count is random.
+    Proposals are drawn in chunks seeded by index (``_map_chunks``), so the
+    result is a pure function of (model, n, target_size, method, proposals,
+    root_seed), whatever the number of ``workers``.
     """
     if target_size < 2:
         raise ContractError("target size must be >= 2 for a meaningful MRCA")
@@ -525,21 +520,12 @@ def conditioned_mrca_sample(
     if workers is None:
         workers = worker_count()
 
-    n_chunks = (proposals + chunk - 1) // chunk
-    payloads = []
-    for c in range(n_chunks):
-        size = min(chunk, proposals - c * chunk)
-        payloads.append((model.to_json(), n, target_size, root_seed, c, size, cap))
-    fn = _mrca_rejection_chunk if method == "rejection" else _mrca_spine_chunk
+    chunk_fn = _mrca_rejection_chunk if method == "rejection" else _mrca_spine_chunk
     logger.info(
-        "conditioned MRCA: %s proposals in %s chunks (method=%s, n=%s, target=%s)",
-        proposals,
-        n_chunks,
-        method,
-        n,
-        target_size,
+        "conditioned MRCA: %s proposals (method=%s, n=%s, target=%s)",
+        proposals, method, n, target_size,
     )
-    parts = _map_chunks(fn, payloads, workers, progress_every=max(1, n_chunks // 10))
+    parts = _map_chunks(partial(chunk_fn, model, n, target_size), proposals, root_seed, workers)
     counts, accepted = _merge_counts(parts)
     if accepted == 0:
         raise ContractError(

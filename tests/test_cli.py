@@ -115,6 +115,17 @@ def test_simulate_requires_seed(weakly_path):
     assert main(["simulate", "--model", weakly_path, "--n", "4"]) == 2
 
 
+def test_simulate_population_cap_exits_three(tmp_path, capsys):
+    # every individual has 1000 children, so generation 3 holds 10^9
+    path = tmp_path / "thousand.json"
+    probs = [0.0] * 1000 + [1.0]
+    path.write_text(json.dumps({"states": [{"type": "finite", "probs": probs}], "weights": [1.0]}))
+    argv = ["simulate", "--model", str(path), "--n", "4", "--replicates", "1", "--seed", "1"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget error: ") and err.count("\n") == 1
+
+
 def test_malformed_model_reports_position(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"states": [,]}')

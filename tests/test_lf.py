@@ -186,6 +186,23 @@ def test_agresti_bounds_general_env():
         assert bounds.lower <= surv + 1e-12 <= bounds.upper + 1e-11 + surv
 
 
+def test_agresti_lower_bound_matches_eta_general_sum():
+    # the lower bound takes sum eta_general exp(-S_i) as twice the eta_lf sum; bit for bit
+    rng = np.random.default_rng(12)
+    from helpers import random_finite_law
+
+    for n in range(12):
+        laws = tuple(
+            random_lf_law(rng) if rng.random() < 0.5 else random_finite_law(rng, 3, False)
+            for _ in range(n)
+        )
+        env = EnvSequence(laws)
+        terms = np.array([law.eta_general for law in laws]) * np.exp(-env.walk[:-1])
+        h_general = float(np.cumsum(terms)[-1]) if n else 0.0
+        expected = 1.0 / (math.exp(-env.walk[-1]) + h_general)
+        assert agresti_survival_bounds(env).lower == expected
+
+
 def test_agresti_deterministic_line():
     env = EnvSequence((FiniteLaw((0.0, 1.0)),) * 5)
     bounds = agresti_survival_bounds(env)

@@ -1,13 +1,14 @@
 import itertools
 import logging
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from bpre.environment import EnvironmentModel, solve_critical_tilt
-from bpre.errors import ContractError
+from bpre.environment import EnvironmentModel, solve_critical_tilt, tilt
+from bpre.errors import ContractError, PopulationCapError
 from bpre.exact import (
     EnvSequence,
     annealed_pmf,
@@ -20,7 +21,11 @@ from bpre.exact import (
 from bpre.laws import FiniteLaw, LinearFractionalLaw
 from bpre.models import intermediate_model, strongly_model, weakly_mrca_model, weakly_model
 from bpre.simulate import (
+    _CHUNK,
     _draw_table,
+    _importance_chunk,
+    _mrca_rejection_chunk,
+    _mrca_spine_chunk,
     _quenched_small_value_rows,
     _yk_table,
     GenealogyTree,
@@ -480,3 +485,70 @@ def test_spine_y_rejects_unnormalized_table():
     table = _yk_table(law, 0.4, (1.0 - 0.4) / (1.0 - 0.9))
     with pytest.raises(ContractError, match="does not normalize"):
         _draw_table(table, stream(1, 0))
+
+
+# ---------------------------------------------------------------------------
+# population cap and the chunk driver
+
+# every individual has 1000 children: sizes run 1, 10^3, 10^6, 10^9
+THOUSAND_LAW = FiniteLaw((0.0,) * 1000 + (1.0,))
+THOUSAND_MODEL = EnvironmentModel((THOUSAND_LAW,), (1.0,))
+FINITE_MODEL = EnvironmentModel(
+    (FiniteLaw((0.2, 0.5, 0.3)), FiniteLaw((0.4, 0.2, 0.4))), (0.5, 0.5)
+)
+
+
+def test_population_cap_raises_in_every_forward_simulation():
+    with pytest.raises(PopulationCapError, match="exceeds cap"):
+        simulate_forward(THOUSAND_MODEL, 1, 4, stream(1, 0))
+    with pytest.raises(PopulationCapError, match="exceeds cap"):
+        simulate_tree(THOUSAND_MODEL, 1, 4, stream(1, 0))
+    with pytest.raises(PopulationCapError, match="exceeds cap"):
+        conditioned_mrca_sample(THOUSAND_MODEL, 4, 2, "rejection", 3, root_seed=1)
+
+
+def test_population_cap_raises_in_geiger_side_subtree():
+    # the spine keeps one child per generation; the 999 siblings founded at
+    # generation 1 grow to 999 * 10^6 by the horizon
+    env = EnvSequence((THOUSAND_LAW,) * 3)
+    with pytest.raises(PopulationCapError, match="exceeds cap"):
+        geiger_sample(env, 1, stream(1, 0))
+
+
+@pytest.mark.parametrize(
+    "method, chunk_fn", [("geiger", _mrca_spine_chunk), ("rejection", _mrca_rejection_chunk)]
+)
+def test_conditioned_mrca_chunk_layout(method, chunk_fn):
+    # 2 * _CHUNK + 1 proposals are three chunks of 4096, 4096 and 1, chunk c on stream(seed, c)
+    n, seed = 5, 61
+    dist = conditioned_mrca_sample(FINITE_MODEL, n, 2, method, 2 * _CHUNK + 1, seed, workers=1)
+    merged = Counter()
+    for c, size in enumerate((4096, 4096, 1)):
+        merged.update(chunk_fn(FINITE_MODEL, n, 2, stream(seed, c), size))
+    assert dist.counts == dict(merged)
+    assert dist.accepted == sum(merged.values()) > 0
+
+
+def test_importance_estimate_chunk_layout():
+    model, n, j_max, seed = weakly_model(), 8, 3, 19
+    nu = solve_critical_tilt(model)
+    reps = 2 * _CHUNK + 1
+    est = importance_estimate(model, 1, n, j_max, nu, reps, root_seed=seed)
+    tilted, mu = tilt(model, nu)
+    values = np.concatenate(
+        [
+            _importance_chunk(tilted, mu, 1, n, j_max, nu, stream(seed, c), size)
+            for c, size in enumerate((4096, 4096, 1))
+        ]
+    )
+    scale = values.max()
+    assert est.estimate == scale * (values / scale).mean()
+    assert est.std_error == scale * (values / scale).std(ddof=1) / math.sqrt(reps)
+
+
+def test_conditioned_mrca_rejection_deterministic_across_workers():
+    args = (FINITE_MODEL, 5, 2, "rejection", 2 * _CHUNK + 1)
+    d1 = conditioned_mrca_sample(*args, root_seed=9, workers=1)
+    d2 = conditioned_mrca_sample(*args, root_seed=9, workers=2)
+    assert d1.counts == d2.counts
+    assert d1.accepted == d2.accepted > 0
