@@ -423,8 +423,8 @@ def _annealed_rows(
 
     The state after d generations is the block of rows of f_{n-d+1,n} for
     every environment of those d generations.  It grows breadth-first while
-    the next block fits in ``_BLOCK_CELLS`` cells (rows x states x width);
-    past that, each state's law is applied to the whole block in turn,
+    the next block fits in ``_BLOCK_CELLS`` cells (rows x states x width),
+    and always with a single state, whose block never widens; past that, each state's law is applied to the whole block in turn,
     depth-first.  A depth-first child has as many rows as its parent, so it
     never grows breadth-first again.  A horizon's row is summed only where
     it is requested, so one sweep serves every horizon up to the largest.
@@ -441,19 +441,24 @@ def _annealed_rows(
     totals = {n: np.zeros(width) for n in horizons}
 
     def expand(rows: np.ndarray, wvec: np.ndarray, depth: int) -> None:
-        if depth in totals:
-            totals[depth] += wvec @ pow_rows(rows, z0)
-        if depth == n_max:
-            return
-        if len(rows) * len(states) * width <= _BLOCK_CELLS:
-            block = np.vstack([apply_law_rows(law, rows) for law, _ in states])
-            expand(block, np.concatenate([wvec * w for _, w in states]), depth + 1)
-        else:
-            for law, w in states:
-                # the named child lives until its sibling is built; freeing it
-                # first made `bpre rho --n-max 20` about 8% slower
-                child = apply_law_rows(law, rows)
-                expand(child, wvec * w, depth + 1)
+        # breadth-first growth loops and only the depth-first descent recurses,
+        # so the stack holds at most log_a(budget) frames; one state never
+        # widens the block and stays breadth-first at any horizon
+        while True:
+            if depth in totals:
+                totals[depth] += wvec @ pow_rows(rows, z0)
+            if depth == n_max:
+                return
+            if a > 1 and len(rows) * a * width > _BLOCK_CELLS:
+                break
+            rows = np.vstack([apply_law_rows(law, rows) for law, _ in states])
+            wvec = np.concatenate([wvec * w for _, w in states])
+            depth += 1
+        for law, w in states:
+            # the named child lives until its sibling is built; freeing it
+            # first made `bpre rho --n-max 20` about 8% slower
+            child = apply_law_rows(law, rows)
+            expand(child, wvec * w, depth + 1)
 
     identity = np.zeros((1, width))
     if width > 1:

@@ -96,15 +96,15 @@ def _map_chunks(fn, total: int, root_seed: int, workers: int) -> list:
     than one worker and more than one chunk the calls run in a process pool.
     """
     sizes = [min(_CHUNK, total - lo) for lo in range(0, total, _CHUNK)]
+    streams = [stream(root_seed, c) for c in range(len(sizes))]
     if workers <= 1 or len(sizes) <= 1:
         out = []
         every = max(1, len(sizes) // 10)
-        for c, size in enumerate(sizes):
-            out.append(fn(stream(root_seed, c), size))
+        for c, (rng, size) in enumerate(zip(streams, sizes)):
+            out.append(fn(rng, size))
             if (c + 1) % every == 0:
                 logger.info("progress: %d/%d chunks", c + 1, len(sizes))
         return out
-    streams = [stream(root_seed, c) for c in range(len(sizes))]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, streams, sizes))
 

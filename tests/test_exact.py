@@ -512,6 +512,25 @@ def test_depth_first_pass_matches_breadth_first_block(block_rows, monkeypatch):
     assert np.allclose(annealed_pmf_row(model, 2, 9, 6), rows, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        gw_binary(),
+        EnvironmentModel((FiniteLaw((0.05, 0.9, 0.05)), FiniteLaw((0.5, 0.5))), (1.0, 0.0)),
+    ],
+    ids=["gw_binary", "critical_with_zero_weight_state"],
+)
+def test_single_state_enumeration_runs_any_horizon(model):
+    # one positive-weight state never trips the budget, so the horizon is
+    # unbounded; the sweep must not take a stack frame per generation
+    law = model.states[0]
+    n = 2000
+    for z0 in (1, 2):
+        row = annealed_pmf_row(model, z0, n, 4)
+        expected = quenched_coeff_row(EnvSequence((law,) * n), z0, 4)
+        assert np.allclose(row, expected, rtol=1e-10, atol=1e-300)
+
+
 @pytest.mark.parametrize("j_max, n", [(1, 18), (8, 15), (64, 12)])
 def test_breadth_first_block_stays_under_cell_cap(j_max, n, monkeypatch):
     # each n is two generations past the deepest block of 2^d rows of width

@@ -20,7 +20,7 @@ from bpre.lf import (
 )
 from bpre.models import strongly_model, weakly_model
 
-from helpers import random_lf_law
+from helpers import random_finite_law, random_lf_law
 
 
 def lf_env(rng, n):
@@ -175,8 +175,6 @@ def test_agresti_bounds_lf_exact():
 
 def test_agresti_bounds_general_env():
     rng = np.random.default_rng(9)
-    from helpers import random_finite_law
-
     for _ in range(15):
         laws = tuple(random_finite_law(rng, 3) for _ in range(int(rng.integers(1, 6))))
         env = EnvSequence(laws)
@@ -189,8 +187,6 @@ def test_agresti_bounds_general_env():
 def test_agresti_lower_bound_matches_eta_general_sum():
     # the lower bound takes sum eta_general exp(-S_i) as twice the eta_lf sum; bit for bit
     rng = np.random.default_rng(12)
-    from helpers import random_finite_law
-
     for n in range(12):
         laws = tuple(
             random_lf_law(rng) if rng.random() < 0.5 else random_finite_law(rng, 3, False)
