@@ -96,10 +96,17 @@ class EnvironmentModel:
         return all(not hasattr(law, "probs") for law in self.states)
 
     def sample_indices(self, rng: np.random.Generator, size) -> np.ndarray:
+        """States drawn i.i.d. by inversion: one uniform u each, index #{a : cum_a <= u}.
+
+        The count is formed by one comparison per state boundary, which gives
+        the indices of ``searchsorted(cum, u, side="right")`` with the last
+        boundary taken as 1: it lies above every u and is never compared.
+        """
         u = rng.random(size)
-        cum = np.cumsum(self._w)
-        cum[-1] = 1.0
-        return np.searchsorted(cum, u, side="right").astype(np.int64)
+        idx = np.zeros(u.shape, dtype=np.int64)
+        for c in np.cumsum(self._w)[:-1]:
+            idx += u >= c
+        return idx
 
     def to_json(self) -> dict:
         return {

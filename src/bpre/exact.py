@@ -130,24 +130,26 @@ def _lf_layers(
     of 1/m, so the recursion carries p = 1/D, a = A/D and r = B/D, all in
     [0, 1]: with x = eta m p and q = 1 + x, a <- a/q, r <- (x + r)/q and
     p <- m p / q.  Powers of r are running products, so every value is
-    elementwise arithmetic on the row alone, whatever the block.
+    elementwise arithmetic on the row alone, whatever the block.  At width 1
+    only the survival p is carried.
     """
     b, n = idx.shape
-    # (m, eta) per state; these rows never index a finite state's placeholder
-    params = np.array(
+    # m and eta m per state; these rows never index a finite state's placeholder
+    m_state, eta_state = np.array(
         [(law.m, law.eta_lf) if isinstance(law, LinearFractionalLaw) else (1.0, 0.0) for law in states]
-    ).reshape(len(states), 2)
+    ).reshape(len(states), 2).T
+    m_cell, em_cell = m_state[idx.T], (eta_state * m_state)[idx.T]  # (n, b), row g = generation g+1
     n_out = n + 1 if layers else 1
     p, a, r = np.empty((n_out, b)), np.empty((n_out, b)), np.empty((n_out, b))
     p[-1], a[-1], r[-1] = 1.0, 1.0, 0.0  # f_{n,n}(s) = s
     for g in range(n - 1, -1, -1):
         src, dst = (g + 1, g) if layers else (0, 0)
-        m, eta = params[idx[:, g]].T
-        x = eta * m * p[src]
+        x = em_cell[g] * p[src]
         q = 1.0 + x
-        a[dst] = a[src] / q
-        r[dst] = (x + r[src]) / q
-        p[dst] = m * p[src] / q
+        if width > 1:
+            a[dst] = a[src] / q
+            r[dst] = (x + r[src]) / q
+        p[dst] = m_cell[g] * p[src] / q
     f = np.empty((n_out, b, width))
     np.subtract(1.0, p, out=f[..., 0])
     if width > 1:

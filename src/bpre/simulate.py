@@ -6,8 +6,12 @@ per replicate index.  Importance sampling and both MRCA methods share one
 driver, ``_map_chunks``, which gives chunk c of at most ``_CHUNK`` units the
 stream (root_seed, c), so results are independent of the worker count
 (BPRE_THREADS only maps MRCA chunks to processes, never changes the draws;
-importance sampling stays serial).  Trajectories, trees and the spine
-sampler's side subtrees grow by one branching step, ``_generations``.
+importance sampling stays serial).  Trajectories, trees, the spine
+sampler's side subtrees and the rejection lane's trees grow by one branching
+step, ``_generations``, which branches a forest: one tree per environment
+row, individuals kept in tree order, offspring drawn by state.  A single
+trajectory or tree is a one-row forest.  The population cap
+``DEFAULT_POPULATION_CAP`` holds per tree.
 
 The conditioned sampler follows the spine construction: given survival to
 the horizon, the counts Y_k of unconditioned subtrees founded to the right
@@ -18,7 +22,7 @@ Trees conditioned on extinction to the left of the line carry no horizon
 individuals and are never materialized.  ``geiger_sample`` draws one such
 population for a fixed environment, simulating each side subtree forward.
 
-The conditioned MRCA sampler simulates no tree.  For each environment,
+The exact conditioned MRCA sampler simulates no tree.  For each environment,
 ``exact.mrca_rows`` gives the exact quenched law
 P(Z_n = target, MRCA age a | env) from the layers of ``exact.horizon_rows``
 (the kernel behind importance sampling too), so one uniform per proposal
@@ -33,7 +37,10 @@ annealed law is NOT the same as sampling an environment, conditioning on
 survival, and filtering: that would over-represent low-survival
 environments.  The sampler therefore accepts each environment with its
 quenched probability P(Z_n = target | env), which is exact annealed
-conditioning.
+conditioning.  The rejection lane, its independent check, grows one forest
+per chunk of proposals and keeps the trees with Z_n = target; their
+horizon individuals are traced back together, as one (trees, target) array,
+through the forest's parent arrays.
 """
 
 from __future__ import annotations
@@ -113,23 +120,54 @@ def _map_chunks(fn, total: int, root_seed: int, workers: int) -> list:
 # forward simulation
 
 
-def _generations(laws, z: int, rng: np.random.Generator):
-    """Branch z individuals through ``laws``: yield (size, offspring counts) per generation.
+def _generations(states, idx: np.ndarray, tree: np.ndarray, rng: np.random.Generator):
+    """Branch a forest through the state rows ``idx``: yield (sizes, counts) per generation.
 
-    An extinct generation yields (0, None) and makes no draw.  A size above
-    ``DEFAULT_POPULATION_CAP`` raises PopulationCapError.
+    Row r of ``idx`` holds the states of tree r, one column per generation,
+    and ``tree`` the tree of each initial individual, in ascending order.
+    Individuals stay in tree order, so each tree's individuals are contiguous
+    in every generation.  ``counts`` are the offspring counts of the current
+    individuals and ``sizes`` the next generation's size per tree.  Each
+    generation makes one ``law.sample`` call per state that has individuals,
+    in ascending state order, so a one-row forest makes exactly the calls of
+    one ``law.sample(rng, z)`` per generation, and an extinct forest none.  A
+    tree whose next generation would exceed ``DEFAULT_POPULATION_CAP`` raises
+    PopulationCapError before that generation is built.
     """
-    for law in laws:
-        if z == 0:
-            yield 0, None
+    rows = idx.shape[0]
+    sizes = np.bincount(tree, minlength=rows)
+    for col in idx.T:
+        if tree.size == 0:  # extinct: no draw, and no offspring counts
+            yield sizes, tree
             continue
-        counts = law.sample(rng, z)
-        z = int(counts.sum())
-        if z > DEFAULT_POPULATION_CAP:
+        totals = np.bincount(col, weights=sizes, minlength=len(states))
+        present = totals.nonzero()[0]
+        if present.size == 1:
+            counts = states[present[0]].sample(rng, tree.size)
+        else:  # each state's draws go back to its individuals, in tree order
+            state = col[tree]
+            counts = np.empty(tree.size, dtype=np.int64)
+            for a in present:
+                counts[state == a] = states[a].sample(rng, int(totals[a]))
+        sizes = np.bincount(tree, weights=counts, minlength=rows).astype(np.int64)
+        if sizes.max() > DEFAULT_POPULATION_CAP:
             raise PopulationCapError(
-                f"explosive population: {z} exceeds cap {DEFAULT_POPULATION_CAP}"
+                f"explosive population: {sizes.max()} exceeds cap {DEFAULT_POPULATION_CAP}"
             )
-        yield z, counts
+        tree = tree.repeat(counts)
+        yield sizes, counts
+
+
+def _grow(states, idx: np.ndarray, tree: np.ndarray, rng: np.random.Generator):
+    """Grow a forest (see ``_generations``): (parent arrays of generations 1..n, sizes at n).
+
+    ``parents[k]`` maps each generation-(k+1) individual to the index of its
+    parent among generation k, across the whole forest.
+    """
+    parents, sizes = [], np.bincount(tree, minlength=idx.shape[0])
+    for sizes, counts in _generations(states, idx, tree, rng):
+        parents.append(np.arange(counts.size).repeat(counts))
+    return parents, sizes
 
 
 @dataclass(frozen=True)
@@ -148,9 +186,10 @@ def simulate_forward(
     """Draw an i.i.d. environment, then per-individual offspring counts."""
     if z0 < 0:
         raise ContractError("initial size must be >= 0")
-    env = EnvSequence.from_indices(model, model.sample_indices(rng, n))
-    sizes = (z0,) + tuple(z for z, _ in _generations(env.laws, z0, rng))
-    return Trajectory(sizes=sizes, env=env)
+    idx = model.sample_indices(rng, (1, n))
+    root = np.zeros(z0, dtype=np.int64)
+    sizes = (z0,) + tuple(int(z[0]) for z, _ in _generations(model.states, idx, root, rng))
+    return Trajectory(sizes=sizes, env=EnvSequence.from_indices(model, idx[0]))
 
 
 @dataclass(frozen=True)
@@ -180,13 +219,13 @@ def simulate_tree(
 ) -> GenealogyTree:
     if z0 < 0:
         raise ContractError("initial size must be >= 0")
-    env = EnvSequence.from_indices(model, model.sample_indices(rng, n))
-    empty = np.empty(0, dtype=np.int64)
-    parents = [empty] + [
-        empty if counts is None else np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-        for _, counts in _generations(env.laws, z0, rng)
-    ]
-    return GenealogyTree(z0=z0, parents=tuple(parents), env=env)
+    idx = model.sample_indices(rng, (1, n))
+    parents, _ = _grow(model.states, idx, np.zeros(z0, dtype=np.int64), rng)
+    return GenealogyTree(
+        z0=z0,
+        parents=(np.empty(0, dtype=np.int64), *parents),
+        env=EnvSequence.from_indices(model, idx[0]),
+    )
 
 
 def mrca(tree: GenealogyTree) -> int:
@@ -245,12 +284,13 @@ def _y0_table(t0: float, z0: int) -> np.ndarray:
 
 
 def _yk_table(law: FiniteLaw, tk: float, p_ratio: float) -> np.ndarray:
+    """p_ratio S_i for i = 0..K-1, with S_i = sum_{j>i} q(j) tk^(j-i-1) by S_{i-1} = q(i) + tk S_i."""
     kmax = law.max_support
     probs = np.zeros(max(kmax, 1))
-    for i in range(kmax):
-        probs[i] = p_ratio * sum(
-            law.prob(j) * tk ** (j - i - 1) for j in range(i + 1, kmax + 1)
-        )
+    s = 0.0
+    for i in range(kmax, 0, -1):
+        s = law.prob(i) + tk * s
+        probs[i - 1] = p_ratio * s
     return probs
 
 
@@ -293,10 +333,10 @@ def _draw_spine_position(law: OffspringLaw, tk: float, y: int, rng) -> int:
 
 def _subtree_final(env: EnvSequence, start_gen: int, size: int, rng) -> int:
     """Horizon head-count of an unconditioned subtree founded at start_gen."""
+    states, idx = env._indexed
     z = size
-    for z, _ in _generations(env.laws[start_gen:], size, rng):
-        if z == 0:
-            break
+    for sizes, _ in _generations(states, idx[:, start_gen:], np.zeros(size, dtype=np.int64), rng):
+        z = int(sizes[0])
     return z
 
 
@@ -470,18 +510,37 @@ def _mrca_spine_chunk(
     return dict(zip(values.tolist(), counts.tolist()))
 
 
+def _forest_mrca_ages(parents: list[np.ndarray], sizes: np.ndarray, target: int) -> np.ndarray:
+    """MRCA ages of the trees of a forest with ``target`` horizon individuals, in tree order.
+
+    The horizon individuals of those trees form one (trees, target) array,
+    traced back one generation per step through the parent arrays of
+    ``_grow``; a tree's age is the first step at which its row is one
+    ancestor.
+    """
+    trees = (sizes == target).nonzero()[0]
+    first = np.cumsum(sizes) - sizes
+    line = first[trees, None] + np.arange(target)
+    ages = np.zeros(trees.size, dtype=np.int64)
+    for k, parent in enumerate(reversed(parents), 1):
+        line = parent[line]
+        ages[(ages == 0) & (line == line[:, :1]).all(axis=1)] = k
+    return ages
+
+
 def _mrca_rejection_chunk(
     model: EnvironmentModel, n: int, target: int, rng: np.random.Generator, size: int
 ) -> dict[int, int]:
-    """One chunk of forward trees from Z_0 = 1; returns MRCA counts of those with Z_n = target."""
-    counts: dict[int, int] = {}
-    for _ in range(size):
-        tree = simulate_tree(model, 1, n, rng)
-        if tree.sizes[n] != target:
-            continue
-        age = mrca(tree)
-        counts[age] = counts.get(age, 0) + 1
-    return counts
+    """One chunk of forward trees from Z_0 = 1; returns MRCA counts of those with Z_n = target.
+
+    The chunk's environments come from one ``sample_indices`` call and its
+    trees grow together as one forest (``_grow``), so the chunk's whole
+    genealogy is held at once.
+    """
+    idx = model.sample_indices(rng, (size, n))
+    ages = _forest_mrca_ages(*_grow(model.states, idx, np.arange(size), rng), target)
+    values, counts = np.unique(ages, return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
 def conditioned_mrca_sample(
@@ -499,9 +558,10 @@ def conditioned_mrca_sample(
     model and target: each environment is accepted with its quenched
     probability P(Z_n = target | env) and its MRCA age is drawn from the
     quenched law of ``exact.mrca_rows``, with one uniform per proposal and
-    no tree simulated.  Method "rejection" simulates full forward trees and
-    raises PopulationCapError when a population exceeds
-    ``DEFAULT_POPULATION_CAP``.  ``proposals`` counts environment draws
+    no tree simulated.  Method "rejection" simulates full forward trees,
+    one forest per chunk of at most ``_CHUNK`` trees whose genealogy is held
+    at once, and raises PopulationCapError when one tree's population
+    exceeds ``DEFAULT_POPULATION_CAP``.  ``proposals`` counts environment draws
     (geiger) or trees (rejection); the accepted sample count is random.
     Proposals are drawn in chunks seeded by index (``_map_chunks``), so the
     result is a pure function of (model, n, target_size, method, proposals,

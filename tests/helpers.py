@@ -194,3 +194,23 @@ def _set_sumset(support, z, cap):
         if not reachable:
             break
     return reachable, overflow
+
+
+def yk_table_oracle(law, tk, p_ratio):
+    """Table of the scalar spine draw by the direct O(K^2) double sum, term by term.
+
+    Entry i is p_ratio * sum_{j=i+1..K} q(j) tk^(j-i-1), K the largest support point.
+    """
+    kmax = law.max_support
+    probs = np.zeros(max(kmax, 1))
+    for i in range(kmax):
+        probs[i] = p_ratio * sum(law.prob(j) * tk ** (j - i - 1) for j in range(i + 1, kmax + 1))
+    return probs
+
+
+def searchsorted_indices(model, rng, size):
+    """Environment states drawn by inversion with ``np.searchsorted`` on the cumulative weights."""
+    u = rng.random(size)
+    cum = np.cumsum(np.asarray(model.weights))
+    cum[-1] = 1.0
+    return np.searchsorted(cum, u, side="right").astype(np.int64)

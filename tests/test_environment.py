@@ -19,7 +19,7 @@ from bpre.errors import ContractError, NotSupercriticalError
 from bpre.laws import FiniteLaw, LinearFractionalLaw
 from bpre.models import weakly_model
 
-from helpers import random_lf_law
+from helpers import random_lf_law, searchsorted_indices
 
 
 def two_point_model(x_up, x_down, w_up):
@@ -172,3 +172,28 @@ def test_lattice_span():
     assert lattice_span(mixed) is None
     single = EnvironmentModel((LinearFractionalLaw(m=1.0, b=2.0),), (1.0,))
     assert lattice_span(single) == 0.0
+
+
+def _sample_models():
+    rng = np.random.default_rng(12)
+    six = rng.random(6)
+    six[[1, 4]] = 0.0  # zero-weight states: repeated cumulative weights
+    lopsided = np.array([1e-9, 0.0, 1.0 - 1e-9])
+    return [
+        EnvironmentModel((LinearFractionalLaw(1.5, 3.0),), (1.0,)),
+        weakly_model(),
+        EnvironmentModel(tuple(random_lf_law(rng) for _ in range(6)), tuple(six / six.sum())),
+        EnvironmentModel(tuple(random_lf_law(rng) for _ in range(3)), tuple(lopsided)),
+    ]
+
+
+@pytest.mark.parametrize("size", [1, 1000, (1, 7), (257, 9)])
+@pytest.mark.parametrize("model", _sample_models(), ids=["one_state", "two_state", "six_state", "lopsided"])
+def test_sample_indices_match_searchsorted_oracle(model, size):
+    for seed in range(5):
+        got = model.sample_indices(np.random.default_rng(seed), size)
+        want = searchsorted_indices(model, np.random.default_rng(seed), size)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+    never = [a for a, w in enumerate(model.weights) if w == 0.0]
+    assert not np.isin(model.sample_indices(np.random.default_rng(0), 100_000), never).any()

@@ -19,10 +19,13 @@ from bpre.exact import (
     quenched_survival,
 )
 from bpre.laws import FiniteLaw, LinearFractionalLaw
+from bpre import simulate
 from bpre.models import intermediate_model, strongly_model, weakly_mrca_model, weakly_model
 from bpre.simulate import (
     _CHUNK,
     _draw_table,
+    _forest_mrca_ages,
+    _grow,
     _importance_chunk,
     _mrca_rejection_chunk,
     _mrca_spine_chunk,
@@ -40,7 +43,7 @@ from bpre.simulate import (
     worker_count,
 )
 
-from helpers import mrca_pair_law
+from helpers import mrca_pair_law, yk_table_oracle
 
 
 def test_stream_is_pure_function_of_seed_and_index():
@@ -479,6 +482,17 @@ def test_mrca_sampler_matches_rejection_without_single_births(target, seed):
     assert pval > 0.001
 
 
+@pytest.mark.parametrize("kmax", [3, 50, 300])
+def test_yk_table_matches_double_sum_oracle(kmax):
+    rng = np.random.default_rng(kmax)
+    raw = rng.random(kmax + 1) + 0.01
+    law = FiniteLaw(tuple(raw / raw.sum()))
+    for tk in (0.0, 0.3, 0.9, 0.999):
+        table = _yk_table(law, tk, 1.7)
+        assert table.shape == (kmax,)
+        np.testing.assert_allclose(table, yk_table_oracle(law, tk, 1.7), rtol=1e-13, atol=0.0)
+
+
 def test_spine_y_rejects_unnormalized_table():
     # t_0 is not f(t_1), so the generation-1 table of the scalar spine draw does not sum to 1
     law = FiniteLaw((0.1, 0.2, 0.3, 0.4))
@@ -552,3 +566,69 @@ def test_conditioned_mrca_rejection_deterministic_across_workers():
     d2 = conditioned_mrca_sample(*args, root_seed=9, workers=2)
     assert d1.counts == d2.counts
     assert d1.accepted == d2.accepted > 0
+
+
+# ---------------------------------------------------------------------------
+# the rejection lane's forest
+
+
+def _forest_trees(model, idx, parents):
+    """Per-tree GenealogyTrees sliced out of a forest grown from one individual per row of idx."""
+    tree_of = [np.arange(idx.shape[0])]
+    for parent in parents:
+        tree_of.append(tree_of[-1][parent])
+    out = []
+    for t in range(idx.shape[0]):
+        members = [np.flatnonzero(ids == t) for ids in tree_of]
+        local = [np.empty(0, dtype=np.int64)]
+        for k, parent in enumerate(parents, 1):
+            prev = members[k - 1]
+            local.append(parent[members[k]] - (prev[0] if prev.size else 0))
+        env = EnvSequence.from_indices(model, idx[t])
+        out.append(GenealogyTree(z0=1, parents=tuple(local), env=env))
+    return out
+
+
+@pytest.mark.parametrize("target", [2, 3])
+def test_forest_ages_match_per_tree_mrca(target):
+    # two routes: the vectorized trace of the forest against mrca() of each tree sliced out of it
+    n, size = 4, 4096
+    rng = stream(91, target)
+    idx = FINITE_MODEL.sample_indices(rng, (size, n))
+    parents, sizes = _grow(FINITE_MODEL.states, idx, np.arange(size), rng)
+    ages = _forest_mrca_ages(parents, sizes, target)
+    sliced = _forest_trees(FINITE_MODEL, idx, parents)
+    assert [tree.sizes[-1] for tree in sliced] == sizes.tolist()
+    assert [mrca(tree) for tree in sliced if tree.sizes[-1] == target] == ages.tolist()
+    assert ages.size > 100
+    assert (ages == n).any() and (ages < n).any()  # the root is the MRCA of some trees, not all
+
+
+@pytest.mark.parametrize("target, seed", [(2, 95), (3, 96)])
+def test_rejection_acceptance_matches_annealed_pmf(target, seed):
+    n, proposals = 5, 40_000
+    d = conditioned_mrca_sample(FINITE_MODEL, n, target, "rejection", proposals, root_seed=seed)
+    p = annealed_pmf(FINITE_MODEL, 1, n, target)
+    se = math.sqrt(p * (1.0 - p) / proposals)
+    assert abs(d.accepted / proposals - p) < 4 * se
+
+
+DOUBLING_LAW = FiniteLaw((0.0, 0.0, 1.0))
+COPY_LAW = FiniteLaw((0.0, 1.0))
+
+
+def test_population_cap_is_per_tree(monkeypatch):
+    monkeypatch.setattr(simulate, "DEFAULT_POPULATION_CAP", 5)
+    states = (DOUBLING_LAW, COPY_LAW)
+    # three trees of 4: the chunk holds 12 > 5 individuals, no tree more than 5
+    idx = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    _, sizes = _grow(states, idx, np.arange(3), stream(1, 0))
+    assert sizes.tolist() == [4, 4, 4]
+    doubling = EnvironmentModel((DOUBLING_LAW,), (1.0,))
+    assert _mrca_rejection_chunk(doubling, 2, 2, stream(1, 0), 64) == {}
+    # one tree reaches 8
+    idx = np.array([[1, 1, 1], [0, 0, 0], [0, 1, 0]])
+    with pytest.raises(PopulationCapError, match="explosive population: 8 exceeds cap 5"):
+        list(_grow(states, idx, np.arange(3), stream(1, 0)))
+    with pytest.raises(PopulationCapError, match="exceeds cap 5"):
+        _mrca_rejection_chunk(doubling, 3, 2, stream(1, 0), 64)
