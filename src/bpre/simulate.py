@@ -121,41 +121,43 @@ def _map_chunks(fn, total: int, root_seed: int, workers: int) -> list:
 
 
 def _generations(states, idx: np.ndarray, tree: np.ndarray, rng: np.random.Generator):
-    """Branch a forest through the state rows ``idx``: yield (sizes, counts) per generation.
+    """Branch a forest through the state rows ``idx``: yield (tree, counts) per generation.
 
     Row r of ``idx`` holds the states of tree r, one column per generation,
     and ``tree`` the tree of each initial individual, in ascending order.
     Individuals stay in tree order, so each tree's individuals are contiguous
     in every generation.  ``counts`` are the offspring counts of the current
-    individuals and ``sizes`` the next generation's size per tree.  Each
-    generation makes one ``law.sample`` call per state that has individuals,
-    in ascending state order, so a one-row forest makes exactly the calls of
-    one ``law.sample(rng, z)`` per generation, and an extinct forest none.  A
-    tree whose next generation would exceed ``DEFAULT_POPULATION_CAP`` raises
-    PopulationCapError before that generation is built.
+    individuals and the yielded ``tree`` the tree of each individual of the
+    next generation.  Each generation makes one ``law.sample`` call per state
+    that has individuals, in ascending state order, so a one-row forest makes
+    exactly the calls of one ``law.sample(rng, z)`` per generation, and an
+    extinct forest none.  A tree whose next generation would exceed
+    ``DEFAULT_POPULATION_CAP`` raises PopulationCapError before that
+    generation is built.
     """
-    rows = idx.shape[0]
-    sizes = np.bincount(tree, minlength=rows)
     for col in idx.T:
         if tree.size == 0:  # extinct: no draw, and no offspring counts
-            yield sizes, tree
+            yield tree, tree
             continue
-        totals = np.bincount(col, weights=sizes, minlength=len(states))
-        present = totals.nonzero()[0]
+        present = np.bincount(col, minlength=len(states)).nonzero()[0]
         if present.size == 1:
             counts = states[present[0]].sample(rng, tree.size)
         else:  # each state's draws go back to its individuals, in tree order
             state = col[tree]
             counts = np.empty(tree.size, dtype=np.int64)
             for a in present:
-                counts[state == a] = states[a].sample(rng, int(totals[a]))
-        sizes = np.bincount(tree, weights=counts, minlength=rows).astype(np.int64)
-        if sizes.max() > DEFAULT_POPULATION_CAP:
-            raise PopulationCapError(
-                f"explosive population: {sizes.max()} exceeds cap {DEFAULT_POPULATION_CAP}"
-            )
+                mine = state == a
+                k = int(np.count_nonzero(mine))
+                if k:
+                    counts[mine] = states[a].sample(rng, k)
+        if counts.sum() > DEFAULT_POPULATION_CAP:  # a tree may be above the cap: check each
+            largest = int(np.bincount(tree, weights=counts, minlength=idx.shape[0]).max())
+            if largest > DEFAULT_POPULATION_CAP:
+                raise PopulationCapError(
+                    f"explosive population: {largest} exceeds cap {DEFAULT_POPULATION_CAP}"
+                )
         tree = tree.repeat(counts)
-        yield sizes, counts
+        yield tree, counts
 
 
 def _grow(states, idx: np.ndarray, tree: np.ndarray, rng: np.random.Generator):
@@ -164,10 +166,10 @@ def _grow(states, idx: np.ndarray, tree: np.ndarray, rng: np.random.Generator):
     ``parents[k]`` maps each generation-(k+1) individual to the index of its
     parent among generation k, across the whole forest.
     """
-    parents, sizes = [], np.bincount(tree, minlength=idx.shape[0])
-    for sizes, counts in _generations(states, idx, tree, rng):
+    parents = []
+    for tree, counts in _generations(states, idx, tree, rng):
         parents.append(np.arange(counts.size).repeat(counts))
-    return parents, sizes
+    return parents, np.bincount(tree, minlength=idx.shape[0])
 
 
 @dataclass(frozen=True)
@@ -188,7 +190,7 @@ def simulate_forward(
         raise ContractError("initial size must be >= 0")
     idx = model.sample_indices(rng, (1, n))
     root = np.zeros(z0, dtype=np.int64)
-    sizes = (z0,) + tuple(int(z[0]) for z, _ in _generations(model.states, idx, root, rng))
+    sizes = (z0,) + tuple(tree.size for tree, _ in _generations(model.states, idx, root, rng))
     return Trajectory(sizes=sizes, env=EnvSequence.from_indices(model, idx[0]))
 
 
@@ -335,8 +337,8 @@ def _subtree_final(env: EnvSequence, start_gen: int, size: int, rng) -> int:
     """Horizon head-count of an unconditioned subtree founded at start_gen."""
     states, idx = env._indexed
     z = size
-    for sizes, _ in _generations(states, idx[:, start_gen:], np.zeros(size, dtype=np.int64), rng):
-        z = int(sizes[0])
+    for tree, _ in _generations(states, idx[:, start_gen:], np.zeros(size, dtype=np.int64), rng):
+        z = tree.size
     return z
 
 
