@@ -337,7 +337,7 @@ def _cmd_validate(cfg: ExperimentConfig) -> int:
         print(f"supercritical: no (E[X]={drift:.6f} < 0)")
     p_ext = model.extinction_in_one_step
     print(f"extinction_possible: {'yes' if p_ext > 0 else 'no'} (P(Z_1=0)={p_ext:.6f})")
-    gamma = 1.0 - max(law.p0 for law in model.states)
+    gamma = model.assumption1_gamma
     print(f"assumption1_gamma_witness: {gamma:.6f} ({'ok' if gamma > 0 else 'violated'})")
     span = lattice_span(model)
     print(f"lattice: {'span=%.6f' % span if span is not None else 'none detected'}")

@@ -55,7 +55,8 @@ class EnvironmentModel:
 
     @cached_property
     def x_values(self) -> tuple[float, ...]:
-        return tuple(math.log(law.mean) for law in self.states)
+        """Walk increments log m_a; a state with mean 0 has increment -inf."""
+        return tuple(math.log(law.mean) if law.mean > 0.0 else -math.inf for law in self.states)
 
     @cached_property
     def _w(self) -> np.ndarray:
@@ -69,17 +70,26 @@ class EnvironmentModel:
         x.flags.writeable = False
         return x
 
+    @cached_property
+    def _walk(self) -> tuple[np.ndarray, np.ndarray]:
+        """Weights and increments of the positive-weight states: the law of the step X."""
+        keep = self._w > 0.0
+        return self._w[keep], self._x[keep]
+
     @property
     def drift(self) -> float:
-        return float(np.dot(self._w, self._x))
+        w, x = self._walk
+        return float(np.dot(w, x))
 
     def tilted_moment(self, lam: float) -> float:
         """E[exp(-lam X)]."""
-        return float(np.dot(self._w, np.exp(-lam * self._x)))
+        w, x = self._walk
+        return float(np.dot(w, np.exp(-lam * x)))
 
     def tilted_cross_moment(self, lam: float) -> float:
         """E[X exp(-lam X)]."""
-        return float(np.dot(self._w, self._x * np.exp(-lam * self._x)))
+        w, x = self._walk
+        return float(np.dot(w, x * np.exp(-lam * x)))
 
     @property
     def cross_moment(self) -> float:
@@ -90,6 +100,11 @@ class EnvironmentModel:
     def extinction_in_one_step(self) -> float:
         """P(Z_1 = 0 | Z_0 = 1)."""
         return float(np.dot(self._w, [law.p0 for law in self.states]))
+
+    @property
+    def assumption1_gamma(self) -> float:
+        """Witness 1 - max q_a(0) over the positive-weight states; Assumption 1 needs it > 0."""
+        return 1.0 - max(law.p0 for law, w in zip(self.states, self.weights) if w > 0.0)
 
     @property
     def is_lf_pure(self) -> bool:
@@ -162,12 +177,12 @@ def _golden_minimize(f, lo: float, hi: float, tol: float) -> float:
 def rate_function_at_zero(model: EnvironmentModel, tol: float = 1e-10) -> RateFunctionAtZero:
     if model.drift <= 0.0:
         raise NotSupercriticalError("not supercritical: E[X] <= 0")
-    x = model._x
+    w, x = model._walk
     min_x = float(np.min(x))
     if min_x > 0.0:
         return RateFunctionAtZero(math.inf, math.inf, "no-small-value")
     if min_x == 0.0:
-        mass_at_zero = float(np.sum(model._w[x == 0.0]))
+        mass_at_zero = float(np.sum(w[x == 0.0]))
         return RateFunctionAtZero(math.inf, -math.log(mass_at_zero), "boundary")
     g = model.tilted_moment
     hi = 1.0
@@ -177,7 +192,7 @@ def rate_function_at_zero(model: EnvironmentModel, tol: float = 1e-10) -> RateFu
             break
         hi *= 2.0
     else:
-        mass_near_zero = float(np.sum(model._w[np.abs(x) <= 1e-12]))
+        mass_near_zero = float(np.sum(w[np.abs(x) <= 1e-12]))
         if mass_near_zero > 0.0:
             return RateFunctionAtZero(math.inf, -math.log(mass_near_zero), "boundary")
         return RateFunctionAtZero(math.inf, math.inf, "no-small-value")
@@ -187,19 +202,21 @@ def rate_function_at_zero(model: EnvironmentModel, tol: float = 1e-10) -> RateFu
 
 def tilt(model: EnvironmentModel, nu: float) -> tuple[EnvironmentModel, float]:
     """Reweight the environment by ``exp(-nu X) / mu``; returns (model, mu)."""
-    factors = np.exp(-nu * model._x)
-    mu = float(np.dot(model._w, factors))
+    w, x = model._walk
+    factors = np.exp(-nu * x)
+    mu = float(np.dot(w, factors))
     if not math.isfinite(mu) or mu <= 0.0:
         raise ContractError("tilt normalizer is not finite and positive")
-    new_w = tuple(float(v) for v in model._w * factors / mu)
-    return EnvironmentModel(model.states, new_w), mu
+    new_w = np.zeros(len(model.weights))
+    new_w[model._w > 0.0] = w * factors / mu
+    return EnvironmentModel(model.states, tuple(new_w.tolist())), mu
 
 
 def solve_critical_tilt(model: EnvironmentModel, tol: float = 1e-12) -> float:
     """Solve E[X exp(-nu X)] = 0 by bisection; needs E[X] > 0 and P(X < 0) > 0."""
     if model.drift <= 0.0:
         raise NotSupercriticalError("critical tilt needs E[X] > 0")
-    if float(np.min(model._x[model._w > 0.0])) >= 0.0:
+    if float(np.min(model._walk[1])) >= 0.0:
         raise ContractError("no negative increments: critical tilt undefined")
     h = model.tilted_cross_moment
     lo, hi = 0.0, 1.0
@@ -241,9 +258,12 @@ def classify_regime(model: EnvironmentModel, tol: float = 1e-12) -> Regime:
 def lattice_span(model: EnvironmentModel, tol: float = 1e-9) -> float | None:
     """Span r > 0 if all increments lie on r Z (diagnostic only), else None.
 
-    A span of 0.0 means X = 0 almost surely.
+    A span of 0.0 means X = 0 almost surely; an increment -inf (mean 0) lies
+    on no lattice.
     """
     xs = [x for x, w in zip(model.x_values, model.weights) if w > 0.0]
+    if not all(map(math.isfinite, xs)):
+        return None
     nonzero = [abs(x) for x in xs if abs(x) > tol]
     if not nonzero:
         return 0.0

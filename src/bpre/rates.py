@@ -100,7 +100,6 @@ def rho_report(
         res = lf_rho(model)
         closed = res.rho
         regime = res.regime.value
-    gamma_witness = 1.0 - max(law.p0 for law in model.states)
     return RhoReport(
         model_id=model.model_id,
         z0=reach.z0,
@@ -111,7 +110,7 @@ def rho_report(
         lambda0_flag=rf.flag,
         lf_closed_form=closed,
         regime=regime,
-        gamma_witness=gamma_witness,
+        gamma_witness=model.assumption1_gamma,
         lattice=lattice_span(model),
     )
 

@@ -14,13 +14,15 @@ trajectory or tree is a one-row forest.  The population cap
 ``DEFAULT_POPULATION_CAP`` holds per tree.
 
 The conditioned sampler follows the spine construction: given survival to
-the horizon, the counts Y_k of unconditioned subtrees founded to the right
-of the surviving line have explicit one-dimensional laws (geometric sums in
-closed form for LF laws, direct summation for finite laws), and the
-population at the horizon is 1 + Y_n + sum of the subtree survivor counts.
-Trees conditioned on extinction to the left of the line carry no horizon
-individuals and are never materialized.  ``geiger_sample`` draws one such
-population for a fixed environment, simulating each side subtree forward.
+the horizon, the spine parent of generation k has a brood (j, l), its size j
+and the spine's position l in it, with P(j, l) ~ q(j) t_k^(l-1), where
+t_k = P(Z_n = 0 | Z_k = 1).  One draw, ``_draw_brood``, serves every
+generation and law family, each table normalized by its own sum, so small
+survival probabilities lose no digits.  The y_k = j - l right siblings found
+unconditioned subtrees, all grown in one forest pass; the l - 1 left
+siblings die out by the horizon and are never materialized.  The population
+at the horizon is 1 + y_n + the subtrees' head-counts.  ``geiger_sample``
+draws one such population for a fixed environment.
 
 The exact conditioned MRCA sampler simulates no tree.  For each environment,
 ``exact.mrca_rows`` gives the exact quenched law
@@ -65,6 +67,7 @@ _MASK64 = (1 << 64) - 1
 DEFAULT_POPULATION_CAP = 10_000_000
 PROPOSAL_CAP = 100_000_000
 _CHUNK = 4096
+_COPY = FiniteLaw((0.0, 1.0))  # exactly one child: carries side founders to their generation
 
 logger = logging.getLogger(__name__)
 
@@ -254,12 +257,13 @@ def mrca(tree: GenealogyTree) -> int:
 class SpineSample:
     """One draw of the population conditioned on survival to the horizon.
 
-    ``y_counts[k]`` is the number of unconditioned subtrees founded to the
-    right of the surviving line in generation k; ``brood[k] = (z_k, l_k)``
-    records the spine parent's offspring count and the spine's position in
-    it (positions are within the brood; trees left of the line are extinct
-    by the horizon and are not materialized).  ``subtree_finals[k]`` is the
-    horizon head-count of the subtree founded at generation k.
+    ``brood[k] = (j_k, l_k)`` is the spine parent's brood in generation k
+    (the z0 founders for k = 0) and the spine's position in it, drawn with
+    P(j, l) ~ q(j) t_k^(l-1).  ``y_counts[k] = j_k - l_k`` counts the right
+    siblings of the spine, each the founder of an unconditioned subtree;
+    the left siblings are extinct by the horizon and are not materialized.
+    ``subtree_finals[k]`` (k < n) is the horizon head-count of the subtrees
+    founded in generation k, tree k of the side forest.
     """
 
     z0: int
@@ -280,70 +284,53 @@ class SpineSample:
         return sum(self.subtree_finals) == 0
 
 
-def _y0_table(t0: float, z0: int) -> np.ndarray:
-    surv = 1.0 - t0**z0
-    return np.array([(1.0 - t0) * t0 ** (z0 - i - 1) / surv for i in range(z0)])
+def _draw_table(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """Index i drawn with probability weights[i] / sum(weights), by inversion."""
+    cum = np.cumsum(weights)
+    if cum.size == 0 or not 0.0 < cum[-1] < math.inf:
+        raise ContractError("brood weights vanish or are not finite")
+    return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
 
 
-def _yk_table(law: FiniteLaw, tk: float, p_ratio: float) -> np.ndarray:
-    """p_ratio S_i for i = 0..K-1, with S_i = sum_{j>i} q(j) tk^(j-i-1) by S_{i-1} = q(i) + tk S_i."""
-    kmax = law.max_support
-    probs = np.zeros(max(kmax, 1))
-    s = 0.0
-    for i in range(kmax, 0, -1):
-        s = law.prob(i) + tk * s
-        probs[i - 1] = p_ratio * s
-    return probs
+def _draw_brood(law: OffspringLaw, t: float, rng: np.random.Generator) -> tuple[int, int]:
+    """Brood size j and spine position l, 1 <= l <= j, with P(j, l) ~ q(j) t^(l-1).
 
-
-def _draw_table(probs: np.ndarray, rng: np.random.Generator) -> int:
-    total = probs.sum()
-    if not 0.999999999 < total < 1.000000001:
-        raise ContractError("conditioned offspring table does not normalize")
-    return int(np.searchsorted(np.cumsum(probs / total), rng.random(), side="right"))
-
-
-def _draw_y(law: OffspringLaw, tk: float, p_ratio: float, rng) -> int:
-    # at the terminal row t_n = 0 and the generic table collapses to
-    # q(i+1) / p_{n-1,n} via 0**0 = 1
+    The right-sibling count y = j - l is drawn first, with weights
+    S_y = sum_{j>y} q(j) t^(j-y-1) from S_{y-1} = q(y) + t S_y, then l given
+    y with weights q(l+y) t^(l-1).  For LF laws both are geometric:
+    P(y) ~ c^y and P(l | y) ~ (c t)^(l-1), c the law's ratio.  Every table
+    is normalized by its own sum.
+    """
     if isinstance(law, LinearFractionalLaw):
         c = law.ratio
-        if c == 0.0:
-            return 0
-        return int(rng.geometric(1.0 - c)) - 1
-    return _draw_table(_yk_table(law, tk, p_ratio), rng)
-
-
-def _draw_spine_position(law: OffspringLaw, tk: float, y: int, rng) -> int:
-    """Spine position l >= 1 in its brood given y right-siblings: P(l) ~ q(l+y) t^(l-1)."""
-    if isinstance(law, LinearFractionalLaw):
-        if law.ratio * tk == 0.0:
-            return 1
-        return int(rng.geometric(1.0 - law.ratio * tk))
+        y = int(rng.geometric(1.0 - c)) - 1 if c > 0.0 else 0
+        l = int(rng.geometric(1.0 - c * t)) if c * t > 0.0 else 1
+        return l + y, l
+    q = law.probs
     kmax = law.max_support
-    ls = np.arange(1, kmax - y + 1)
-    if ls.size == 0:
-        raise ContractError("spine position table empty")
-    weights = np.array(
-        [law.prob(l + y) * (tk ** (l - 1) if l > 1 else 1.0) for l in ls]
-    )
-    total = weights.sum()
-    if total <= 0.0:
-        raise ContractError("spine position weights vanish")
-    return int(ls[np.searchsorted(np.cumsum(weights / total), rng.random(), side="right")])
-
-
-def _subtree_final(env: EnvSequence, start_gen: int, size: int, rng) -> int:
-    """Horizon head-count of an unconditioned subtree founded at start_gen."""
-    states, idx = env._indexed
-    z = size
-    for tree, _ in _generations(states, idx[:, start_gen:], np.zeros(size, dtype=np.int64), rng):
-        z = tree.size
-    return z
+    suffix = np.zeros(kmax)
+    s = 0.0
+    for i in range(kmax, 0, -1):
+        s = q[i] + t * s
+        suffix[i - 1] = s
+    y = _draw_table(suffix, rng)
+    l = 1 + _draw_table(law._arr[y + 1 : kmax + 1] * t ** np.arange(kmax - y), rng)
+    return l + y, l
 
 
 def geiger_sample(env: EnvSequence, z0: int, rng: np.random.Generator) -> SpineSample:
-    """Sample the horizon population conditioned on {Z_n > 0} for a fixed env."""
+    """Sample the horizon population conditioned on {Z_n > 0} for a fixed env.
+
+    With t_k = P(Z_n = 0 | Z_k = 1, env), the spine is the leftmost founder or
+    child whose line survives.  Among the z0 founders its position l has
+    P(l) ~ t_0^(l-1); in generation k = 1..n its parent's brood (j, l) comes
+    from ``_draw_brood`` at t_k.  The y_k = j - l right siblings found
+    unconditioned subtrees, grown in one ``_generations`` pass over a forest
+    whose tree k holds the y_k side founders of generation k; a copy state
+    with exactly one child carries them to that generation.  The pass is
+    skipped when no side subtree exists.  Siblings left of the spine die out
+    by the horizon and are never drawn.
+    """
     if z0 < 1:
         raise ContractError("initial size must be >= 1")
     n = env.n
@@ -354,28 +341,28 @@ def geiger_sample(env: EnvSequence, z0: int, rng: np.random.Generator) -> SpineS
         raise ContractError("conditioning on null event: quenched survival is 0")
 
     y = np.zeros(n + 1, dtype=np.int64)
-    brood: list[tuple[int, int]] = []
-    y[0] = _draw_table(_y0_table(t[0], z0), rng) if z0 > 1 else 0
-    brood.append((z0, z0 - int(y[0])))
+    y[0] = _draw_table(t[0] ** np.arange(z0 - 1, -1, -1), rng) if z0 > 1 else 0
+    brood = [(z0, z0 - int(y[0]))]
     for k in range(1, n + 1):
-        law = env.laws[k - 1]
-        p_ratio = (1.0 - t[k]) / (1.0 - t[k - 1])
-        yk = _draw_y(law, t[k], p_ratio, rng)
-        y[k] = yk
-        l = _draw_spine_position(law, t[k], yk, rng)
-        brood.append((l + yk, l))
+        j, l = _draw_brood(env.laws[k - 1], float(t[k]), rng)
+        y[k] = j - l
+        brood.append((j, l))
 
-    finals = []
-    for k in range(n):
-        if y[k] == 0:
-            finals.append(0)
-            continue
-        finals.append(_subtree_final(env, k, int(y[k]), rng))
+    finals = np.zeros(n, dtype=np.int64)
+    side = y[:n].nonzero()[0]
+    if side.size:
+        states, idx = env._indexed
+        cols = np.arange(side[0], n)
+        rows = np.where(cols < side[:, None], len(states), idx[0, cols])
+        tree = np.arange(side.size).repeat(y[side])
+        for tree, _ in _generations(states + (_COPY,), rows, tree, rng):
+            pass
+        finals[side] = np.bincount(tree, minlength=side.size)
     return SpineSample(
         z0=z0,
-        y_counts=tuple(int(v) for v in y),
+        y_counts=tuple(y.tolist()),
         brood=tuple(brood),
-        subtree_finals=tuple(finals),
+        subtree_finals=tuple(finals.tolist()),
     )
 
 

@@ -196,16 +196,17 @@ def _set_sumset(support, z, cap):
     return reachable, overflow
 
 
-def yk_table_oracle(law, tk, p_ratio):
-    """Table of the scalar spine draw by the direct O(K^2) double sum, term by term.
+def brood_law_oracle(law, t, j_max):
+    """Conditioned brood law of the spine, term by term: P[j, l] ~ q(j) t^(l-1).
 
-    Entry i is p_ratio * sum_{j=i+1..K} q(j) tk^(j-i-1), K the largest support point.
+    Cells 1 <= l <= j <= j_max, normalized over the same cells, so for a law
+    with support above j_max it is the law conditioned on j <= j_max.
     """
-    kmax = law.max_support
-    probs = np.zeros(max(kmax, 1))
-    for i in range(kmax):
-        probs[i] = p_ratio * sum(law.prob(j) * tk ** (j - i - 1) for j in range(i + 1, kmax + 1))
-    return probs
+    table = np.zeros((j_max + 1, j_max + 1))
+    for j in range(1, j_max + 1):
+        for l in range(1, j + 1):
+            table[j, l] = law.prob(j) * t ** (l - 1)
+    return table / table.sum()
 
 
 def searchsorted_indices(model, rng, size):

@@ -20,6 +20,22 @@ WEAKLY_MODEL = {
     "weights": [2.0 / 3.0, 1.0 / 3.0],
 }
 
+# models whose mean-0 or zero-weight states once crashed validate, rho and mrca
+PROBE_MODELS = {
+    "mean0": {
+        "states": [{"type": "finite", "probs": [1.0]}, {"type": "lf", "m": 2.0, "b": 8.0}],
+        "weights": [0.2, 0.8],
+    },
+    "zero_unit": {
+        "states": [{"type": "lf", "m": 1.0, "b": 2.0}, {"type": "lf", "m": 2.0, "b": 8.0}],
+        "weights": [0.0, 1.0],
+    },
+    "weakly_padded": {
+        "states": WEAKLY_MODEL["states"] + [{"type": "finite", "probs": [0.9, 0.0, 0.1]}],
+        "weights": WEAKLY_MODEL["weights"] + [0.0],
+    },
+}
+
 
 def test_experiment_config_invariants(tmp_path):
     cfg = ExperimentConfig(command="mrca", n_list=(4, 8), seed=None)
@@ -54,7 +70,7 @@ def weakly_path(tmp_path):
 def model_paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("models")
     paths = {}
-    for name, obj in (("gw", GW_MODEL), ("weakly", WEAKLY_MODEL)):
+    for name, obj in (("gw", GW_MODEL), ("weakly", WEAKLY_MODEL), *PROBE_MODELS.items()):
         paths[name] = root / f"{name}.json"
         paths[name].write_text(json.dumps(obj))
     return {name: str(path) for name, path in paths.items()}
@@ -203,6 +219,24 @@ def test_validate_weakly_regime(weakly_path, capsys):
     out = capsys.readouterr().out
     assert "lf_pure: yes" in out
     assert "regime: weakly" in out
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_MODELS))
+@pytest.mark.parametrize(
+    "command", ["validate", "rho --n-max 4", "mrca --n-list 3 --replicates 200 --seed 1"]
+)
+def test_probe_models_exit_zero_or_two_with_one_line(name, command, model_paths, capsys):
+    argv = command.split() + ["--model", model_paths[name]]
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc in (0, 2)
+    if rc == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    if argv[0] == "validate":  # the zero-weight state does not lower the witness
+        expect = {"mean0": "0.000000", "zero_unit": "0.666667", "weakly_padded": "0.333333"}
+        assert f"assumption1_gamma_witness: {expect[name]}" in out
 
 
 def test_exact_command_certified_and_budget(weakly_path, tmp_path, capsys):
@@ -416,11 +450,14 @@ _COMMAND_OPTIONS = {
 }
 
 
+_MODEL_KEYS = ["{gw}", "{weakly}", *(f"{{{name}}}" for name in PROBE_MODELS)]
+
+
 @st.composite
 def cli_argv(draw, command):
     argv = [command]
     if command != "examples":
-        argv += ["--model", draw(st.sampled_from(["{gw}", "{weakly}"]))]
+        argv += ["--model", draw(st.sampled_from(_MODEL_KEYS))]
     for option in _COMMAND_OPTIONS[command]:
         argv += draw(option)
     return argv

@@ -174,6 +174,38 @@ def test_lattice_span():
     assert lattice_span(single) == 0.0
 
 
+def test_zero_weight_states_stay_out_of_the_walk():
+    base = weakly_model()
+    extra = (LinearFractionalLaw(m=1.0, b=2.0), FiniteLaw((1.0,)), FiniteLaw((0.9, 0.0, 0.1)))
+    padded = EnvironmentModel(base.states + extra, base.weights + (0.0,) * 3)
+    assert padded.x_values[3] == -math.inf  # mean 0
+    assert padded.drift == base.drift
+    for lam in (0.0, 0.5, 2.0):
+        assert padded.tilted_moment(lam) == base.tilted_moment(lam)
+        assert padded.tilted_cross_moment(lam) == base.tilted_cross_moment(lam)
+    assert rate_function_at_zero(padded) == rate_function_at_zero(base)
+    assert solve_critical_tilt(padded) == solve_critical_tilt(base)
+    assert lattice_span(padded) == lattice_span(base)
+    assert padded.assumption1_gamma == base.assumption1_gamma == pytest.approx(1.0 / 3.0)
+    tilted, mu = tilt(padded, 0.5)
+    base_tilted, base_mu = tilt(base, 0.5)
+    assert mu == base_mu
+    assert tilted.weights == base_tilted.weights + (0.0,) * 3
+    # the zero-weight X = 0 state once made the rate -log(0)
+    lone = EnvironmentModel((LinearFractionalLaw(m=2.0, b=8.0), extra[0]), (1.0, 0.0))
+    assert rate_function_at_zero(lone).flag == "no-small-value"
+
+
+def test_mean_zero_state_has_increment_minus_inf():
+    model = EnvironmentModel((FiniteLaw((1.0,)), LinearFractionalLaw(m=2.0, b=8.0)), (0.2, 0.8))
+    assert model.x_values[0] == -math.inf
+    assert model.drift == -math.inf
+    assert model.assumption1_gamma == 0.0
+    assert lattice_span(model) is None
+    with pytest.raises(NotSupercriticalError):
+        rate_function_at_zero(model)
+
+
 def _sample_models():
     rng = np.random.default_rng(12)
     six = rng.random(6)

@@ -57,6 +57,13 @@ def test_rho_report_gw_against_iteration_oracle():
     assert report.gamma_witness == pytest.approx(0.75)
 
 
+def test_rho_report_gamma_ignores_zero_weight_states():
+    base = weakly_model()
+    padded = EnvironmentModel(base.states + (FiniteLaw((0.9, 0.0, 0.1)),), base.weights + (0.0,))
+    assert rho_report(padded, n_max=4).gamma_witness == rho_report(base, n_max=4).gamma_witness
+    assert rho_report(padded, n_max=4).gamma_witness == pytest.approx(1.0 / 3.0)
+
+
 def test_rho_report_orderings_on_lf_models():
     for model in (weakly_model(), strongly_model(), intermediate_model()):
         report = rho_report(model, n_max=8)

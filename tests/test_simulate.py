@@ -23,14 +23,13 @@ from bpre import simulate
 from bpre.models import intermediate_model, strongly_model, weakly_mrca_model, weakly_model
 from bpre.simulate import (
     _CHUNK,
-    _draw_table,
+    _draw_brood,
     _forest_mrca_ages,
     _grow,
     _importance_chunk,
     _mrca_rejection_chunk,
     _mrca_spine_chunk,
     _quenched_small_value_rows,
-    _yk_table,
     GenealogyTree,
     conditioned_mrca_sample,
     geiger_sample,
@@ -43,7 +42,7 @@ from bpre.simulate import (
     worker_count,
 )
 
-from helpers import mrca_pair_law, yk_table_oracle
+from helpers import brood_law_oracle, mrca_pair_law
 
 
 def test_stream_is_pure_function_of_seed_and_index():
@@ -482,23 +481,65 @@ def test_mrca_sampler_matches_rejection_without_single_births(target, seed):
     assert pval > 0.001
 
 
+def _brood_chi2_pvalue(law, t, j_max, draws, rng, bins=30):
+    """Chi-square p-value of ``draws`` brood draws against ``brood_law_oracle``.
+
+    The cells (j, l), in row-major order, are cut into about ``bins`` groups
+    of equal oracle probability.
+    """
+    p = brood_law_oracle(law, t, j_max).ravel()
+    group = np.minimum(((np.cumsum(p) - 0.5 * p) * bins).astype(np.int64), bins - 1)
+    cells = []
+    for _ in range(draws):
+        j, l = _draw_brood(law, t, rng)
+        assert 1 <= l <= j <= j_max
+        cells.append(j * (j_max + 1) + l)
+    observed = np.bincount(group[cells], minlength=bins)
+    expected = np.bincount(group, weights=p, minlength=bins)
+    keep = expected > 0.0
+    return stats.chisquare(observed[keep], expected[keep] * draws).pvalue
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.999])
 @pytest.mark.parametrize("kmax", [3, 50, 300])
-def test_yk_table_matches_double_sum_oracle(kmax):
+def test_draw_brood_matches_oracle_finite(kmax, t):
     rng = np.random.default_rng(kmax)
     raw = rng.random(kmax + 1) + 0.01
     law = FiniteLaw(tuple(raw / raw.sum()))
-    for tk in (0.0, 0.3, 0.9, 0.999):
-        table = _yk_table(law, tk, 1.7)
-        assert table.shape == (kmax,)
-        np.testing.assert_allclose(table, yk_table_oracle(law, tk, 1.7), rtol=1e-13, atol=0.0)
+    assert _brood_chi2_pvalue(law, t, kmax, 10_000, stream(kmax, int(1000 * t))) > 1e-3
 
 
-def test_spine_y_rejects_unnormalized_table():
-    # t_0 is not f(t_1), so the generation-1 table of the scalar spine draw does not sum to 1
-    law = FiniteLaw((0.1, 0.2, 0.3, 0.4))
-    table = _yk_table(law, 0.4, (1.0 - 0.4) / (1.0 - 0.9))
-    with pytest.raises(ContractError, match="does not normalize"):
-        _draw_table(table, stream(1, 0))
+def test_draw_brood_matches_oracle_lf():
+    # ratio 2/3: broods above j = 90, outside the oracle's cells, have probability 3e-16
+    law = LinearFractionalLaw(m=2.0, b=8.0)
+    assert _brood_chi2_pvalue(law, 0.8, 90, 10_000, stream(3, 0)) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "law, t", [(FiniteLaw((1.0,)), 0.5), (FiniteLaw((0.5, 0.0, 0.5)), math.inf)]
+)
+def test_draw_brood_rejects_vanishing_weights(law, t):
+    with pytest.raises(ContractError, match="brood weights"):
+        _draw_brood(law, t, stream(1, 0))
+
+
+@pytest.mark.parametrize("q", [1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("rare_first", [False, True])
+def test_geiger_samples_small_survival(q, rare_first):
+    # quenched survival is about q, so 1 - t_k keeps few digits; the
+    # rare-first environment has a nontrivial conditional law of Z_2
+    if rare_first:
+        laws = (FiniteLaw((1.0 - q, 0.0, q)), FiniteLaw((0.25, 0.25, 0.5)))
+    else:
+        laws = (FiniteLaw((0.5, 0.0, 0.5)), FiniteLaw((1.0 - q, q)))
+    env = EnvSequence(laws)
+    row = quenched_coeff_row(env, 1, 8)
+    exact = row[1:] / row[1:].sum()
+    rng = stream(12, 0)
+    reps = 3000
+    z = np.array([geiger_sample(env, 1, rng).z_n for _ in range(reps)])
+    freq = np.bincount(z, minlength=9)[1:9] / reps
+    assert 0.5 * np.abs(exact - freq).sum() <= 0.04
 
 
 # ---------------------------------------------------------------------------
