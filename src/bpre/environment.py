@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError, NotSupercriticalError
-from .laws import PROB_TOL, OffspringLaw, law_from_json, law_to_json
+from .laws import PROB_TOL, LinearFractionalLaw, OffspringLaw, law_from_json, law_to_json
 
 
 class Regime(enum.Enum):
@@ -108,7 +108,8 @@ class EnvironmentModel:
 
     @property
     def is_lf_pure(self) -> bool:
-        return all(not hasattr(law, "probs") for law in self.states)
+        """Whether every positive-weight state is linear fractional."""
+        return all(isinstance(law, LinearFractionalLaw) for law, w in zip(self.states, self._w) if w > 0)
 
     def sample_indices(self, rng: np.random.Generator, size) -> np.ndarray:
         """States drawn i.i.d. by inversion: one uniform u each, index #{a : cum_a <= u}.

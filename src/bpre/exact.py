@@ -9,12 +9,14 @@ column 0 is the extinction ladder t_k = f_{k,n}(0).  It serves the ladder of
 an ``EnvSequence`` (at width 1), ``quenched_coeff_row``, importance sampling
 and ``mrca_rows``, the exact quenched MRCA law.  It has two routes, chosen
 per environment row: a row whose laws are all linear fractional is itself
-LF at every k and takes the closed form, O(n + width) per row, from two
-suffix statistics carried in bounded form; any other row takes the series
-route, one ``pgf.apply_law_rows`` per generation, O(n width^2) per row (at
-width 1 a finite law is just its pgf on the ladder).  One log-derivative
-helper forms the products prod f_k'(t_k) of ``mrca_rows``, ``phi_n`` and the
-subtree identity.
+LF at every k and takes the closed form, O(n + width) per row, from the
+bounded suffix statistics of ``_lf_suffix``, the one LF recursion of the
+package, which ``lf`` builds on too (a survival below 2^-512 is carried
+with an exponent, so no horizon underflows it); any other row takes the
+series route, one ``pgf.apply_law_rows`` per generation, O(n width^2) per
+row (at width 1 a finite law is just its pgf on the ladder).  One
+log-derivative helper forms the products prod f_k'(t_k) of ``mrca_rows``,
+``phi_n`` and the subtree identity.
 
 The annealed enumerator (``_annealed_rows``) composes from the innermost
 generation outward with the series route only: a shared breadth-first
@@ -43,6 +45,7 @@ from .pgf import MAX_DEGREE, apply_law_rows, pow_rows
 
 ENUMERATION_BUDGET = 1 << 26
 _BLOCK_CELLS = 1 << 17
+_TINY = 2.0**-512  # LF survival below this is carried as a mantissa and a power of 2^-512
 
 
 @dataclass(frozen=True)
@@ -103,54 +106,82 @@ def horizon_rows(
     extinction ladder, the same arithmetic at every width.
 
     The route is chosen per row, so a row gets the same arithmetic in any
-    block: a row whose laws are all LF takes the closed form
-    (``_lf_layers``), any other row the series route (``_series_layers``).
+    block: a row whose laws are all LF takes the closed form (``_lf_suffix``,
+    then ``_lf_layers``), any other row the series route (``_series_layers``).
     """
     b, n = idx.shape
     is_lf = np.array([isinstance(law, LinearFractionalLaw) for law in states], dtype=bool)
     closed = is_lf[idx].all(axis=1)
-    if closed.all() or not closed.any():
-        f = (_lf_layers if closed.all() else _series_layers)(states, idx, width, layers)
+    if closed.all():
+        f = _lf_layers(*_lf_suffix(states, idx, width, layers), width)
+    elif not closed.any():
+        f = _series_layers(states, idx, width, layers)
     else:
         f = np.empty((n + 1 if layers else 1, b, width))
-        f[:, closed] = _lf_layers(states, idx[closed], width, layers)
+        f[:, closed] = _lf_layers(*_lf_suffix(states, idx[closed], width, layers), width)
         f[:, ~closed] = _series_layers(states, idx[~closed], width, layers)
     return f if layers else f[0]
 
 
-def _lf_layers(
+def _lf_suffix(
     states: tuple[OffspringLaw, ...], idx: np.ndarray, width: int, layers: bool
-) -> np.ndarray:
-    """Rows of f_{k,n} for environment rows whose laws are all LF, in closed form.
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Suffix statistics (p, a, r) of f_{k,n} for environment rows whose laws are all LF.
 
-    f_{k,n}(s) = 1 - (1-s) / (A_k + B_k (1-s)) with the suffix statistics
-    A_k = A_{k+1} / m_{k+1}, B_k = eta_{k+1} + B_{k+1} / m_{k+1} (eta =
-    ``eta_lf``), A_n = 1, B_n = 0.  With D = A + B the rows are
-    [s^0] = 1 - 1/D and [s^j] = (A/D^2) (B/D)^(j-1).  A grows like a product
-    of 1/m, so the recursion carries p = 1/D, a = A/D and r = B/D, all in
-    [0, 1]: with x = eta m p and q = 1 + x, a <- a/q, r <- (x + r)/q and
-    p <- m p / q.  Powers of r are running products, so every value is
-    elementwise arithmetic on the row alone, whatever the block.  At width 1
-    only the survival p is carried.
+    f_{k,n}(s) = 1 - (1-s) / (A_k + B_k (1-s)) with A_k = A_{k+1} / m_{k+1},
+    B_k = eta_{k+1} + B_{k+1} / m_{k+1} (eta = ``eta_lf``), A_n = 1, B_n = 0.
+    A grows like a product of 1/m, so the recursion carries p = 1/D =
+    P(Z_n > 0 | Z_k = 1), a = A/D and r = B/D (D = A + B), all in [0, 1]:
+    with x = eta m p and q = 1 + x, a <- a/q, r <- (x + r)/q and
+    p <- m p / q.  Each array is (n+1, b) with ``layers``, row k for f_{k,n},
+    else (1, b) for f_{0,n}.  At width 1 only p is carried, and a, r are None.
+
+    A long subcritical suffix drives p towards underflow, and a
+    supercritical prefix may bring it back.  So a row whose p falls below
+    2^-512 carries it as a mantissa times 2^(-512 e), an exact scaling, and
+    the returned p is the value.  Since p_k >= (1 - q_{k+1}(0)) p_{k+1}, the
+    check is skipped while that bound, run over the block, stays above
+    2^-512; rows that never fall that low keep the same arithmetic.
     """
     b, n = idx.shape
-    # m and eta m per state; these rows never index a finite state's placeholder
-    m_state, eta_state = np.array(
-        [(law.m, law.eta_lf) if isinstance(law, LinearFractionalLaw) else (1.0, 0.0) for law in states]
-    ).reshape(len(states), 2).T
-    m_cell, em_cell = m_state[idx.T], (eta_state * m_state)[idx.T]  # (n, b), row g = generation g+1
+    # m, eta m and 1 - q(0) per state; these rows never index a finite state's placeholder
+    m_state, em_state, keep_state = np.array(
+        [(law.m, law.eta_lf * law.m, 1.0 - law.p0) if isinstance(law, LinearFractionalLaw)
+         else (1.0, 0.0, 1.0) for law in states]
+    ).reshape(len(states), 3).T
+    m_cell, em_cell = m_state[idx.T], em_state[idx.T]  # (n, b), row g = generation g+1
     n_out = n + 1 if layers else 1
     p, a, r = np.empty((n_out, b)), np.empty((n_out, b)), np.empty((n_out, b))
+    e = np.zeros((n_out, b), dtype=np.int64)
     p[-1], a[-1], r[-1] = 1.0, 1.0, 0.0  # f_{n,n}(s) = s
+    bound, step = 1.0, float(keep_state.min(initial=1.0))  # bound <= every p of layer src
     for g in range(n - 1, -1, -1):
         src, dst = (g + 1, g) if layers else (0, 0)
         x = em_cell[g] * p[src]
+        if bound < _TINY:
+            x = np.ldexp(x, -512 * e[src])
         q = 1.0 + x
         if width > 1:
             a[dst] = a[src] / q
             r[dst] = (x + r[src]) / q
         p[dst] = m_cell[g] * p[src] / q
-    f = np.empty((n_out, b, width))
+        bound *= step
+        if bound < _TINY:  # rescale below 2^-512, and back once the mantissa reaches 1
+            shift = (p[dst] < _TINY) - ((p[dst] >= 1.0) & (e[src] > 0)).astype(np.int64)
+            e[dst] = e[src] + shift
+            p[dst] = np.ldexp(p[dst], 512 * shift)
+    if bound < _TINY:
+        p = np.ldexp(p, -512 * e)
+    return (p, a, r) if width > 1 else (p, None, None)
+
+
+def _lf_layers(p: np.ndarray, a: np.ndarray, r: np.ndarray, width: int) -> np.ndarray:
+    """Rows of width ``width`` from ``_lf_suffix`` statistics: [s^0] = 1 - p, [s^j] = p a r^(j-1).
+
+    Powers of r are running products, so every value is elementwise
+    arithmetic on its own row, whatever the block.
+    """
+    f = np.empty(p.shape + (width,))
     np.subtract(1.0, p, out=f[..., 0])
     if width > 1:
         np.multiply(p, a, out=f[..., 1])

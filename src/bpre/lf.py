@@ -1,14 +1,17 @@
 """Closed-form quenched analytics for linear-fractional environments.
 
-LF laws are stable under composition: the generating function of Z_n given
-the environment is again linear fractional, with sufficient statistics
+LF laws are stable under composition: given the environment, the law of Z_n
+is again linear fractional,
 
-    s_exp   = exp(-S_n),
-    eta_sum = sum_{k=0}^{n-1} eta_{k+1} exp(-S_k),   eta = b m^{-2} / 2,
+    f_{0,n}(s) = 1 - p (1-s) / (a + r (1-s)),   p = P(Z_n > 0 | env),
 
-so that f_{0,n}(s) = 1 - (1-s) / (s_exp + (1-s) eta_sum).  The pair forms a
-semigroup under environment concatenation, which is what makes single-pass
-folds and O(1) per-generation updates possible.
+where a = A/D and r = B/D are the bounded ratios of the suffix statistics
+A = exp(-S_n), B = sum_{k=0}^{n-1} eta_{k+1} exp(-S_k) (eta = b m^{-2} / 2)
+and D = A + B = 1/p.  ``LFQuenchedState`` holds (p, a, r), all in [0, 1],
+from ``exact._lf_suffix``, the recursion of the closed-form route of
+``exact.horizon_rows``.  So these functions agree with that kernel, and a
+survival that a double can hold is kept at any horizon, where exp(-S_n)
+itself would underflow or overflow.
 
 Conventions: the composed-law formulas here use ``eta_lf = b/(2 m^2)``.  The
 general survival lower bound uses ``eta_general = b/m^2``; for LF laws the
@@ -25,65 +28,55 @@ import numpy as np
 
 from .environment import EnvironmentModel, Regime, classify_regime, rate_function_at_zero
 from .errors import ContractError
-from .exact import EnvSequence
+from .exact import EnvSequence, _lf_layers, _lf_suffix
 from .laws import LinearFractionalLaw, OffspringLaw
 from .pgf import pow_rows
 
 
 @dataclass(frozen=True)
 class LFQuenchedState:
-    """Sufficient statistics (exp(-S_n), eta accumulator) of a composed LF law."""
+    """A composed LF law: its survival P(Z_n > 0 | env) and the ratios a = A/D, r = B/D."""
 
-    s_exp: float
-    eta_sum: float
+    survival: float
+    a: float
+    r: float
 
     def __post_init__(self):
-        if not (self.s_exp > 0.0 and self.eta_sum >= 0.0):
+        if not all(v >= 0.0 for v in (self.survival, self.a, self.r)):
             raise ContractError("invalid LF quenched state")
 
     @classmethod
-    def identity(cls) -> "LFQuenchedState":
-        return cls(1.0, 0.0)
-
-    @classmethod
     def from_law(cls, law: LinearFractionalLaw) -> "LFQuenchedState":
-        return cls(1.0 / law.m, law.eta_lf)
+        return cls.from_env((law,))
 
     @classmethod
     def from_env(cls, env: EnvSequence | tuple[OffspringLaw, ...]) -> "LFQuenchedState":
-        laws = env.laws if isinstance(env, EnvSequence) else tuple(env)
-        state = cls.identity()
-        for law in laws:
-            state = state.extend(law)
-        return state
-
-    def extend(self, law: OffspringLaw) -> "LFQuenchedState":
-        """Append one more generation at the end of the environment."""
-        if not isinstance(law, LinearFractionalLaw):
+        states, idx = (env if isinstance(env, EnvSequence) else EnvSequence(env))._indexed
+        if not all(isinstance(law, LinearFractionalLaw) for law in states):
             raise ContractError("closed form requires LF")
-        return LFQuenchedState(
-            s_exp=self.s_exp / law.m,
-            eta_sum=self.eta_sum + law.eta_lf * self.s_exp,
-        )
+        return cls(*(float(v[0, 0]) for v in _lf_suffix(states, idx, 2, False)))
 
-    def combine(self, other: "LFQuenchedState") -> "LFQuenchedState":
-        """Concatenate environments: self first, then other."""
-        return LFQuenchedState(
-            s_exp=self.s_exp * other.s_exp,
-            eta_sum=self.eta_sum + self.s_exp * other.eta_sum,
-        )
+    @property
+    def s_exp(self) -> float:
+        """exp(-S_n) = A."""
+        return self.a / self.survival
+
+    @property
+    def eta_sum(self) -> float:
+        """sum_k eta_{k+1} exp(-S_k) = B."""
+        return self.r / self.survival
 
 
 def lf_fgen(state: LFQuenchedState, s: float) -> float:
     """f_{0,n}(s); at s = 0 this is the quenched extinction probability."""
     u = 1.0 - s
-    return 1.0 - u / (state.s_exp + u * state.eta_sum)
+    return 1.0 - state.survival * u / (state.a + state.r * u)
 
 
 def lf_derivative(state: LFQuenchedState, s: float) -> float:
     """f_{0,n}'(s); at s = 1 equals exp(S_n), the quenched mean."""
-    denom = state.s_exp + (1.0 - s) * state.eta_sum
-    return state.s_exp / (denom * denom)
+    denom = state.a + (1.0 - s) * state.r
+    return state.survival * state.a / (denom * denom)
 
 
 def lf_composed_law(state: LFQuenchedState) -> LinearFractionalLaw:
@@ -94,14 +87,13 @@ def lf_composed_law(state: LFQuenchedState) -> LinearFractionalLaw:
 
 
 def lf_quenched_pmf(state: LFQuenchedState, z0: int, j: int) -> float:
-    """Exact P(Z_n = j | env, Z_0 = z0) from the composed geometric law."""
+    """Exact P(Z_n = j | env, Z_0 = z0) from the kernel's closed-form row."""
     if z0 < 1:
         raise ContractError("initial size must be >= 1")
-    law = lf_composed_law(state)
-    if z0 == 1:
-        return law.prob(j)
-    row = law.coefficients(j)[None, :]
-    return float(pow_rows(row, z0)[0][j])
+    if j < 0:
+        raise ContractError("population size must be >= 0")
+    row = _lf_layers(*(np.array([[v]]) for v in (state.survival, state.a, state.r)), j + 1)[0]
+    return float(pow_rows(row, z0)[0, j])
 
 
 @dataclass(frozen=True)
@@ -152,8 +144,8 @@ def agresti_survival_bounds(env: EnvSequence) -> SurvivalBounds:
 
     lower: 1 / (exp(-S_n) + sum eta_general_{i+1} exp(-S_i)), valid for any
     offspring laws.  upper: exp(min(0, S_1..S_n)).  For an all-LF environment
-    the same expression with eta_lf is the exact survival probability and is
-    returned as ``lf_exact``.
+    the exact survival probability, the same expression with eta_lf, is
+    returned as ``lf_exact`` from ``LFQuenchedState``.
     """
     s = env.walk
     s_exp = math.exp(-s[-1])
@@ -164,5 +156,5 @@ def agresti_survival_bounds(env: EnvSequence) -> SurvivalBounds:
     upper = math.exp(min(0.0, float(np.min(s[1:])))) if env.n >= 1 else 1.0
     lf_exact = None
     if all(isinstance(law, LinearFractionalLaw) for law in env.laws):
-        lf_exact = 1.0 / (s_exp + h_lf)
+        lf_exact = LFQuenchedState.from_env(env).survival
     return SurvivalBounds(lower=lower, upper=upper, lf_exact=lf_exact)

@@ -221,6 +221,13 @@ def test_validate_weakly_regime(weakly_path, capsys):
     assert "regime: weakly" in out
 
 
+def test_validate_zero_weight_finite_state_keeps_lf_regime(model_paths, capsys):
+    assert main(["validate", "--model", model_paths["weakly_padded"]]) == 0
+    out = capsys.readouterr().out
+    assert "lf_pure: yes" in out
+    assert "regime: weakly" in out
+
+
 @pytest.mark.parametrize("name", sorted(PROBE_MODELS))
 @pytest.mark.parametrize(
     "command", ["validate", "rho --n-max 4", "mrca --n-list 3 --replicates 200 --seed 1"]

@@ -23,6 +23,7 @@ from bpre.exact import (
     subtree_extinction_identity,
 )
 from bpre.laws import FiniteLaw, LinearFractionalLaw
+from bpre.lf import LFQuenchedState
 from bpre.models import example1_model, gw_binary, weakly_model
 from bpre.pgf import apply_law_rows
 
@@ -82,15 +83,23 @@ def test_horizon_rows_layers_and_widths_agree():
         assert np.array_equal(env.extinction_ladder(), f[:, r, 0])
 
 
-def _mp_lf_rows(laws, width):
-    """Rows of f_{0,n} for an all-LF sequence from its suffix statistics, at 60 digits."""
+def _mp_lf_rows(laws, width, layers=False):
+    """Rows of f_{0,n} for an all-LF sequence from its suffix statistics, at 60 digits.
+
+    With ``layers`` the list of rows of f_{k,n} for k = 0..n.
+    """
     with mpmath.workdps(60):
         a, b = mpmath.mpf(1), mpmath.mpf(0)
+        suffix = [(a, b)]
         for law in reversed(laws):
             m = mpmath.mpf(law.m)
             a, b = a / m, mpmath.mpf(law.b) / (2 * m * m) + b / m
-        d = a + b
-        return [1 - 1 / d] + [a / d**2 * (b / d) ** (j - 1) for j in range(1, width)]
+            suffix.append((a, b))
+        rows = []
+        for a, b in reversed(suffix if layers else suffix[-1:]):
+            d = a + b
+            rows.append([1 - 1 / d] + [a / d**2 * (b / d) ** (j - 1) for j in range(1, width)])
+        return rows if layers else rows[0]
 
 
 def test_lf_closed_form_rows_match_mpmath():
@@ -126,12 +135,44 @@ def test_lf_closed_form_survives_long_excursions(width, sub_first):
     idx = np.repeat(order, 1100)[None, :]
     rows = exact.horizon_rows(states, idx, width)
     assert np.all(np.isfinite(rows)) and np.all(rows >= 0.0)
-    np.testing.assert_allclose(rows, series_horizon_rows(states, idx, width), rtol=0.0, atol=1e-300)
     layered = exact.horizon_rows(states, idx, width, layers=True)
     assert np.all(np.isfinite(layered)) and np.all(layered >= 0.0)
-    np.testing.assert_allclose(
-        layered, series_horizon_rows(states, idx, width, True), rtol=1e-11, atol=1e-300
-    )
+    if sub_first:
+        np.testing.assert_allclose(
+            rows, series_horizon_rows(states, idx, width), rtol=0.0, atol=1e-300
+        )
+        np.testing.assert_allclose(
+            layered, series_horizon_rows(states, idx, width, True), rtol=1e-11, atol=1e-300
+        )
+        return
+    # the survival behind the subcritical suffix falls to 2^-1100 and comes
+    # back to 1/4; the series route loses it too, so check the true values
+    oracle = _mp_lf_rows([states[a] for a in idx[0]], width, layers=True)
+    true = np.array([[float(v) for v in row] for row in oracle])
+    err = np.abs(layered[:, 0] - true)
+    normal = true >= np.finfo(float).tiny
+    assert np.all(err[normal] <= 1e-13 * true[normal])
+    assert np.all(err[~normal] <= 1e-290)
+    assert np.array_equal(rows, layered[0])
+    survival = 1 - oracle[0][0]
+    assert abs((1.0 - rows[0, 0]) - survival) <= 1e-14 * survival
+    assert survival == pytest.approx(0.25, rel=1e-14)
+
+
+def test_lf_closed_form_scales_survival_back_up():
+    # behind 1100 subcritical generations p is 2^-1100, carried with an exponent;
+    # 1400 supercritical ones bring it back near 1, so the mantissa must scale back
+    states = (LinearFractionalLaw(0.5, 0.5), LinearFractionalLaw(2.0, 4.1))
+    laws = [states[1]] * 1400 + [states[0]] * 1100
+    idx = np.repeat([1, 0], [1400, 1100])[None, :]
+    oracle = _mp_lf_rows(laws, 3)
+    for layers in (False, True):
+        row = exact.horizon_rows(states, idx, 3, layers=layers)[0].ravel()
+        for j, value in enumerate(oracle):
+            assert abs(row[j] - value) <= 1e-13 * value, (layers, j)
+    survival = 1 - oracle[0]
+    assert abs(survival - 4.0 / 4.1) <= 1e-14
+    assert abs(LFQuenchedState.from_env(EnvSequence(laws)).survival - survival) <= 1e-14 * survival
 
 
 @pytest.mark.parametrize("width", [1, 4, 65])
@@ -147,7 +188,8 @@ def test_horizon_rows_route_per_row_in_mixed_block(width, layers):
     f = exact.horizon_rows(states, idx, width, layers=layers)
     if not layers:
         f = f[None]
-    assert np.array_equal(f[:, closed], exact._lf_layers(states, idx[closed], width, layers))
+    lf_rows = exact._lf_layers(*exact._lf_suffix(states, idx[closed], width, layers), width)
+    assert np.array_equal(f[:, closed], lf_rows)
     assert np.array_equal(f[:, ~closed], exact._series_layers(states, idx[~closed], width, layers))
     for r in range(idx.shape[0]):
         one = exact.horizon_rows(states, idx[r : r + 1], width, layers=layers)

@@ -100,17 +100,40 @@ def test_quenched_pmf_properties():
 
 
 @given(st.integers(0, 2**32 - 1))
-def test_semigroup_property(seed):
+def test_concatenation_composes_fgen(seed):
+    # the law of a concatenated environment is the composition of its parts' laws
     rng = np.random.default_rng(seed)
     n_a, n_b = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     laws_a = tuple(random_lf_law(rng) for _ in range(n_a))
     laws_b = tuple(random_lf_law(rng) for _ in range(n_b))
     combined = LFQuenchedState.from_env(EnvSequence(laws_a + laws_b))
-    folded = LFQuenchedState.from_env(EnvSequence(laws_a)).combine(
-        LFQuenchedState.from_env(EnvSequence(laws_b))
-    )
-    assert folded.s_exp == pytest.approx(combined.s_exp, rel=1e-12)
-    assert folded.eta_sum == pytest.approx(combined.eta_sum, rel=1e-12)
+    first, second = (LFQuenchedState.from_env(EnvSequence(laws)) for laws in (laws_a, laws_b))
+    for s in (0.0, 0.3, 0.7, 0.99, 1.0):
+        assert lf_fgen(combined, s) == pytest.approx(lf_fgen(first, lf_fgen(second, s)), rel=1e-12)
+
+
+@pytest.mark.parametrize("z0", [1, 2, 3])
+def test_quenched_pmf_rejects_negative_size(z0):
+    state = LFQuenchedState.from_env(lf_env(np.random.default_rng(14), 5))
+    with pytest.raises(ContractError, match="population size"):
+        lf_quenched_pmf(state, z0, -1)
+
+
+def test_quenched_pmf_is_the_kernel_row():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        env = lf_env(rng, int(rng.integers(0, 30)))
+        state = LFQuenchedState.from_env(env)
+        for j in range(8):
+            assert lf_quenched_pmf(state, 1, j) == quenched_pmf(env, 1, j)
+
+
+def test_state_survives_long_supercritical_horizon():
+    # exp(-S_n) = 2^-1100 underflows; the bounded state keeps the survival
+    env = EnvSequence((LinearFractionalLaw(2.0, 8.0),) * 1100)
+    survival = LFQuenchedState.from_env(env).survival
+    assert survival == quenched_survival(env, 1) == agresti_survival_bounds(env).lf_exact
+    assert survival == pytest.approx(0.5, rel=1e-14)
 
 
 def test_lf_rho_strongly_weakly_and_boundary():
@@ -144,6 +167,12 @@ def test_lf_rho_strongly_weakly_and_boundary():
     assert res.regime is Regime.INTERMEDIATE
     # at the boundary both branch formulas coincide
     assert res.rho == pytest.approx(rate_function_at_zero(boundary).value, abs=1e-10)
+
+
+def test_lf_rho_ignores_zero_weight_finite_state():
+    base = weakly_model()
+    padded = EnvironmentModel(base.states + (FiniteLaw((0.9, 0.0, 0.1)),), base.weights + (0.0,))
+    assert lf_rho(padded) == lf_rho(base)
 
 
 def test_lf_rho_requires_lf_states():

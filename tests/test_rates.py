@@ -64,6 +64,16 @@ def test_rho_report_gamma_ignores_zero_weight_states():
     assert rho_report(padded, n_max=4).gamma_witness == pytest.approx(1.0 / 3.0)
 
 
+def test_zero_weight_finite_state_keeps_lf_closed_form():
+    base = weakly_model()
+    padded = EnvironmentModel(base.states + (FiniteLaw((0.9, 0.0, 0.1)),), base.weights + (0.0,))
+    assert padded.is_lf_pure
+    report = rho_report(padded, n_max=4)
+    assert report.lf_closed_form is not None
+    assert report.lf_closed_form == rho_report(base, n_max=4).lf_closed_form
+    assert report.regime == "weakly"
+
+
 def test_rho_report_orderings_on_lf_models():
     for model in (weakly_model(), strongly_model(), intermediate_model()):
         report = rho_report(model, n_max=8)
