@@ -19,11 +19,14 @@ log-derivative helper forms the products prod f_k'(t_k) of ``mrca_rows``,
 ``phi_n`` and the subtree identity.
 
 The annealed enumerator (``_annealed_rows``) composes from the innermost
-generation outward with the series route only: a shared breadth-first
-block, then the outermost generations depth-first, in one sweep that
-reports every horizon up to the deepest requested one (the Fekete table
-needs n = 1..n_max, the example suites every n of their tables).  Partial
-sums are combined in a fixed order.
+generation outward: a shared breadth-first block, then the outermost
+generations depth-first, in one sweep that reports every horizon up to the
+deepest requested one (the Fekete table needs n = 1..n_max, the example
+suites every n of their tables).  A model whose enumerated states are all
+LF carries the closed-form statistics of each environment, one step of the
+same LF recursion per generation, and builds coefficient rows only at
+requested horizons; any other model carries series rows.  Partial sums are
+combined in a fixed order.
 
 The reachability closure behind z0 works on Python-int bitmasks: bit k of a
 mask marks size k, and the sizes reachable from z in one generation are the
@@ -151,28 +154,48 @@ def _lf_suffix(
     ).reshape(len(states), 3).T
     m_cell, em_cell = m_state[idx.T], em_state[idx.T]  # (n, b), row g = generation g+1
     n_out = n + 1 if layers else 1
-    p, a, r = np.empty((n_out, b)), np.empty((n_out, b)), np.empty((n_out, b))
-    e = np.zeros((n_out, b), dtype=np.int64)
-    p[-1], a[-1], r[-1] = 1.0, 1.0, 0.0  # f_{n,n}(s) = s
+    p, e = np.empty((n_out, b)), np.zeros((n_out, b), dtype=np.int64)
+    a, r = (np.empty((n_out, b)), np.empty((n_out, b))) if width > 1 else (None, None)
+    p[-1] = 1.0  # f_{n,n}(s) = s
+    if width > 1:
+        a[-1], r[-1] = 1.0, 0.0
     bound, step = 1.0, float(keep_state.min(initial=1.0))  # bound <= every p of layer src
     for g in range(n - 1, -1, -1):
         src, dst = (g + 1, g) if layers else (0, 0)
-        x = em_cell[g] * p[src]
-        if bound < _TINY:
-            x = np.ldexp(x, -512 * e[src])
-        q = 1.0 + x
-        if width > 1:
-            a[dst] = a[src] / q
-            r[dst] = (x + r[src]) / q
-        p[dst] = m_cell[g] * p[src] / q
         bound *= step
-        if bound < _TINY:  # rescale below 2^-512, and back once the mantissa reaches 1
-            shift = (p[dst] < _TINY) - ((p[dst] >= 1.0) & (e[src] > 0)).astype(np.int64)
-            e[dst] = e[src] + shift
-            p[dst] = np.ldexp(p[dst], 512 * shift)
+        fa, fr = (a[src], r[src]) if width > 1 else (None, None)
+        p[dst], fe, fa, fr = _lf_step(m_cell[g], em_cell[g], p[src], e[src], fa, fr, bound < _TINY)
+        if bound < _TINY:
+            e[dst] = fe
+        if width > 1:
+            a[dst], r[dst] = fa, fr
     if bound < _TINY:
         p = np.ldexp(p, -512 * e)
-    return (p, a, r) if width > 1 else (p, None, None)
+    return p, a, r
+
+
+def _lf_step(m, em, p, e, a, r, carry: bool):
+    """One generation of the ``_lf_suffix`` recursion: (p, e, a, r) of f_{k-1,n} from f_{k,n}.
+
+    ``m`` and ``em`` (= eta_lf m) are the law of generation k, a scalar or one
+    per row.  ``a`` and ``r`` may both be None where only p is wanted.
+    With ``carry`` the survival is the mantissa p times 2^(-512 e), and p is
+    rescaled whenever it leaves [2^-512, 1).  Callers drop ``carry`` only
+    while a lower bound keeps every p above 2^-512 (so e is 0), where it
+    would change no bit.
+    """
+    x = em * p
+    if carry:
+        x = np.ldexp(x, -512 * e)
+    q = 1.0 + x
+    p = m * p / q
+    if carry:  # rescale below 2^-512, and back once the mantissa reaches 1
+        shift = (p < _TINY) - ((p >= 1.0) & (e > 0)).astype(np.int64)
+        e = e + shift
+        p = np.ldexp(p, 512 * shift)
+    if a is not None:
+        a, r = a / q, (x + r) / q
+    return p, e, a, r
 
 
 def _lf_layers(p: np.ndarray, a: np.ndarray, r: np.ndarray, width: int) -> np.ndarray:
@@ -434,9 +457,9 @@ def annealed_pmf_row(
     """Exact annealed coefficients: P(Z_n = j | Z_0 = z0) for j = 0..j_max.
 
     Enumerates every environment sequence: the innermost generations form
-    one shared block of coefficient rows, built breadth-first from the
-    identity row, and any generations beyond the block are visited
-    depth-first, one law application on the whole block per node.
+    one shared block, built breadth-first from the identity, and any
+    generations beyond the block are visited depth-first, one law
+    application on the whole block per node.
     """
     if z0 < 1:
         raise ContractError("initial size must be >= 1")
@@ -454,49 +477,87 @@ def _annealed_rows(
 ) -> dict[int, np.ndarray]:
     """Unclipped sum over environments of w(env) * coefficients of f_{0,n}^{z0}, per horizon n.
 
-    The state after d generations is the block of rows of f_{n-d+1,n} for
-    every environment of those d generations.  It grows breadth-first while
-    the next block fits in ``_BLOCK_CELLS`` cells (rows x states x width),
-    and always with a single state, whose block never widens; past that, each state's law is applied to the whole block in turn,
-    depth-first.  A depth-first child has as many rows as its parent, so it
-    never grows breadth-first again.  A horizon's row is summed only where
-    it is requested, so one sweep serves every horizon up to the largest.
+    The state after d generations is a block with one row per environment of
+    those d generations, standing for f_{n-d+1,n}.  Where every enumerated
+    state is LF, a row is the (p, e, a, r) of ``_lf_step``, and coefficient
+    rows are built only at requested horizons (``_lf_layers``, in chunks of
+    at most ``_BLOCK_CELLS`` cells), so each is the row ``horizon_rows``
+    gives for its environment; otherwise a row is the series row itself and
+    a law is applied by ``apply_law_rows``.  The block grows breadth-first
+    while the next block fits in ``_BLOCK_CELLS`` cells (rows x states x
+    cells per row), and always with a single state, whose block never
+    widens; past that, each state's law is applied to the whole block in
+    turn, depth-first.  A depth-first child has as many rows as its parent,
+    so it never grows breadth-first again.  A horizon's rows are summed only
+    where it is requested, so one sweep serves every horizon up to the
+    largest.
     """
     n_max = max(horizons, default=0)
     states = [(law, w) for law, w in zip(model.states, np.asarray(model.weights)) if w > 0.0]
-    a = len(states)  # zero-weight states are never enumerated
-    if a**n_max > budget:
+    k = len(states)  # zero-weight states are never enumerated
+    if k**n_max > budget:
         raise BudgetError(
-            f"enumeration of {a}^{n_max} sequences exceeds budget {budget}; "
+            f"enumeration of {k}^{n_max} sequences exceeds budget {budget}; "
             "use the Monte Carlo path (tilted importance sampling)"
         )
     width = j_max + 1
     totals = {n: np.zeros(width) for n in horizons}
 
-    def expand(rows: np.ndarray, wvec: np.ndarray, depth: int) -> None:
+    if all(isinstance(law, LinearFractionalLaw) for law, _ in states):
+        keep = min(1.0 - law.p0 for law, _ in states)  # every p of depth d is >= keep^d
+        cells = 5  # p, e, a, r and the weight
+
+        def apply(law, block, depth):
+            return _lf_step(law.m, law.eta_lf * law.m, *block, keep ** (depth + 1) < _TINY)
+
+        def join(blocks):
+            return tuple(map(np.concatenate, zip(*blocks)))
+
+        def emit(block, wvec, depth):
+            p, e, a, r = block
+            if keep**depth < _TINY:
+                p = np.ldexp(p, -512 * e)
+            step = max(1, _BLOCK_CELLS // width)  # rows per chunk of coefficient rows
+            parts = [slice(i, i + step) for i in range(0, len(p), step)]
+            return sum(wvec[c] @ pow_rows(_lf_layers(p[c], a[c], r[c], width), z0) for c in parts)
+
+        root = (np.ones(1), np.zeros(1, dtype=np.int64), np.ones(1), np.zeros(1))
+    else:
+        cells = width
+
+        def apply(law, rows, depth):
+            return apply_law_rows(law, rows)
+
+        join = np.vstack
+
+        def emit(rows, wvec, depth):
+            return wvec @ pow_rows(rows, z0)
+
+        root = np.zeros((1, width))  # the identity row
+        if width > 1:
+            root[0, 1] = 1.0
+
+    def expand(block, wvec: np.ndarray, depth: int) -> None:
         # breadth-first growth loops and only the depth-first descent recurses,
         # so the stack holds at most log_a(budget) frames; one state never
         # widens the block and stays breadth-first at any horizon
         while True:
             if depth in totals:
-                totals[depth] += wvec @ pow_rows(rows, z0)
+                totals[depth] += emit(block, wvec, depth)
             if depth == n_max:
                 return
-            if a > 1 and len(rows) * a * width > _BLOCK_CELLS:
+            if k > 1 and len(wvec) * k * cells > _BLOCK_CELLS:
                 break
-            rows = np.vstack([apply_law_rows(law, rows) for law, _ in states])
+            block = join([apply(law, block, depth) for law, _ in states])
             wvec = np.concatenate([wvec * w for _, w in states])
             depth += 1
         for law, w in states:
             # the named child lives until its sibling is built; freeing it
             # first made `bpre rho --n-max 20` about 8% slower
-            child = apply_law_rows(law, rows)
+            child = apply(law, block, depth)
             expand(child, wvec * w, depth + 1)
 
-    identity = np.zeros((1, width))
-    if width > 1:
-        identity[0, 1] = 1.0
-    expand(identity, np.ones(1), 0)
+    expand(root, np.ones(1), 0)
     return totals
 
 

@@ -58,31 +58,33 @@ class LFQuenchedState:
 
     @property
     def s_exp(self) -> float:
-        """exp(-S_n) = A."""
-        return self.a / self.survival
+        """exp(-S_n) = A; inf where D = 1/survival overflows."""
+        return self.a / self.survival if self.survival else math.inf
 
     @property
     def eta_sum(self) -> float:
-        """sum_k eta_{k+1} exp(-S_k) = B."""
-        return self.r / self.survival
+        """sum_k eta_{k+1} exp(-S_k) = B; inf where D = 1/survival overflows."""
+        return self.r / self.survival if self.survival else math.inf
 
 
 def lf_fgen(state: LFQuenchedState, s: float) -> float:
     """f_{0,n}(s); at s = 0 this is the quenched extinction probability."""
     u = 1.0 - s
-    return 1.0 - state.survival * u / (state.a + state.r * u)
+    return 1.0 - state.survival * u / (state.a + state.r * u) if u else 1.0
 
 
 def lf_derivative(state: LFQuenchedState, s: float) -> float:
-    """f_{0,n}'(s); at s = 1 equals exp(S_n), the quenched mean."""
+    """f_{0,n}'(s); at s = 1 equals exp(S_n), the quenched mean (inf where it overflows)."""
     denom = state.a + (1.0 - s) * state.r
-    return state.survival * state.a / (denom * denom)
+    return state.survival * state.a / denom / denom if denom else math.inf
 
 
 def lf_composed_law(state: LFQuenchedState) -> LinearFractionalLaw:
     """The law of Z_n given the environment, itself linear fractional."""
-    m = 1.0 / state.s_exp
+    m = 1.0 / state.s_exp if state.a else math.inf
     b = 2.0 * state.eta_sum * m * m
+    if not (0.0 < m < math.inf and b < math.inf):
+        raise ContractError(f"composed LF law (m, b) = ({m}, {b}) is not representable")
     return LinearFractionalLaw(m=m, b=b)
 
 
@@ -148,10 +150,15 @@ def agresti_survival_bounds(env: EnvSequence) -> SurvivalBounds:
     returned as ``lf_exact`` from ``LFQuenchedState``.
     """
     s = env.walk
-    s_exp = math.exp(-s[-1])
+    try:
+        s_exp = math.exp(-s[-1])
+    except OverflowError:  # the lower bound is below the smallest double
+        s_exp = math.inf
     # sum eta_lf_{i+1} exp(-S_i); eta_general = 2 eta_lf, and doubling is exact
-    terms = np.array([law.eta_lf for law in env.laws]) * np.exp(-s[:-1])
-    h_lf = float(np.cumsum(terms)[-1]) if env.n >= 1 else 0.0
+    eta = np.array([law.eta_lf for law in env.laws])
+    with np.errstate(over="ignore"):  # no inf * 0 where eta_lf = 0
+        terms = np.multiply(eta, np.exp(-s[:-1]), out=np.zeros(env.n), where=eta > 0.0)
+        h_lf = float(np.cumsum(terms)[-1]) if env.n >= 1 else 0.0
     lower = 1.0 / (s_exp + 2.0 * h_lf)
     upper = math.exp(min(0.0, float(np.min(s[1:])))) if env.n >= 1 else 1.0
     lf_exact = None

@@ -4,9 +4,10 @@ A series is a coefficient row ``c_0..c_D``; the ``*_rows`` kernels operate
 on batches of shape (M, D+1), one series per row, truncated at the common
 degree D.  They are the only series machinery in the package, shared by the
 series route of the composition kernel ``exact.horizon_rows`` (environment
-rows that contain a finite law) and the annealed enumerator.  Rows whose
-laws are all linear fractional take the kernel's closed-form route instead
-and never reach ``apply_law_rows``.
+rows that contain a finite law) and the annealed enumerator on models with
+a finite state.  Environment rows whose laws are all linear fractional, and
+the enumeration of all-LF models, take the closed form instead: they never
+reach ``apply_law_rows`` and use only ``pow_rows`` (and so ``mul_rows``).
 
 Composition is exact for the kept degrees: the coefficient of ``s^j`` in
 ``f(g(s))`` only depends on the coefficients of ``g`` up to degree ``j``, so
@@ -77,9 +78,10 @@ def apply_law_rows(law: OffspringLaw, c: np.ndarray) -> np.ndarray:
     """
     if isinstance(law, FiniteLaw):
         probs = law.probs
-        out = np.zeros_like(c)
-        out[:, 0] = probs[-1]
-        for k in range(len(probs) - 2, -1, -1):
+        # the first Horner product multiplies the constant row [q_d, 0, ...]: it is q_d c
+        out = probs[-1] * c if len(probs) > 1 else np.zeros_like(c)
+        out[:, 0] += probs[-2] if len(probs) > 1 else probs[0]
+        for k in range(len(probs) - 3, -1, -1):
             out = mul_rows(out, c)
             out[:, 0] += probs[k]
         return out

@@ -25,7 +25,7 @@ from bpre.exact import (
 from bpre.laws import FiniteLaw, LinearFractionalLaw
 from bpre.lf import LFQuenchedState
 from bpre.models import example1_model, gw_binary, weakly_model
-from bpre.pgf import apply_law_rows
+from bpre.pgf import apply_law_rows, pow_rows
 
 from helpers import (
     gapped_finite_law,
@@ -585,8 +585,85 @@ def test_breadth_first_block_stays_under_cell_cap(j_max, n, monkeypatch):
         return apply_law_rows(law, c)
 
     monkeypatch.setattr(exact, "apply_law_rows", spy)
-    annealed_pmf_row(weakly_model(), 1, n, j_max)
+    model = EnvironmentModel(
+        (FiniteLaw((0.2, 0.5, 0.3)), LinearFractionalLaw(m=0.5, b=0.5)), (2.0 / 3.0, 1.0 / 3.0)
+    )
+    annealed_pmf_row(model, 1, n, j_max)
     assert max(calls) <= exact._BLOCK_CELLS < 2 * max(calls)
+
+
+@pytest.mark.parametrize("j_max, n", [(0, 16), (8, 16), (64, 16), (128, 15)])
+def test_lf_block_and_horizon_rows_stay_under_cell_cap(j_max, n, monkeypatch):
+    # an all-LF block holds 5 cells per row (p, e, a, r and the weight), so
+    # it stops at 2^14 rows and n = 15, 16 reach the depth-first pass; the
+    # coefficient rows of a horizon are built in chunks under the cap too
+    steps, layers = [], []
+
+    def step_spy(m, em, p, *rest):
+        steps.append(p.size)
+        return lf_step(m, em, p, *rest)
+
+    def layers_spy(*args):
+        f = lf_layers(*args)
+        layers.append(f.size)
+        return f
+
+    lf_step, lf_layers = exact._lf_step, exact._lf_layers
+    monkeypatch.setattr(exact, "_lf_step", step_spy)
+    monkeypatch.setattr(exact, "_lf_layers", layers_spy)
+    annealed_pmf_row(weakly_model(), 1, n, j_max)
+    assert 5 * max(steps) <= exact._BLOCK_CELLS < 10 * max(steps)
+    assert max(layers) <= exact._BLOCK_CELLS
+
+
+def _enumeration_oracle(model, z0, n, width):
+    """Sum of w(env) pow_rows(f_{0,n}, z0) over all a^n environments, each by the series route."""
+    states = tuple(law for law, w in zip(model.states, model.weights) if w > 0.0)
+    weights = np.array([w for w in model.weights if w > 0.0])
+    idx = np.array(list(itertools.product(range(len(states)), repeat=n)), dtype=np.int64)
+    idx = idx.reshape(len(states) ** n, n)
+    rows = exact._series_layers(states, idx, width, False)[0]
+    return np.prod(weights[idx], axis=1) @ pow_rows(rows, z0)
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 65])
+@pytest.mark.parametrize("block_cells", [None, 1, 12])
+def test_lf_enumeration_matches_series_route_oracle(width, block_cells, monkeypatch):
+    # all-LF models take the closed-form block; every horizon of one sweep
+    # must agree with explicit enumeration on series rows
+    if block_cells is not None:
+        monkeypatch.setattr(exact, "_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(60 + width)
+    for trial in range(4):
+        k = 1 + trial % 3
+        model = EnvironmentModel(
+            tuple(random_lf_law(rng) for _ in range(k)), tuple(rng.dirichlet(np.ones(k)))
+        )
+        n_max = {1: 9, 2: 6, 3: 5}[k]
+        for z0 in (1, 2):
+            totals = exact._annealed_rows(
+                model, z0, (0, 1, 2, n_max), width - 1, exact.ENUMERATION_BUDGET
+            )
+            for n, got in totals.items():
+                want = _enumeration_oracle(model, z0, n, width)
+                assert np.allclose(got, want, rtol=1e-12, atol=0.0), (trial, z0, n)
+
+
+def test_lf_single_state_enumeration_carries_survival_below_2_pow_512():
+    # survival falls to about 0.75^2000 ~ 1e-250, below 2^-512, so the
+    # enumerator carries it with an exponent; P(Z_n = 1) = m^n / (1 + c)^2
+    # with c = eta (1 - m^n) / (1/m - 1) for a constant LF law
+    law = LinearFractionalLaw(m=0.75, b=0.5)
+    model = EnvironmentModel((law,), (1.0,))
+    n = 2000
+    for z0 in (1, 2):
+        row = annealed_pmf_row(model, z0, n, 4)
+        expected = quenched_coeff_row(EnvSequence((law,) * n), z0, 4)
+        assert np.allclose(row, expected, rtol=1e-12, atol=0.0)
+        assert row[z0] > 0.0
+    c = law.eta_lf * (1.0 - law.m**n) / (1.0 / law.m - 1.0)
+    log_p1 = n * math.log(law.m) - 2.0 * math.log1p(c)
+    assert math.log(annealed_pmf_row(model, 1, n, 1)[1]) == pytest.approx(log_p1, rel=1e-12)
 
 
 def test_fekete_table_and_csv():

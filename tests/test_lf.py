@@ -136,6 +136,40 @@ def test_state_survives_long_supercritical_horizon():
     assert survival == pytest.approx(0.5, rel=1e-14)
 
 
+def test_states_past_double_range_give_ieee_limits():
+    # supercritical: a = exp(-S_n) / D = 2^-1100 / D is 0 in double, survival 1/2;
+    # subcritical: the survival 2^-1100 is 0 in double, a = r = 1/2
+    sup = LFQuenchedState.from_env(EnvSequence((LinearFractionalLaw(2.0, 8.0),) * 1100))
+    sub = LFQuenchedState.from_env(EnvSequence((LinearFractionalLaw(0.5, 0.5),) * 1100))
+    assert sup.a == 0.0 and sub.survival == 0.0
+    for state in (sup, sub):
+        assert lf_fgen(state, 1.0) == 1.0
+        with pytest.raises(ContractError, match="not representable"):
+            lf_composed_law(state)
+    assert lf_fgen(sup, 0.0) == pytest.approx(0.5, rel=1e-14)
+    assert lf_fgen(sub, 0.0) == 1.0
+    # the quenched mean exp(S_n) is 2^1100 and 2^-1100
+    assert lf_derivative(sup, 1.0) == math.inf
+    assert lf_derivative(sub, 1.0) == 0.0
+    assert sup.s_exp == 0.0 and sup.eta_sum == pytest.approx(2.0, rel=1e-14)
+    assert sub.s_exp == math.inf and sub.eta_sum == math.inf
+
+
+def test_agresti_bounds_past_double_range():
+    # exp(-S_n) = 2^1100 overflows, so the lower bound is below the smallest double
+    sub = EnvSequence((LinearFractionalLaw(0.5, 0.5),) * 1100)
+    bounds = agresti_survival_bounds(sub)
+    assert bounds.lower == 0.0 and bounds.lf_exact == 0.0
+    assert bounds.upper == 0.0  # exp(S_n) = 2^-1100 underflows too
+    # a mean-1 law without variance has eta = 0 where exp(-S_k) overflows: no inf * 0
+    flat = EnvSequence(sub.laws + (FiniteLaw((0.0, 1.0)),) * 5)
+    assert agresti_survival_bounds(flat).lower == 0.0
+    # the walk comes back to 0: the bound stays finite and below the survival 1/4
+    excursion = EnvSequence((LinearFractionalLaw(2.0, 8.0),) * 1100 + sub.laws)
+    bounds = agresti_survival_bounds(excursion)
+    assert 0.0 < bounds.lower <= bounds.lf_exact == pytest.approx(0.25, rel=1e-12)
+
+
 def test_lf_rho_strongly_weakly_and_boundary():
     strongly = EnvironmentModel(
         (

@@ -50,6 +50,32 @@ def test_apply_law_rows_lf_matches_direct_composition():
     assert np.allclose(out[:6], ref[:6], atol=1e-8)
 
 
+def _horner_rows(probs, c):
+    """``apply_law_rows`` for a finite law as first written: Horner from the constant row."""
+    out = np.zeros_like(c)
+    out[:, 0] = probs[-1]
+    for k in range(len(probs) - 2, -1, -1):
+        out = mul_rows(out, c)
+        out[:, 0] += probs[k]
+    return out
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_apply_law_rows_finite_matches_full_horner_bit_for_bit(degree):
+    # the first Horner product of the constant row [q_d, 0, ...] is q_d c exactly
+    rng = np.random.default_rng(40 + degree)
+    for width in (1, 2, 5, 17):
+        for _ in range(4):
+            raw = rng.random(degree + 1) * (rng.random(degree + 1) < 0.8)
+            raw[-1] += 0.1
+            law = FiniteLaw(tuple(raw / raw.sum()))
+            c = rng.random((6, width))
+            out = apply_law_rows(law, c.copy())
+            assert out.tobytes() == _horner_rows(law.probs, c).tobytes()
+    point = apply_law_rows(FiniteLaw((1.0,)), rng.random((3, 4)))
+    assert np.array_equal(point, np.repeat([[1.0, 0.0, 0.0, 0.0]], 3, axis=0))
+
+
 def test_compose_identity_outer():
     g = FiniteLaw((0.25, 0.0, 0.75)).coefficients(6)[None, :]
     out = apply_law_rows(FiniteLaw((0.0, 1.0)), g.copy())
