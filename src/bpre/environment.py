@@ -1,12 +1,14 @@
 """Finite-alphabet environment models and the associated random walk.
 
 The environment draws an offspring law i.i.d. from a finite alphabet; the
-walk increment of state ``a`` is ``x_a = log m_a``.  This module computes the
-drift, exponential tilts ``w_a <- w_a exp(-nu x_a) / mu``, the critical tilt
-solving ``E[X exp(-nu X)] = 0``, the lower-deviation rate value
-``Lambda(0) = -log inf_{lambda>=0} E[exp(-lambda X)]``, and the sign-of-
-``E[X exp(-X)]`` regime classification used by the linear-fractional closed
-forms.
+walk increment of state ``a`` is ``x_a = log m_a``.  A model keeps only its
+states of positive weight, the law of the step X.  This module computes the
+drift, exponential tilts ``w_a <- w_a exp(-nu x_a) / mu``, the lower-deviation
+rate value ``Lambda(0) = -log inf_{lambda>=0} E[exp(-lambda X)]``, and the
+sign-of-``E[X exp(-X)]`` regime classification used by the linear-fractional
+closed forms.  The convex E[exp(-lambda X)] is least at the root lambda* of
+E[X exp(-lambda X)] = 0, found once by ``solve_critical_tilt``: it is both
+the critical tilt of importance sampling and the minimiser behind Lambda(0).
 """
 
 from __future__ import annotations
@@ -21,7 +23,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError, NotSupercriticalError
-from .laws import PROB_TOL, LinearFractionalLaw, OffspringLaw, law_from_json, law_to_json
+from .laws import (
+    PROB_TOL,
+    LinearFractionalLaw,
+    OffspringLaw,
+    law_from_json,
+    law_to_json,
+    walk_increment,
+)
 
 
 class Regime(enum.Enum):
@@ -32,7 +41,11 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class EnvironmentModel:
-    """Distribution over offspring laws: ``states[a]`` drawn with ``weights[a]``."""
+    """Distribution over offspring laws: ``states[a]`` drawn with ``weights[a]``.
+
+    A state of weight <= 0 (within rounding) is validated, then dropped, so
+    the kept states, in their order, are exactly the law of the step X.
+    """
 
     states: tuple[OffspringLaw, ...]
     weights: tuple[float, ...]
@@ -40,8 +53,6 @@ class EnvironmentModel:
     def __post_init__(self):
         states = tuple(self.states)
         weights = tuple(float(w) for w in self.weights)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "weights", weights)
         if len(states) < 1:
             raise ContractError("environment model needs at least one state")
         if len(states) != len(weights):
@@ -52,11 +63,14 @@ class EnvironmentModel:
             raise ContractError("negative environment weight")
         if abs(sum(weights) - 1.0) > PROB_TOL:
             raise ContractError(f"environment weights sum to {sum(weights)!r}, not 1")
+        kept = [(law, w) for law, w in zip(states, weights) if w > 0.0]
+        object.__setattr__(self, "states", tuple(law for law, _ in kept))
+        object.__setattr__(self, "weights", tuple(w for _, w in kept))
 
     @cached_property
     def x_values(self) -> tuple[float, ...]:
         """Walk increments log m_a; a state with mean 0 has increment -inf."""
-        return tuple(math.log(law.mean) if law.mean > 0.0 else -math.inf for law in self.states)
+        return tuple(map(walk_increment, self.states))
 
     @cached_property
     def _w(self) -> np.ndarray:
@@ -70,26 +84,17 @@ class EnvironmentModel:
         x.flags.writeable = False
         return x
 
-    @cached_property
-    def _walk(self) -> tuple[np.ndarray, np.ndarray]:
-        """Weights and increments of the positive-weight states: the law of the step X."""
-        keep = self._w > 0.0
-        return self._w[keep], self._x[keep]
-
     @property
     def drift(self) -> float:
-        w, x = self._walk
-        return float(np.dot(w, x))
+        return float(np.dot(self._w, self._x))
 
     def tilted_moment(self, lam: float) -> float:
         """E[exp(-lam X)]."""
-        w, x = self._walk
-        return float(np.dot(w, np.exp(-lam * x)))
+        return float(np.dot(self._w, np.exp(-lam * self._x)))
 
     def tilted_cross_moment(self, lam: float) -> float:
         """E[X exp(-lam X)]."""
-        w, x = self._walk
-        return float(np.dot(w, x * np.exp(-lam * x)))
+        return float(np.dot(self._w, self._x * np.exp(-lam * self._x)))
 
     @property
     def cross_moment(self) -> float:
@@ -103,13 +108,13 @@ class EnvironmentModel:
 
     @property
     def assumption1_gamma(self) -> float:
-        """Witness 1 - max q_a(0) over the positive-weight states; Assumption 1 needs it > 0."""
-        return 1.0 - max(law.p0 for law, w in zip(self.states, self.weights) if w > 0.0)
+        """Witness 1 - max q_a(0); Assumption 1 needs it > 0."""
+        return 1.0 - max(law.p0 for law in self.states)
 
     @property
     def is_lf_pure(self) -> bool:
-        """Whether every positive-weight state is linear fractional."""
-        return all(isinstance(law, LinearFractionalLaw) for law, w in zip(self.states, self._w) if w > 0)
+        """Whether every state is linear fractional."""
+        return all(isinstance(law, LinearFractionalLaw) for law in self.states)
 
     def sample_indices(self, rng: np.random.Generator, size) -> np.ndarray:
         """States drawn i.i.d. by inversion: one uniform u each, index #{a : cum_a <= u}.
@@ -157,91 +162,58 @@ class RateFunctionAtZero:
     flag: str
 
 
-def _golden_minimize(f, lo: float, hi: float, tol: float) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def rate_function_at_zero(model: EnvironmentModel, tol: float = 1e-10) -> RateFunctionAtZero:
+def rate_function_at_zero(model: EnvironmentModel) -> RateFunctionAtZero:
     if model.drift <= 0.0:
         raise NotSupercriticalError("not supercritical: E[X] <= 0")
-    w, x = model._walk
-    min_x = float(np.min(x))
+    min_x = float(np.min(model._x))
     if min_x > 0.0:
         return RateFunctionAtZero(math.inf, math.inf, "no-small-value")
     if min_x == 0.0:
-        mass_at_zero = float(np.sum(w[x == 0.0]))
+        mass_at_zero = float(np.sum(model._w[model._x == 0.0]))
         return RateFunctionAtZero(math.inf, -math.log(mass_at_zero), "boundary")
-    g = model.tilted_moment
-    hi = 1.0
-    # expand until g starts increasing at the right edge (convexity)
-    for _ in range(80):
-        if model.tilted_cross_moment(hi) < 0.0:  # g'(hi) = -E[X e^{-hi X}] > 0
-            break
-        hi *= 2.0
-    else:
-        mass_near_zero = float(np.sum(w[np.abs(x) <= 1e-12]))
-        if mass_near_zero > 0.0:
-            return RateFunctionAtZero(math.inf, -math.log(mass_near_zero), "boundary")
-        return RateFunctionAtZero(math.inf, math.inf, "no-small-value")
-    lam = _golden_minimize(g, 0.0, hi, tol)
-    return RateFunctionAtZero(lam, -math.log(g(lam)), "interior")
+    lam = solve_critical_tilt(model)
+    return RateFunctionAtZero(lam, -math.log(model.tilted_moment(lam)), "interior")
 
 
 def tilt(model: EnvironmentModel, nu: float) -> tuple[EnvironmentModel, float]:
     """Reweight the environment by ``exp(-nu X) / mu``; returns (model, mu)."""
-    w, x = model._walk
-    factors = np.exp(-nu * x)
-    mu = float(np.dot(w, factors))
+    factors = np.exp(-nu * model._x)
+    mu = float(np.dot(model._w, factors))
     if not math.isfinite(mu) or mu <= 0.0:
         raise ContractError("tilt normalizer is not finite and positive")
-    new_w = np.zeros(len(model.weights))
-    new_w[model._w > 0.0] = w * factors / mu
-    return EnvironmentModel(model.states, tuple(new_w.tolist())), mu
+    return EnvironmentModel(model.states, tuple((model._w * factors / mu).tolist())), mu
 
 
-def solve_critical_tilt(model: EnvironmentModel, tol: float = 1e-12) -> float:
-    """Solve E[X exp(-nu X)] = 0 by bisection; needs E[X] > 0 and P(X < 0) > 0."""
+def solve_critical_tilt(model: EnvironmentModel, tol: float = 1e-14) -> float:
+    """The root of h(nu) = E[X exp(-nu X)]; needs E[X] > 0 and P(X < 0) > 0.
+
+    h is decreasing, so the root is the minimiser of E[exp(-nu X)].  The
+    bracket [0, 2^k] is bisected until h(mid) is finite and
+    |h(mid)| <= tol E[|X| exp(-mid X)], a test that does not depend on the
+    scale of X, or until no double lies strictly inside the bracket.
+    """
     if model.drift <= 0.0:
         raise NotSupercriticalError("critical tilt needs E[X] > 0")
-    if float(np.min(model._walk[1])) >= 0.0:
+    w, x = model._w, model._x
+    if float(np.min(x)) >= 0.0:
         raise ContractError("no negative increments: critical tilt undefined")
     h = model.tilted_cross_moment
     lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if h(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise ContractError("failed to bracket the critical tilt")
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        val = h(mid)
-        if abs(val) <= tol:
-            return mid
-        if val > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, hi):
-            break
-    mid = 0.5 * (lo + hi)
-    if abs(h(mid)) > tol:
-        raise ContractError("critical tilt bisection did not reach tolerance")
-    return mid
+    with np.errstate(over="ignore"):  # h is -inf where exp(-nu X) overflows
+        while h(hi) >= 0.0:
+            hi *= 2.0
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                return mid
+            e = np.exp(-mid * x)
+            val = float(np.dot(w, x * e))
+            if math.isfinite(val) and abs(val) <= tol * float(np.dot(w, np.abs(x) * e)):
+                return mid
+            if val > 0.0:
+                lo = mid
+            else:
+                hi = mid
 
 
 def classify_regime(model: EnvironmentModel, tol: float = 1e-12) -> Regime:
@@ -262,7 +234,7 @@ def lattice_span(model: EnvironmentModel, tol: float = 1e-9) -> float | None:
     A span of 0.0 means X = 0 almost surely; an increment -inf (mean 0) lies
     on no lattice.
     """
-    xs = [x for x, w in zip(model.x_values, model.weights) if w > 0.0]
+    xs = model.x_values
     if not all(map(math.isfinite, xs)):
         return None
     nonzero = [abs(x) for x in xs if abs(x) > tol]

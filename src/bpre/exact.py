@@ -43,7 +43,7 @@ import numpy as np
 
 from .environment import EnvironmentModel
 from .errors import BudgetError, ContractError, TruncationError
-from .laws import FiniteLaw, LinearFractionalLaw, OffspringLaw
+from .laws import FiniteLaw, LinearFractionalLaw, OffspringLaw, walk_increment
 from .pgf import MAX_DEGREE, apply_law_rows, pow_rows
 
 ENUMERATION_BUDGET = 1 << 26
@@ -72,7 +72,7 @@ class EnvSequence:
     def walk(self) -> np.ndarray:
         """S_0..S_n with S_k - S_{k-1} = log mean of q_k."""
         s = np.zeros(self.n + 1)
-        s[1:] = np.cumsum([math.log(law.mean) for law in self.laws])
+        s[1:] = np.cumsum([walk_increment(law) for law in self.laws])
         s.flags.writeable = False
         return s
 
@@ -288,9 +288,9 @@ def quenched_pmf(env: EnvSequence, z0: int, j: int, degree: int | None = None) -
         raise ContractError("population size must be >= 0")
     if degree is not None and j > degree:
         raise TruncationError(f"raise truncation degree: need {j}, have {degree}")
-    if degree is not None and degree > MAX_DEGREE:
-        raise TruncationError(f"required degree {degree} exceeds cap {MAX_DEGREE}")
     j_top = degree if degree is not None else j
+    if j_top > MAX_DEGREE:
+        raise TruncationError(f"required degree {j_top} exceeds cap {MAX_DEGREE}")
     return float(quenched_coeff_row(env, z0, j_top)[j])
 
 
@@ -395,9 +395,7 @@ def smallest_reachable(model: EnvironmentModel, cap: int = 64) -> ReachableSet:
     z0 = None
     capped = False
     masks = {}  # one table of z-fold sumsets per distinct support
-    for law, w in zip(model.states, model.weights):
-        if w <= 0.0:
-            continue
+    for law in model.states:
         support, unbounded = law.support(cap)
         capped = capped or unbounded
         key = tuple(sorted(support))
@@ -493,8 +491,8 @@ def _annealed_rows(
     largest.
     """
     n_max = max(horizons, default=0)
-    states = [(law, w) for law, w in zip(model.states, np.asarray(model.weights)) if w > 0.0]
-    k = len(states)  # zero-weight states are never enumerated
+    states = list(zip(model.states, model.weights))
+    k = len(states)
     if k**n_max > budget:
         raise BudgetError(
             f"enumeration of {k}^{n_max} sequences exceeds budget {budget}; "
@@ -503,7 +501,7 @@ def _annealed_rows(
     width = j_max + 1
     totals = {n: np.zeros(width) for n in horizons}
 
-    if all(isinstance(law, LinearFractionalLaw) for law, _ in states):
+    if model.is_lf_pure:
         keep = min(1.0 - law.p0 for law, _ in states)  # every p of depth d is >= keep^d
         cells = 5  # p, e, a, r and the weight
 

@@ -229,6 +229,12 @@ class LinearFractionalLaw:
 OffspringLaw = Union[FiniteLaw, LinearFractionalLaw]
 
 
+def walk_increment(law: OffspringLaw) -> float:
+    """Random-walk step log m of a law; a law of mean 0 steps to -inf."""
+    m = law.mean
+    return math.log(m) if m > 0.0 else -math.inf
+
+
 def moments(law: OffspringLaw) -> tuple[float, float, float]:
     """Return (mean, second factorial moment, eta_general) for a valid law."""
     m = law.mean

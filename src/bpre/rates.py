@@ -127,11 +127,9 @@ class MonotoneRho:
 
 
 def monotone_rho(model: EnvironmentModel) -> MonotoneRho:
-    if any(law.p0 > 0.0 for law, w in zip(model.states, model.weights) if w > 0.0):
+    if any(law.p0 > 0.0 for law in model.states):
         raise ContractError("monotone-case formula requires q(0) = 0 in every state")
-    mean_q1 = float(
-        sum(w * law.prob(1) for law, w in zip(model.states, model.weights))
-    )
+    mean_q1 = sum(w * law.prob(1) for law, w in zip(model.states, model.weights))
     if mean_q1 <= 0.0:
         return MonotoneRho(rho=math.inf, infinite=True)
     return MonotoneRho(rho=-math.log(mean_q1), infinite=False)

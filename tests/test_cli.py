@@ -475,3 +475,18 @@ def cli_argv(draw, command):
 def test_cli_fuzz_exit_codes(command, model_paths, data):
     argv = [arg.format(**model_paths) for arg in data.draw(cli_argv(command))]
     assert main(argv) in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("command", ["validate", "rho --n-max 4"])
+def test_tiny_increments_return(command, tmp_path):
+    # increments +-1e-6 put the critical tilt near 1.1e6, where the spacing of
+    # doubles exceeds any fixed absolute tolerance of a minimiser's bracket
+    states = [
+        {"type": "lf", "m": math.exp(x), "b": 2.0 * math.exp(2.0 * x)} for x in (1e-6, -1e-6)
+    ]
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"states": states, "weights": [0.9, 0.1]}))
+    argv = [sys.executable, "-m", "bpre.cli", *command.split(), "--model", str(path)]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,7 +20,7 @@ from bpre.errors import ContractError, NotSupercriticalError
 from bpre.laws import FiniteLaw, LinearFractionalLaw
 from bpre.models import weakly_model
 
-from helpers import random_lf_law, searchsorted_indices
+from helpers import random_finite_law, random_lf_law, searchsorted_indices
 
 
 def two_point_model(x_up, x_down, w_up):
@@ -178,7 +179,7 @@ def test_zero_weight_states_stay_out_of_the_walk():
     base = weakly_model()
     extra = (LinearFractionalLaw(m=1.0, b=2.0), FiniteLaw((1.0,)), FiniteLaw((0.9, 0.0, 0.1)))
     padded = EnvironmentModel(base.states + extra, base.weights + (0.0,) * 3)
-    assert padded.x_values[3] == -math.inf  # mean 0
+    assert padded == base
     assert padded.drift == base.drift
     for lam in (0.0, 0.5, 2.0):
         assert padded.tilted_moment(lam) == base.tilted_moment(lam)
@@ -190,7 +191,7 @@ def test_zero_weight_states_stay_out_of_the_walk():
     tilted, mu = tilt(padded, 0.5)
     base_tilted, base_mu = tilt(base, 0.5)
     assert mu == base_mu
-    assert tilted.weights == base_tilted.weights + (0.0,) * 3
+    assert tilted == base_tilted
     # the zero-weight X = 0 state once made the rate -log(0)
     lone = EnvironmentModel((LinearFractionalLaw(m=2.0, b=8.0), extra[0]), (1.0, 0.0))
     assert rate_function_at_zero(lone).flag == "no-small-value"
@@ -209,7 +210,7 @@ def test_mean_zero_state_has_increment_minus_inf():
 def _sample_models():
     rng = np.random.default_rng(12)
     six = rng.random(6)
-    six[[1, 4]] = 0.0  # zero-weight states: repeated cumulative weights
+    six[[1, 4]] = 0.0  # zero-weight states, dropped at construction
     lopsided = np.array([1e-9, 0.0, 1.0 - 1e-9])
     return [
         EnvironmentModel((LinearFractionalLaw(1.5, 3.0),), (1.0,)),
@@ -229,3 +230,99 @@ def test_sample_indices_match_searchsorted_oracle(model, size):
         assert np.array_equal(got, want)
     never = [a for a, w in enumerate(model.weights) if w == 0.0]
     assert not np.isin(model.sample_indices(np.random.default_rng(0), 100_000), never).any()
+
+
+def _lf_step_law(x):
+    """LF law whose walk increment is log m = x (up to the rounding of exp)."""
+    m = math.exp(x)
+    return LinearFractionalLaw(m=m, b=2.0 * m * m)
+
+
+# increments so small that the tilt runs to ~1e6, a root the absolute test
+# |h| <= 1e-12 missed, and a root past which exp(-nu X) overflows
+HARD_TILT_MODELS = [
+    EnvironmentModel((_lf_step_law(1e-6), _lf_step_law(-1e-6)), (0.9, 0.1)),
+    EnvironmentModel((_lf_step_law(1e-4), _lf_step_law(-1e-15)), (0.5, 0.5)),
+    EnvironmentModel(
+        (LinearFractionalLaw(1.0 + 1e-15, 2.0 * (1.0 + 1e-15) ** 2), _lf_step_law(-1.0)),
+        (1.0 - 1e-300, 1e-300),
+    ),
+]
+
+
+def _mp_critical_tilt(model):
+    """60-digit bisection of E[X exp(-lam X)] = 0 on the model's double increments."""
+    with mpmath.workdps(60):
+        wx = [(mpmath.mpf(w), mpmath.mpf(x)) for w, x in zip(model.weights, model.x_values)]
+
+        def h(lam):
+            return mpmath.fsum(w * x * mpmath.exp(-lam * x) for w, x in wx)
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        while h(hi) >= 0:
+            hi *= 2
+        while hi - lo > hi * mpmath.mpf(10) ** -55:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if h(mid) > 0 else (lo, mid)
+        lam = (lo + hi) / 2
+        value = -mpmath.log(mpmath.fsum(w * mpmath.exp(-lam * x) for w, x in wx))
+        return float(lam), float(value)
+
+
+def _random_tilt_models(count):
+    rng = np.random.default_rng(2026)
+    models = []
+    while len(models) < count:
+        k = int(rng.integers(2, 5))
+        if len(models) % 2:
+            laws = tuple(random_finite_law(rng, max_support=4) for _ in range(k))
+        else:
+            laws = tuple(random_lf_law(rng) for _ in range(k))
+        raw = rng.random(k) + 0.05
+        model = EnvironmentModel(laws, tuple(raw / raw.sum()))
+        if model.drift > 0.0 and min(model.x_values) < 0.0:
+            models.append(model)
+    return models
+
+
+@pytest.mark.parametrize(
+    "model", HARD_TILT_MODELS + _random_tilt_models(40), ids=lambda m: m.model_id
+)
+def test_critical_tilt_and_rate_match_mpmath_bisection(model):
+    lam_ref, value_ref = _mp_critical_tilt(model)
+    lam = solve_critical_tilt(model)
+    assert lam == pytest.approx(lam_ref, rel=1e-12, abs=0.0)
+    res = rate_function_at_zero(model)
+    assert res.flag == "interior"
+    assert res.lambda_star == lam
+    assert res.value == pytest.approx(value_ref, rel=0.0, abs=1e-14)
+
+
+def test_critical_tilt_of_weakly_is_exactly_one_half():
+    assert solve_critical_tilt(weakly_model()) == 0.5
+    assert rate_function_at_zero(weakly_model()).lambda_star == 0.5
+
+
+def test_zero_and_rounding_weight_states_are_dropped():
+    a, b = LinearFractionalLaw(2.0, 8.0), LinearFractionalLaw(0.5, 0.5)
+    base = EnvironmentModel((a, b), (0.5, 0.5 + 1e-13))
+    padded = EnvironmentModel(
+        (FiniteLaw((1.0,)), a, LinearFractionalLaw(1.0, 2.0), b, FiniteLaw((0.9, 0.0, 0.1))),
+        (0.0, 0.5, -1e-13, 0.5 + 1e-13, 0.0),
+    )
+    assert padded == base
+    assert padded.to_json() == base.to_json()
+    assert padded.model_id == base.model_id
+    assert EnvironmentModel.from_json(json.loads(json.dumps(padded.to_json()))) == base
+    for seed in range(3):
+        got = padded.sample_indices(np.random.default_rng(seed), 1000)
+        assert np.array_equal(got, base.sample_indices(np.random.default_rng(seed), 1000))
+
+    class BelowHalf:
+        """Uniforms in [0.5 - 1e-13, 0.5), where the -1e-13 state's interval once lay."""
+
+        def random(self, size):
+            return np.linspace(0.5 - 1e-13, np.nextafter(0.5, 0.0), size)
+
+    drawn = padded.sample_indices(BelowHalf(), 64)
+    assert all(padded.states[i] is a for i in drawn)

@@ -25,7 +25,7 @@ from bpre.exact import (
 from bpre.laws import FiniteLaw, LinearFractionalLaw
 from bpre.lf import LFQuenchedState
 from bpre.models import example1_model, gw_binary, weakly_model
-from bpre.pgf import apply_law_rows, pow_rows
+from bpre.pgf import MAX_DEGREE, apply_law_rows, pow_rows
 
 from helpers import (
     gapped_finite_law,
@@ -37,6 +37,24 @@ from helpers import (
     series_horizon_rows,
     spine_event_probability,
 )
+
+
+def test_mean_zero_law_walks_to_minus_inf():
+    env = EnvSequence((FiniteLaw((1.0,)),))
+    assert env.walk.tolist() == [0.0, -math.inf]
+    model = EnvironmentModel((FiniteLaw((1.0,)), LinearFractionalLaw(2.0, 8.0)), (0.5, 0.5))
+    assert env.walk[1] == model.x_values[0]
+
+
+def test_quenched_pmf_caps_the_row_it_builds():
+    env = EnvSequence((LinearFractionalLaw(2.0, 8.0),))
+    with pytest.raises(TruncationError):
+        quenched_pmf(env, 1, MAX_DEGREE + 1)
+    with pytest.raises(TruncationError):
+        quenched_pmf(env, 1, 3, degree=MAX_DEGREE + 1)
+    assert quenched_pmf(env, 1, MAX_DEGREE) == pytest.approx(
+        LinearFractionalLaw(2.0, 8.0).prob(MAX_DEGREE), rel=1e-9
+    )
 
 
 def test_env_sequence_walk():

@@ -224,6 +224,11 @@ def test_lf_rho_below_fekete_bounds():
         assert all(rho <= r.a_n_over_n + 1e-9 for r in table.rows)
 
 
+def test_agresti_bounds_reject_a_mean_zero_law():
+    with pytest.raises(ContractError):
+        agresti_survival_bounds(EnvSequence((FiniteLaw((1.0,)),)))
+
+
 def test_agresti_bounds_lf_exact():
     rng = np.random.default_rng(8)
     for _ in range(15):
