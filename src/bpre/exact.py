@@ -14,9 +14,12 @@ bounded suffix statistics of ``_lf_suffix``, the one LF recursion of the
 package, which ``lf`` builds on too (a survival below 2^-512 is carried
 with an exponent, so no horizon underflows it); any other row takes the
 series route, one ``pgf.apply_law_rows`` per generation, O(n width^2) per
-row (at width 1 a finite law is just its pgf on the ladder).  One
-log-derivative helper forms the products prod f_k'(t_k) of ``mrca_rows``,
-``phi_n`` and the subtree identity.
+row (at width 1 a finite law is just its pgf on the ladder).
+``mrca_rows`` chooses the same two routes per row: an all-LF row reads its
+MRCA law straight off the ``_lf_suffix`` statistics, with no derivative
+and no product over generations.  One log-derivative helper forms the
+products prod f_k'(t_k) of the series rows of ``mrca_rows``, of ``phi_n``
+and of the subtree identity.
 
 The annealed enumerator (``_annealed_rows``) composes from the innermost
 generation outward: a shared breadth-first block, then the outermost
@@ -112,18 +115,31 @@ def horizon_rows(
     block: a row whose laws are all LF takes the closed form (``_lf_suffix``,
     then ``_lf_layers``), any other row the series route (``_series_layers``).
     """
-    b, n = idx.shape
-    is_lf = np.array([isinstance(law, LinearFractionalLaw) for law in states], dtype=bool)
-    closed = is_lf[idx].all(axis=1)
-    if closed.all():
-        f = _lf_layers(*_lf_suffix(states, idx, width, layers), width)
-    elif not closed.any():
-        f = _series_layers(states, idx, width, layers)
-    else:
-        f = np.empty((n + 1 if layers else 1, b, width))
-        f[:, closed] = _lf_layers(*_lf_suffix(states, idx[closed], width, layers), width)
-        f[:, ~closed] = _series_layers(states, idx[~closed], width, layers)
+    f = _by_route(
+        states,
+        idx,
+        lambda sub: _lf_layers(*_lf_suffix(states, sub, width, layers), width),
+        lambda sub: _series_layers(states, sub, width, layers),
+    )
     return f if layers else f[0]
+
+
+def _by_route(states: tuple[OffspringLaw, ...], idx: np.ndarray, closed, series) -> np.ndarray:
+    """``closed`` on the environment rows of idx whose laws are all LF, ``series`` on the rest.
+
+    Both return arrays with the environment row on axis 1, which are merged
+    in row order; a block of one route is passed whole.
+    """
+    is_lf = np.array([isinstance(law, LinearFractionalLaw) for law in states], dtype=bool)
+    lf = is_lf[idx].all(axis=1)
+    if lf.all():
+        return closed(idx)
+    if not lf.any():
+        return series(idx)
+    part = closed(idx[lf])
+    out = np.empty(part.shape[:1] + (idx.shape[0],) + part.shape[2:])
+    out[:, lf], out[:, ~lf] = part, series(idx[~lf])
+    return out
 
 
 def _lf_suffix(
@@ -252,22 +268,59 @@ def _log_derivatives(
 def mrca_rows(states: tuple[OffspringLaw, ...], idx: np.ndarray, target: int) -> np.ndarray:
     """Rows (b, n): P(Z_n = target, MRCA in generation g | env, Z_0 = 1) for g = 0..n-1.
 
-    The MRCA age is n - g.  With t_k = f_{k,n}(0), the probability that
-    Z_n = target and every horizon individual descends from one
-    generation-g individual is A_g = f'_{0,g}(t_g) [s^target] f_{g,n}, where
-    f'_{0,g}(t_g) = prod_{k=1..g} f_k'(t_k) is summed in log space.  These
-    events shrink with g and A_n = 0, so column g is A_g - A_{g+1}, clipped
-    at 0; a row sums to P(Z_n = target | env).
+    The MRCA age is n - g.  With T = target and t_k = f_{k,n}(0), the
+    probability that Z_n = T and every horizon individual descends from one
+    generation-g individual is A_g = f'_{0,g}(t_g) [s^T] f_{g,n}.  These
+    events shrink with g and A_n = 0, so column g is A_g - A_{g+1},
+    clipped at 0; a row sums to P(Z_n = T | env).
+
+    The route is chosen per row, as in ``horizon_rows``.  A row whose laws
+    are all LF takes the closed form (``_lf_mrca``).  With the walk S_g,
+    f_{0,g}(s) = 1 - (1-s) / (e^{-S_g} + B (1-s)) for some B >= 0, and
+    1 - t_0 = (1 - t_g) / (e^{-S_g} + B (1 - t_g)), so f'_{0,g}(t_g) =
+    e^{-S_g} (p_0 / p_g)^2, where p, a, r are the ``_lf_suffix`` statistics
+    (p_g = 1 - t_g).  With [s^T] f_{g,n} = p_g a_g r_g^(T-1) and
+    a_g = e^{-(S_n - S_g)} p_g, the walk and p_g cancel:
+
+        A_g = p_0 a_0 r_g^(T-1),
+
+    every factor in [0, 1], so no horizon overflows, and r_n = 0 gives
+    A_n = 0.  Any other row takes the series route (``_series_mrca``),
+    where f'_{0,g}(t_g) = prod_{k=1..g} f_k'(t_k) is summed in log space.
     """
     if target < 2:
         raise ContractError("target size must be >= 2 for a meaningful MRCA")
+    a = _by_route(
+        states,
+        idx,
+        lambda sub: _lf_mrca(states, sub, target),
+        lambda sub: _series_mrca(states, sub, target),
+    )
+    return np.clip(a[:-1] - a[1:], 0.0, None).T
+
+
+def _lf_mrca(states: tuple[OffspringLaw, ...], idx: np.ndarray, target: int) -> np.ndarray:
+    """A_g = p_0 a_0 r_g^(T-1) of ``mrca_rows`` as (n+1, b), layer g for generation g.
+
+    For rows whose laws are all LF: one layered ``_lf_suffix`` at width 2,
+    then powers of r as running products.
+    """
+    p, a, r = _lf_suffix(states, idx, 2, layers=True)
+    power = r
+    for _ in range(target - 2):
+        power = power * r
+    return p[0] * a[0] * power
+
+
+def _series_mrca(states: tuple[OffspringLaw, ...], idx: np.ndarray, target: int) -> np.ndarray:
+    """A_g of ``mrca_rows`` as (n+1, b) by the series route: log-derivative prefix sums."""
     b, n = idx.shape
-    f = horizon_rows(states, idx, target + 1, layers=True)
+    f = _series_layers(states, idx, target + 1, layers=True)
     log_prefix = np.zeros((b, n))
     np.cumsum(_log_derivatives(states, idx[:, :-1], f[1:n, :, 0].T), axis=1, out=log_prefix[:, 1:])
-    a = np.zeros((b, n + 1))
-    a[:, :n] = np.exp(log_prefix) * f[:n, :, target].T
-    return np.clip(a[:, :-1] - a[:, 1:], 0.0, None)
+    a = np.zeros((n + 1, b))
+    a[:n] = (np.exp(log_prefix) * f[:n, :, target].T).T
+    return a
 
 
 def quenched_coeff_row(env: EnvSequence, z0: int, j_max: int) -> np.ndarray:

@@ -26,13 +26,14 @@ draws one such population for a fixed environment.
 
 The exact conditioned MRCA sampler simulates no tree.  For each environment,
 ``exact.mrca_rows`` gives the exact quenched law
-P(Z_n = target, MRCA age a | env) from the layers of ``exact.horizon_rows``
-(the kernel behind importance sampling too), so one uniform per proposal
-decides both acceptance and the age, for every law family and every target.
-That kernel takes the LF closed form for environments whose laws are all
-linear fractional and the series route for the rest, so survival thinning,
-acceptance and the importance-sampling rows use closed-form values on LF
-models.
+P(Z_n = target, MRCA age a | env), so one uniform per proposal decides both
+acceptance and the age, for every law family and every target.  Survival
+thinning reads the width-1 ladder of ``exact.horizon_rows`` (the kernel
+behind importance sampling too).  Both take the LF closed form for
+environments whose laws are all linear fractional: there the MRCA law is
+A_g = p_0 a_0 r_g^(target-1) from the bounded LF suffix statistics, finite
+at any horizon.  The rest take the series route: layers of f_{k,n} and
+log-derivative products.
 
 When the environment is random, conditioning on {Z_n = target} under the
 annealed law is NOT the same as sampling an environment, conditioning on

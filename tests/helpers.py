@@ -65,6 +65,24 @@ def series_horizon_rows(states, idx, width, layers=False):
     return f if layers else f[0]
 
 
+def log_derivative_mrca_rows(states, idx, target):
+    """``exact.mrca_rows`` by the log-derivative route on every row, LF or not.
+
+    A_g = exp(sum_{k=1..g} log f_k'(t_k)) [s^target] f_{g,n}, with the layers
+    of ``series_horizon_rows`` and ``pgf_prime`` on their ladder; column g is
+    A_g - A_{g+1}, clipped at 0.
+    """
+    b, n = idx.shape
+    f = series_horizon_rows(states, idx, target + 1, layers=True)
+    a = np.zeros((b, n + 1))
+    for r in range(b):
+        with np.errstate(divide="ignore"):
+            logs = [np.log(states[idx[r, k - 1]].pgf_prime(f[k, r, 0])) for k in range(1, n)]
+        log_prefix = np.concatenate([[0.0], np.cumsum(logs)])
+        a[r, :n] = np.exp(log_prefix) * f[:n, r, target]
+    return np.clip(a[:, :-1] - a[:, 1:], 0.0, None)
+
+
 def push_forward_distribution(env_laws, z0, cap=4096):
     """Distribution of Z_n by explicit convolution; independent oracle.
 

@@ -29,6 +29,7 @@ from bpre.pgf import MAX_DEGREE, apply_law_rows, pow_rows
 
 from helpers import (
     gapped_finite_law,
+    log_derivative_mrca_rows,
     push_forward_distribution,
     random_finite_law,
     random_lf_law,
@@ -101,11 +102,8 @@ def test_horizon_rows_layers_and_widths_agree():
         assert np.array_equal(env.extinction_ladder(), f[:, r, 0])
 
 
-def _mp_lf_rows(laws, width, layers=False):
-    """Rows of f_{0,n} for an all-LF sequence from its suffix statistics, at 60 digits.
-
-    With ``layers`` the list of rows of f_{k,n} for k = 0..n.
-    """
+def _mp_lf_suffix(laws):
+    """(A_k, B_k) of f_{k,n}(s) = 1 - (1-s) / (A_k + B_k (1-s)) for k = 0..n, at 60 digits."""
     with mpmath.workdps(60):
         a, b = mpmath.mpf(1), mpmath.mpf(0)
         suffix = [(a, b)]
@@ -113,11 +111,41 @@ def _mp_lf_rows(laws, width, layers=False):
             m = mpmath.mpf(law.m)
             a, b = a / m, mpmath.mpf(law.b) / (2 * m * m) + b / m
             suffix.append((a, b))
+        return suffix[::-1]
+
+
+def _mp_lf_rows(laws, width, layers=False):
+    """Rows of f_{0,n} for an all-LF sequence from its suffix statistics, at 60 digits.
+
+    With ``layers`` the list of rows of f_{k,n} for k = 0..n.
+    """
+    suffix = _mp_lf_suffix(laws)
+    with mpmath.workdps(60):
         rows = []
-        for a, b in reversed(suffix if layers else suffix[-1:]):
+        for a, b in suffix if layers else suffix[:1]:
             d = a + b
             rows.append([1 - 1 / d] + [a / d**2 * (b / d) ** (j - 1) for j in range(1, width)])
         return rows if layers else rows[0]
+
+
+def _mp_lf_mrca(laws, target):
+    """A_g = prod_{k=1..g} f_k'(t_k) [s^target] f_{g,n} for g = 0..n, at 60 digits.
+
+    The definition term by term: f_k'(s) = (1/m) / (1/m + eta (1-s))^2 at
+    1 - t_k = P(Z_n > 0 | Z_k = 1), which is kept as 1/(A_k + B_k) so no
+    digit is lost when it is far below 10^-60.
+    """
+    suffix = _mp_lf_suffix(laws)
+    rows = _mp_lf_rows(laws, target + 1, layers=True)
+    with mpmath.workdps(60):
+        prefix, out = mpmath.mpf(1), []
+        for g, (a, b) in enumerate(suffix):
+            if g > 0:
+                law = laws[g - 1]
+                inv_m, eta = 1 / mpmath.mpf(law.m), mpmath.mpf(law.b) / (2 * mpmath.mpf(law.m) ** 2)
+                prefix *= inv_m / (inv_m + eta / (a + b)) ** 2
+            out.append(prefix * rows[g][target])
+        return out
 
 
 def test_lf_closed_form_rows_match_mpmath():
@@ -212,6 +240,61 @@ def test_horizon_rows_route_per_row_in_mixed_block(width, layers):
     for r in range(idx.shape[0]):
         one = exact.horizon_rows(states, idx[r : r + 1], width, layers=layers)
         assert np.array_equal(one[:, 0] if layers else one[0], f[:, r] if layers else f[0, r])
+
+
+@pytest.mark.parametrize("target", [2, 3, 7])
+def test_lf_mrca_rows_match_log_derivative_route(target):
+    # the closed form A_g = p_0 a_0 r_g^(T-1) against exp(cumsum log f') [s^T] f_{g,n}.
+    # A column A_g - A_{g+1} cancels in both routes (up to 1e-8 relative
+    # against 60 digits), so columns are held to the row total and the
+    # tail masses sum_{h >= g} = A_g to their own size
+    rng = np.random.default_rng(300 + target)
+    for n in range(1, 25):
+        states = tuple(random_lf_law(rng) for _ in range(3))
+        idx = rng.integers(0, 3, (6, n))
+        rows = exact.mrca_rows(states, idx, target)
+        oracle = log_derivative_mrca_rows(states, idx, target)
+        total = oracle.sum(axis=1, keepdims=True)
+        assert np.all(np.abs(rows - oracle) <= 1e-13 * total)
+        tails, oracle_tails = np.cumsum(rows[:, ::-1], axis=1), np.cumsum(oracle[:, ::-1], axis=1)
+        np.testing.assert_allclose(tails, oracle_tails, rtol=1e-11, atol=0.0)
+
+
+def test_lf_mrca_rows_skip_log_derivatives_and_layers(monkeypatch):
+    rng = np.random.default_rng(5)
+    states = tuple(random_lf_law(rng) for _ in range(3))
+    idx = rng.integers(0, 3, (16, 9))
+    expected = exact.mrca_rows(states, idx, 3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("all-LF rows took the series route")
+
+    monkeypatch.setattr(exact, "_log_derivatives", forbidden)
+    monkeypatch.setattr(exact, "_lf_layers", forbidden)
+    monkeypatch.setattr(exact, "_series_layers", forbidden)
+    assert np.array_equal(exact.mrca_rows(states, idx, 3), expected)
+
+
+@pytest.mark.parametrize("target", [2, 3])
+@pytest.mark.parametrize("sub_first", [False, True])
+def test_lf_mrca_rows_survive_long_excursions(target, sub_first):
+    # 1100 generations at m = 2 and 1100 at m = 0.5: the log-derivative
+    # route overflowed exp(log prefix) while [s^T] f_{g,n} underflowed
+    states = (LinearFractionalLaw(2.0, 8.0), LinearFractionalLaw(0.5, 0.5))
+    order = [1, 0] if sub_first else [0, 1]
+    idx = np.repeat(order, 1100)[None, :]
+    rows = exact.mrca_rows(states, idx, target)
+    assert np.all(np.isfinite(rows)) and np.all(rows >= 0.0)
+    total = exact.horizon_rows(states, idx, target + 1)[0, target]
+    assert abs(rows.sum() - total) <= 1e-13 * total
+    if not sub_first and target == 2:
+        assert total == pytest.approx(0.046875, rel=1e-14)
+    a = exact._lf_mrca(states, idx, target)[:, 0]
+    true = np.array([float(v) for v in _mp_lf_mrca([states[i] for i in idx[0]], target)])
+    err = np.abs(a - true)
+    normal = true >= np.finfo(float).tiny
+    assert np.all(err[normal] <= 1e-13 * true[normal])
+    assert np.all(err[~normal] <= 1e-300)
 
 
 @pytest.mark.parametrize(

@@ -42,7 +42,7 @@ from bpre.simulate import (
     worker_count,
 )
 
-from helpers import brood_law_oracle, mrca_pair_law
+from helpers import brood_law_oracle, log_derivative_mrca_rows, mrca_pair_law
 
 
 def test_stream_is_pure_function_of_seed_and_index():
@@ -463,6 +463,20 @@ def test_mrca_rows_sum_to_annealed_pmf(model, target):
     exact = annealed_pmf(model, 1, n, target)
     assert exact > 0.0
     assert abs(total - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("target", [2, 3, 5])
+def test_mrca_rows_route_per_row_in_mixed_block(target):
+    # all-LF rows take the closed form, rows holding the finite state the
+    # log-derivative route, and each row equals its own one-row call bit for bit
+    idx = MIXED_MODEL.sample_indices(np.random.default_rng(91), (48, 7))
+    idx[::3] = 0
+    lf = (idx == 0).all(axis=1)
+    assert lf.any() and not lf.all()
+    rows = mrca_rows(MIXED_MODEL.states, idx, target)
+    for r in range(idx.shape[0]):
+        assert np.array_equal(rows[r], mrca_rows(MIXED_MODEL.states, idx[r : r + 1], target)[0])
+    assert np.array_equal(rows[~lf], log_derivative_mrca_rows(MIXED_MODEL.states, idx[~lf], target))
 
 
 @pytest.mark.parametrize("target, seed", [(2, 81), (3, 83)])
