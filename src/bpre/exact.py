@@ -14,12 +14,18 @@ bounded suffix statistics of ``_lf_suffix``, the one LF recursion of the
 package, which ``lf`` builds on too (a survival below 2^-512 is carried
 with an exponent, so no horizon underflows it); any other row takes the
 series route, one ``pgf.apply_law_rows`` per generation, O(n width^2) per
-row (at width 1 a finite law is just its pgf on the ladder).
-``mrca_rows`` chooses the same two routes per row: an all-LF row reads its
-MRCA law straight off the ``_lf_suffix`` statistics, with no derivative
-and no product over generations.  One log-derivative helper forms the
-products prod f_k'(t_k) of the series rows of ``mrca_rows``, of ``phi_n``
-and of the subtree identity.
+row (at width 1 a finite law is just its pgf on the ladder).  Both routes
+gather a generation's laws one column of the block at a time, and a model
+whose states are all LF, or all not, takes one route with no per-cell
+route mask, so without layers ``horizon_rows`` builds no (b, n) array
+besides the drawn indices.
+``mrca_rows`` and ``survival_rows`` (P(Z_n > 0 | env), which the MRCA
+sampler thins on) choose the same two routes per row: an all-LF row reads
+its MRCA law straight off the ``_lf_suffix`` statistics, with no
+derivative and no product over generations, and its survival is the
+statistic p itself, kept however small.  One log-derivative helper forms
+the products prod f_k'(t_k) of the series rows of ``mrca_rows``, of
+``phi_n`` and of the subtree identity.
 
 The annealed enumerator (``_annealed_rows``) composes from the innermost
 generation outward: a shared breadth-first block, then the outermost
@@ -124,13 +130,34 @@ def horizon_rows(
     return f if layers else f[0]
 
 
+def survival_rows(states: tuple[OffspringLaw, ...], idx: np.ndarray) -> np.ndarray:
+    """P(Z_n > 0 | env, Z_0 = 1) for each environment row of idx, shape (b,).
+
+    An all-LF row gives the survival p of ``_lf_suffix`` itself, which keeps
+    its value however small; any other row gives 1 - t_0 from the width-1
+    series route, which is 0 once t_0 rounds to 1.
+    """
+    return _by_route(
+        states,
+        idx,
+        lambda sub: _lf_suffix(states, sub, 1, False)[0],
+        lambda sub: 1.0 - _series_layers(states, sub, 1, False)[..., 0],
+    )[0]
+
+
 def _by_route(states: tuple[OffspringLaw, ...], idx: np.ndarray, closed, series) -> np.ndarray:
     """``closed`` on the environment rows of idx whose laws are all LF, ``series`` on the rest.
 
     Both return arrays with the environment row on axis 1, which are merged
-    in row order; a block of one route is passed whole.
+    in row order; a block of one route is passed whole.  The route is read
+    off ``states`` first: where every state is LF, or none is, the whole
+    block takes one route and no per-cell mask is built.
     """
     is_lf = np.array([isinstance(law, LinearFractionalLaw) for law in states], dtype=bool)
+    if is_lf.all():
+        return closed(idx)
+    if not is_lf.any():
+        return series(idx)
     lf = is_lf[idx].all(axis=1)
     if lf.all():
         return closed(idx)
@@ -154,6 +181,8 @@ def _lf_suffix(
     with x = eta m p and q = 1 + x, a <- a/q, r <- (x + r)/q and
     p <- m p / q.  Each array is (n+1, b) with ``layers``, row k for f_{k,n},
     else (1, b) for f_{0,n}.  At width 1 only p is carried, and a, r are None.
+    A generation's m and eta m are gathered per column of idx as it is
+    stepped, so no per-cell (n, b) array is built.
 
     A long subcritical suffix drives p towards underflow, and a
     supercritical prefix may bring it back.  So a row whose p falls below
@@ -168,7 +197,6 @@ def _lf_suffix(
         [(law.m, law.eta_lf * law.m, 1.0 - law.p0) if isinstance(law, LinearFractionalLaw)
          else (1.0, 0.0, 1.0) for law in states]
     ).reshape(len(states), 3).T
-    m_cell, em_cell = m_state[idx.T], em_state[idx.T]  # (n, b), row g = generation g+1
     n_out = n + 1 if layers else 1
     p, e = np.empty((n_out, b)), np.zeros((n_out, b), dtype=np.int64)
     a, r = (np.empty((n_out, b)), np.empty((n_out, b))) if width > 1 else (None, None)
@@ -180,7 +208,9 @@ def _lf_suffix(
         src, dst = (g + 1, g) if layers else (0, 0)
         bound *= step
         fa, fr = (a[src], r[src]) if width > 1 else (None, None)
-        p[dst], fe, fa, fr = _lf_step(m_cell[g], em_cell[g], p[src], e[src], fa, fr, bound < _TINY)
+        col = idx[:, g]  # the states of generation g+1
+        m, em = m_state[col], em_state[col]
+        p[dst], fe, fa, fr = _lf_step(m, em, p[src], e[src], fa, fr, bound < _TINY)
         if bound < _TINY:
             e[dst] = fe
         if width > 1:
@@ -392,7 +422,10 @@ def subtree_extinction_identity(env: EnvSequence, z: int) -> tuple[float, float]
     lhs multiplies, over k = 0..n-1, the probability that the subtree
     attached at generation k dies by n, each evaluated by summing the
     spine offspring-count law against extinction powers (direct summation,
-    never the derivative shortcut).  rhs is the telescoped form
+    never the derivative shortcut).  Each survival ratio
+    (1 - t_k) / (1 - t_{k-1}) is 1 / g(t_k) with g(t) = (1 - f(t)) / (1 - t)
+    = sum_j q(j) sum_{i<j} t^i, which is m / (1 + eta m (1 - t)) for an LF
+    law; neither form cancels as t_k -> 1.  rhs is the telescoped form
     (p_{n-1,n} / p_{-1,n}) * prod f_k'(t_k) with the initial factor
     f_0(s) = s^z.
     """
@@ -413,21 +446,22 @@ def subtree_extinction_identity(env: EnvSequence, z: int) -> tuple[float, float]
     for k in range(1, n):
         law = env.laws[k - 1]
         tk = t[k]
-        p_ratio = (1.0 - tk) / (1.0 - t[k - 1])
         if isinstance(law, FiniteLaw):
             jmax = law.max_support
+            growth = sum(law.prob(j) * sum(tk**i for i in range(j)) for j in range(1, jmax + 1))
         else:
             # geometric weights: truncate once the remaining tail is negligible
             jmax = 1
             if law.ratio > 0.0:
                 jmax = max(8, int(math.ceil(-50.0 / math.log(law.ratio))))
+            growth = law.m / (1.0 + law.eta_lf * law.m * (1.0 - tk))
         total = 0.0
         for j in range(1, jmax + 1):
             qj = law.prob(j)
             if qj == 0.0:
                 continue
             total += qj * sum(tk ** (j - i - 1) * tk**i for i in range(j))
-        lhs *= p_ratio * total
+        lhs *= total / growth
 
     # rhs: telescoped product
     return lhs, _spine_product(env, z, math.log(1.0 - t[n - 1]) - math.log(surv))

@@ -28,12 +28,12 @@ The exact conditioned MRCA sampler simulates no tree.  For each environment,
 ``exact.mrca_rows`` gives the exact quenched law
 P(Z_n = target, MRCA age a | env), so one uniform per proposal decides both
 acceptance and the age, for every law family and every target.  Survival
-thinning reads the width-1 ladder of ``exact.horizon_rows`` (the kernel
-behind importance sampling too).  Both take the LF closed form for
-environments whose laws are all linear fractional: there the MRCA law is
-A_g = p_0 a_0 r_g^(target-1) from the bounded LF suffix statistics, finite
-at any horizon.  The rest take the series route: layers of f_{k,n} and
-log-derivative products.
+thinning reads ``exact.survival_rows``, P(Z_n > 0 | env) itself.  Both take
+the LF closed form for environments whose laws are all linear fractional:
+there the survival is the bounded LF suffix statistic p, kept however small,
+and the MRCA law is A_g = p_0 a_0 r_g^(target-1) from the same statistics,
+finite at any horizon.  The rest take the series route: 1 - t_0 from the
+width-1 extinction ladder, layers of f_{k,n} and log-derivative products.
 
 When the environment is random, conditioning on {Z_n = target} under the
 annealed law is NOT the same as sampling an environment, conditioning on
@@ -60,7 +60,7 @@ import numpy as np
 
 from .environment import EnvironmentModel, tilt
 from .errors import BudgetError, ContractError, PopulationCapError
-from .exact import EnvSequence, horizon_rows, mrca_rows
+from .exact import EnvSequence, horizon_rows, mrca_rows, survival_rows
 from .laws import FiniteLaw, LinearFractionalLaw, OffspringLaw
 from .pgf import pow_rows
 
@@ -481,7 +481,7 @@ def _mrca_spine_chunk(
     """One proposal chunk of the exact MRCA sampler; returns MRCA counts.
 
     Every step is batched over the chunk.  Each proposal draws an
-    environment and one uniform u.  The width-1 extinction ladder keeps the
+    environment and one uniform u.  ``exact.survival_rows`` keeps the
     proposals with u < P(Z_n > 0 | env), which loses nothing because
     P(Z_n = target | env) is at most that.  For the kept ones,
     ``exact.mrca_rows`` gives the quenched law of the MRCA generation g;
@@ -490,8 +490,7 @@ def _mrca_spine_chunk(
     """
     idx = model.sample_indices(rng, (size, n))
     u = rng.random(size)
-    survival = 1.0 - horizon_rows(model.states, idx, 1)[:, 0]
-    keep = u < survival
+    keep = u < survival_rows(model.states, idx)
     cum = np.cumsum(mrca_rows(model.states, idx[keep], target), axis=1)
     u = u[keep]
     hit = u < cum[:, -1]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -297,6 +298,40 @@ def test_lf_mrca_rows_survive_long_excursions(target, sub_first):
     assert np.all(err[~normal] <= 1e-300)
 
 
+def test_survival_rows_keep_survival_below_double_resolution():
+    # 100 generations at m = 0.5: t_0 rounds to 1, so 1 - t_0 is 0, while the
+    # survival is about 3.9e-31 and P(Z_n = 2 | env) about 9.9e-32
+    states = (LinearFractionalLaw(0.5, 0.5),)
+    idx = np.zeros((1, 100), dtype=np.int64)
+    a, b = _mp_lf_suffix([states[0]] * 100)[0]
+    with mpmath.workdps(60):
+        true = float(1 / (a + b))
+    survival = exact.survival_rows(states, idx)
+    assert survival.shape == (1,)
+    assert abs(survival[0] - true) <= 1e-13 * true
+    assert exact.horizon_rows(states, idx, 1)[0, 0] == 1.0
+    assert survival[0] >= exact.mrca_rows(states, idx, 2).sum() > 0.0
+
+
+FINITE_PAIR = EnvironmentModel((FiniteLaw((0.2, 0.5, 0.3)), FiniteLaw((0.4, 0.2, 0.4))), (0.5, 0.5))
+
+
+@pytest.mark.parametrize("width", [1, 5])
+@pytest.mark.parametrize("model", [weakly_model(), FINITE_PAIR], ids=["lf", "finite"])
+def test_horizon_rows_memory_does_not_grow_with_cells(model, width):
+    # one (n, b) float array of this block is 8 MB: besides idx the kernel
+    # holds per-generation columns and its (b, width) result, never a
+    # per-cell gather or route mask
+    idx = model.sample_indices(np.random.default_rng(0), (4096, 256))
+    tracemalloc.start()
+    try:
+        exact.horizon_rows(model.states, idx, width)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize(
     "laws, z0, j_max",
     [
@@ -450,6 +485,15 @@ def test_subtree_extinction_identity_lf_states():
     env = EnvSequence(laws)
     lhs, rhs = subtree_extinction_identity(env, 2)
     assert lhs == pytest.approx(rhs, abs=1e-11)
+
+
+def test_subtree_extinction_identity_survives_long_excursions():
+    # t_k rounds to 1 in the subcritical stretch, where (1 - t_k) / (1 - t_{k-1})
+    # was 0 / 0; the ratio is 1 / g(t_k), which does not cancel
+    laws = (LinearFractionalLaw(2.0, 8.0),) * 1100 + (LinearFractionalLaw(0.5, 0.5),) * 1100
+    lhs, rhs = subtree_extinction_identity(EnvSequence(laws), 1)
+    assert math.isfinite(lhs)
+    assert abs(lhs - rhs) <= 1e-11 * rhs
 
 
 def test_smallest_reachable_examples():

@@ -17,6 +17,7 @@ from bpre.exact import (
     phi_n,
     quenched_coeff_row,
     quenched_survival,
+    survival_rows,
 )
 from bpre.laws import FiniteLaw, LinearFractionalLaw
 from bpre import simulate
@@ -42,7 +43,13 @@ from bpre.simulate import (
     worker_count,
 )
 
-from helpers import brood_law_oracle, log_derivative_mrca_rows, mrca_pair_law
+from helpers import (
+    brood_law_oracle,
+    log_derivative_mrca_rows,
+    mrca_pair_law,
+    random_finite_law,
+    random_lf_law,
+)
 
 
 def test_stream_is_pure_function_of_seed_and_index():
@@ -477,6 +484,26 @@ def test_mrca_rows_route_per_row_in_mixed_block(target):
     for r in range(idx.shape[0]):
         assert np.array_equal(rows[r], mrca_rows(MIXED_MODEL.states, idx[r : r + 1], target)[0])
     assert np.array_equal(rows[~lf], log_derivative_mrca_rows(MIXED_MODEL.states, idx[~lf], target))
+
+
+@pytest.mark.parametrize("target", [2, 3])
+@pytest.mark.parametrize("block", ["lf", "finite", "mixed"])
+def test_survival_rows_bound_the_mrca_law(block, target):
+    # the spine lane thins on survival_rows, so no row may lose MRCA mass to it
+    rng = np.random.default_rng(17 + target)
+    for n in (1, 4, 12, 30):
+        if block == "mixed":
+            states = MIXED_MODEL.states
+            idx = MIXED_MODEL.sample_indices(rng, (48, n))
+            idx[::3] = 0
+        else:
+            draw = random_lf_law if block == "lf" else random_finite_law
+            states = tuple(draw(rng) for _ in range(3))
+            idx = rng.integers(0, 3, (48, n))
+        survival = survival_rows(states, idx)
+        assert survival.shape == (idx.shape[0],)
+        total = mrca_rows(states, idx, target).sum(axis=1)
+        assert np.all(survival >= total * (1.0 - 1e-12))
 
 
 @pytest.mark.parametrize("target, seed", [(2, 81), (3, 83)])
