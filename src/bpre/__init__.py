@@ -6,8 +6,8 @@ Library layout:
   environment  environment models, tilting, rate function, regimes
   pgf          batched truncated-series kernels (*_rows) for pgf composition
   exact        quenched and annealed exact probabilities, subadditive bounds
-  lf           linear-fractional closed forms
-  simulate     forward / genealogy / conditioned-spine samplers, MRCA
+  lf           linear-fractional decay rate and survival bounds
+  simulate     forward / conditioned-spine samplers, MRCA
   rates        decay-rate reports and the two-environment example suites
   cli          command-line front end
 """
@@ -43,14 +43,7 @@ from .exact import (
     subtree_extinction_identity,
 )
 from .laws import FiniteLaw, LinearFractionalLaw, OffspringLaw, moments
-from .lf import (
-    LFQuenchedState,
-    agresti_survival_bounds,
-    lf_derivative,
-    lf_fgen,
-    lf_quenched_pmf,
-    lf_rho,
-)
+from .lf import agresti_survival_bounds, lf_rho
 from .rates import (
     MonotoneRho,
     MrcaRegimeReport,
@@ -62,7 +55,6 @@ from .rates import (
     rho_report,
 )
 from .simulate import (
-    GenealogyTree,
     ImportanceEstimate,
     MrcaDistribution,
     SpineSample,
@@ -70,9 +62,7 @@ from .simulate import (
     conditioned_mrca_sample,
     geiger_sample,
     importance_estimate,
-    mrca,
     simulate_forward,
-    simulate_tree,
     stream,
     subseed,
     worker_count,

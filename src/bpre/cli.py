@@ -108,10 +108,14 @@ class ExperimentConfig:
         if self.model is None:
             raise ContractError("a --model path is required")
         try:
-            with open(self.model) as fh:
+            with open(self.model, encoding="utf-8") as fh:
                 obj = json.load(fh)
         except FileNotFoundError:
             raise ContractError(f"model file not found: {self.model}")
+        except OSError as exc:
+            raise ContractError(f"cannot read model file: {exc}")
+        except UnicodeDecodeError:
+            raise ContractError(f"model file is not UTF-8 text: {self.model}")
         except json.JSONDecodeError as exc:
             raise ContractError(
                 f"malformed model JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -178,11 +182,14 @@ def _emit(cfg: ExperimentConfig, doc: dict, summary: str) -> int:
     """Stamp ``doc`` with the command and config hash, write --out and --csv, print ``summary``."""
     doc["command"] = cfg.command
     doc["config_hash"] = cfg.config_hash
-    if cfg.out:
-        _write_json(cfg.out, doc)
-    if cfg.csv:
-        with open(cfg.csv, "w") as fh:
-            fh.write(emit_plot_data(doc))
+    try:
+        if cfg.out:
+            _write_json(cfg.out, doc)
+        if cfg.csv:
+            with open(cfg.csv, "w") as fh:
+                fh.write(emit_plot_data(doc))
+    except OSError as exc:
+        raise ContractError(f"cannot write output: {exc}")
     print(summary)
     return 0
 

@@ -11,21 +11,22 @@ and ``mrca_rows``, the exact quenched MRCA law.  It has two routes, chosen
 per environment row: a row whose laws are all linear fractional is itself
 LF at every k and takes the closed form, O(n + width) per row, from the
 bounded suffix statistics of ``_lf_suffix``, the one LF recursion of the
-package, which ``lf`` builds on too (a survival below 2^-512 is carried
-with an exponent, so no horizon underflows it); any other row takes the
-series route, one ``pgf.apply_law_rows`` per generation, O(n width^2) per
-row (at width 1 a finite law is just its pgf on the ladder).  Both routes
-gather a generation's laws one column of the block at a time, and a model
-whose states are all LF, or all not, takes one route with no per-cell
-route mask, so without layers ``horizon_rows`` builds no (b, n) array
-besides the drawn indices.
+package (a survival below 2^-512 is carried with an exponent, so no
+horizon underflows it); any other row takes the series route, one
+``pgf.apply_law_rows`` per generation, O(n width^2) per row (at width 1 a
+finite law is just its pgf on the ladder).  Both routes gather a
+generation's laws one column of the block at a time, and a model whose
+states are all LF, or all not, takes one route with no per-cell route
+mask, so without layers ``horizon_rows`` builds no (b, n) array besides
+the drawn indices.
 ``mrca_rows`` and ``survival_rows`` (P(Z_n > 0 | env), which the MRCA
-sampler thins on) choose the same two routes per row: an all-LF row reads
-its MRCA law straight off the ``_lf_suffix`` statistics, with no
-derivative and no product over generations, and its survival is the
-statistic p itself, kept however small.  One log-derivative helper forms
-the products prod f_k'(t_k) of the series rows of ``mrca_rows``, of
-``phi_n`` and of the subtree identity.
+sampler thins on and ``quenched_survival`` reads) choose the same two
+routes per row: an all-LF row reads its MRCA law straight off the
+``_lf_suffix`` statistics, with no derivative and no product over
+generations, and its survival is the statistic p itself, kept however
+small.  One log-derivative helper forms the products prod f_k'(t_k) of
+the series rows of ``mrca_rows``, of ``phi_n`` and of the subtree
+identity.
 
 The annealed enumerator (``_annealed_rows``) composes from the innermost
 generation outward: a shared breadth-first block, then the outermost
@@ -378,9 +379,12 @@ def quenched_pmf(env: EnvSequence, z0: int, j: int, degree: int | None = None) -
 
 
 def quenched_survival(env: EnvSequence, z0: int) -> float:
-    """P(Z_n > 0 | env, Z_0 = z0) = 1 - f_{0,n}(0)^{z0}."""
-    t0 = env.extinction_ladder()[0]
-    return 1.0 - t0**z0
+    """P(Z_n > 0 | env, Z_0 = z0) = 1 - (1 - p)^{z0}, p from ``survival_rows``.
+
+    An all-LF environment keeps a survival p that ``1 - t_0`` rounds to 0.
+    """
+    p = float(survival_rows(*env._indexed)[0])
+    return 1.0 if p >= 1.0 else -math.expm1(z0 * math.log1p(-p))
 
 
 def phi_n(env: EnvSequence, z0: int) -> float:
@@ -680,19 +684,6 @@ class FeketeTable:
     def slope_estimate(self) -> float | None:
         slopes = [r.slope for r in self.rows if r.slope is not None]
         return slopes[-1] if slopes else None
-
-    def a(self, n: int) -> float:
-        for r in self.rows:
-            if r.n == n:
-                return r.a_n
-        raise KeyError(n)
-
-    def to_csv(self) -> str:
-        lines = ["n,a_n,a_n_over_n,slope"]
-        for r in self.rows:
-            slope = "" if r.slope is None else repr(r.slope)
-            lines.append(f"{r.n},{r.a_n!r},{r.a_n_over_n!r},{slope}")
-        return "\n".join(lines) + "\n"
 
 
 def fekete_bounds(

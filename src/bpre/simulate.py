@@ -6,11 +6,11 @@ per replicate index.  Importance sampling and both MRCA methods share one
 driver, ``_map_chunks``, which gives chunk c of at most ``_CHUNK`` units the
 stream (root_seed, c), so results are independent of the worker count
 (BPRE_THREADS only maps MRCA chunks to processes, never changes the draws;
-importance sampling stays serial).  Trajectories, trees, the spine
-sampler's side subtrees and the rejection lane's trees grow by one branching
-step, ``_generations``, which branches a forest: one tree per environment
-row, individuals kept in tree order, offspring drawn by state.  A single
-trajectory or tree is a one-row forest.  The population cap
+importance sampling stays serial).  Trajectories, the spine sampler's
+side subtrees and the rejection lane's trees grow by one branching step,
+``_generations``, which branches a forest: one tree per environment row,
+individuals kept in tree order, offspring drawn by state.  A single
+trajectory is a one-row forest.  The population cap
 ``DEFAULT_POPULATION_CAP`` holds per tree.
 
 The conditioned sampler follows the spine construction: given survival to
@@ -196,58 +196,6 @@ def simulate_forward(
     root = np.zeros(z0, dtype=np.int64)
     sizes = (z0,) + tuple(tree.size for tree, _ in _generations(model.states, idx, root, rng))
     return Trajectory(sizes=sizes, env=EnvSequence.from_indices(model, idx[0]))
-
-
-@dataclass(frozen=True)
-class GenealogyTree:
-    """Rooted plane forest of a realized population.
-
-    ``parents[k]`` (k >= 1) maps each generation-k individual, in
-    left-to-right (breadth-first) order, to the index of its parent in
-    generation k-1.
-    """
-
-    z0: int
-    parents: tuple[np.ndarray, ...]
-    env: EnvSequence
-
-    @property
-    def n(self) -> int:
-        return len(self.parents) - 1
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return (self.z0,) + tuple(arr.size for arr in self.parents[1:])
-
-
-def simulate_tree(
-    model: EnvironmentModel, z0: int, n: int, rng: np.random.Generator
-) -> GenealogyTree:
-    if z0 < 0:
-        raise ContractError("initial size must be >= 0")
-    idx = model.sample_indices(rng, (1, n))
-    parents, _ = _grow(model.states, idx, np.zeros(z0, dtype=np.int64), rng)
-    return GenealogyTree(
-        z0=z0,
-        parents=(np.empty(0, dtype=np.int64), *parents),
-        env=EnvSequence.from_indices(model, idx[0]),
-    )
-
-
-def mrca(tree: GenealogyTree) -> int:
-    """Minimal k such that all horizon individuals share one ancestor at n-k."""
-    n = tree.n
-    sizes = tree.sizes
-    if n < 1:
-        raise ContractError("tree has no past generations")
-    if sizes[n] < 1:
-        raise ContractError("no survivors at the horizon")
-    cur = np.arange(sizes[n], dtype=np.int64)
-    for k in range(1, n + 1):
-        cur = np.unique(tree.parents[n - k + 1][cur])
-        if cur.size == 1:
-            return k
-    raise ContractError("MRCA undefined for forest: no common ancestor at generation 0")
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,22 @@ def scalar_extinction_ladder(env_laws):
     return t
 
 
+def tree_mrca_age(parents):
+    """Fewest generations back at which all horizon individuals of one tree share an ancestor.
+
+    ``parents[k]`` maps each generation-(k+1) individual to the index of its
+    parent among generation k, as ``simulate._grow`` gives them.  Each
+    horizon individual's ancestor is followed one generation at a time;
+    None if the horizon is empty or the lines never meet.
+    """
+    anc = np.arange(parents[-1].size)
+    for k, parent in enumerate(reversed(parents), 1):
+        anc = parent[anc]
+        if np.unique(anc).size == 1:
+            return k
+    return None
+
+
 def series_horizon_rows(states, idx, width, layers=False):
     """``exact.horizon_rows`` by the series route alone: ``apply_law_rows`` per generation.
 

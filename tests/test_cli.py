@@ -155,6 +155,14 @@ def test_missing_model_file(capsys):
     assert main(["validate", "--model", "/nonexistent.json"]) == 2
 
 
+def test_non_utf8_model_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"states": "\xd0\x00"}')
+    assert main(["validate", "--model", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: model file is not UTF-8 text: {bad}\n"
+
+
 NAN_MODELS = [
     '{"states": [{"type": "finite", "probs": [NaN, 0.25, 0.75]}], "weights": [1.0]}',
     '{"states": [{"type": "lf", "m": 2.0, "b": 8.0}, {"type": "lf", "m": 0.5, "b": 0.5}],'
@@ -376,6 +384,9 @@ def test_emit_plot_data_variants():
 # argv that used to escape ``main`` as an exception (or, for the empty
 # n-list, to exit 0 with an empty report); {gw}/{weakly} are model paths
 BAD_ARGV = [
+    "validate --model /",
+    "exact --model {weakly} --n 3 --j 1 --out /nonexistent/x.json",
+    "rho --model {gw} --n-max 4 --csv /nonexistent/x.csv",
     "rho --model {gw} --n-max 1",
     "rho --model {gw} --n-max 0",
     "exact --model {weakly} --n 3 --j -1",

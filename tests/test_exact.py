@@ -22,9 +22,10 @@ from bpre.exact import (
     quenched_survival,
     smallest_reachable,
     subtree_extinction_identity,
+    survival_rows,
 )
 from bpre.laws import FiniteLaw, LinearFractionalLaw
-from bpre.lf import LFQuenchedState
+from bpre.lf import agresti_survival_bounds
 from bpre.models import example1_model, gw_binary, weakly_model
 from bpre.pgf import MAX_DEGREE, apply_law_rows, pow_rows
 
@@ -219,7 +220,7 @@ def test_lf_closed_form_scales_survival_back_up():
             assert abs(row[j] - value) <= 1e-13 * value, (layers, j)
     survival = 1 - oracle[0]
     assert abs(survival - 4.0 / 4.1) <= 1e-14
-    assert abs(LFQuenchedState.from_env(EnvSequence(laws)).survival - survival) <= 1e-14 * survival
+    assert abs(survival_rows(states, idx)[0] - survival) <= 1e-14 * survival
 
 
 @pytest.mark.parametrize("width", [1, 4, 65])
@@ -412,13 +413,26 @@ def test_quenched_matches_lf_closed_form():
             for m, b in zip(rng.uniform(0.5, 2.0, 6), rng.uniform(0.1, 3.0, 6))
         )
         env = EnvSequence(laws)
-        from bpre.lf import LFQuenchedState, lf_quenched_pmf
-
-        state = LFQuenchedState.from_env(env)
+        oracle = _mp_lf_rows(laws, 5)
         for j in range(0, 5):
-            assert quenched_pmf(env, 1, j) == pytest.approx(
-                lf_quenched_pmf(state, 1, j), abs=1e-10
-            )
+            assert quenched_pmf(env, 1, j) == pytest.approx(float(oracle[j]), abs=1e-10)
+
+
+@pytest.mark.parametrize("z0", [1, 2])
+def test_quenched_survival_keeps_a_small_lf_survival(z0):
+    # 60 subcritical LF(0.5, 0.5) generations: A = 2^60, B = 2^60 - 1, so
+    # p = 1/(2^61 - 1); 1 - t_0 rounds it to 0
+    env = EnvSequence((LinearFractionalLaw(0.5, 0.5),) * 60)
+    p = survival_rows(*env._indexed)[0]
+    assert p == pytest.approx(1.0 / (2.0**61 - 1.0), rel=1e-14)
+    assert 1.0 - env.extinction_ladder()[0] == 0.0
+    with mpmath.workdps(40):
+        expect = float(1 - (1 - mpmath.mpf(1) / (2**61 - 1)) ** z0)
+    survival = quenched_survival(env, z0)
+    assert survival == pytest.approx(expect, rel=1e-14)
+    if z0 == 1:
+        assert survival == p == agresti_survival_bounds(env).lf_exact > 0.0
+        assert quenched_pmf(env, 1, 1) > 0.0
 
 
 def test_phi_single_generation():
@@ -811,7 +825,7 @@ def test_lf_single_state_enumeration_carries_survival_below_2_pow_512():
     assert math.log(annealed_pmf_row(model, 1, n, 1)[1]) == pytest.approx(log_p1, rel=1e-12)
 
 
-def test_fekete_table_and_csv():
+def test_fekete_table():
     model = gw_binary()
     table = fekete_bounds(model, n_max=8)
     assert table.z0 == 2
@@ -824,11 +838,6 @@ def test_fekete_table_and_csv():
             assert a[i + j] <= a[i] + a[j] + 1e-12
     # slope column only on even rows
     assert all((r.slope is None) == (r.n % 2 == 1) for r in table.rows)
-    csv = table.to_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0] == "n,a_n,a_n_over_n,slope"
-    assert len(lines) == 9
-    assert lines[1].startswith("1,")
 
 
 def test_fekete_gw_approaches_log2_from_above():

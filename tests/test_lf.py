@@ -7,50 +7,58 @@ from hypothesis import strategies as st
 
 from bpre.environment import EnvironmentModel, Regime, rate_function_at_zero
 from bpre.errors import ContractError
-from bpre.exact import EnvSequence, fekete_bounds, quenched_pmf, quenched_survival
-from bpre.laws import FiniteLaw, LinearFractionalLaw
-from bpre.lf import (
-    LFQuenchedState,
-    agresti_survival_bounds,
-    lf_composed_law,
-    lf_derivative,
-    lf_fgen,
-    lf_quenched_pmf,
-    lf_rho,
+from bpre.exact import (
+    EnvSequence,
+    fekete_bounds,
+    horizon_rows,
+    quenched_coeff_row,
+    quenched_pmf,
+    quenched_survival,
+    survival_rows,
 )
+from bpre.laws import FiniteLaw, LinearFractionalLaw
+from bpre.lf import agresti_survival_bounds, lf_rho
 from bpre.models import strongly_model, weakly_model
 
-from helpers import random_finite_law, random_lf_law
+from helpers import random_finite_law, random_lf_law, scalar_extinction_ladder
 
 
 def lf_env(rng, n):
     return EnvSequence(tuple(random_lf_law(rng) for _ in range(n)))
 
 
+def walk_statistics(env):
+    """A = exp(-S_n) and B = sum_k eta_lf_{k+1} exp(-S_k), straight from the walk."""
+    s = env.walk
+    eta = np.array([law.eta_lf for law in env.laws])
+    return math.exp(-s[-1]), float(np.sum(eta * np.exp(-s[:-1])))
+
+
 def test_fgen_normalization_and_single_law():
     law = LinearFractionalLaw(m=2.0, b=8.0)
-    state = LFQuenchedState.from_law(law)
-    assert lf_fgen(state, 1.0) == pytest.approx(1.0, abs=1e-15)
-    # s_exp = 1/2, eta_sum = 1: extinction probability 1 - 1/(1/2 + 1) = 1/3
-    assert lf_fgen(state, 0.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert state.s_exp == pytest.approx(0.5) and state.eta_sum == pytest.approx(1.0)
+    env = EnvSequence((law,))
+    # A = 1/2, B = 1: extinction probability 1 - 1/(1/2 + 1) = 1/3
+    assert survival_rows(*env._indexed)[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
+    row = quenched_coeff_row(env, 1, 200)
+    assert row[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert row.sum() == pytest.approx(1.0, abs=1e-15)  # the tail past s^200 is (2/3)^200
 
 
 def test_fgen_matches_pgf_engine():
     rng = np.random.default_rng(21)
     for _ in range(25):
         env = lf_env(rng, int(rng.integers(1, 7)))
-        state = LFQuenchedState.from_env(env)
-        assert lf_fgen(state, 0.0) == pytest.approx(
-            env.extinction_ladder()[0], abs=1e-10
-        )
+        t0 = scalar_extinction_ladder(env.laws)[0]
+        assert 1.0 - survival_rows(*env._indexed)[0] == pytest.approx(t0, abs=1e-12)
+        assert env.extinction_ladder()[0] == pytest.approx(t0, abs=1e-12)
 
 
 def test_derivative_at_one_is_quenched_mean():
+    # coefficients p a r^(j-1) with a + r = 1: f'(1) = p a / a^2, a = 1 - c_2 / c_1
     rng = np.random.default_rng(2)
     env = lf_env(rng, 5)
-    state = LFQuenchedState.from_env(env)
-    assert lf_derivative(state, 1.0) == pytest.approx(math.exp(env.walk[-1]), rel=1e-12)
+    _, c1, c2 = quenched_coeff_row(env, 1, 2)
+    assert c1 / (1.0 - c2 / c1) ** 2 == pytest.approx(math.exp(env.walk[-1]), rel=1e-12)
 
 
 def test_derivative_at_zero_is_survival_squared_identity():
@@ -58,101 +66,83 @@ def test_derivative_at_zero_is_survival_squared_identity():
     rng = np.random.default_rng(3)
     for _ in range(10):
         env = lf_env(rng, int(rng.integers(1, 6)))
-        state = LFQuenchedState.from_env(env)
-        surv = 1.0 - lf_fgen(state, 0.0)
-        assert lf_derivative(state, 0.0) == pytest.approx(
-            state.s_exp * surv * surv, rel=1e-12
-        )
-        assert lf_derivative(state, 0.0) == pytest.approx(
-            quenched_pmf(env, 1, 1), abs=1e-10
-        )
-
-
-def test_derivative_finite_difference():
-    rng = np.random.default_rng(4)
-    env = lf_env(rng, 4)
-    state = LFQuenchedState.from_env(env)
-    h = 1e-5
-    for s in (0.1, 0.5, 0.9):
-        fd = (lf_fgen(state, s + h) - lf_fgen(state, s - h)) / (2 * h)
-        assert abs(lf_derivative(state, s) - fd) <= 1e-6
+        surv = survival_rows(*env._indexed)[0]
+        p1 = quenched_coeff_row(env, 1, 1)[1]
+        assert p1 == pytest.approx(math.exp(-env.walk[-1]) * surv * surv, rel=1e-12)
+        assert p1 == quenched_pmf(env, 1, 1)
 
 
 def test_quenched_pmf_properties():
     rng = np.random.default_rng(5)
     env = lf_env(rng, 6)
-    state = LFQuenchedState.from_env(env)
-    assert lf_quenched_pmf(state, 1, 0) == pytest.approx(lf_fgen(state, 0.0), abs=1e-14)
-    # geometric in j >= 1
-    ratio = lf_composed_law(state).ratio
-    for j in range(1, 7):
-        assert lf_quenched_pmf(state, 1, j + 1) / lf_quenched_pmf(state, 1, j) == pytest.approx(
-            ratio, rel=1e-10
-        )
+    row = quenched_coeff_row(env, 1, 8)
+    assert row[0] == pytest.approx(1.0 - survival_rows(*env._indexed)[0], abs=1e-14)
+    # geometric in j >= 1, with the ratio B / (A + B) of the composed law
+    a, b = walk_statistics(env)
+    for j in range(1, 8):
+        assert row[j + 1] / row[j] == pytest.approx(b / (a + b), rel=1e-10)
     # P(Z_n = 2) <= P(Z_n = 1)
-    assert lf_quenched_pmf(state, 1, 2) <= lf_quenched_pmf(state, 1, 1)
-    # agreement with the generic engine, including z0 > 1
-    for z0 in (1, 2, 3):
-        for j in range(0, 5):
-            assert lf_quenched_pmf(state, z0, j) == pytest.approx(
-                quenched_pmf(env, z0, j), abs=1e-10
-            )
+    assert row[2] <= row[1]
+    # z0 > 1 is the z0-fold convolution of the z0 = 1 row
+    for z0 in (2, 3):
+        conv = row[:5]
+        for _ in range(z0 - 1):
+            conv = np.convolve(conv, row[:5])[:5]
+        np.testing.assert_allclose(quenched_coeff_row(env, z0, 4), conv, rtol=0.0, atol=1e-14)
 
 
 @given(st.integers(0, 2**32 - 1))
 def test_concatenation_composes_fgen(seed):
-    # the law of a concatenated environment is the composition of its parts' laws
+    # the law of a concatenated environment is the composition of its parts' laws:
+    # layer n_a of the rows of a + b is f_{n_a,n}, the rows of b alone
     rng = np.random.default_rng(seed)
     n_a, n_b = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     laws_a = tuple(random_lf_law(rng) for _ in range(n_a))
     laws_b = tuple(random_lf_law(rng) for _ in range(n_b))
-    combined = LFQuenchedState.from_env(EnvSequence(laws_a + laws_b))
-    first, second = (LFQuenchedState.from_env(EnvSequence(laws)) for laws in (laws_a, laws_b))
-    for s in (0.0, 0.3, 0.7, 0.99, 1.0):
-        assert lf_fgen(combined, s) == pytest.approx(lf_fgen(first, lf_fgen(second, s)), rel=1e-12)
+    combined = horizon_rows(*EnvSequence(laws_a + laws_b)._indexed, 6, layers=True)
+    second = horizon_rows(*EnvSequence(laws_b)._indexed, 6)
+    np.testing.assert_array_equal(combined[n_a], second)  # the same suffix arithmetic
+    t0 = scalar_extinction_ladder(laws_a + laws_b)[0]
+    assert combined[0, 0, 0] == pytest.approx(t0, rel=1e-12)
 
 
 @pytest.mark.parametrize("z0", [1, 2, 3])
 def test_quenched_pmf_rejects_negative_size(z0):
-    state = LFQuenchedState.from_env(lf_env(np.random.default_rng(14), 5))
+    env = lf_env(np.random.default_rng(14), 5)
     with pytest.raises(ContractError, match="population size"):
-        lf_quenched_pmf(state, z0, -1)
+        quenched_pmf(env, z0, -1)
 
 
 def test_quenched_pmf_is_the_kernel_row():
+    # the closed form 1 - p, p a r^(j-1) with p = 1/(A + B), a = A p, r = B p from the walk
     rng = np.random.default_rng(13)
     for _ in range(20):
         env = lf_env(rng, int(rng.integers(0, 30)))
-        state = LFQuenchedState.from_env(env)
+        a, b = walk_statistics(env)
+        p = 1.0 / (a + b)
+        expect = [1.0 - p] + [p * a * p * (b * p) ** (j - 1) for j in range(1, 8)]
         for j in range(8):
-            assert lf_quenched_pmf(state, 1, j) == quenched_pmf(env, 1, j)
+            assert quenched_pmf(env, 1, j) == pytest.approx(expect[j], rel=1e-10, abs=1e-300)
 
 
 def test_state_survives_long_supercritical_horizon():
     # exp(-S_n) = 2^-1100 underflows; the bounded state keeps the survival
     env = EnvSequence((LinearFractionalLaw(2.0, 8.0),) * 1100)
-    survival = LFQuenchedState.from_env(env).survival
+    survival = survival_rows(*env._indexed)[0]
     assert survival == quenched_survival(env, 1) == agresti_survival_bounds(env).lf_exact
     assert survival == pytest.approx(0.5, rel=1e-14)
 
 
 def test_states_past_double_range_give_ieee_limits():
-    # supercritical: a = exp(-S_n) / D = 2^-1100 / D is 0 in double, survival 1/2;
-    # subcritical: the survival 2^-1100 is 0 in double, a = r = 1/2
-    sup = LFQuenchedState.from_env(EnvSequence((LinearFractionalLaw(2.0, 8.0),) * 1100))
-    sub = LFQuenchedState.from_env(EnvSequence((LinearFractionalLaw(0.5, 0.5),) * 1100))
-    assert sup.a == 0.0 and sub.survival == 0.0
-    for state in (sup, sub):
-        assert lf_fgen(state, 1.0) == 1.0
-        with pytest.raises(ContractError, match="not representable"):
-            lf_composed_law(state)
-    assert lf_fgen(sup, 0.0) == pytest.approx(0.5, rel=1e-14)
-    assert lf_fgen(sub, 0.0) == 1.0
-    # the quenched mean exp(S_n) is 2^1100 and 2^-1100
-    assert lf_derivative(sup, 1.0) == math.inf
-    assert lf_derivative(sub, 1.0) == 0.0
-    assert sup.s_exp == 0.0 and sup.eta_sum == pytest.approx(2.0, rel=1e-14)
-    assert sub.s_exp == math.inf and sub.eta_sum == math.inf
+    # supercritical: P(Z_n = j) = p a r^(j-1) with a = 2^-1100 / D, 0 in double, survival 1/2;
+    # subcritical: the survival is about 2^-1100, 0 in double, so f_{0,n} is 1
+    sup = EnvSequence((LinearFractionalLaw(2.0, 8.0),) * 1100)
+    sub = EnvSequence((LinearFractionalLaw(0.5, 0.5),) * 1100)
+    assert survival_rows(*sup._indexed)[0] == pytest.approx(0.5, rel=1e-14)
+    assert survival_rows(*sub._indexed)[0] == 0.0 == quenched_survival(sub, 1)
+    sup_row = horizon_rows(*sup._indexed, 3)[0]
+    assert sup_row[0] == pytest.approx(0.5, rel=1e-14) and sup_row[1:].tolist() == [0.0, 0.0]
+    assert horizon_rows(*sub._indexed, 3)[0].tolist() == [1.0, 0.0, 0.0]
 
 
 def test_agresti_bounds_past_double_range():
@@ -272,14 +262,3 @@ def test_agresti_deterministic_line():
     bounds = agresti_survival_bounds(env)
     assert bounds.lower == pytest.approx(1.0, abs=1e-15)
     assert bounds.upper == pytest.approx(1.0, abs=1e-15)
-
-
-def test_derivative_times_one_minus_s_squared_bound():
-    # f'(s) (1-s)^2 <= exp(-S_n) (1 - f(0))^2 on [0, 1)
-    rng = np.random.default_rng(10)
-    for _ in range(10):
-        env = lf_env(rng, int(rng.integers(1, 6)))
-        state = LFQuenchedState.from_env(env)
-        bound = state.s_exp * (1.0 - lf_fgen(state, 0.0)) ** 2
-        for s in (0.0, 0.3, 0.9):
-            assert lf_derivative(state, s) * (1.0 - s) ** 2 <= bound + 1e-14

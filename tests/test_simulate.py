@@ -31,13 +31,10 @@ from bpre.simulate import (
     _mrca_rejection_chunk,
     _mrca_spine_chunk,
     _quenched_small_value_rows,
-    GenealogyTree,
     conditioned_mrca_sample,
     geiger_sample,
     importance_estimate,
-    mrca,
     simulate_forward,
-    simulate_tree,
     stream,
     subseed,
     worker_count,
@@ -49,6 +46,7 @@ from helpers import (
     mrca_pair_law,
     random_finite_law,
     random_lf_law,
+    tree_mrca_age,
 )
 
 
@@ -85,85 +83,71 @@ def test_forward_conditional_mean():
     assert abs(vals.mean() - z0) < 3 * se
 
 
+def _one_tree(model, z0, n, rng):
+    """Parent arrays and horizon size of one tree: a one-row forest from ``_grow``."""
+    idx = model.sample_indices(rng, (1, n))
+    parents, sizes = _grow(model.states, idx, np.zeros(z0, dtype=np.int64), rng)
+    return parents, int(sizes[0])
+
+
 def test_tree_sizes_match_forward_in_distribution():
     model = weakly_model()
     n, reps = 5, 10_000
     fwd = np.array(
         [simulate_forward(model, 1, n, stream(5, r)).sizes[-1] for r in range(reps)]
     )
-    trees = np.array(
-        [simulate_tree(model, 1, n, stream(6, r)).sizes[-1] for r in range(reps)]
-    )
+    trees = np.array([_one_tree(model, 1, n, stream(6, r))[1] for r in range(reps)])
     assert stats.ks_2samp(fwd, trees).pvalue > 0.001
 
 
 def test_tree_parent_indices_are_consistent():
-    tree = simulate_tree(weakly_model(), 2, 6, stream(8, 1))
-    for k in range(1, tree.n + 1):
-        if tree.sizes[k]:
-            assert tree.parents[k].min() >= 0
-            assert tree.parents[k].max() < tree.sizes[k - 1]
+    parents, size = _one_tree(weakly_model(), 2, 6, stream(8, 1))
+    sizes = [2] + [parent.size for parent in parents]
+    assert sizes[-1] == size
+    for k, parent in enumerate(parents, 1):
+        if sizes[k]:
+            assert parent.min() >= 0
+            assert parent.max() < sizes[k - 1]
             # breadth-first labels: parent indices are nondecreasing
-            assert np.all(np.diff(tree.parents[k]) >= 0)
+            assert np.all(np.diff(parent) >= 0)
 
 
-def _hand_tree(parent_lists, env_law=FiniteLaw((0.5, 0.5))):
-    parents = tuple(np.asarray(p, dtype=np.int64) for p in parent_lists)
-    env = EnvSequence((env_law,) * (len(parent_lists) - 1))
-    return GenealogyTree(z0=len(parent_lists[0]) or 1, parents=parents, env=env)
+def _forest_ages(parent_lists, sizes, target):
+    parents = [np.asarray(p, dtype=np.int64) for p in parent_lists]
+    return _forest_mrca_ages(parents, np.asarray(sizes), target).tolist()
 
 
 def test_mrca_hand_trees():
     # two root children, both lines surviving with no later common ancestor
-    tree = _hand_tree([[], [0, 0], [0, 1], [0, 1]])
-    assert mrca(tree) == 3
+    assert _forest_ages([[0, 0], [0, 1], [0, 1]], [2], 2) == [3]
     # single survivor: its parent is a common ancestor one step back
-    tree = _hand_tree([[], [0, 0], [1]])
-    assert mrca(tree) == 1
-    # forest with two roots never coalesces
-    tree = GenealogyTree(
-        z0=2,
-        parents=(np.empty(0, dtype=np.int64), np.array([0, 1]), np.array([0, 1])),
-        env=EnvSequence((FiniteLaw((0.5, 0.5)),) * 2),
-    )
-    with pytest.raises(ContractError, match="forest"):
-        mrca(tree)
-    # extinct population has no MRCA
-    dead = _hand_tree([[], [0], []])
-    with pytest.raises(ContractError, match="survivors"):
-        mrca(dead)
-
-
-def _mrca_oracle(tree):
-    """Ancestor matrix route: independent of the set-walk implementation."""
-    n = tree.n
-    anc = np.arange(tree.sizes[n], dtype=np.int64)
-    for k in range(1, n + 1):
-        anc = tree.parents[n - k + 1][anc]
-        if np.unique(anc).size == 1:
-            return k
-    return None
+    assert _forest_ages([[0, 0], [1]], [1], 1) == [1]
+    # three trees: the first coalesces at the root, the second one step
+    # back, the third dies out; trees of another size are left out
+    forest = [[0, 0, 1], [0, 1, 2, 2]]
+    assert _forest_ages(forest, [2, 2, 0], 2) == [2, 1]
+    assert _forest_ages(forest, [2, 2, 0], 1) == []
 
 
 def test_mrca_matches_oracle_on_random_trees():
     model = weakly_mrca_model()
     found = 0
     for rep in range(400):
-        tree = simulate_tree(model, 1, 6, stream(77, rep))
-        if tree.sizes[-1] == 0:
+        parents, size = _one_tree(model, 1, 6, stream(77, rep))
+        if size == 0:
             continue
         found += 1
-        assert mrca(tree) == _mrca_oracle(tree)
+        assert _forest_ages(parents, [size], size) == [tree_mrca_age(parents)]
     assert found > 50
 
 
 def test_mrca_bounds():
     model = intermediate_model()
     for rep in range(200):
-        tree = simulate_tree(model, 1, 7, stream(13, rep))
-        if tree.sizes[-1] == 0:
+        parents, size = _one_tree(model, 1, 7, stream(13, rep))
+        if size == 0:
             continue
-        k = mrca(tree)
+        (k,) = _forest_ages(parents, [size], size)
         assert 1 <= k <= 7
 
 
@@ -598,7 +582,7 @@ def test_population_cap_raises_in_every_forward_simulation():
     with pytest.raises(PopulationCapError, match="exceeds cap"):
         simulate_forward(THOUSAND_MODEL, 1, 4, stream(1, 0))
     with pytest.raises(PopulationCapError, match="exceeds cap"):
-        simulate_tree(THOUSAND_MODEL, 1, 4, stream(1, 0))
+        _one_tree(THOUSAND_MODEL, 1, 4, stream(1, 0))
     with pytest.raises(PopulationCapError, match="exceeds cap"):
         conditioned_mrca_sample(THOUSAND_MODEL, 4, 2, "rejection", 3, root_seed=1)
 
@@ -654,34 +638,33 @@ def test_conditioned_mrca_rejection_deterministic_across_workers():
 # the rejection lane's forest
 
 
-def _forest_trees(model, idx, parents):
-    """Per-tree GenealogyTrees sliced out of a forest grown from one individual per row of idx."""
+def _forest_trees(idx, parents):
+    """Per-tree parent arrays sliced out of a forest grown from one individual per row of idx."""
     tree_of = [np.arange(idx.shape[0])]
     for parent in parents:
         tree_of.append(tree_of[-1][parent])
     out = []
     for t in range(idx.shape[0]):
         members = [np.flatnonzero(ids == t) for ids in tree_of]
-        local = [np.empty(0, dtype=np.int64)]
+        local = []
         for k, parent in enumerate(parents, 1):
             prev = members[k - 1]
             local.append(parent[members[k]] - (prev[0] if prev.size else 0))
-        env = EnvSequence.from_indices(model, idx[t])
-        out.append(GenealogyTree(z0=1, parents=tuple(local), env=env))
+        out.append(local)
     return out
 
 
 @pytest.mark.parametrize("target", [2, 3])
 def test_forest_ages_match_per_tree_mrca(target):
-    # two routes: the vectorized trace of the forest against mrca() of each tree sliced out of it
+    # two routes: the vectorized trace of the forest against the oracle on each tree sliced out of it
     n, size = 4, 4096
     rng = stream(91, target)
     idx = FINITE_MODEL.sample_indices(rng, (size, n))
     parents, sizes = _grow(FINITE_MODEL.states, idx, np.arange(size), rng)
     ages = _forest_mrca_ages(parents, sizes, target)
-    sliced = _forest_trees(FINITE_MODEL, idx, parents)
-    assert [tree.sizes[-1] for tree in sliced] == sizes.tolist()
-    assert [mrca(tree) for tree in sliced if tree.sizes[-1] == target] == ages.tolist()
+    sliced = _forest_trees(idx, parents)
+    assert [tree[-1].size for tree in sliced] == sizes.tolist()
+    assert [tree_mrca_age(tree) for tree in sliced if tree[-1].size == target] == ages.tolist()
     assert ages.size > 100
     assert (ages == n).any() and (ages < n).any()  # the root is the MRCA of some trees, not all
 
