@@ -42,7 +42,7 @@ from .exact import (
     smallest_reachable,
     subtree_extinction_identity,
 )
-from .laws import FiniteLaw, LinearFractionalLaw, OffspringLaw, moments
+from .laws import FiniteLaw, LinearFractionalLaw, OffspringLaw
 from .lf import agresti_survival_bounds, lf_rho
 from .rates import (
     MonotoneRho,

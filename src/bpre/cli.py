@@ -18,7 +18,13 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 
-from .environment import EnvironmentModel, classify_regime, lattice_span, rate_function_at_zero
+from .environment import (
+    EnvironmentModel,
+    classify_regime,
+    lattice_span,
+    rate_function_at_zero,
+    regime_tilt,
+)
 from .errors import BudgetError, ContractError, TruncationError
 from .exact import annealed_pmf_row, smallest_reachable
 from .pgf import MAX_DEGREE
@@ -223,9 +229,7 @@ def _cmd_exact(cfg: ExperimentConfig) -> int:
     if cfg.degree is not None and j_max > cfg.degree:
         raise TruncationError(f"raise truncation degree: need {j_max}, have {cfg.degree}")
     if cfg.estimate:
-        from .environment import solve_critical_tilt
-
-        nu = cfg.nu if cfg.nu is not None else solve_critical_tilt(model)
+        nu = cfg.nu if cfg.nu is not None else regime_tilt(model)
         est = importance_estimate(
             model, cfg.z0, cfg.n, j_max, nu, cfg.replicates, root_seed=cfg.seed
         )

@@ -7,8 +7,9 @@ drift, exponential tilts ``w_a <- w_a exp(-nu x_a) / mu``, the lower-deviation
 rate value ``Lambda(0) = -log inf_{lambda>=0} E[exp(-lambda X)]``, and the
 sign-of-``E[X exp(-X)]`` regime classification used by the linear-fractional
 closed forms.  The convex E[exp(-lambda X)] is least at the root lambda* of
-E[X exp(-lambda X)] = 0, found once by ``solve_critical_tilt``: it is both
-the critical tilt of importance sampling and the minimiser behind Lambda(0).
+E[X exp(-lambda X)] = 0, found once by ``solve_critical_tilt``: it is the
+minimiser behind Lambda(0), and ``regime_tilt`` takes it as the tilt of the
+weakly supercritical regime.
 """
 
 from __future__ import annotations
@@ -97,11 +98,6 @@ class EnvironmentModel:
         return float(np.dot(self._w, self._x * np.exp(-lam * self._x)))
 
     @property
-    def cross_moment(self) -> float:
-        """E[X exp(-X)], the quantity whose sign separates the LF regimes."""
-        return self.tilted_cross_moment(1.0)
-
-    @property
     def extinction_in_one_step(self) -> float:
         """P(Z_1 = 0 | Z_0 = 1)."""
         return float(np.dot(self._w, [law.p0 for law in self.states]))
@@ -184,12 +180,12 @@ def tilt(model: EnvironmentModel, nu: float) -> tuple[EnvironmentModel, float]:
     return EnvironmentModel(model.states, tuple((model._w * factors / mu).tolist())), mu
 
 
-def solve_critical_tilt(model: EnvironmentModel, tol: float = 1e-14) -> float:
+def solve_critical_tilt(model: EnvironmentModel) -> float:
     """The root of h(nu) = E[X exp(-nu X)]; needs E[X] > 0 and P(X < 0) > 0.
 
     h is decreasing, so the root is the minimiser of E[exp(-nu X)].  The
     bracket [0, 2^k] is bisected until h(mid) is finite and
-    |h(mid)| <= tol E[|X| exp(-mid X)], a test that does not depend on the
+    |h(mid)| <= 1e-14 E[|X| exp(-mid X)], a test that does not depend on the
     scale of X, or until no double lies strictly inside the bracket.
     """
     if model.drift <= 0.0:
@@ -208,7 +204,7 @@ def solve_critical_tilt(model: EnvironmentModel, tol: float = 1e-14) -> float:
                 return mid
             e = np.exp(-mid * x)
             val = float(np.dot(w, x * e))
-            if math.isfinite(val) and abs(val) <= tol * float(np.dot(w, np.abs(x) * e)):
+            if math.isfinite(val) and abs(val) <= 1e-14 * float(np.dot(w, np.abs(x) * e)):
                 return mid
             if val > 0.0:
                 lo = mid
@@ -216,24 +212,30 @@ def solve_critical_tilt(model: EnvironmentModel, tol: float = 1e-14) -> float:
                 hi = mid
 
 
-def classify_regime(model: EnvironmentModel, tol: float = 1e-12) -> Regime:
-    """Sign of E[X exp(-X)]: > tol strongly, < -tol weakly, else intermediate."""
+def classify_regime(model: EnvironmentModel) -> Regime:
+    """Sign of E[X exp(-X)]: > 1e-12 strongly, < -1e-12 weakly, else intermediate."""
     if model.drift <= 0.0:
         raise NotSupercriticalError("regime classification needs E[X] > 0")
-    c = model.cross_moment
-    if c > tol:
+    c = model.tilted_cross_moment(1.0)
+    if c > 1e-12:
         return Regime.STRONGLY
-    if c < -tol:
+    if c < -1e-12:
         return Regime.WEAKLY
     return Regime.INTERMEDIATE
 
 
-def lattice_span(model: EnvironmentModel, tol: float = 1e-9) -> float | None:
+def regime_tilt(model: EnvironmentModel) -> float:
+    """lambda* if weakly supercritical, else 1: ``lf_rho`` is -log E[exp(-nu X)] at this nu."""
+    return solve_critical_tilt(model) if classify_regime(model) is Regime.WEAKLY else 1.0
+
+
+def lattice_span(model: EnvironmentModel) -> float | None:
     """Span r > 0 if all increments lie on r Z (diagnostic only), else None.
 
     A span of 0.0 means X = 0 almost surely; an increment -inf (mean 0) lies
     on no lattice.
     """
+    tol = 1e-9  # increments and remainders below this count as 0
     xs = model.x_values
     if not all(map(math.isfinite, xs)):
         return None

@@ -364,18 +364,15 @@ def quenched_coeff_row(env: EnvSequence, z0: int, j_max: int) -> np.ndarray:
     return np.clip(pow_rows(row, z0)[0], 0.0, None)
 
 
-def quenched_pmf(env: EnvSequence, z0: int, j: int, degree: int | None = None) -> float:
-    """P(Z_n = j | env, Z_0 = z0), exact for the kept degrees."""
+def quenched_pmf(env: EnvSequence, z0: int, j: int) -> float:
+    """P(Z_n = j | env, Z_0 = z0), exact: the series is truncated at degree j."""
     if z0 < 1:
         raise ContractError("initial size must be >= 1")
     if j < 0:
         raise ContractError("population size must be >= 0")
-    if degree is not None and j > degree:
-        raise TruncationError(f"raise truncation degree: need {j}, have {degree}")
-    j_top = degree if degree is not None else j
-    if j_top > MAX_DEGREE:
-        raise TruncationError(f"required degree {j_top} exceeds cap {MAX_DEGREE}")
-    return float(quenched_coeff_row(env, z0, j_top)[j])
+    if j > MAX_DEGREE:
+        raise TruncationError(f"required degree {j} exceeds cap {MAX_DEGREE}")
+    return float(quenched_coeff_row(env, z0, j)[j])
 
 
 def quenched_survival(env: EnvSequence, z0: int) -> float:

@@ -235,14 +235,6 @@ def walk_increment(law: OffspringLaw) -> float:
     return math.log(m) if m > 0.0 else -math.inf
 
 
-def moments(law: OffspringLaw) -> tuple[float, float, float]:
-    """Return (mean, second factorial moment, eta_general) for a valid law."""
-    m = law.mean
-    if m <= 0.0:
-        raise DegenerateLawError("degenerate law: zero mean")
-    return m, law.second_factorial_moment, law.eta_general
-
-
 def law_from_json(obj: dict) -> OffspringLaw:
     kind = obj.get("type")
     if kind == "finite":

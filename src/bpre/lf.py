@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import EnvironmentModel, Regime, classify_regime, rate_function_at_zero
+from .environment import EnvironmentModel, Regime, classify_regime, rate_function_at_zero, regime_tilt
 from .errors import ContractError
 from .exact import EnvSequence, survival_rows
 from .laws import LinearFractionalLaw
@@ -39,7 +39,7 @@ class LFRho:
     regime: Regime
 
 
-def lf_rho(model: EnvironmentModel, tol: float = 1e-12) -> LFRho:
+def lf_rho(model: EnvironmentModel) -> LFRho:
     """Two-regime decay rate of P(Z_n = j) for an LF environment model.
 
     Strongly / intermediate (E[X exp(-X)] >= 0): rho = -log E[exp(-X)].
@@ -53,11 +53,8 @@ def lf_rho(model: EnvironmentModel, tol: float = 1e-12) -> LFRho:
         raise ContractError("rate formula needs E[X] > 0")
     if model.extinction_in_one_step <= 0.0:
         raise ContractError("rate formula needs P(Z_1 = 0) > 0")
-    regime = classify_regime(model, tol)
-    gamma = model.tilted_moment(1.0)
-    if regime is Regime.WEAKLY:
-        return LFRho(rho=rate_function_at_zero(model).value, regime=regime)
-    rho = -math.log(gamma)
+    regime = classify_regime(model)
+    rho = -math.log(model.tilted_moment(regime_tilt(model)))
     if regime is Regime.INTERMEDIATE:
         lambda0 = rate_function_at_zero(model).value
         if abs(lambda0 - rho) > 1e-10:

@@ -50,8 +50,8 @@ def recip_rows(w: np.ndarray) -> np.ndarray:
 def pow_rows(c: np.ndarray, z: int) -> np.ndarray:
     """Row-wise z-th power (z >= 0) of truncated series, by binary powering.
 
-    The first factor is copied, not multiplied into the unit series, so
-    ``pow_rows(c, 1)`` is a fresh bit-for-bit copy of ``c``.
+    The first factor is not multiplied into the unit series, so
+    ``pow_rows(c, 1)`` is ``c`` itself: callers must not write into the result.
     """
     if z < 0:
         raise ContractError("negative power")
@@ -59,7 +59,7 @@ def pow_rows(c: np.ndarray, z: int) -> np.ndarray:
     base = c
     while z:
         if z & 1:
-            out = base.copy() if out is None else mul_rows(out, base)
+            out = base if out is None else mul_rows(out, base)
         z >>= 1
         if z:
             base = mul_rows(base, base)

@@ -263,14 +263,14 @@ class Example2Report:
         }
 
 
-def _bisect_fixed_point(f, tol: float = 1e-12) -> float:
-    """Smallest fixed point of a convex pgf on [0, 1)."""
+def _bisect_fixed_point(f) -> float:
+    """Smallest fixed point of a convex pgf on [0, 1), to within 1e-12."""
     lo, hi = 0.0, 1.0 - 1e-9
     if f(lo) - lo <= 0.0:
         return lo
     if f(hi) - hi >= 0.0:
         raise ContractError("no fixed point below 1: bisection bracket failed")
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if f(mid) - mid > 0.0:
             lo = mid
@@ -388,12 +388,12 @@ def mrca_regime_suite(
     delta: float = 0.5,
     target_size: int = 2,
     method: str = "geiger",
-    min_accepted: int = 100,
 ) -> MrcaRegimeReport:
     """Conditioned-MRCA statistics across horizons for one classified model.
 
     Only trends and scaled sequences with confidence intervals are reported;
-    no asymptotic constant is asserted.
+    no asymptotic constant is asserted.  A horizon with fewer than
+    100 accepted samples is listed as insufficient.
     """
     regime = classify_regime(model)
     points = []
@@ -408,7 +408,7 @@ def mrca_regime_suite(
             proposals=props,
             root_seed=subseed(root_seed, "mrca", n),
         )
-        if dist.accepted < min_accepted:
+        if dist.accepted < 100:
             insufficient.append(n)
         p1 = dist.pmf(1)
         pn = dist.pmf(n)

@@ -403,15 +403,6 @@ class MrcaDistribution:
     def mass_above(self, threshold: float) -> float:
         return sum(v for k, v in self.counts.items() if k > threshold) / self.accepted
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "target_size": self.target_size,
-            "bins": [{"k": k, "count": self.counts[k]} for k in sorted(self.counts)],
-            "accepted": self.accepted,
-            "proposed": self.proposed,
-        }
-
 
 def _merge_counts(parts) -> tuple[dict[int, int], int]:
     counts: dict[int, int] = {}
@@ -487,7 +478,6 @@ def conditioned_mrca_sample(
     method: str,
     proposals: int,
     root_seed: int,
-    workers: int | None = None,
 ) -> MrcaDistribution:
     """Empirical law of MRCA_n given Z_n = target_size, Z_0 = 1.
 
@@ -502,7 +492,8 @@ def conditioned_mrca_sample(
     (geiger) or trees (rejection); the accepted sample count is random.
     Proposals are drawn in chunks seeded by index (``_map_chunks``), so the
     result is a pure function of (model, n, target_size, method, proposals,
-    root_seed), whatever the number of ``workers``.
+    root_seed), whatever the number of worker processes ``BPRE_THREADS``
+    asks for (``worker_count``).
     """
     if target_size < 2:
         raise ContractError("target size must be >= 2 for a meaningful MRCA")
@@ -514,16 +505,14 @@ def conditioned_mrca_sample(
         raise BudgetError(f"proposal budget {proposals} exceeds cap {PROPOSAL_CAP}")
     if method not in ("geiger", "rejection"):
         raise ContractError(f"unknown method {method!r}")
-    if workers is None:
-        workers = worker_count()
 
     chunk_fn = _mrca_rejection_chunk if method == "rejection" else _mrca_spine_chunk
     logger.info(
         "conditioned MRCA: %s proposals (method=%s, n=%s, target=%s)",
         proposals, method, n, target_size,
     )
-    parts = _map_chunks(partial(chunk_fn, model, n, target_size), proposals, root_seed, workers)
-    counts, accepted = _merge_counts(parts)
+    fn = partial(chunk_fn, model, n, target_size)
+    counts, accepted = _merge_counts(_map_chunks(fn, proposals, root_seed, worker_count()))
     if accepted == 0:
         raise ContractError(
             f"zero accepted replicates out of {proposals} proposals "

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bpre.cli import ExperimentConfig, emit_plot_data, main
 from bpre.environment import EnvironmentModel
 from bpre.errors import ContractError
+from bpre.models import intermediate_model, strongly_model
 
 from helpers import reachable_closure_oracle
 
@@ -18,6 +19,14 @@ GW_MODEL = {"states": [{"type": "finite", "probs": [0.25, 0.0, 0.75]}], "weights
 WEAKLY_MODEL = {
     "states": [{"type": "lf", "m": 2.0, "b": 8.0}, {"type": "lf", "m": 0.5, "b": 0.5}],
     "weights": [2.0 / 3.0, 1.0 / 3.0],
+}
+
+STRONGLY_MODEL = strongly_model().to_json()
+INTERMEDIATE_MODEL = intermediate_model().to_json()
+# every increment log m is positive: lambda* is undefined
+POSITIVE_MODEL = {
+    "states": [{"type": "lf", "m": 1.5, "b": 4.5}, {"type": "lf", "m": 1.2, "b": 2.88}],
+    "weights": [0.5, 0.5],
 }
 
 # models whose mean-0 or zero-weight states once crashed validate, rho and mrca
@@ -282,6 +291,34 @@ def test_exact_estimate_path(weakly_path, capsys):
     )
     assert rc == 0
     assert "[estimated]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "obj, nu",
+    [
+        (WEAKLY_MODEL, 0.5),
+        (STRONGLY_MODEL, 1.0),
+        (INTERMEDIATE_MODEL, 1.0),
+        (POSITIVE_MODEL, 1.0),
+    ],
+    ids=["weakly", "strongly", "intermediate", "positive"],
+)
+def test_exact_estimate_default_tilt_follows_regime(obj, nu, tmp_path, capsys):
+    # without --nu the tilt is lambda* in the weakly supercritical regime and 1
+    # otherwise, which needs no negative increment; the estimate is within 4 SE
+    # of the certified value
+    path, est, cert = (str(tmp_path / name) for name in ("model.json", "est.json", "cert.json"))
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    argv = ["exact", "--model", path, "--n", "20", "--j-max", "4"]
+    assert main(argv + ["--estimate", "--replicates", "2000", "--seed", "1", "--out", est]) == 0
+    assert main(argv + ["--out", cert]) == 0
+    with open(est) as fh:
+        estimated = json.load(fh)["estimated"]
+    with open(cert) as fh:
+        exact = json.load(fh)["certified"]["small_value_probability"]
+    assert estimated["nu"] == nu
+    assert abs(estimated["small_value_probability"] - exact) <= 4.0 * estimated["std_error"]
 
 
 @pytest.mark.parametrize("nu", ["700", "-700"])

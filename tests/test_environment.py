@@ -56,7 +56,7 @@ def test_model_walk_moments():
     assert model.drift == pytest.approx(math.log(2.0) / 3.0, rel=1e-12)
     assert model.tilted_moment(0.0) == pytest.approx(1.0, abs=1e-15)
     # E[X e^-X] = (2/3) log2 / 2 - (1/3) log2 * 2 = -log2 / 3
-    assert model.cross_moment == pytest.approx(-math.log(2.0) / 3.0, rel=1e-12)
+    assert model.tilted_cross_moment(1.0) == pytest.approx(-math.log(2.0) / 3.0, rel=1e-12)
 
 
 def test_rate_function_two_point_log2():

@@ -53,8 +53,6 @@ def test_quenched_pmf_caps_the_row_it_builds():
     env = EnvSequence((LinearFractionalLaw(2.0, 8.0),))
     with pytest.raises(TruncationError):
         quenched_pmf(env, 1, MAX_DEGREE + 1)
-    with pytest.raises(TruncationError):
-        quenched_pmf(env, 1, 3, degree=MAX_DEGREE + 1)
     assert quenched_pmf(env, 1, MAX_DEGREE) == pytest.approx(
         LinearFractionalLaw(2.0, 8.0).prob(MAX_DEGREE), rel=1e-9
     )
@@ -363,12 +361,6 @@ def test_quenched_pmf_examples():
     # all-copy environment keeps the population at one
     env_all_q1 = EnvSequence((copy_law,) * 6)
     assert quenched_pmf(env_all_q1, 1, 1) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_quenched_pmf_truncation_contract():
-    env = EnvSequence((FiniteLaw((0.5, 0.5)),))
-    with pytest.raises(TruncationError):
-        quenched_pmf(env, 1, 5, degree=3)
 
 
 def test_quenched_law_doubles_until_tail_certified():

@@ -6,17 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bpre.errors import ContractError, DegenerateLawError
-from bpre.laws import FiniteLaw, LinearFractionalLaw, law_from_json, law_to_json, moments
+from bpre.laws import FiniteLaw, LinearFractionalLaw, law_from_json, law_to_json
 
 from helpers import law_pmf_vector, random_lf_law
 
 
 def test_moments_finite_quarter_three_quarter():
     law = FiniteLaw((0.25, 0.0, 0.75))
-    m, b, eta = moments(law)
-    assert m == pytest.approx(1.5, abs=1e-15)
-    assert b == pytest.approx(1.5, abs=1e-15)
-    assert eta == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert law.mean == pytest.approx(1.5, abs=1e-15)
+    assert law.second_factorial_moment == pytest.approx(1.5, abs=1e-15)
+    assert law.eta_general == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert law.eta_lf == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
@@ -24,20 +23,18 @@ def test_moments_lf():
     law = LinearFractionalLaw(m=2.0, b=8.0)
     assert law.eta_lf == pytest.approx(1.0, abs=1e-15)
     assert law.eta_general == pytest.approx(2.0, abs=1e-15)
-    m, b, _ = moments(law)
-    assert (m, b) == (2.0, 8.0)
+    assert (law.mean, law.second_factorial_moment) == (2.0, 8.0)
 
 
 def test_moments_deterministic_single_offspring():
     law = FiniteLaw((0.0, 1.0))
-    m, b, eta = moments(law)
-    assert (m, b, eta) == (1.0, 0.0, 0.0)
+    assert (law.mean, law.second_factorial_moment, law.eta_general) == (1.0, 0.0, 0.0)
 
 
 def test_zero_mean_law_rejected():
     law = FiniteLaw((1.0,))
     with pytest.raises(DegenerateLawError):
-        moments(law)
+        law.eta_general
 
 
 def test_invalid_probabilities_rejected():

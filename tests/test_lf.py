@@ -177,7 +177,7 @@ def test_lf_rho_strongly_weakly_and_boundary():
     res = lf_rho(weakly)
     assert res.regime is Regime.WEAKLY
     assert res.rho == pytest.approx(-math.log(2.0 * math.sqrt(2.0) / 3.0), abs=1e-9)
-    assert res.rho == pytest.approx(rate_function_at_zero(weakly).value, abs=1e-12)
+    assert res.rho == rate_function_at_zero(weakly).value  # -log E[exp(-lambda* X)] both ways
 
     p_star = math.e / (math.e + math.exp(-1.0))
     boundary = EnvironmentModel(

@@ -201,13 +201,14 @@ def test_mrca_regime_suite_smoke():
     assert pt.scaled_last == pytest.approx(5 * pt.pmf_last)
     doc = report.to_json()
     assert set(doc) == {"certified", "estimated"}
-    payload = json.dumps(doc)
-    assert "bins" in payload
+    (point,) = json.loads(json.dumps(doc))["estimated"]["points"]
+    assert point["proposed"] == 40_000
+    assert all(set(b) == {"k", "count"} for b in point["bins"])
+    assert sum(b["count"] for b in point["bins"]) == point["accepted"] == pt.accepted
 
 
 def test_mrca_regime_suite_flags_insufficient():
     model = weakly_model()
-    report = mrca_regime_suite(
-        model, (12,), proposals=3000, root_seed=6, min_accepted=1000
-    )
+    report = mrca_regime_suite(model, (12,), proposals=3000, root_seed=6)
+    assert 0 < report.point(12).accepted < 100
     assert report.insufficient == (12,)
