@@ -34,9 +34,13 @@ generations depth-first, in one sweep that reports every horizon up to the
 deepest requested one (the Fekete table needs n = 1..n_max, the example
 suites every n of their tables).  A model whose enumerated states are all
 LF carries the closed-form statistics of each environment, one step of the
-same LF recursion per generation, and builds coefficient rows only at
-requested horizons; any other model carries series rows.  Partial sums are
-combined in a fixed order.
+same LF recursion per generation, only those a row of the requested width
+reads, and builds coefficient rows only at requested horizons; any other
+model carries series rows.  The depth-first descent writes every child
+block, weight vector and coefficient chunk into buffers made once per
+call, one set per generation, through the ``out`` arguments of
+``_lf_step``, ``_lf_layers``, ``pgf.apply_law_rows`` and ``pgf.mul_rows``,
+with unchanged arithmetic.  Partial sums are combined in a fixed order.
 
 The reachability closure behind z0 works on Python-int bitmasks: bit k of a
 mask marks size k, and the sizes reachable from z in one generation are the
@@ -181,9 +185,10 @@ def _lf_suffix(
     P(Z_n > 0 | Z_k = 1), a = A/D and r = B/D (D = A + B), all in [0, 1]:
     with x = eta m p and q = 1 + x, a <- a/q, r <- (x + r)/q and
     p <- m p / q.  Each array is (n+1, b) with ``layers``, row k for f_{k,n},
-    else (1, b) for f_{0,n}.  At width 1 only p is carried, and a, r are None.
-    A generation's m and eta m are gathered per column of idx as it is
-    stepped, so no per-cell (n, b) array is built.
+    else (1, b) for f_{0,n}.  Only what a row of ``width`` reads is carried:
+    a from width 2 and r from width 3 (``_lf_layers``); below that they are
+    None.  A generation's m and eta m are gathered per column of idx as it
+    is stepped, so no per-cell (n, b) array is built.
 
     A long subcritical suffix drives p towards underflow, and a
     supercritical prefix may bring it back.  So a row whose p falls below
@@ -200,58 +205,77 @@ def _lf_suffix(
     ).reshape(len(states), 3).T
     n_out = n + 1 if layers else 1
     p, e = np.empty((n_out, b)), np.zeros((n_out, b), dtype=np.int64)
-    a, r = (np.empty((n_out, b)), np.empty((n_out, b))) if width > 1 else (None, None)
+    a = np.empty((n_out, b)) if width > 1 else None
+    r = np.empty((n_out, b)) if width > 2 else None
     p[-1] = 1.0  # f_{n,n}(s) = s
-    if width > 1:
-        a[-1], r[-1] = 1.0, 0.0
+    if a is not None:
+        a[-1] = 1.0
+    if r is not None:
+        r[-1] = 0.0
     bound, step = 1.0, float(keep_state.min(initial=1.0))  # bound <= every p of layer src
     for g in range(n - 1, -1, -1):
         src, dst = (g + 1, g) if layers else (0, 0)
         bound *= step
-        fa, fr = (a[src], r[src]) if width > 1 else (None, None)
+        fa = None if a is None else a[src]
+        fr = None if r is None else r[src]
         col = idx[:, g]  # the states of generation g+1
         m, em = m_state[col], em_state[col]
         p[dst], fe, fa, fr = _lf_step(m, em, p[src], e[src], fa, fr, bound < _TINY)
         if bound < _TINY:
             e[dst] = fe
-        if width > 1:
-            a[dst], r[dst] = fa, fr
+        if a is not None:
+            a[dst] = fa
+        if r is not None:
+            r[dst] = fr
     if bound < _TINY:
         p = np.ldexp(p, -512 * e)
     return p, a, r
 
 
-def _lf_step(m, em, p, e, a, r, carry: bool):
+def _lf_step(m, em, p, e, a, r, carry: bool, out=None):
     """One generation of the ``_lf_suffix`` recursion: (p, e, a, r) of f_{k-1,n} from f_{k,n}.
 
     ``m`` and ``em`` (= eta_lf m) are the law of generation k, a scalar or one
-    per row.  ``a`` and ``r`` may both be None where only p is wanted.
-    With ``carry`` the survival is the mantissa p times 2^(-512 e), and p is
-    rescaled whenever it leaves [2^-512, 1).  Callers drop ``carry`` only
-    while a lower bound keeps every p above 2^-512 (so e is 0), where it
-    would change no bit.
+    per row.  ``a`` and ``r`` are None where they are not wanted (r only
+    with a), and stay None.  With ``carry`` the survival is the mantissa p
+    times 2^(-512 e), and p is rescaled whenever it leaves [2^-512, 1).
+    Callers drop ``carry`` only while a lower bound keeps every p above
+    2^-512 (so e is 0), where it would change no bit; without it e is
+    returned as given.
+
+    ``out`` = (p, e, a, r) buffers, None where a statistic is not carried
+    and sharing no memory with the inputs, receive the new statistics (e
+    only with ``carry``), with the same arithmetic.  x and q then live in the
+    buffers of r and a, so with a carried and no ``carry`` the step
+    allocates nothing.
     """
-    x = em * p
+    po, eo, ao, ro = (None,) * 4 if out is None else out
+    x = np.multiply(em, p, out=ao if r is None else ro)
     if carry:
-        x = np.ldexp(x, -512 * e)
-    q = 1.0 + x
-    p = m * p / q
+        np.ldexp(x, -512 * e, out=x)
+    q = np.add(1.0, x, out=x if r is None else ao)  # x is still needed only for r
+    p = np.multiply(m, p, out=po)
+    np.divide(p, q, out=p)
     if carry:  # rescale below 2^-512, and back once the mantissa reaches 1
         shift = (p < _TINY) - ((p >= 1.0) & (e > 0)).astype(np.int64)
-        e = e + shift
-        p = np.ldexp(p, 512 * shift)
+        e = np.add(e, shift, out=eo)
+        np.ldexp(p, 512 * shift, out=p)
+    if r is not None:  # before a, whose buffer holds q
+        r = np.divide(np.add(x, r, out=x), q, out=x)
     if a is not None:
-        a, r = a / q, (x + r) / q
+        a = np.divide(a, q, out=ao)
     return p, e, a, r
 
 
-def _lf_layers(p: np.ndarray, a: np.ndarray, r: np.ndarray, width: int) -> np.ndarray:
+def _lf_layers(p: np.ndarray, a, r, width: int, out: np.ndarray | None = None) -> np.ndarray:
     """Rows of width ``width`` from ``_lf_suffix`` statistics: [s^0] = 1 - p, [s^j] = p a r^(j-1).
 
     Powers of r are running products, so every value is elementwise
-    arithmetic on its own row, whatever the block.
+    arithmetic on its own row, whatever the block.  a is read from width 2
+    and r from width 3.  With ``out`` (shape ``p.shape + (width,)``) the
+    rows are written there.
     """
-    f = np.empty(p.shape + (width,))
+    f = np.empty(p.shape + (width,)) if out is None else out
     np.subtract(1.0, p, out=f[..., 0])
     if width > 1:
         np.multiply(p, a, out=f[..., 1])
@@ -333,10 +357,11 @@ def mrca_rows(states: tuple[OffspringLaw, ...], idx: np.ndarray, target: int) ->
 def _lf_mrca(states: tuple[OffspringLaw, ...], idx: np.ndarray, target: int) -> np.ndarray:
     """A_g = p_0 a_0 r_g^(T-1) of ``mrca_rows`` as (n+1, b), layer g for generation g.
 
-    For rows whose laws are all LF: one layered ``_lf_suffix`` at width 2,
-    then powers of r as running products.
+    For rows whose laws are all LF: one layered ``_lf_suffix`` at width
+    T + 1, the coefficient it reads (so r is carried), then powers of r as
+    running products.
     """
-    p, a, r = _lf_suffix(states, idx, 2, layers=True)
+    p, a, r = _lf_suffix(states, idx, target + 1, layers=True)
     power = r
     for _ in range(target - 2):
         power = power * r
@@ -495,20 +520,22 @@ def smallest_reachable(model: EnvironmentModel, cap: int = 64) -> ReachableSet:
     if z0 is None:
         raise ContractError("no extinction possible: use monotone-case formula")
 
-    closure = 0
+    # a size is marked in `closure` when it is pushed, so each is pushed once
+    closure = 1 << z0
     frontier = [z0]
     while frontier:
         z = frontier.pop()
-        if closure >> z & 1:
-            continue
-        closure |= 1 << z
         reach = 0
         for table in masks.values():
             sums, overflowed = table[z]
             reach |= sums
             capped = capped or overflowed
         fresh = reach & ~closure & ~1
-        frontier.extend(k for k in range(1, cap + 1) if fresh >> k & 1)
+        closure |= fresh
+        while fresh:
+            low = fresh & -fresh
+            frontier.append(low.bit_length() - 1)
+            fresh ^= low
     members = frozenset(k for k in range(1, cap + 1) if closure >> k & 1)
     return ReachableSet(z0=z0, closure=members, capped=capped, cap=cap)
 
@@ -565,18 +592,28 @@ def _annealed_rows(
 
     The state after d generations is a block with one row per environment of
     those d generations, standing for f_{n-d+1,n}.  Where every enumerated
-    state is LF, a row is the (p, e, a, r) of ``_lf_step``, and coefficient
-    rows are built only at requested horizons (``_lf_layers``, in chunks of
-    at most ``_BLOCK_CELLS`` cells), so each is the row ``horizon_rows``
-    gives for its environment; otherwise a row is the series row itself and
-    a law is applied by ``apply_law_rows``.  The block grows breadth-first
-    while the next block fits in ``_BLOCK_CELLS`` cells (rows x states x
-    cells per row), and always with a single state, whose block never
-    widens; past that, each state's law is applied to the whole block in
-    turn, depth-first.  A depth-first child has as many rows as its parent,
-    so it never grows breadth-first again.  A horizon's rows are summed only
-    where it is requested, so one sweep serves every horizon up to the
-    largest.
+    state is LF, a row is the (p, e, a, r) of ``_lf_step``, with a carried
+    from width 2, r from width 3 and e only once the exponent carry may
+    start (before that every row shares the one zero array), and
+    coefficient rows are built only at requested horizons (``_lf_layers``,
+    in chunks of at most ``_BLOCK_CELLS`` cells), so each is the row
+    ``horizon_rows`` gives for its environment; otherwise a row is the
+    series row itself and a law is applied by ``apply_law_rows``.  The block
+    grows breadth-first while the next block fits in ``_BLOCK_CELLS`` cells
+    (rows x states x cells per row, 5 cells for an LF row whatever it
+    carries), and always with a single state, whose block never widens.
+
+    Past that, each state's law is applied to the whole block in turn,
+    depth-first, and a child has as many rows as its parent.  The descent
+    is a loop over an explicit stack, not a recursion, and it owns one set
+    of buffers per generation, made once per call: a child's block and
+    weights are written into the buffers of its level and its coefficient
+    rows into one shared chunk buffer (``out=``, the same arithmetic), so no
+    node allocates a block; only the kernels' own temporaries remain
+    (finite Horner steps, the series route's LF laws, ``pow_rows`` at z0 >=
+    2, an LF block at width 1 and the exponent carry).  A horizon's rows are
+    summed only where it is requested, in the order of a recursive
+    depth-first sweep, so one sweep serves every horizon up to the largest.
     """
     n_max = max(horizons, default=0)
     states = list(zip(model.states, model.weights))
@@ -592,58 +629,101 @@ def _annealed_rows(
     if model.is_lf_pure:
         keep = min(1.0 - law.p0 for law, _ in states)  # every p of depth d is >= keep^d
         cells = 5  # p, e, a, r and the weight
+        step = max(1, _BLOCK_CELLS // width)  # rows per chunk of coefficient rows
 
-        def apply(law, block, depth):
-            return _lf_step(law.m, law.eta_lf * law.m, *block, keep ** (depth + 1) < _TINY)
+        def apply(law, block, depth, out=None):
+            return _lf_step(
+                law.m, law.eta_lf * law.m, *block, keep ** (depth + 1) < _TINY, out=out
+            )
 
         def join(blocks):
-            return tuple(map(np.concatenate, zip(*blocks)))
+            return tuple(None if x[0] is None else np.concatenate(x) for x in zip(*blocks))
 
-        def emit(block, wvec, depth):
+        def buffers(rows, depth):
+            return (
+                np.empty(rows),
+                np.empty(rows, dtype=np.int64) if keep**depth < _TINY else None,
+                np.empty(rows) if width > 1 else None,
+                np.empty(rows) if width > 2 else None,
+            )
+
+        def chunk_buffer(rows):
+            return np.empty((min(rows, step), width))
+
+        def emit(block, wvec, depth, f):
             p, e, a, r = block
             if keep**depth < _TINY:
                 p = np.ldexp(p, -512 * e)
-            step = max(1, _BLOCK_CELLS // width)  # rows per chunk of coefficient rows
-            parts = [slice(i, i + step) for i in range(0, len(p), step)]
-            return sum(wvec[c] @ pow_rows(_lf_layers(p[c], a[c], r[c], width), z0) for c in parts)
+            total = 0
+            for i in range(0, len(p), len(f)):
+                c = slice(i, i + len(f))
+                stats = [None if x is None else x[c] for x in (p, a, r)]
+                rows = _lf_layers(*stats, width, f[: len(stats[0])])
+                total = total + wvec[c] @ pow_rows(rows, z0)
+            return total
 
-        root = (np.ones(1), np.zeros(1, dtype=np.int64), np.ones(1), np.zeros(1))
+        root = (
+            np.ones(1),
+            np.zeros(1, dtype=np.int64),
+            np.ones(1) if width > 1 else None,
+            np.zeros(1) if width > 2 else None,
+        )
     else:
         cells = width
 
-        def apply(law, rows, depth):
-            return apply_law_rows(law, rows)
+        def apply(law, rows, depth, out=None):
+            return apply_law_rows(law, rows, out=out)
 
         join = np.vstack
 
-        def emit(rows, wvec, depth):
+        def buffers(rows, depth):
+            return np.empty((rows, width))
+
+        def chunk_buffer(rows):
+            return None
+
+        def emit(rows, wvec, depth, f):
             return wvec @ pow_rows(rows, z0)
 
         root = np.zeros((1, width))  # the identity row
         if width > 1:
             root[0, 1] = 1.0
 
-    def expand(block, wvec: np.ndarray, depth: int) -> None:
-        # breadth-first growth loops and only the depth-first descent recurses,
-        # so the stack holds at most log_a(budget) frames; one state never
-        # widens the block and stays breadth-first at any horizon
-        while True:
-            if depth in totals:
-                totals[depth] += emit(block, wvec, depth)
-            if depth == n_max:
-                return
-            if k > 1 and len(wvec) * k * cells > _BLOCK_CELLS:
-                break
-            block = join([apply(law, block, depth) for law, _ in states])
-            wvec = np.concatenate([wvec * w for _, w in states])
-            depth += 1
-        for law, w in states:
-            # the named child lives until its sibling is built; freeing it
-            # first made `bpre rho --n-max 20` about 8% slower
-            child = apply(law, block, depth)
-            expand(child, wvec * w, depth + 1)
+    # breadth-first growth is a loop; one state never widens the block and
+    # stays breadth-first at any horizon
+    block, wvec, depth = root, np.ones(1), 0
+    while True:
+        if depth in totals:
+            totals[depth] += emit(block, wvec, depth, chunk_buffer(len(wvec)))
+        if depth == n_max:
+            return totals
+        if k > 1 and len(wvec) * k * cells > _BLOCK_CELLS:
+            break
+        block = join([apply(law, block, depth) for law, _ in states])
+        wvec = np.concatenate([wvec * w for _, w in states])
+        depth += 1
 
-    expand(root, np.ones(1), 0)
+    # depth-first: level i holds a block of depth `top + i`, and nxt[i] is
+    # the next state to apply to it
+    top, rows = depth, len(wvec)
+    blocks = [block] + [None] * (n_max - top)
+    outs = [None] + [buffers(rows, d) for d in range(top + 1, n_max + 1)]
+    weights = [wvec] + [np.empty(rows) for _ in range(top + 1, n_max + 1)]
+    f = chunk_buffer(rows)
+    nxt = [0] * (n_max - top + 1)
+    i = 0
+    while i >= 0:
+        if top + i == n_max or nxt[i] == k:
+            i -= 1
+            continue
+        law, w = states[nxt[i]]
+        nxt[i] += 1
+        blocks[i + 1] = apply(law, blocks[i], top + i, out=outs[i + 1])
+        np.multiply(weights[i], w, out=weights[i + 1])
+        i += 1
+        nxt[i] = 0
+        if top + i in totals:
+            totals[top + i] += emit(blocks[i], weights[i], top + i, f)
     return totals
 
 

@@ -13,6 +13,12 @@ Composition is exact for the kept degrees: the coefficient of ``s^j`` in
 ``f(g(s))`` only depends on the coefficients of ``g`` up to degree ``j``, so
 applying a law to a truncated row (finite support, or linear-fractional via
 an exact reciprocal-series recurrence) loses no kept coefficient.
+
+``mul_rows`` and ``apply_law_rows`` take an optional ``out`` array, which
+must share no memory with their inputs: the result is written there with
+the same arithmetic, so a caller that keeps one buffer per use (the
+depth-first descent of the annealed enumerator) allocates no result array
+per call.
 """
 
 from __future__ import annotations
@@ -25,13 +31,17 @@ from .laws import FiniteLaw, OffspringLaw
 MAX_DEGREE = 1 << 14
 
 
-def mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise product of truncated series, truncated at the common degree."""
+def mul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise product of truncated series, truncated at the common degree.
+
+    With ``out`` (shaped like ``a``, sharing no memory with ``a`` or ``b``)
+    the product is written there and returned; the values are the same.
+    """
     m, width = a.shape
-    out = np.zeros_like(a)
+    out = np.empty_like(a) if out is None else out
     for j in range(width):
         # out[:, j] = sum_{i<=j} a[:, i] * b[:, j-i]
-        out[:, j] = np.einsum("mi,mi->m", a[:, : j + 1], b[:, j::-1])
+        np.einsum("mi,mi->m", a[:, : j + 1], b[:, j::-1], out=out[:, j])
     return out
 
 
@@ -69,26 +79,40 @@ def pow_rows(c: np.ndarray, z: int) -> np.ndarray:
     return out
 
 
-def apply_law_rows(law: OffspringLaw, c: np.ndarray) -> np.ndarray:
+def apply_law_rows(law: OffspringLaw, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Rows of ``law.pgf(g(s))`` truncated at the row degree, exactly.
 
     Finite laws use a Horner scheme over the support; LF laws expand the
     rational form ``1 - u / (1/m + eta_lf u)`` with ``u = 1 - g`` through an
-    exact reciprocal-series recurrence.
+    exact reciprocal-series recurrence.  With ``out`` (shaped like ``c``,
+    sharing no memory with it) the rows are written there and returned, with
+    the same values; the kernel's own temporaries are still allocated (one
+    Horner row block for a finite law of degree 2 or more; u, w and its
+    reciprocal for an LF law).
     """
+    out = np.empty_like(c) if out is None else out
     if isinstance(law, FiniteLaw):
         probs = law.probs
+        # the Horner products alternate between out and one temporary,
+        # starting where the last of them lands in out
+        muls = max(len(probs) - 2, 0)
+        spare = np.empty_like(c) if muls else None
+        acc, spare = (spare, out) if muls % 2 else (out, spare)
         # the first Horner product multiplies the constant row [q_d, 0, ...]: it is q_d c
-        out = probs[-1] * c if len(probs) > 1 else np.zeros_like(c)
-        out[:, 0] += probs[-2] if len(probs) > 1 else probs[0]
+        if len(probs) > 1:
+            np.multiply(probs[-1], c, out=acc)
+        else:
+            acc.fill(0.0)
+        acc[:, 0] += probs[-2] if len(probs) > 1 else probs[0]
         for k in range(len(probs) - 3, -1, -1):
-            out = mul_rows(out, c)
-            out[:, 0] += probs[k]
-        return out
+            acc, spare = mul_rows(acc, c, out=spare), acc
+            acc[:, 0] += probs[k]
+        return acc
     u = -c
     u[:, 0] += 1.0
     w = law.eta_lf * u
     w[:, 0] += 1.0 / law.m
-    res = -mul_rows(u, recip_rows(w))
-    res[:, 0] += 1.0
-    return res
+    mul_rows(u, recip_rows(w), out=out)
+    np.negative(out, out=out)
+    out[:, 0] += 1.0
+    return out

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import tracemalloc
@@ -731,9 +732,9 @@ def test_breadth_first_block_stays_under_cell_cap(j_max, n, monkeypatch):
     # a law applied to it, and the depth-first pass applies laws to the block
     calls = []
 
-    def spy(law, c):
+    def spy(law, c, out=None):
         calls.append(c.size)
-        return apply_law_rows(law, c)
+        return apply_law_rows(law, c, out=out)
 
     monkeypatch.setattr(exact, "apply_law_rows", spy)
     model = EnvironmentModel(
@@ -750,9 +751,9 @@ def test_lf_block_and_horizon_rows_stay_under_cell_cap(j_max, n, monkeypatch):
     # coefficient rows of a horizon are built in chunks under the cap too
     steps, layers = [], []
 
-    def step_spy(m, em, p, *rest):
+    def step_spy(m, em, p, *rest, out=None):
         steps.append(p.size)
-        return lf_step(m, em, p, *rest)
+        return lf_step(m, em, p, *rest, out=out)
 
     def layers_spy(*args):
         f = lf_layers(*args)
@@ -767,13 +768,20 @@ def test_lf_block_and_horizon_rows_stay_under_cell_cap(j_max, n, monkeypatch):
     assert max(layers) <= exact._BLOCK_CELLS
 
 
-def _enumeration_oracle(model, z0, n, width):
-    """Sum of w(env) pow_rows(f_{0,n}, z0) over all a^n environments, each by the series route."""
+def _enumeration_oracle(model, z0, n, width, series=True):
+    """Sum of w(env) pow_rows(f_{0,n}, z0) over all a^n environments, one row each.
+
+    Each row comes from the series route, or with ``series=False`` from
+    ``horizon_rows``, which takes the closed form on all-LF rows.
+    """
     states = tuple(law for law, w in zip(model.states, model.weights) if w > 0.0)
     weights = np.array([w for w in model.weights if w > 0.0])
     idx = np.array(list(itertools.product(range(len(states)), repeat=n)), dtype=np.int64)
     idx = idx.reshape(len(states) ** n, n)
-    rows = exact._series_layers(states, idx, width, False)[0]
+    if series:
+        rows = exact._series_layers(states, idx, width, False)[0]
+    else:
+        rows = exact.horizon_rows(states, idx, width)
     return np.prod(weights[idx], axis=1) @ pow_rows(rows, z0)
 
 
@@ -815,6 +823,89 @@ def test_lf_single_state_enumeration_carries_survival_below_2_pow_512():
     c = law.eta_lf * (1.0 - law.m**n) / (1.0 / law.m - 1.0)
     log_p1 = n * math.log(law.m) - 2.0 * math.log1p(c)
     assert math.log(annealed_pmf_row(model, 1, n, 1)[1]) == pytest.approx(log_p1, rel=1e-12)
+
+
+_DESCENT_MODELS = {
+    "all_lf": (weakly_model(), 8),
+    "all_finite": (
+        EnvironmentModel((FiniteLaw((0.2, 0.5, 0.3)), FiniteLaw((0.4, 0.2, 0.4))), (0.5, 0.5)),
+        8,
+    ),
+    "mixed": (
+        EnvironmentModel(
+            (FiniteLaw((0.2, 0.5, 0.3)), FiniteLaw((0.1, 0.2, 0.3, 0.4)), LinearFractionalLaw(1.5, 4.0)),
+            (0.3, 0.3, 0.4),
+        ),
+        6,
+    ),
+    # 1 - q(0) is about 2^-50 for the first state, so keep^d falls below
+    # 2^-512 at d = 11 and the exponent carry starts inside the descent (at
+    # 2^-60, q(0) would round to 1 and the carry start at the root)
+    "lf_carry": (
+        EnvironmentModel(
+            (LinearFractionalLaw(2.0**-26, 0.5), LinearFractionalLaw(1.5, 4.0)), (0.5, 0.5)
+        ),
+        12,
+    ),
+}
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7])
+@pytest.mark.parametrize("name", sorted(_DESCENT_MODELS))
+def test_depth_first_descent_matches_per_environment_rows(name, width, monkeypatch):
+    # a 15-cell block stops growing at depth 1 to 3 (LF rows: 5 cells,
+    # series rows: width cells, 2 or 3 states), so nearly every horizon
+    # comes out of the depth-first descent and its level buffers
+    model, n_max = _DESCENT_MODELS[name]
+    if name == "lf_carry":
+        keep = 1.0 - model.states[0].p0
+        assert keep**10 > 2.0**-512 > keep**11
+    monkeypatch.setattr(exact, "_BLOCK_CELLS", 15)
+    for z0 in (1, 2):
+        totals = exact._annealed_rows(
+            model, z0, range(n_max + 1), width - 1, exact.ENUMERATION_BUDGET
+        )
+        for n, got in totals.items():
+            want = _enumeration_oracle(model, z0, n, width, series=False)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0), (z0, n)
+
+
+@pytest.mark.parametrize(
+    "model, cells",
+    [(weakly_model(), 5), (_DESCENT_MODELS["all_finite"][0], 3)],
+    ids=["all_lf", "all_finite"],
+)
+def test_annealed_sweep_memory_stays_in_its_workspace(model, cells):
+    # a Fekete sweep at width 2 and n = 20: the block stops at R rows
+    # (2^14 LF rows of 5 cells, 2^16 series rows of 2 cells) and the descent
+    # keeps one block and weight vector of R rows per level below it, at
+    # most `cells` doubles per row (weight included).  The slack, two more
+    # such blocks, covers what lives beside them: the breadth-first block,
+    # the chunk of coefficient rows and the kernels' temporaries.  With the
+    # cyclic collector off, a reference cycle that holds the workspace would
+    # show as traced memory left after the call.
+    n_max, width = 20, 2
+    rows = 2 ** _block_depth(model, 5 if model.is_lf_pure else width)
+    levels = n_max - round(math.log2(rows))
+    workspace = levels * rows * cells * 8
+    slack = 2 * rows * cells * 8
+    exact._annealed_rows(model, 1, range(1, n_max + 1), width - 1, exact.ENUMERATION_BUDGET)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        totals = exact._annealed_rows(
+            model, 1, range(1, n_max + 1), width - 1, exact.ENUMERATION_BUDGET
+        )
+        del totals
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if gc_was_enabled:
+            gc.enable()
+    assert peak - base <= workspace + slack, (peak - base, workspace, slack)
+    assert current - base <= 16 * 1024
 
 
 def test_fekete_table():
