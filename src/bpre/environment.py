@@ -118,12 +118,14 @@ class EnvironmentModel:
         The count is formed by one comparison per state boundary, which gives
         the indices of ``searchsorted(cum, u, side="right")`` with the last
         boundary taken as 1: it lies above every u and is never compared.
+        The count runs in the smallest unsigned type that holds the number of
+        states less one and is widened to int64 once.
         """
         u = rng.random(size)
-        idx = np.zeros(u.shape, dtype=np.int64)
+        count = np.zeros(u.shape, dtype=np.min_scalar_type(len(self._w) - 1))
         for c in np.cumsum(self._w)[:-1]:
-            idx += u >= c
-        return idx
+            count += (u >= c).view(np.uint8)
+        return count.astype(np.int64)
 
     def to_json(self) -> dict:
         return {

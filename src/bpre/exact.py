@@ -36,9 +36,10 @@ suites every n of their tables).  A model whose enumerated states are all
 LF carries the closed-form statistics of each environment, one step of the
 same LF recursion per generation, only those a row of the requested width
 reads, and builds coefficient rows only at requested horizons; any other
-model carries series rows.  The depth-first descent writes every child
-block, weight vector and coefficient chunk into buffers made once per
-call, one set per generation, through the ``out`` arguments of
+model carries series rows, column-major, with breadth-first blocks only
+as wide as their degree can reach.  The depth-first descent writes every
+child block, weight vector and coefficient chunk into buffers made once
+per call, one set per generation, through the ``out`` arguments of
 ``_lf_step``, ``_lf_layers``, ``pgf.apply_law_rows`` and ``pgf.mul_rows``,
 with unchanged arithmetic.  Partial sums are combined in a fixed order.
 
@@ -603,6 +604,17 @@ def _annealed_rows(
     (rows x states x cells per row, 5 cells for an LF row whatever it
     carries), and always with a single state, whose block never widens.
 
+    Series blocks are column-major, so each coefficient column the kernels
+    sum over is one contiguous vector.  A breadth-first block of degree D
+    is padded with zero columns only to the degree maxdeg D the next
+    generation can reach (maxdeg is the largest degree of a finite state;
+    an LF state keeps every block at full width), and to the full width
+    before an emission and before the descent: the columns it leaves out
+    are exact zeros, so every value is the full-width one, bit for bit.
+    ``emit`` copies its coefficient rows to row-major before the weighted
+    sum, because the BLAS product sums a column-major block in another
+    order and would change the last bits of certified values.
+
     Past that, each state's law is applied to the whole block in turn,
     depth-first, and a child has as many rows as its parent.  The descent
     is a loop over an explicit stack, not a recursion, and it owns one set
@@ -668,24 +680,52 @@ def _annealed_rows(
             np.ones(1) if width > 1 else None,
             np.zeros(1) if width > 2 else None,
         )
+
+        def widen(block, full):
+            return block
+
     else:
         cells = width
+        # a finite law of degree d takes a series of degree D to degree d D;
+        # an LF law has no finite degree, so it keeps every block at full width
+        maxdeg = max(
+            len(law.probs) - 1 if isinstance(law, FiniteLaw) else width for law, _ in states
+        )
 
         def apply(law, rows, depth, out=None):
             return apply_law_rows(law, rows, out=out)
 
-        join = np.vstack
+        def join(blocks):
+            out = np.empty((sum(map(len, blocks)), blocks[0].shape[1]), order="F")
+            return np.concatenate(blocks, out=out)
 
         def buffers(rows, depth):
-            return np.empty((rows, width))
+            return np.empty((rows, width), order="F")
 
         def chunk_buffer(rows):
             return None
 
-        def emit(rows, wvec, depth, f):
-            return wvec @ pow_rows(rows, z0)
+        def widen(rows, full):
+            # the full width, or the degree one more generation can reach;
+            # the columns added are zeros, exactly what the full block holds
+            cols = width if full else min(width, maxdeg * (rows.shape[1] - 1) + 1)
+            if cols <= rows.shape[1]:
+                return rows[:, :cols]
+            out = np.zeros((len(rows), cols), order="F")
+            out[:, : rows.shape[1]] = rows
+            return out
 
-        root = np.zeros((1, width))  # the identity row
+        def emit(rows, wvec, depth, f):
+            # the BLAS product sums a row-major block in the order the
+            # certified values were first computed in; a column-major one
+            # would sum differently
+            p = pow_rows(widen(rows, True), z0)
+            c = np.empty(p.shape)
+            for j in range(width):
+                c[:, j] = p[:, j]
+            return wvec @ c
+
+        root = np.zeros((1, min(width, 2)), order="F")  # the identity row
         if width > 1:
             root[0, 1] = 1.0
 
@@ -699,6 +739,7 @@ def _annealed_rows(
             return totals
         if k > 1 and len(wvec) * k * cells > _BLOCK_CELLS:
             break
+        block = widen(block, False)
         block = join([apply(law, block, depth) for law, _ in states])
         wvec = np.concatenate([wvec * w for _, w in states])
         depth += 1
@@ -706,7 +747,7 @@ def _annealed_rows(
     # depth-first: level i holds a block of depth `top + i`, and nxt[i] is
     # the next state to apply to it
     top, rows = depth, len(wvec)
-    blocks = [block] + [None] * (n_max - top)
+    blocks = [widen(block, True)] + [None] * (n_max - top)
     outs = [None] + [buffers(rows, d) for d in range(top + 1, n_max + 1)]
     weights = [wvec] + [np.empty(rows) for _ in range(top + 1, n_max + 1)]
     f = chunk_buffer(rows)

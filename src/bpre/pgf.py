@@ -14,6 +14,12 @@ Composition is exact for the kept degrees: the coefficient of ``s^j`` in
 applying a law to a truncated row (finite support, or linear-fractional via
 an exact reciprocal-series recurrence) loses no kept coefficient.
 
+Layout: the kernels take rows in any memory order and give the same bits
+in each (the tests check this bit for bit); a result keeps the order of its
+input.  Column-major (Fortran) rows are fastest, because each coefficient
+column is then one contiguous vector; the annealed enumerator keeps its
+series blocks that way.
+
 ``mul_rows`` and ``apply_law_rows`` take an optional ``out`` array, which
 must share no memory with their inputs: the result is written there with
 the same arithmetic, so a caller that keeps one buffer per use (the

@@ -232,6 +232,20 @@ def test_sample_indices_match_searchsorted_oracle(model, size):
     assert not np.isin(model.sample_indices(np.random.default_rng(0), 100_000), never).any()
 
 
+@pytest.mark.parametrize("size", [(4096, 40), (3,), (0, 5)])
+@pytest.mark.parametrize("k", [2, 3, 7, 300])
+def test_sample_indices_widen_a_small_count_to_int64(k, size):
+    # the count runs in uint8 up to k = 256 and in uint16 at k = 300
+    rng = np.random.default_rng(k)
+    w = rng.random(k) + 0.01
+    model = EnvironmentModel(tuple(random_lf_law(rng) for _ in range(k)), tuple(w / w.sum()))
+    got = model.sample_indices(np.random.default_rng(7), size)
+    u = np.random.default_rng(7).random(size)
+    want = np.searchsorted(np.cumsum(model.weights)[:-1], u, side="right")
+    assert got.dtype == np.int64 and got.shape == size
+    assert np.array_equal(got, want)
+
+
 def _lf_step_law(x):
     """LF law whose walk increment is log m = x (up to the rounding of exp)."""
     m = math.exp(x)

@@ -908,6 +908,76 @@ def test_annealed_sweep_memory_stays_in_its_workspace(model, cells):
     assert current - base <= 16 * 1024
 
 
+_NARROW_MODELS = {
+    "benchmark_finite": _DESCENT_MODELS["all_finite"][0],
+    "degrees_1_and_4": EnvironmentModel(
+        (FiniteLaw((0.5, 0.5)), FiniteLaw((0.1, 0.2, 0.3, 0.2, 0.2))), (0.6, 0.4)
+    ),
+    "degree_0": EnvironmentModel((FiniteLaw((1.0,)), FiniteLaw((0.1, 0.2, 0.7))), (0.3, 0.7)),
+    "mixed_lf": EnvironmentModel(
+        (FiniteLaw((0.2, 0.5, 0.3)), LinearFractionalLaw(1.5, 4.0)), (0.5, 0.5)
+    ),
+    "one_state": EnvironmentModel((FiniteLaw((0.2, 0.5, 0.3)),), (1.0,)),
+}
+
+
+@pytest.mark.parametrize("j_max", [7, 64, 128])
+@pytest.mark.parametrize("name", sorted(_NARROW_MODELS))
+def test_narrowed_breadth_first_blocks_match_enumeration_oracle(name, j_max, monkeypatch):
+    # breadth-first series blocks are only as wide as the degree one more
+    # generation can reach (an LF state keeps them at full width); every
+    # block handed to a law must be column-major and wide enough for the
+    # degree of the rows it holds, and every horizon must match the oracle
+    model = _NARROW_MODELS[name]
+    width = j_max + 1
+    # at width 129 a 2-state block stops at 512 rows, depth 9: n = 11 passes
+    # a law to a depth-first level buffer
+    n = 40 if len(model.states) == 1 else 11
+    maxdeg = max(
+        len(law.probs) - 1 if isinstance(law, FiniteLaw) else width for law in model.states
+    )
+    want = {
+        (z0, m): _enumeration_oracle(model, z0, m, width) for z0 in (1, 2) for m in range(n + 1)
+    }
+    widths = []
+
+    def spy(law, c, out=None):
+        used = np.flatnonzero(c.any(axis=0))
+        w_in = used[-1] + 1 if len(used) else 1
+        assert c.flags.f_contiguous
+        assert c.shape[1] >= min(width, maxdeg * (w_in - 1) + 1), (c.shape, w_in)
+        widths.append(c.shape[1])
+        return apply_law_rows(law, c, out=out)
+
+    monkeypatch.setattr(exact, "apply_law_rows", spy)
+    for z0 in (1, 2):
+        got = annealed_pmf_row(model, z0, n, j_max)
+        assert np.allclose(got, np.clip(want[z0, n], 0.0, None), rtol=1e-12, atol=0.0)
+        totals = exact._annealed_rows(model, z0, range(n + 1), j_max, exact.ENUMERATION_BUDGET)
+        for m, got in totals.items():
+            assert np.allclose(got, want[z0, m], rtol=1e-12, atol=0.0), (z0, m)
+    # the narrowing is in effect wherever no LF state forces the full width
+    assert (min(widths) < width) == (maxdeg < width)
+
+
+def test_series_emission_is_the_row_major_weighted_sum_bit_for_bit():
+    # the blocks are column-major, but a horizon's weighted sum must be the
+    # BLAS product over row-major rows, bit for bit: at n = 8 and width 129
+    # the benchmark's finite model still emits from its breadth-first block,
+    # whose rows and weights are in the order of itertools.product
+    model = _NARROW_MODELS["benchmark_finite"]
+    n, width = 8, 129
+    idx = np.array(list(itertools.product(range(2), repeat=n)), dtype=np.int64)
+    rows = exact._series_layers(model.states, idx, width, False)[0]
+    wvec = np.ones(1)
+    for _ in range(n):
+        wvec = np.concatenate([wvec * w for w in model.weights])
+    for z0 in (1, 2):
+        got = exact._annealed_rows(model, z0, (n,), width - 1, exact.ENUMERATION_BUDGET)[n]
+        want = wvec @ np.ascontiguousarray(pow_rows(rows, z0))
+        assert got.tobytes() == want.tobytes(), z0
+
+
 def test_fekete_table():
     model = gw_binary()
     table = fekete_bounds(model, n_max=8)

@@ -145,3 +145,39 @@ def test_pow_rows_rejects_negative_exponents():
     c = np.ones((2, 3))
     with pytest.raises(ContractError, match="negative power"):
         pow_rows(c, -1)
+
+
+_LAYOUT_LAWS = (
+    FiniteLaw((1.0,)),
+    FiniteLaw((0.4, 0.6)),
+    FiniteLaw((0.2, 0.5, 0.3)),
+    FiniteLaw((0.1, 0.2, 0.3, 0.4)),
+    FiniteLaw((0.1, 0.2, 0.3, 0.2, 0.2)),
+    LinearFractionalLaw(m=1.5, b=4.0),
+)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 512])
+@pytest.mark.parametrize("width", [1, 2, 3, 65, 129])
+def test_row_kernels_give_the_same_bits_in_either_memory_order(width, rows):
+    # the annealed enumerator keeps its blocks column-major; every kernel
+    # must give it the bits of the row-major call, in a column-major result
+    rng = np.random.default_rng(100 * width + rows)
+    a = rng.random((rows, width)) / width
+    b = rng.random((rows, width)) / width
+    w = rng.random((rows, width)) / width
+    w[:, 0] += 1.0
+
+    def same(got_c, got_f):
+        assert got_f.flags.f_contiguous
+        assert np.array_equal(got_c, got_f)
+
+    fa, fb, fw = map(np.asfortranarray, (a, b, w))
+    same(mul_rows(a, b), mul_rows(fa, fb))
+    same(mul_rows(a, b), mul_rows(fa, fb, out=np.empty_like(fa)))
+    same(recip_rows(w), recip_rows(fw))
+    for z in range(6):
+        same(pow_rows(a, z), pow_rows(fa, z))
+    for law in _LAYOUT_LAWS:
+        same(apply_law_rows(law, a), apply_law_rows(law, fa))
+        same(apply_law_rows(law, a), apply_law_rows(law, fa, out=np.empty_like(fa)))
