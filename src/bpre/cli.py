@@ -83,6 +83,11 @@ class ExperimentConfig:
         j_top = c.j_max if c.j_max is not None else c.j
         checks = (
             (c.n is not None and c.n < 0, "--n must be >= 0"),
+            (c.n is not None and c.n > MAX_DEGREE, f"--n must be <= {MAX_DEGREE}"),
+            (c.n_max is not None and c.n_max > MAX_DEGREE, f"--n-max must be <= {MAX_DEGREE}"),
+            (c.n_list is not None and max(c.n_list, default=0) > MAX_DEGREE,
+             f"--n-list horizons must be <= {MAX_DEGREE}"),
+            (c.a is not None and c.a > MAX_DEGREE, f"--a must be <= {MAX_DEGREE}"),
             (c.replicates is not None and c.replicates < 1, "--replicates must be >= 1"),
             (command == "rho" and c.n_max < 2, "--n-max must be >= 2 (the slope needs n = 2)"),
             (command == "examples" and c.n_max < 1, "--n-max must be >= 1"),

@@ -21,12 +21,13 @@ mask, so without layers ``horizon_rows`` builds no (b, n) array besides
 the drawn indices.
 ``mrca_rows`` and ``survival_rows`` (P(Z_n > 0 | env), which the MRCA
 sampler thins on and ``quenched_survival`` reads) choose the same two
-routes per row: an all-LF row reads its MRCA law straight off the
-``_lf_suffix`` statistics, with no derivative and no product over
-generations, and its survival is the statistic p itself, kept however
-small.  One log-derivative helper forms the products prod f_k'(t_k) of
-the series rows of ``mrca_rows``, of ``phi_n`` and of the subtree
-identity.
+routes per row.  ``mrca_rows`` returns the MRCA law as tail masses A_g,
+the form both routes compute, and forms no differences.  An all-LF row
+reads its A_g straight off the ``_lf_suffix`` statistics, with no
+derivative and no product over generations, and its survival is the
+statistic p itself, kept however small.  One log-derivative helper forms
+the products prod f_k'(t_k) of the series rows of ``mrca_rows``, of
+``phi_n`` and of the subtree identity.
 
 The annealed enumerator (``_annealed_rows``) composes from the innermost
 generation outward: a shared breadth-first block, then the outermost
@@ -322,13 +323,14 @@ def _log_derivatives(
 
 
 def mrca_rows(states: tuple[OffspringLaw, ...], idx: np.ndarray, target: int) -> np.ndarray:
-    """Rows (b, n): P(Z_n = target, MRCA in generation g | env, Z_0 = 1) for g = 0..n-1.
+    """Tail masses (b, n+1): A_g = P(Z_n = target, MRCA in generation >= g | env, Z_0 = 1).
 
-    The MRCA age is n - g.  With T = target and t_k = f_{k,n}(0), the
-    probability that Z_n = T and every horizon individual descends from one
-    generation-g individual is A_g = f'_{0,g}(t_g) [s^T] f_{g,n}.  These
-    events shrink with g and A_n = 0, so column g is A_g - A_{g+1},
-    clipped at 0; a row sums to P(Z_n = T | env).
+    With T = target and t_k = f_{k,n}(0), A_g is the probability that
+    Z_n = T and every horizon individual descends from one generation-g
+    individual, A_g = f'_{0,g}(t_g) [s^T] f_{g,n}.  These events shrink
+    with g: column 0 is P(Z_n = T | env) and column n is 0.  The MRCA sits
+    in generation g, at age n - g, with probability A_g - A_{g+1}; no
+    difference is formed here.
 
     The route is chosen per row, as in ``horizon_rows``.  A row whose laws
     are all LF takes the closed form (``_lf_mrca``).  With the walk S_g,
@@ -346,13 +348,12 @@ def mrca_rows(states: tuple[OffspringLaw, ...], idx: np.ndarray, target: int) ->
     """
     if target < 2:
         raise ContractError("target size must be >= 2 for a meaningful MRCA")
-    a = _by_route(
+    return _by_route(
         states,
         idx,
         lambda sub: _lf_mrca(states, sub, target),
         lambda sub: _series_mrca(states, sub, target),
-    )
-    return np.clip(a[:-1] - a[1:], 0.0, None).T
+    ).T
 
 
 def _lf_mrca(states: tuple[OffspringLaw, ...], idx: np.ndarray, target: int) -> np.ndarray:
@@ -561,13 +562,7 @@ def _sum_masks(support: tuple[int, ...], cap: int) -> list[tuple[int, bool]]:
     return out
 
 
-def annealed_pmf_row(
-    model: EnvironmentModel,
-    z0: int,
-    n: int,
-    j_max: int,
-    budget: int = ENUMERATION_BUDGET,
-) -> np.ndarray:
+def annealed_pmf_row(model: EnvironmentModel, z0: int, n: int, j_max: int) -> np.ndarray:
     """Exact annealed coefficients: P(Z_n = j | Z_0 = z0) for j = 0..j_max.
 
     Enumerates every environment sequence: the innermost generations form
@@ -579,16 +574,10 @@ def annealed_pmf_row(
         raise ContractError("initial size must be >= 1")
     if n < 0:
         raise ContractError("n must be >= 0")
-    return np.clip(_annealed_rows(model, z0, (n,), j_max, budget)[n], 0.0, None)
+    return np.clip(_annealed_rows(model, z0, (n,), j_max)[n], 0.0, None)
 
 
-def _annealed_rows(
-    model: EnvironmentModel,
-    z0: int,
-    horizons,
-    j_max: int,
-    budget: int,
-) -> dict[int, np.ndarray]:
+def _annealed_rows(model: EnvironmentModel, z0: int, horizons, j_max: int) -> dict[int, np.ndarray]:
     """Unclipped sum over environments of w(env) * coefficients of f_{0,n}^{z0}, per horizon n.
 
     The state after d generations is a block with one row per environment of
@@ -630,9 +619,9 @@ def _annealed_rows(
     n_max = max(horizons, default=0)
     states = list(zip(model.states, model.weights))
     k = len(states)
-    if k**n_max > budget:
+    if k**n_max > ENUMERATION_BUDGET:
         raise BudgetError(
-            f"enumeration of {k}^{n_max} sequences exceeds budget {budget}; "
+            f"enumeration of {k}^{n_max} sequences exceeds budget {ENUMERATION_BUDGET}; "
             "use the Monte Carlo path (tilted importance sampling)"
         )
     width = j_max + 1
@@ -768,23 +757,20 @@ def _annealed_rows(
     return totals
 
 
-def annealed_pmf(
-    model: EnvironmentModel,
-    z0: int,
-    n: int,
-    j: int,
-    budget: int = ENUMERATION_BUDGET,
-) -> float:
+def annealed_pmf(model: EnvironmentModel, z0: int, n: int, j: int) -> float:
     """Exact annealed P(Z_n = j | Z_0 = z0) by full enumeration."""
-    return float(annealed_pmf_row(model, z0, n, j, budget)[j])
+    return float(annealed_pmf_row(model, z0, n, j)[j])
 
 
 @dataclass(frozen=True)
 class FeketeRow:
     n: int
     a_n: float
-    a_n_over_n: float
     slope: float | None
+
+    @property
+    def a_n_over_n(self) -> float:
+        return self.a_n / self.n
 
 
 @dataclass(frozen=True)
@@ -804,12 +790,7 @@ class FeketeTable:
         return slopes[-1] if slopes else None
 
 
-def fekete_bounds(
-    model: EnvironmentModel,
-    z0: int | None = None,
-    n_max: int = 12,
-    budget: int = ENUMERATION_BUDGET,
-) -> FeketeTable:
+def fekete_bounds(model: EnvironmentModel, z0: int | None = None, n_max: int = 12) -> FeketeTable:
     """a_n = -log P_{z0}(Z_n = z0) for n = 1..n_max; every a_n/n bounds the rate.
 
     Slope entries (a_n - a_{n/2}) / (n/2) are attached at even n as
@@ -817,7 +798,7 @@ def fekete_bounds(
     """
     if z0 is None:
         z0 = smallest_reachable(model).z0
-    totals = _annealed_rows(model, z0, range(1, n_max + 1), z0, budget)
+    totals = _annealed_rows(model, z0, range(1, n_max + 1), z0)
     values = {}
     rows = []
     for n in range(1, n_max + 1):
@@ -830,5 +811,5 @@ def fekete_bounds(
         if n % 2 == 0:
             m = n // 2
             slope = (a_n - values[m]) / m
-        rows.append(FeketeRow(n=n, a_n=a_n, a_n_over_n=a_n / n, slope=slope))
+        rows.append(FeketeRow(n=n, a_n=a_n, slope=slope))
     return FeketeTable(z0=z0, rows=tuple(rows))

@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 
 from .environment import EnvironmentModel, classify_regime, lattice_span, rate_function_at_zero
 from .errors import ContractError
-from .exact import (
-    ENUMERATION_BUDGET,
-    FeketeTable,
-    _annealed_rows,
-    fekete_bounds,
-    smallest_reachable,
-)
+from .exact import FeketeTable, _annealed_rows, fekete_bounds, smallest_reachable
 from .lf import lf_rho
 from .models import example1_model, example2_model
 from .simulate import conditioned_mrca_sample, subseed
@@ -81,18 +75,14 @@ class RhoReport:
         return {"certified": certified, "estimated": estimated}
 
 
-def rho_report(
-    model: EnvironmentModel,
-    n_max: int,
-    budget: int = ENUMERATION_BUDGET,
-) -> RhoReport:
+def rho_report(model: EnvironmentModel, n_max: int) -> RhoReport:
     """Exact a_n table, Lambda(0), LF closed form and diagnostics for a model."""
     if model.extinction_in_one_step <= 0.0:
         raise ContractError("no extinction possible: use monotone_rho")
     if model.drift <= 0.0:
         raise ContractError("not supercritical: E[X] <= 0")
     reach = smallest_reachable(model)
-    fek = fekete_bounds(model, z0=reach.z0, n_max=n_max, budget=budget)
+    fek = fekete_bounds(model, z0=reach.z0, n_max=n_max)
     rf = rate_function_at_zero(model)
     closed = None
     regime = None
@@ -199,15 +189,15 @@ def example1_suite(
     if not (q1.prob(1) == 1.0 and q2.prob(1) == 0.0 and q2.max_support % 2 == 0):
         raise ContractError("example-1 support structure violated")
     checked = range(1, min(n_max, enumeration_limit) + 1)
-    p1 = _annealed_rows(model, 1, checked, 1, ENUMERATION_BUDGET)
-    max_err = max((abs(_log_prob(p1[n][1]) - n * math.log(r)) for n in checked), default=0.0)
+    ns = tuple(range(1, min(n_max, table_limit) + 1))
+    # one sweep serves both: column 1 for the identity, column 2 for the table
+    totals = _annealed_rows(model, 1, range(1, max(len(checked), len(ns)) + 1), 2)
+    max_err = max((abs(_log_prob(totals[n][1]) - n * math.log(r)) for n in checked), default=0.0)
     # beyond the enumeration limit the identity is exact by the parity argument
 
     threshold = 2.0 * (1.0 - p) * p / (1.0 + 2.0 * (1.0 - p) * p)
     separated = r < threshold
-    ns = tuple(range(1, min(n_max, table_limit) + 1))
-    p2 = _annealed_rows(model, 1, ns, 2, ENUMERATION_BUDGET)
-    log_p2 = tuple(_log_prob(p2[n][2]) / n for n in ns)
+    log_p2 = tuple(_log_prob(totals[n][2]) / n for n in ns)
     gap = (log_p2[-1] - math.log(r)) if ns else None
     return Example1Report(
         r=r,
@@ -288,7 +278,7 @@ def example2_suite(r: float, p: float, a: int, n_max: int) -> Example2Report:
     below = s_e <= 2.0 * p if sufficiency else None
 
     ns = tuple(range(1, n_max + 1))
-    p1, p2 = (_annealed_rows(model, z0, ns, 2, ENUMERATION_BUDGET) for z0 in (1, 2))
+    p1, p2 = (_annealed_rows(model, z0, ns, 2) for z0 in (1, 2))
     return Example2Report(
         r=r,
         p=p,

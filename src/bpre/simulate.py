@@ -25,15 +25,17 @@ at the horizon is 1 + y_n + the subtrees' head-counts.  ``geiger_sample``
 draws one such population for a fixed environment.
 
 The exact conditioned MRCA sampler simulates no tree.  For each environment,
-``exact.mrca_rows`` gives the exact quenched law
-P(Z_n = target, MRCA age a | env), so one uniform per proposal decides both
-acceptance and the age, for every law family and every target.  Survival
-thinning reads ``exact.survival_rows``, P(Z_n > 0 | env) itself.  Both take
-the LF closed form for environments whose laws are all linear fractional:
-there the survival is the bounded LF suffix statistic p, kept however small,
-and the MRCA law is A_g = p_0 a_0 r_g^(target-1) from the same statistics,
-finite at any horizon.  The rest take the series route: 1 - t_0 from the
-width-1 extinction ladder, layers of f_{k,n} and log-derivative products.
+``exact.mrca_rows`` gives the exact quenched tail masses
+A_g = P(Z_n = target, MRCA in generation >= g | env), so one uniform per
+proposal decides both acceptance and the age, for every law family and
+every target: u < A_0 accepts, and the first g with u < A_0 - A_{g+1}
+gives the age n - g.  Survival thinning reads ``exact.survival_rows``,
+P(Z_n > 0 | env) itself.  Both take the LF closed form for environments
+whose laws are all linear fractional: there the survival is the bounded LF
+suffix statistic p, kept however small, and A_g = p_0 a_0 r_g^(target-1)
+comes from the same statistics, finite at any horizon.  The rest take the
+series route: 1 - t_0 from the width-1 extinction ladder, layers of
+f_{k,n} and log-derivative products.
 
 When the environment is random, conditioning on {Z_n = target} under the
 annealed law is NOT the same as sampling an environment, conditioning on
@@ -216,13 +218,16 @@ class SpineSample:
     """
 
     z0: int
-    y_counts: tuple[int, ...]
     brood: tuple[tuple[int, int], ...]
     subtree_finals: tuple[int, ...]
 
     @property
+    def y_counts(self) -> tuple[int, ...]:
+        return tuple(j - l for j, l in self.brood)
+
+    @property
     def n(self) -> int:
-        return len(self.y_counts) - 1
+        return len(self.brood) - 1
 
     @property
     def z_n(self) -> int:
@@ -307,12 +312,7 @@ def geiger_sample(env: EnvSequence, z0: int, rng: np.random.Generator) -> SpineS
         for tree, _ in _generations(states + (_COPY,), rows, tree, rng):
             pass
         finals[side] = np.bincount(tree, minlength=side.size)
-    return SpineSample(
-        z0=z0,
-        y_counts=tuple(y.tolist()),
-        brood=tuple(brood),
-        subtree_finals=tuple(finals.tolist()),
-    )
+    return SpineSample(z0=z0, brood=tuple(brood), subtree_finals=tuple(finals.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +364,14 @@ def importance_estimate(
     exp(log p + log w), so a zero probability never meets an infinite
     weight; the mean and standard error are taken of the values divided by
     their maximum and scaled back, so squares of tiny values do not
-    underflow.  A value that still overflows raises ContractError.  The
+    underflow.  A value that still overflows raises ContractError, and more
+    than ``PROPOSAL_CAP`` replicates raise BudgetError before any draw.  The
     chunks run serially, in one process.
     """
     if replicates < 1:
         raise ContractError("replicates must be >= 1")
+    if replicates > PROPOSAL_CAP:
+        raise BudgetError(f"replicate budget {replicates} exceeds cap {PROPOSAL_CAP}")
     tilted, mu = tilt(model, nu)
     fn = partial(_importance_chunk, tilted, mu, z0, n, j_max, nu)
     values = np.concatenate(_map_chunks(fn, replicates, root_seed, 1))
@@ -423,17 +426,17 @@ def _mrca_spine_chunk(
     environment and one uniform u.  ``exact.survival_rows`` keeps the
     proposals with u < P(Z_n > 0 | env), which loses nothing because
     P(Z_n = target | env) is at most that.  For the kept ones,
-    ``exact.mrca_rows`` gives the quenched law of the MRCA generation g;
-    u < P(Z_n = target | env) accepts, and the first g whose cumulative sum
-    exceeds u gives the age n - g.
+    ``exact.mrca_rows`` gives the tail masses A_g of the MRCA generation g;
+    u < A_0 = P(Z_n = target | env) accepts, and the first g with
+    u < A_0 - A_{g+1} gives the age n - g.
     """
     idx = model.sample_indices(rng, (size, n))
     u = rng.random(size)
     keep = u < survival_rows(model.states, idx)
-    cum = np.cumsum(mrca_rows(model.states, idx[keep], target), axis=1)
+    a = mrca_rows(model.states, idx[keep], target)
     u = u[keep]
-    hit = u < cum[:, -1]
-    ages = n - np.argmax(u[hit, None] < cum[hit], axis=1)
+    hit = u < a[:, 0]
+    ages = n - np.argmax(u[hit, None] < a[hit, :1] - a[hit, 1:], axis=1)
     values, counts = np.unique(ages, return_counts=True)
     return dict(zip(values.tolist(), counts.tolist()))
 

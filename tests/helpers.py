@@ -84,9 +84,9 @@ def series_horizon_rows(states, idx, width, layers=False):
 def log_derivative_mrca_rows(states, idx, target):
     """``exact.mrca_rows`` by the log-derivative route on every row, LF or not.
 
-    A_g = exp(sum_{k=1..g} log f_k'(t_k)) [s^target] f_{g,n}, with the layers
-    of ``series_horizon_rows`` and ``pgf_prime`` on their ladder; column g is
-    A_g - A_{g+1}, clipped at 0.
+    The tail masses A_g = exp(sum_{k=1..g} log f_k'(t_k)) [s^target] f_{g,n}
+    for g = 0..n (A_n = 0), with the layers of ``series_horizon_rows`` and
+    ``pgf_prime`` on their ladder.
     """
     b, n = idx.shape
     f = series_horizon_rows(states, idx, target + 1, layers=True)
@@ -96,7 +96,7 @@ def log_derivative_mrca_rows(states, idx, target):
             logs = [np.log(states[idx[r, k - 1]].pgf_prime(f[k, r, 0])) for k in range(1, n)]
         log_prefix = np.concatenate([[0.0], np.cumsum(logs)])
         a[r, :n] = np.exp(log_prefix) * f[:n, r, target]
-    return np.clip(a[:, :-1] - a[:, 1:], 0.0, None)
+    return a
 
 
 def push_forward_distribution(env_laws, z0, cap=4096):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bpre import simulate
 from bpre.cli import ExperimentConfig, emit_plot_data, main
 from bpre.environment import EnvironmentModel
 from bpre.errors import ContractError
@@ -272,6 +273,20 @@ def test_exact_command_certified_and_budget(weakly_path, tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_estimate_above_proposal_cap_exits_three(weakly_path, monkeypatch, capsys):
+    # the cap fires before any chunk is laid out or drawn
+    def no_chunks(*args):
+        raise AssertionError("chunks laid out above the replicate cap")
+
+    monkeypatch.setattr(simulate, "_map_chunks", no_chunks)
+    replicates = str(simulate.PROPOSAL_CAP + 1)
+    argv = ["exact", "--model", weakly_path, "--n", "4", "--j-max", "2", "--estimate",
+            "--replicates", replicates, "--seed", "1"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget error: ") and err.count("\n") == 1
+
+
 def test_exact_estimate_path(weakly_path, capsys):
     rc = main(
         [
@@ -439,6 +454,13 @@ BAD_ARGV = [
     "mrca --model {weakly} --n-list 4 --target-size 100000000000000000000 --seed 1",
     "exact --model {weakly} --n 1 --j-max 1000000000000",
     "exact --model {weakly} --n 1 --j 1000000000000 --j-max 1000000000000",
+    "examples --which 2 --r 0.5 --p 0.1 --a 1000000000000000000",
+    "examples --which 2 --r 0.5 --p 0.1 --a 100000000000000000000",
+    "examples --which 1 --r 0.3 --p 0.5 --n-max 100000000000000000000",
+    "rho --model {gw} --n-max 100000000000000000000",
+    "simulate --model {weakly} --n 100000000000000000000 --seed 1",
+    "exact --model {weakly} --n 100000000000000000000 --j-max 2 --estimate --seed 1",
+    "mrca --model {weakly} --n-list 4,100000000000000000000 --seed 1",
 ]
 
 

@@ -245,20 +245,31 @@ def test_horizon_rows_route_per_row_in_mixed_block(width, layers):
 
 @pytest.mark.parametrize("target", [2, 3, 7])
 def test_lf_mrca_rows_match_log_derivative_route(target):
-    # the closed form A_g = p_0 a_0 r_g^(T-1) against exp(cumsum log f') [s^T] f_{g,n}.
-    # A column A_g - A_{g+1} cancels in both routes (up to 1e-8 relative
-    # against 60 digits), so columns are held to the row total and the
-    # tail masses sum_{h >= g} = A_g to their own size
+    # the closed form A_g = p_0 a_0 r_g^(T-1) against exp(cumsum log f') [s^T] f_{g,n}:
+    # both give tail masses, so each is held to its own size, with no difference formed
     rng = np.random.default_rng(300 + target)
     for n in range(1, 25):
         states = tuple(random_lf_law(rng) for _ in range(3))
         idx = rng.integers(0, 3, (6, n))
-        rows = exact.mrca_rows(states, idx, target)
+        tails = exact.mrca_rows(states, idx, target)
         oracle = log_derivative_mrca_rows(states, idx, target)
-        total = oracle.sum(axis=1, keepdims=True)
-        assert np.all(np.abs(rows - oracle) <= 1e-13 * total)
-        tails, oracle_tails = np.cumsum(rows[:, ::-1], axis=1), np.cumsum(oracle[:, ::-1], axis=1)
-        np.testing.assert_allclose(tails, oracle_tails, rtol=1e-11, atol=0.0)
+        assert tails.shape == (6, n + 1) and np.all(tails[:, n] == 0.0)
+        np.testing.assert_allclose(tails, oracle, rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("target", [2, 3, 7])
+def test_lf_mrca_tails_match_mpmath(target):
+    # every tail mass within 1e-13 of its 60-digit value wherever that is a normal double
+    rng = np.random.default_rng(320 + target)
+    for n in (1, 2, 5, 12, 24):
+        states = tuple(random_lf_law(rng) for _ in range(3))
+        idx = rng.integers(0, 3, (4, n))
+        tails = exact.mrca_rows(states, idx, target)
+        for r in range(idx.shape[0]):
+            true = np.array([float(v) for v in _mp_lf_mrca([states[a] for a in idx[r]], target)])
+            normal = true >= np.finfo(float).tiny
+            assert np.all(np.abs(tails[r] - true)[normal] <= 1e-13 * true[normal]), (n, r)
+            assert np.all(tails[r][~normal] <= np.finfo(float).tiny)
 
 
 def test_lf_mrca_rows_skip_log_derivatives_and_layers(monkeypatch):
@@ -284,13 +295,13 @@ def test_lf_mrca_rows_survive_long_excursions(target, sub_first):
     states = (LinearFractionalLaw(2.0, 8.0), LinearFractionalLaw(0.5, 0.5))
     order = [1, 0] if sub_first else [0, 1]
     idx = np.repeat(order, 1100)[None, :]
-    rows = exact.mrca_rows(states, idx, target)
-    assert np.all(np.isfinite(rows)) and np.all(rows >= 0.0)
+    tails = exact.mrca_rows(states, idx, target)
+    assert np.all(np.isfinite(tails)) and np.all(tails >= 0.0)
     total = exact.horizon_rows(states, idx, target + 1)[0, target]
-    assert abs(rows.sum() - total) <= 1e-13 * total
+    assert abs(tails[0, 0] - total) <= 1e-13 * total
     if not sub_first and target == 2:
         assert total == pytest.approx(0.046875, rel=1e-14)
-    a = exact._lf_mrca(states, idx, target)[:, 0]
+    a = tails[0]
     true = np.array([float(v) for v in _mp_lf_mrca([states[i] for i in idx[0]], target)])
     err = np.abs(a - true)
     normal = true >= np.finfo(float).tiny
@@ -310,7 +321,7 @@ def test_survival_rows_keep_survival_below_double_resolution():
     assert survival.shape == (1,)
     assert abs(survival[0] - true) <= 1e-13 * true
     assert exact.horizon_rows(states, idx, 1)[0, 0] == 1.0
-    assert survival[0] >= exact.mrca_rows(states, idx, 2).sum() > 0.0
+    assert survival[0] >= exact.mrca_rows(states, idx, 2)[0, 0] > 0.0
 
 
 FINITE_PAIR = EnvironmentModel((FiniteLaw((0.2, 0.5, 0.3)), FiniteLaw((0.4, 0.2, 0.4))), (0.5, 0.5))
@@ -800,9 +811,7 @@ def test_lf_enumeration_matches_series_route_oracle(width, block_cells, monkeypa
         )
         n_max = {1: 9, 2: 6, 3: 5}[k]
         for z0 in (1, 2):
-            totals = exact._annealed_rows(
-                model, z0, (0, 1, 2, n_max), width - 1, exact.ENUMERATION_BUDGET
-            )
+            totals = exact._annealed_rows(model, z0, (0, 1, 2, n_max), width - 1)
             for n, got in totals.items():
                 want = _enumeration_oracle(model, z0, n, width)
                 assert np.allclose(got, want, rtol=1e-12, atol=0.0), (trial, z0, n)
@@ -862,9 +871,7 @@ def test_depth_first_descent_matches_per_environment_rows(name, width, monkeypat
         assert keep**10 > 2.0**-512 > keep**11
     monkeypatch.setattr(exact, "_BLOCK_CELLS", 15)
     for z0 in (1, 2):
-        totals = exact._annealed_rows(
-            model, z0, range(n_max + 1), width - 1, exact.ENUMERATION_BUDGET
-        )
+        totals = exact._annealed_rows(model, z0, range(n_max + 1), width - 1)
         for n, got in totals.items():
             want = _enumeration_oracle(model, z0, n, width, series=False)
             assert np.allclose(got, want, rtol=1e-12, atol=0.0), (z0, n)
@@ -889,15 +896,13 @@ def test_annealed_sweep_memory_stays_in_its_workspace(model, cells):
     levels = n_max - round(math.log2(rows))
     workspace = levels * rows * cells * 8
     slack = 2 * rows * cells * 8
-    exact._annealed_rows(model, 1, range(1, n_max + 1), width - 1, exact.ENUMERATION_BUDGET)
+    exact._annealed_rows(model, 1, range(1, n_max + 1), width - 1)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        totals = exact._annealed_rows(
-            model, 1, range(1, n_max + 1), width - 1, exact.ENUMERATION_BUDGET
-        )
+        totals = exact._annealed_rows(model, 1, range(1, n_max + 1), width - 1)
         del totals
         current, peak = tracemalloc.get_traced_memory()
     finally:
@@ -953,7 +958,7 @@ def test_narrowed_breadth_first_blocks_match_enumeration_oracle(name, j_max, mon
     for z0 in (1, 2):
         got = annealed_pmf_row(model, z0, n, j_max)
         assert np.allclose(got, np.clip(want[z0, n], 0.0, None), rtol=1e-12, atol=0.0)
-        totals = exact._annealed_rows(model, z0, range(n + 1), j_max, exact.ENUMERATION_BUDGET)
+        totals = exact._annealed_rows(model, z0, range(n + 1), j_max)
         for m, got in totals.items():
             assert np.allclose(got, want[z0, m], rtol=1e-12, atol=0.0), (z0, m)
     # the narrowing is in effect wherever no LF state forces the full width
@@ -973,7 +978,7 @@ def test_series_emission_is_the_row_major_weighted_sum_bit_for_bit():
     for _ in range(n):
         wvec = np.concatenate([wvec * w for w in model.weights])
     for z0 in (1, 2):
-        got = exact._annealed_rows(model, z0, (n,), width - 1, exact.ENUMERATION_BUDGET)[n]
+        got = exact._annealed_rows(model, z0, (n,), width - 1)[n]
         want = wvec @ np.ascontiguousarray(pow_rows(rows, z0))
         assert got.tobytes() == want.tobytes(), z0
 

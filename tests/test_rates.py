@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bpre import exact, rates
 from bpre.environment import EnvironmentModel
 from bpre.errors import ContractError
 from bpre.exact import fekete_bounds
@@ -148,6 +149,24 @@ def test_example1_gap_is_positive_when_separated():
     assert rep.separated
     for v in rep.log_p2_over_n:
         assert v - math.log(0.1) >= 0.1
+
+
+@pytest.mark.parametrize("r, p", [(0.3, 0.5), (0.1, 0.5), (0.05, 0.3), (0.5, 0.1)])
+def test_example1_suite_enumerates_once(r, p, monkeypatch):
+    # one width-3 sweep; its column 1 is the width-2 sweep's bit for bit
+    model = example1_model(r, p)
+    alone = exact._annealed_rows(model, 1, range(1, 11), 1)
+    want = max(abs(math.log(alone[n][1]) - n * math.log(r)) for n in range(1, 11))
+    sweeps = []
+
+    def counting(*args):
+        sweeps.append(args)
+        return exact._annealed_rows(*args)
+
+    monkeypatch.setattr(rates, "_annealed_rows", counting)
+    rep = example1_suite(r, p, n_max=16, table_limit=12)
+    assert len(sweeps) == 1
+    assert rep.identity_max_log_error == want and rep.identity_checked_by_enumeration == 10
 
 
 def test_example2_suite_fixed_point():

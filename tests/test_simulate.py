@@ -13,6 +13,7 @@ from bpre.exact import (
     EnvSequence,
     annealed_pmf,
     annealed_pmf_row,
+    horizon_rows,
     mrca_rows,
     phi_n,
     quenched_coeff_row,
@@ -444,12 +445,13 @@ def test_mrca_rows_match_pair_law_oracle_per_environment(model):
     # gives f'(t) = f'(0) = 0, a -inf log-derivative
     for n in (1, 2, 5):
         idx, _ = _all_envs(model, n)
-        rows = mrca_rows(model.states, idx, 2)
-        assert rows.shape == (idx.shape[0], n)
+        tails = mrca_rows(model.states, idx, 2)
+        assert tails.shape == (idx.shape[0], n + 1)
         for r in range(idx.shape[0]):
             oracle = mrca_pair_law([model.states[a] for a in idx[r]])
-            # column g is the MRCA generation, the oracle's index the age n - g
-            assert np.max(np.abs(rows[r, ::-1] - oracle[1:])) <= 1e-15
+            # column g is the MRCA generation, the oracle's index the age n - g:
+            # A_g sums the ages 0..n - g, from the end, so no term cancels
+            assert np.max(np.abs(tails[r] - np.cumsum(oracle)[::-1])) <= 1e-15
     with pytest.raises(ContractError, match="target size"):
         mrca_rows(model.states, idx, 1)
 
@@ -459,7 +461,7 @@ def test_mrca_rows_match_pair_law_oracle_per_environment(model):
 def test_mrca_rows_sum_to_annealed_pmf(model, target):
     n = 6
     idx, weights = _all_envs(model, n)
-    total = weights @ mrca_rows(model.states, idx, target).sum(axis=1)
+    total = weights @ mrca_rows(model.states, idx, target)[:, 0]
     exact = annealed_pmf(model, 1, n, target)
     assert exact > 0.0
     assert abs(total - exact) <= 1e-12 * exact
@@ -479,24 +481,91 @@ def test_mrca_rows_route_per_row_in_mixed_block(target):
     assert np.array_equal(rows[~lf], log_derivative_mrca_rows(MIXED_MODEL.states, idx[~lf], target))
 
 
+def _mrca_block(block, rng, n):
+    """(states, idx): 48 environments of n generations, all LF, all finite, or mixed."""
+    if block == "mixed":
+        idx = MIXED_MODEL.sample_indices(rng, (48, n))
+        idx[::3] = 0
+        return MIXED_MODEL.states, idx
+    draw = random_lf_law if block == "lf" else random_finite_law
+    return tuple(draw(rng) for _ in range(3)), rng.integers(0, 3, (48, n))
+
+
 @pytest.mark.parametrize("target", [2, 3])
 @pytest.mark.parametrize("block", ["lf", "finite", "mixed"])
 def test_survival_rows_bound_the_mrca_law(block, target):
     # the spine lane thins on survival_rows, so no row may lose MRCA mass to it
     rng = np.random.default_rng(17 + target)
     for n in (1, 4, 12, 30):
-        if block == "mixed":
-            states = MIXED_MODEL.states
-            idx = MIXED_MODEL.sample_indices(rng, (48, n))
-            idx[::3] = 0
-        else:
-            draw = random_lf_law if block == "lf" else random_finite_law
-            states = tuple(draw(rng) for _ in range(3))
-            idx = rng.integers(0, 3, (48, n))
+        states, idx = _mrca_block(block, rng, n)
         survival = survival_rows(states, idx)
         assert survival.shape == (idx.shape[0],)
-        total = mrca_rows(states, idx, target).sum(axis=1)
+        total = mrca_rows(states, idx, target)[:, 0]
         assert np.all(survival >= total * (1.0 - 1e-12))
+
+
+@pytest.mark.parametrize("target", [2, 3, 5])
+@pytest.mark.parametrize("block", ["lf", "finite", "mixed"])
+def test_mrca_tails_fall_from_the_target_mass_to_zero(block, target):
+    # A_0 = P(Z_n = T | env) is the horizon row's coefficient T, A_n = 0, and
+    # the tails never rise or go negative beyond rounding
+    rng = np.random.default_rng(23 + target)
+    for n in (1, 4, 12, 30):
+        states, idx = _mrca_block(block, rng, n)
+        tails = mrca_rows(states, idx, target)
+        mass = horizon_rows(states, idx, target + 1)[:, target]
+        assert np.all(np.abs(tails[:, 0] - mass) <= 1e-14 * mass)
+        assert np.all(tails[:, n] == 0.0)
+        slack = 1e-14 * tails[:, :1]
+        assert np.all(tails >= -slack)
+        assert np.all(np.diff(tails, axis=1) <= slack)
+
+
+@pytest.mark.parametrize("target", [2, 3, 5])
+def test_series_mrca_tails_match_log_derivative_helper(target):
+    rng = np.random.default_rng(400 + target)
+    for n in (1, 3, 8, 14):
+        states = tuple(random_finite_law(rng, 3, with_extinction=True) for _ in range(3))
+        idx = rng.integers(0, 3, (8, n))
+        tails = mrca_rows(states, idx, target)
+        oracle = log_derivative_mrca_rows(states, idx, target)
+        np.testing.assert_allclose(tails, oracle, rtol=1e-13, atol=0.0)
+
+
+def _differenced_rule_counts(model, n, target, rng, size):
+    """MRCA counts of one spine-lane chunk by the rule on differenced columns.
+
+    The same environments, uniforms and survival thinning as
+    ``_mrca_spine_chunk``; the age comes from the cumulative sum of the
+    columns A_g - A_{g+1}, clipped at 0, instead of from the tails.
+    """
+    idx = model.sample_indices(rng, (size, n))
+    u = rng.random(size)
+    keep = u < survival_rows(model.states, idx)
+    tails = mrca_rows(model.states, idx[keep], target)
+    cum = np.cumsum(np.clip(tails[:, :-1] - tails[:, 1:], 0.0, None), axis=1)
+    u = u[keep]
+    hit = u < cum[:, -1]
+    return dict(Counter((n - np.argmax(u[hit, None] < cum[hit], axis=1)).tolist()))
+
+
+@pytest.mark.parametrize(
+    "model, n, target",
+    [
+        (strongly_model(), 16, 2),
+        (strongly_model(), 10, 3),
+        (EnvironmentModel(FINITE_MODEL.states, (0.5, 0.5)), 8, 2),
+        (MIXED_MODEL, 6, 3),
+    ],
+    ids=["lf_t2", "lf_t3", "finite", "mixed"],
+)
+def test_spine_lane_ages_match_differenced_rule(model, n, target):
+    accepted = 0
+    for c in range(3):
+        got = _mrca_spine_chunk(model, n, target, stream(9, c), _CHUNK)
+        assert got == _differenced_rule_counts(model, n, target, stream(9, c), _CHUNK)
+        accepted += sum(got.values())
+    assert accepted > 0
 
 
 @pytest.mark.parametrize("target, seed", [(2, 81), (3, 83)])
