@@ -113,7 +113,11 @@ class EnvironmentModel:
         return all(isinstance(law, LinearFractionalLaw) for law in self.states)
 
     def sample_indices(self, rng: np.random.Generator, size) -> np.ndarray:
-        """States drawn i.i.d. by inversion: one uniform u each, index #{a : cum_a <= u}.
+        """States drawn i.i.d.: ``state_indices`` of ``size`` uniforms from ``rng``."""
+        return self.state_indices(rng.random(size))
+
+    def state_indices(self, u: np.ndarray) -> np.ndarray:
+        """States by inversion of the uniforms u: index #{a : cum_a <= u} of each.
 
         The count is formed by one comparison per state boundary, which gives
         the indices of ``searchsorted(cum, u, side="right")`` with the last
@@ -121,7 +125,6 @@ class EnvironmentModel:
         The count runs in the smallest unsigned type that holds the number of
         states less one and is widened to int64 once.
         """
-        u = rng.random(size)
         count = np.zeros(u.shape, dtype=np.min_scalar_type(len(self._w) - 1))
         for c in np.cumsum(self._w)[:-1]:
             count += (u >= c).view(np.uint8)

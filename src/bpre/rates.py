@@ -107,22 +107,34 @@ def rho_report(model: EnvironmentModel, n_max: int) -> RhoReport:
 
 @dataclass(frozen=True)
 class MonotoneRho:
-    """Rate for models that cannot go extinct: rho = -log E[Q(1)]."""
+    """Rates for models that cannot go extinct, from each state's Q(1) and weight."""
 
-    rho: float
-    infinite: bool
+    q1: tuple[float, ...]
+    weights: tuple[float, ...]
 
     def rate(self, k: int) -> float:
-        return k * self.rho
+        """-log E[Q(1)^k], the rate of P_k(Z_n = k) = E[Q(1)^k]^n.
+
+        It is k rho only in a fixed environment: in a random one Jensen's
+        inequality makes it smaller.
+        """
+        moment = sum(w * q**k for q, w in zip(self.q1, self.weights))
+        return -math.log(moment) if moment > 0.0 else math.inf
+
+    @property
+    def rho(self) -> float:
+        """-log E[Q(1)], the rate from Z_0 = 1."""
+        return self.rate(1)
+
+    @property
+    def infinite(self) -> bool:
+        return math.isinf(self.rho)
 
 
 def monotone_rho(model: EnvironmentModel) -> MonotoneRho:
     if any(law.p0 > 0.0 for law in model.states):
         raise ContractError("monotone-case formula requires q(0) = 0 in every state")
-    mean_q1 = sum(w * law.prob(1) for law, w in zip(model.states, model.weights))
-    if mean_q1 <= 0.0:
-        return MonotoneRho(rho=math.inf, infinite=True)
-    return MonotoneRho(rho=-math.log(mean_q1), infinite=False)
+    return MonotoneRho(tuple(law.prob(1) for law in model.states), model.weights)
 
 
 # ---------------------------------------------------------------------------

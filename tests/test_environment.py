@@ -232,6 +232,23 @@ def test_sample_indices_match_searchsorted_oracle(model, size):
     assert not np.isin(model.sample_indices(np.random.default_rng(0), 100_000), never).any()
 
 
+@pytest.mark.parametrize("size", [1, 1000, (1, 7), (4096, 16)])
+@pytest.mark.parametrize("model", _sample_models(), ids=["one_state", "two_state", "six_state", "lopsided"])
+def test_state_indices_match_sample_indices_on_the_same_stream(model, size):
+    # the MRCA spine lane draws the uniforms itself and maps only the rows it keeps
+    for seed in range(3):
+        drawn = np.random.Generator(np.random.Philox(seed))
+        want = model.sample_indices(drawn, size)
+        rng = np.random.Generator(np.random.Philox(seed))
+        u = rng.random(size)
+        got = model.state_indices(u)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert rng.random() == drawn.random()  # both leave the stream at the same place
+        keep = u < 0.3
+        assert np.array_equal(model.state_indices(u[keep]), want[keep])
+
+
 @pytest.mark.parametrize("size", [(4096, 40), (3,), (0, 5)])
 @pytest.mark.parametrize("k", [2, 3, 7, 300])
 def test_sample_indices_widen_a_small_count_to_int64(k, size):

@@ -129,6 +129,19 @@ def test_monotone_rho():
         monotone_rho(gw_binary())
 
 
+@pytest.mark.parametrize("n", [10, 16])
+def test_monotone_rate_matches_enumeration_in_a_random_environment(n):
+    # P_k(Z_n = k) = E[Q(1)^k]^n: the rate is -log E[Q(1)^k], not k rho
+    model = EnvironmentModel((FiniteLaw((0.0, 0.5, 0.5)), FiniteLaw((0.0, 0.2, 0.8))), (0.5, 0.5))
+    res = monotone_rho(model)
+    assert res.rate(1) == pytest.approx(res.rho, rel=1e-15)
+    for k, want in ((1, 1.0498221244986778), (2, 1.9310215365615626), (3, 2.7105533313203285)):
+        enumerated = -math.log(exact.annealed_pmf(model, k, n, k)) / n
+        assert res.rate(k) == pytest.approx(enumerated, rel=1e-12)
+        assert res.rate(k) == pytest.approx(want, rel=1e-12)
+    assert res.rate(2) < 2 * res.rho and res.rate(3) < 3 * res.rho
+
+
 def test_example1_suite_identity_and_separation():
     rep = example1_suite(0.3, 0.5, n_max=6)
     # the one-line/parity argument makes this an identity, not an approximation

@@ -32,6 +32,7 @@ from bpre.simulate import (
     _mrca_rejection_chunk,
     _mrca_spine_chunk,
     _quenched_small_value_rows,
+    _spine_bound,
     conditioned_mrca_sample,
     geiger_sample,
     importance_estimate,
@@ -374,6 +375,7 @@ def test_conditioned_mrca_contracts():
 FINITE_MODEL = EnvironmentModel(
     (FiniteLaw((0.2, 0.5, 0.3)), FiniteLaw((0.4, 0.2, 0.4))), (0.6, 0.4)
 )
+EVEN_FINITE_MODEL = EnvironmentModel(FINITE_MODEL.states, (0.5, 0.5))
 MIXED_MODEL = EnvironmentModel(
     (LinearFractionalLaw(m=1.5, b=3.0), FiniteLaw((0.3, 0.3, 0.4))), (0.5, 0.5)
 )
@@ -504,6 +506,66 @@ def test_survival_rows_bound_the_mrca_law(block, target):
         assert np.all(survival >= total * (1.0 - 1e-12))
 
 
+def _bound_states(block, rng):
+    """Three random states: LF, finite or mixed, optionally with one of q(0) = 0."""
+    if block == "mixed":
+        return (random_lf_law(rng), random_finite_law(rng), random_lf_law(rng))
+    if block.startswith("lf"):
+        states = [random_lf_law(rng) for _ in range(3)]
+        if block == "lf_no_death":  # b = 2 m (m - 1) gives q(0) = 0
+            m = rng.uniform(1.0, 2.5)
+            states[1] = LinearFractionalLaw(m=m, b=2.0 * m * (m - 1.0))
+    else:
+        states = [random_finite_law(rng, with_extinction=True) for _ in range(3)]
+        if block == "finite_no_death":
+            states[1] = random_finite_law(rng, with_extinction=False)
+    return tuple(states)
+
+
+@pytest.mark.parametrize("block", ["lf", "lf_no_death", "finite", "finite_no_death", "mixed"])
+def test_spine_bound_holds_the_mrca_mass(block):
+    # the spine lane cuts every proposal with u >= _spine_bound before any
+    # per-environment work, so no row's A_0 may exceed it, at any horizon
+    lf = block.startswith("lf")
+    horizons = (1, 4, 30, 300, 2000) if lf else (1, 4, 30, 200)
+    targets = (2, 3, 5, 1000) if lf else (2, 3, 5)
+    rng = np.random.default_rng(31 + len(block))
+    for n in horizons:
+        for target in targets:
+            states = _bound_states(block, rng)
+            bound = _spine_bound(states, target)
+            if block == "finite_no_death":
+                assert bound == 1.0  # q(0) = 0 and a finite law: no cut
+            mass = mrca_rows(states, rng.integers(0, 3, (48, n)), target)[:, 0]
+            assert np.all(mass <= bound), (n, target)
+
+
+@pytest.mark.parametrize("target", [2, 3, 5, 1000])
+def test_spine_bound_is_attained_by_one_lf_generation(target):
+    # one LF generation with ratio r = 1 - 1/T puts A_0 = (1 - q(0)) a r^(T-1)
+    # at the bound's (1 - q(0)) (1 - 1/T)^(T-1) / T
+    law = LinearFractionalLaw(m=1.0, b=2.0 * (target - 1))
+    bound = _spine_bound((law,), target)
+    mass = mrca_rows((law,), np.zeros((1, 1), dtype=np.int64), target)[0, 0]
+    assert 0.9995 * bound <= mass <= bound
+    # a finite state with q(0) = 0 puts kappa at 1, and c is 1 beside a finite law
+    assert _spine_bound((law, FiniteLaw((0.0, 0.5, 0.5))), target) == 1.0
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        FiniteLaw((1.0 - 1e-7, 0.0, 1e-7 + 5e-13)),  # stored probabilities sum to 1 + 5e-13
+        LinearFractionalLaw(m=1e-11, b=2e-11),  # 1 - q(0) = 5e-12 cancels in 1 - p0
+    ],
+    ids=["finite", "lf"],
+)
+def test_spine_bound_covers_a_tiny_one_step_survival(law):
+    # a relative margin alone falls below q(2) = 1e-7 + 5e-13 on the finite law
+    mass = mrca_rows((law,), np.zeros((1, 1), dtype=np.int64), 2)[0, 0]
+    assert 0.0 < mass <= _spine_bound((law,), 2)
+
+
 @pytest.mark.parametrize("target", [2, 3, 5])
 @pytest.mark.parametrize("block", ["lf", "finite", "mixed"])
 def test_mrca_tails_fall_from_the_target_mass_to_zero(block, target):
@@ -535,8 +597,9 @@ def test_series_mrca_tails_match_log_derivative_helper(target):
 def _differenced_rule_counts(model, n, target, rng, size):
     """MRCA counts of one spine-lane chunk by the rule on differenced columns.
 
-    The same environments, uniforms and survival thinning as
-    ``_mrca_spine_chunk``; the age comes from the cumulative sum of the
+    The same environments and uniforms as ``_mrca_spine_chunk``, with no
+    a-priori cut: every environment is mapped to states and thinned on its
+    survival alone, and the age comes from the cumulative sum of the
     columns A_g - A_{g+1}, clipped at 0, instead of from the tails.
     """
     idx = model.sample_indices(rng, (size, n))
@@ -554,16 +617,18 @@ def _differenced_rule_counts(model, n, target, rng, size):
     [
         (strongly_model(), 16, 2),
         (strongly_model(), 10, 3),
-        (EnvironmentModel(FINITE_MODEL.states, (0.5, 0.5)), 8, 2),
+        (EVEN_FINITE_MODEL, 8, 2),
         (MIXED_MODEL, 6, 3),
+        (weakly_mrca_model(), 12, 2),
     ],
-    ids=["lf_t2", "lf_t3", "finite", "mixed"],
+    ids=["lf_t2", "lf_t3", "finite", "mixed", "weakly_mrca"],
 )
 def test_spine_lane_ages_match_differenced_rule(model, n, target):
+    bound = _spine_bound(model.states, target)
     accepted = 0
-    for c in range(3):
-        got = _mrca_spine_chunk(model, n, target, stream(9, c), _CHUNK)
-        assert got == _differenced_rule_counts(model, n, target, stream(9, c), _CHUNK)
+    for c, size in enumerate((_CHUNK, _CHUNK, _CHUNK, 1001)):
+        got = _mrca_spine_chunk(model, n, target, bound, stream(9, c), size)
+        assert got == _differenced_rule_counts(model, n, target, stream(9, c), size)
         accepted += sum(got.values())
     assert accepted > 0
 
@@ -651,9 +716,6 @@ def test_geiger_samples_small_survival(q, rare_first):
 # every individual has 1000 children: sizes run 1, 10^3, 10^6, 10^9
 THOUSAND_LAW = FiniteLaw((0.0,) * 1000 + (1.0,))
 THOUSAND_MODEL = EnvironmentModel((THOUSAND_LAW,), (1.0,))
-FINITE_MODEL = EnvironmentModel(
-    (FiniteLaw((0.2, 0.5, 0.3)), FiniteLaw((0.4, 0.2, 0.4))), (0.5, 0.5)
-)
 
 
 def test_population_cap_raises_in_every_forward_simulation():
@@ -680,10 +742,12 @@ def test_conditioned_mrca_chunk_layout(method, chunk_fn, monkeypatch):
     # 2 * _CHUNK + 1 proposals are three chunks of 4096, 4096 and 1, chunk c on stream(seed, c)
     n, seed = 5, 61
     monkeypatch.setenv("BPRE_THREADS", "1")
-    dist = conditioned_mrca_sample(FINITE_MODEL, n, 2, method, 2 * _CHUNK + 1, seed)
+    model = EVEN_FINITE_MODEL
+    dist = conditioned_mrca_sample(model, n, 2, method, 2 * _CHUNK + 1, seed)
+    args = (model, n, 2) + ((_spine_bound(model.states, 2),) if method == "geiger" else ())
     merged = Counter()
     for c, size in enumerate((4096, 4096, 1)):
-        merged.update(chunk_fn(FINITE_MODEL, n, 2, stream(seed, c), size))
+        merged.update(chunk_fn(*args, stream(seed, c), size))
     assert dist.counts == dict(merged)
     assert dist.accepted == sum(merged.values()) > 0
 
@@ -706,7 +770,7 @@ def test_importance_estimate_chunk_layout():
 
 
 def test_conditioned_mrca_rejection_deterministic_across_workers(monkeypatch):
-    args = (FINITE_MODEL, 5, 2, "rejection", 2 * _CHUNK + 1)
+    args = (EVEN_FINITE_MODEL, 5, 2, "rejection", 2 * _CHUNK + 1)
     monkeypatch.setenv("BPRE_THREADS", "1")
     d1 = conditioned_mrca_sample(*args, root_seed=9)
     monkeypatch.setenv("BPRE_THREADS", "2")
@@ -740,8 +804,8 @@ def test_forest_ages_match_per_tree_mrca(target):
     # two routes: the vectorized trace of the forest against the oracle on each tree sliced out of it
     n, size = 4, 4096
     rng = stream(91, target)
-    idx = FINITE_MODEL.sample_indices(rng, (size, n))
-    parents, sizes = _grow(FINITE_MODEL.states, idx, np.arange(size), rng)
+    idx = EVEN_FINITE_MODEL.sample_indices(rng, (size, n))
+    parents, sizes = _grow(EVEN_FINITE_MODEL.states, idx, np.arange(size), rng)
     ages = _forest_mrca_ages(parents, sizes, target)
     sliced = _forest_trees(idx, parents)
     assert [tree[-1].size for tree in sliced] == sizes.tolist()
@@ -753,8 +817,9 @@ def test_forest_ages_match_per_tree_mrca(target):
 @pytest.mark.parametrize("target, seed", [(2, 95), (3, 96)])
 def test_rejection_acceptance_matches_annealed_pmf(target, seed):
     n, proposals = 5, 40_000
-    d = conditioned_mrca_sample(FINITE_MODEL, n, target, "rejection", proposals, root_seed=seed)
-    p = annealed_pmf(FINITE_MODEL, 1, n, target)
+    model = EVEN_FINITE_MODEL
+    d = conditioned_mrca_sample(model, n, target, "rejection", proposals, root_seed=seed)
+    p = annealed_pmf(model, 1, n, target)
     se = math.sqrt(p * (1.0 - p) / proposals)
     assert abs(d.accepted / proposals - p) < 4 * se
 
