@@ -29,14 +29,10 @@ The exact conditioned MRCA sampler simulates no tree.  For each environment,
 A_g = P(Z_n = target, MRCA in generation >= g | env), so one uniform per
 proposal decides both acceptance and the age, for every law family and
 every target: u < A_0 accepts, and the first g with u < A_0 - A_{g+1}
-gives the age n - g.  Before any per-environment work a proposal is cut
-by one constant per (model, target), an upper bound on A_0 over every
-environment and horizon (``_spine_bound``): A_0 <= P(Z_n > 0 | env) <=
-P(Z_1 > 0 | env) <= kappa = max_a (1 - q_a(0)), and on an all-LF model,
-where A_0 = p_0 a_0 r_0^(target-1) with a_0 + r_0 = 1, the factor
-a r^(T-1) is at most (1 - 1/T)^(T-1) / T.  Only the proposals with u below
-the bound have their uniforms mapped to states.  On a model with a finite
-state, where the cut is loose, ``exact.survival_rows``,
+gives the age n - g.  Proposals with u >= ``_spine_bound``, a constant
+per (model, target) at least A_0 for every environment, are cut first, so
+only the rest have their uniforms mapped to states.  On a model with a
+finite state, where the cut is loose, ``exact.survival_rows``,
 P(Z_n > 0 | env) itself, thins the rest.  Both take the LF closed form for
 environments whose laws are all linear fractional: there the survival is
 the bounded LF suffix statistic p, kept however small, and
@@ -424,8 +420,8 @@ def _merge_counts(parts) -> tuple[dict[int, int], int]:
     return counts, accepted
 
 
-def _spine_bound(states: tuple[OffspringLaw, ...], target: int) -> float:
-    """An upper bound on A_0 = P(Z_n = target | env) over every environment of ``states``, any n.
+def _spine_bound(model: EnvironmentModel, target: int) -> float:
+    """An upper bound on A_0 = P(Z_n = target | env) over every environment of ``model``, any n.
 
     A_0 <= P(Z_n > 0 | env) <= P(Z_1 > 0 | env) <= kappa = max_a (1 - q_a(0)).
     Where every state is LF, A_0 = p_0 a_0 r_0^(T-1) (``exact.mrca_rows``)
@@ -437,24 +433,22 @@ def _spine_bound(states: tuple[OffspringLaw, ...], target: int) -> float:
     finite law whose stored probabilities sum to 1 only within
     ``PROB_TOL``.  The bound is capped at 1.
     """
-    kappa = max(1.0 - law.p0 for law in states)
-    lf = all(isinstance(law, LinearFractionalLaw) for law in states)
-    c = (1.0 - 1.0 / target) ** (target - 1) / target if lf else 1.0
+    kappa = max(1.0 - law.p0 for law in model.states)
+    c = (1.0 - 1.0 / target) ** (target - 1) / target if model.is_lf_pure else 1.0
     return min(1.0, kappa * c * (1.0 + 2.0**-20) + PROB_TOL)
 
 
 def _mrca_spine_chunk(
-    model: EnvironmentModel, n: int, target: int, bound: float, rng: np.random.Generator, size: int
+    model: EnvironmentModel, n: int, target: int, rng: np.random.Generator, size: int
 ) -> dict[int, int]:
     """One proposal chunk of the exact MRCA sampler; returns MRCA counts.
 
     Every step is batched over the chunk.  The chunk draws the uniforms of
     its environments, (size, n), then one uniform u per proposal, the
     stream order of ``sample_indices`` followed by ``rng.random(size)``.
-    ``bound`` (``_spine_bound``) is at least P(Z_n = target | env) for
-    every environment, so the proposals with u >= bound cannot accept and
-    are cut before their uniforms are mapped to states.  On a model with a
-    finite state the bound may be 1, and ``exact.survival_rows`` keeps the
+    Proposals with u >= ``_spine_bound`` cannot accept and are cut before
+    their uniforms are mapped to states.  On a model with a finite state
+    the bound may be 1, and ``exact.survival_rows`` keeps the
     proposals with u < P(Z_n > 0 | env), which loses nothing because
     P(Z_n = target | env) is at most that.  For the kept ones,
     ``exact.mrca_rows`` gives the tail masses A_g of the MRCA generation g;
@@ -464,7 +458,7 @@ def _mrca_spine_chunk(
     """
     cells = rng.random((size, n))
     u = rng.random(size)
-    keep = u < bound
+    keep = u < _spine_bound(model, target)
     idx, u = model.state_indices(cells[keep]), u[keep]
     if not model.is_lf_pure:
         live = u < survival_rows(model.states, idx)
@@ -523,12 +517,7 @@ def conditioned_mrca_sample(
     model and target: each environment is accepted with its quenched
     probability P(Z_n = target | env) and its MRCA age is drawn from the
     quenched law of ``exact.mrca_rows``, with one uniform per proposal and
-    no tree simulated.  The uniform is first compared with
-    ``_spine_bound``, computed once per call: about kappa c, with
-    kappa = max_a (1 - q_a(0)) >= P(Z_1 > 0 | env) and, on an all-LF model,
-    c = (1 - 1/T)^(T-1) / T the largest a r^(T-1) with a + r = 1 (the LF
-    form A_0 = p_0 a_0 r_0^(T-1)), else c = 1.  No proposal above it can
-    accept, so only the rest are mapped to states.
+    no tree simulated; proposals with u >= ``_spine_bound`` are cut first.
     Method "rejection" simulates full forward trees, one forest per chunk of
     at most ``_CHUNK`` trees whose genealogy is held at once, and raises
     PopulationCapError when one tree's population exceeds
@@ -550,15 +539,12 @@ def conditioned_mrca_sample(
     if method not in ("geiger", "rejection"):
         raise ContractError(f"unknown method {method!r}")
 
+    chunk_fn = _mrca_rejection_chunk if method == "rejection" else _mrca_spine_chunk
     logger.info(
         "conditioned MRCA: %s proposals (method=%s, n=%s, target=%s)",
         proposals, method, n, target_size,
     )
-    if method == "rejection":
-        fn = partial(_mrca_rejection_chunk, model, n, target_size)
-    else:
-        bound = _spine_bound(model.states, target_size)
-        fn = partial(_mrca_spine_chunk, model, n, target_size, bound)
+    fn = partial(chunk_fn, model, n, target_size)
     counts, accepted = _merge_counts(_map_chunks(fn, proposals, root_seed, worker_count()))
     if accepted == 0:
         raise ContractError(

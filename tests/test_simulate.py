@@ -506,11 +506,11 @@ def test_survival_rows_bound_the_mrca_law(block, target):
         assert np.all(survival >= total * (1.0 - 1e-12))
 
 
-def _bound_states(block, rng):
-    """Three random states: LF, finite or mixed, optionally with one of q(0) = 0."""
+def _bound_model(block, rng):
+    """Three random states at equal weights: LF, finite or mixed, optionally one with q(0) = 0."""
     if block == "mixed":
-        return (random_lf_law(rng), random_finite_law(rng), random_lf_law(rng))
-    if block.startswith("lf"):
+        states = [random_lf_law(rng), random_finite_law(rng), random_lf_law(rng)]
+    elif block.startswith("lf"):
         states = [random_lf_law(rng) for _ in range(3)]
         if block == "lf_no_death":  # b = 2 m (m - 1) gives q(0) = 0
             m = rng.uniform(1.0, 2.5)
@@ -519,7 +519,7 @@ def _bound_states(block, rng):
         states = [random_finite_law(rng, with_extinction=True) for _ in range(3)]
         if block == "finite_no_death":
             states[1] = random_finite_law(rng, with_extinction=False)
-    return tuple(states)
+    return EnvironmentModel(tuple(states), (1.0 / 3.0,) * 3)
 
 
 @pytest.mark.parametrize("block", ["lf", "lf_no_death", "finite", "finite_no_death", "mixed"])
@@ -532,11 +532,11 @@ def test_spine_bound_holds_the_mrca_mass(block):
     rng = np.random.default_rng(31 + len(block))
     for n in horizons:
         for target in targets:
-            states = _bound_states(block, rng)
-            bound = _spine_bound(states, target)
+            model = _bound_model(block, rng)
+            bound = _spine_bound(model, target)
             if block == "finite_no_death":
                 assert bound == 1.0  # q(0) = 0 and a finite law: no cut
-            mass = mrca_rows(states, rng.integers(0, 3, (48, n)), target)[:, 0]
+            mass = mrca_rows(model.states, rng.integers(0, 3, (48, n)), target)[:, 0]
             assert np.all(mass <= bound), (n, target)
 
 
@@ -545,11 +545,12 @@ def test_spine_bound_is_attained_by_one_lf_generation(target):
     # one LF generation with ratio r = 1 - 1/T puts A_0 = (1 - q(0)) a r^(T-1)
     # at the bound's (1 - q(0)) (1 - 1/T)^(T-1) / T
     law = LinearFractionalLaw(m=1.0, b=2.0 * (target - 1))
-    bound = _spine_bound((law,), target)
+    bound = _spine_bound(EnvironmentModel((law,), (1.0,)), target)
     mass = mrca_rows((law,), np.zeros((1, 1), dtype=np.int64), target)[0, 0]
     assert 0.9995 * bound <= mass <= bound
     # a finite state with q(0) = 0 puts kappa at 1, and c is 1 beside a finite law
-    assert _spine_bound((law, FiniteLaw((0.0, 0.5, 0.5))), target) == 1.0
+    mixed = EnvironmentModel((law, FiniteLaw((0.0, 0.5, 0.5))), (0.5, 0.5))
+    assert _spine_bound(mixed, target) == 1.0
 
 
 @pytest.mark.parametrize(
@@ -563,7 +564,7 @@ def test_spine_bound_is_attained_by_one_lf_generation(target):
 def test_spine_bound_covers_a_tiny_one_step_survival(law):
     # a relative margin alone falls below q(2) = 1e-7 + 5e-13 on the finite law
     mass = mrca_rows((law,), np.zeros((1, 1), dtype=np.int64), 2)[0, 0]
-    assert 0.0 < mass <= _spine_bound((law,), 2)
+    assert 0.0 < mass <= _spine_bound(EnvironmentModel((law,), (1.0,)), 2)
 
 
 @pytest.mark.parametrize("target", [2, 3, 5])
@@ -624,10 +625,9 @@ def _differenced_rule_counts(model, n, target, rng, size):
     ids=["lf_t2", "lf_t3", "finite", "mixed", "weakly_mrca"],
 )
 def test_spine_lane_ages_match_differenced_rule(model, n, target):
-    bound = _spine_bound(model.states, target)
     accepted = 0
     for c, size in enumerate((_CHUNK, _CHUNK, _CHUNK, 1001)):
-        got = _mrca_spine_chunk(model, n, target, bound, stream(9, c), size)
+        got = _mrca_spine_chunk(model, n, target, stream(9, c), size)
         assert got == _differenced_rule_counts(model, n, target, stream(9, c), size)
         accepted += sum(got.values())
     assert accepted > 0
@@ -742,12 +742,10 @@ def test_conditioned_mrca_chunk_layout(method, chunk_fn, monkeypatch):
     # 2 * _CHUNK + 1 proposals are three chunks of 4096, 4096 and 1, chunk c on stream(seed, c)
     n, seed = 5, 61
     monkeypatch.setenv("BPRE_THREADS", "1")
-    model = EVEN_FINITE_MODEL
-    dist = conditioned_mrca_sample(model, n, 2, method, 2 * _CHUNK + 1, seed)
-    args = (model, n, 2) + ((_spine_bound(model.states, 2),) if method == "geiger" else ())
+    dist = conditioned_mrca_sample(EVEN_FINITE_MODEL, n, 2, method, 2 * _CHUNK + 1, seed)
     merged = Counter()
     for c, size in enumerate((4096, 4096, 1)):
-        merged.update(chunk_fn(*args, stream(seed, c), size))
+        merged.update(chunk_fn(EVEN_FINITE_MODEL, n, 2, stream(seed, c), size))
     assert dist.counts == dict(merged)
     assert dist.accepted == sum(merged.values()) > 0
 
