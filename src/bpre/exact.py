@@ -177,7 +177,8 @@ def _by_route(states: tuple[OffspringLaw, ...], idx: np.ndarray, closed, series)
 
 
 def _lf_suffix(
-    states: tuple[OffspringLaw, ...], idx: np.ndarray, width: int, layers: bool
+    states: tuple[OffspringLaw, ...], idx: np.ndarray, width: int, layers: bool,
+    *, r_layers: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Suffix statistics (p, a, r) of f_{k,n} for environment rows whose laws are all LF.
 
@@ -187,7 +188,8 @@ def _lf_suffix(
     P(Z_n > 0 | Z_k = 1), a = A/D and r = B/D (D = A + B), all in [0, 1]:
     with x = eta m p and q = 1 + x, a <- a/q, r <- (x + r)/q and
     p <- m p / q.  Each array is (n+1, b) with ``layers``, row k for f_{k,n},
-    else (1, b) for f_{0,n}.  Only what a row of ``width`` reads is carried:
+    else (1, b) for f_{0,n}; ``r_layers`` layers r alone (``_lf_mrca``),
+    with the same arithmetic.  Only what a row of ``width`` reads is carried:
     a from width 2 and r from width 3 (``_lf_layers``); below that they are
     None.  A generation's m and eta m are gathered per column of idx as it
     is stepped, so no per-cell (n, b) array is built.
@@ -206,9 +208,10 @@ def _lf_suffix(
          else (1.0, 0.0, 1.0) for law in states]
     ).reshape(len(states), 3).T
     n_out = n + 1 if layers else 1
+    n_r = n + 1 if layers or r_layers else 1
     p, e = np.empty((n_out, b)), np.zeros((n_out, b), dtype=np.int64)
     a = np.empty((n_out, b)) if width > 1 else None
-    r = np.empty((n_out, b)) if width > 2 else None
+    r = np.empty((n_r, b)) if width > 2 else None
     p[-1] = 1.0  # f_{n,n}(s) = s
     if a is not None:
         a[-1] = 1.0
@@ -217,9 +220,10 @@ def _lf_suffix(
     bound, step = 1.0, float(keep_state.min(initial=1.0))  # bound <= every p of layer src
     for g in range(n - 1, -1, -1):
         src, dst = (g + 1, g) if layers else (0, 0)
+        r_src, r_dst = (g + 1, g) if n_r > 1 else (0, 0)
         bound *= step
         fa = None if a is None else a[src]
-        fr = None if r is None else r[src]
+        fr = None if r is None else r[r_src]
         col = idx[:, g]  # the states of generation g+1
         m, em = m_state[col], em_state[col]
         p[dst], fe, fa, fr = _lf_step(m, em, p[src], e[src], fa, fr, bound < _TINY)
@@ -228,7 +232,7 @@ def _lf_suffix(
         if a is not None:
             a[dst] = fa
         if r is not None:
-            r[dst] = fr
+            r[r_dst] = fr
     if bound < _TINY:
         p = np.ldexp(p, -512 * e)
     return p, a, r
@@ -359,15 +363,16 @@ def mrca_rows(states: tuple[OffspringLaw, ...], idx: np.ndarray, target: int) ->
 def _lf_mrca(states: tuple[OffspringLaw, ...], idx: np.ndarray, target: int) -> np.ndarray:
     """A_g = p_0 a_0 r_g^(T-1) of ``mrca_rows`` as (n+1, b), layer g for generation g.
 
-    For rows whose laws are all LF: one layered ``_lf_suffix`` at width
-    T + 1, the coefficient it reads (so r is carried), then powers of r as
-    running products.
+    For rows whose laws are all LF: one ``_lf_suffix`` at width T + 1, the
+    coefficient it reads (so r is carried), with only r layered, since p and
+    a are read at generation 0 alone; then powers of r as running products,
+    scaled in place.
     """
-    p, a, r = _lf_suffix(states, idx, target + 1, layers=True)
+    p, a, r = _lf_suffix(states, idx, target + 1, layers=False, r_layers=True)
     power = r
     for _ in range(target - 2):
         power = power * r
-    return p[0] * a[0] * power
+    return np.multiply(p[0] * a[0], power, out=power)
 
 
 def _series_mrca(states: tuple[OffspringLaw, ...], idx: np.ndarray, target: int) -> np.ndarray:

@@ -29,10 +29,12 @@ The exact conditioned MRCA sampler simulates no tree.  For each environment,
 A_g = P(Z_n = target, MRCA in generation >= g | env), so one uniform per
 proposal decides both acceptance and the age, for every law family and
 every target: u < A_0 accepts, and the first g with u < A_0 - A_{g+1}
-gives the age n - g.  Proposals with u >= ``_spine_bound``, a constant
-per (model, target) at least A_0 for every environment, are cut first, so
-only the rest have their uniforms mapped to states.  On a model with a
-finite state, where the cut is loose, ``exact.survival_rows``,
+gives the age n - g.  A chunk draws its proposals' uniforms u first.
+Those with u >= ``_spine_bound``, a constant per (model, target) at least
+A_0 for every environment, are cut, and only the rest draw an
+environment, so the chunk's draws follow its kept proposals; u and the
+environment are independent, so the order leaves the law unchanged.  On
+a model with a finite state, where the cut is loose, ``exact.survival_rows``,
 P(Z_n > 0 | env) itself, thins the rest.  Both take the LF closed form for
 environments whose laws are all linear fractional: there the survival is
 the bounded LF suffix statistic p, kept however small, and
@@ -443,23 +445,23 @@ def _mrca_spine_chunk(
 ) -> dict[int, int]:
     """One proposal chunk of the exact MRCA sampler; returns MRCA counts.
 
-    Every step is batched over the chunk.  The chunk draws the uniforms of
-    its environments, (size, n), then one uniform u per proposal, the
-    stream order of ``sample_indices`` followed by ``rng.random(size)``.
-    Proposals with u >= ``_spine_bound`` cannot accept and are cut before
-    their uniforms are mapped to states.  On a model with a finite state
-    the bound may be 1, and ``exact.survival_rows`` keeps the
-    proposals with u < P(Z_n > 0 | env), which loses nothing because
+    Every step is batched over the chunk.  The chunk draws one uniform u
+    per proposal, ``rng.random(size)``.  Proposals with u >= ``_spine_bound``
+    cannot accept and are cut before they draw an environment; the kept
+    ones then draw theirs, ``state_indices`` of ``rng.random((kept, n))``,
+    so a cut proposal costs one double of the stream and no (n,) row.  On
+    a model with a finite state the bound may be 1, and
+    ``exact.survival_rows`` keeps the proposals with
+    u < P(Z_n > 0 | env), which loses nothing because
     P(Z_n = target | env) is at most that.  For the kept ones,
     ``exact.mrca_rows`` gives the tail masses A_g of the MRCA generation g;
     u < A_0 = P(Z_n = target | env) accepts, and the first g with
     u < A_0 - A_{g+1} gives the age n - g.  Every row value is computed by
     row-wise arithmetic, so neither cut changes an accepted row or an age.
     """
-    cells = rng.random((size, n))
     u = rng.random(size)
-    keep = u < _spine_bound(model, target)
-    idx, u = model.state_indices(cells[keep]), u[keep]
+    u = u[u < _spine_bound(model, target)]
+    idx = model.state_indices(rng.random((u.size, n)))
     if not model.is_lf_pure:
         live = u < survival_rows(model.states, idx)
         idx, u = idx[live], u[live]
@@ -517,12 +519,13 @@ def conditioned_mrca_sample(
     model and target: each environment is accepted with its quenched
     probability P(Z_n = target | env) and its MRCA age is drawn from the
     quenched law of ``exact.mrca_rows``, with one uniform per proposal and
-    no tree simulated; proposals with u >= ``_spine_bound`` are cut first.
+    no tree simulated; that uniform is drawn first, and only proposals with
+    u < ``_spine_bound`` draw an environment.
     Method "rejection" simulates full forward trees, one forest per chunk of
     at most ``_CHUNK`` trees whose genealogy is held at once, and raises
     PopulationCapError when one tree's population exceeds
-    ``DEFAULT_POPULATION_CAP``.  ``proposals`` counts environment draws
-    (geiger) or trees (rejection); the accepted sample count is random.
+    ``DEFAULT_POPULATION_CAP``.  ``proposals`` counts uniforms u, cut or
+    not (geiger), or trees (rejection); the accepted sample count is random.
     Proposals are drawn in chunks seeded by index (``_map_chunks``), so the
     result is a pure function of (model, n, target_size, method, proposals,
     root_seed), whatever the number of worker processes ``BPRE_THREADS``

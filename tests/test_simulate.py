@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -595,16 +596,20 @@ def test_series_mrca_tails_match_log_derivative_helper(target):
         np.testing.assert_allclose(tails, oracle, rtol=1e-13, atol=0.0)
 
 
-def _differenced_rule_counts(model, n, target, rng, size):
+def _differenced_rule_counts(model, n, target, rng, size, cut=True):
     """MRCA counts of one spine-lane chunk by the rule on differenced columns.
 
-    The same environments and uniforms as ``_mrca_spine_chunk``, with no
-    a-priori cut: every environment is mapped to states and thinned on its
-    survival alone, and the age comes from the cumulative sum of the
-    columns A_g - A_{g+1}, clipped at 0, instead of from the tails.
+    The stream order of ``_mrca_spine_chunk``: one uniform per proposal,
+    the cut at ``_spine_bound`` (none without ``cut``), then the kept
+    proposals' environments.  Every kept environment is thinned on its
+    survival alone, on LF models too, and the age comes from the cumulative
+    sum of the columns A_g - A_{g+1}, clipped at 0, instead of from the
+    tails.
     """
-    idx = model.sample_indices(rng, (size, n))
     u = rng.random(size)
+    if cut:
+        u = u[u < _spine_bound(model, target)]
+    idx = model.sample_indices(rng, (u.size, n))
     keep = u < survival_rows(model.states, idx)
     tails = mrca_rows(model.states, idx[keep], target)
     cum = np.cumsum(np.clip(tails[:, :-1] - tails[:, 1:], 0.0, None), axis=1)
@@ -613,7 +618,7 @@ def _differenced_rule_counts(model, n, target, rng, size):
     return dict(Counter((n - np.argmax(u[hit, None] < cum[hit], axis=1)).tolist()))
 
 
-@pytest.mark.parametrize(
+DIFFERENCED_RULE_CASES = pytest.mark.parametrize(
     "model, n, target",
     [
         (strongly_model(), 16, 2),
@@ -624,13 +629,65 @@ def _differenced_rule_counts(model, n, target, rng, size):
     ],
     ids=["lf_t2", "lf_t3", "finite", "mixed", "weakly_mrca"],
 )
-def test_spine_lane_ages_match_differenced_rule(model, n, target):
+
+
+def _assert_spine_lane_matches_differenced_rule(model, n, target, cut):
     accepted = 0
     for c, size in enumerate((_CHUNK, _CHUNK, _CHUNK, 1001)):
         got = _mrca_spine_chunk(model, n, target, stream(9, c), size)
-        assert got == _differenced_rule_counts(model, n, target, stream(9, c), size)
+        assert got == _differenced_rule_counts(model, n, target, stream(9, c), size, cut)
         accepted += sum(got.values())
     assert accepted > 0
+
+
+@DIFFERENCED_RULE_CASES
+def test_spine_lane_ages_match_differenced_rule(model, n, target):
+    _assert_spine_lane_matches_differenced_rule(model, n, target, cut=True)
+
+
+@DIFFERENCED_RULE_CASES
+def test_spine_lane_ages_match_differenced_rule_without_cut(model, n, target, monkeypatch):
+    # with the bound at 1 the lane cuts nothing, and neither does the oracle
+    monkeypatch.setattr(simulate, "_spine_bound", lambda model, target: 1.0)
+    _assert_spine_lane_matches_differenced_rule(model, n, target, cut=False)
+
+
+@pytest.mark.parametrize(
+    "model, n, seed, size",
+    [
+        (strongly_model(), 16, 5, _CHUNK),
+        (EVEN_FINITE_MODEL, 8, 5, _CHUNK),
+        (strongly_model(), 16, 2, 3),  # every u is above the bound
+        (EVEN_FINITE_MODEL, 8, 1, 1),  # the one u is above the bound
+    ],
+    ids=["strongly", "finite", "strongly_none_kept", "finite_none_kept"],
+)
+def test_spine_chunk_draws_uniforms_then_kept_environments(model, n, seed, size):
+    # the chunk draws size uniforms, then n cells for each kept proposal, and
+    # nothing else: a later change of this order changes every geiger draw
+    rng = stream(seed, 0)
+    _mrca_spine_chunk(model, n, 2, rng, size)
+    replay = stream(seed, 0)
+    kept = int(np.count_nonzero(replay.random(size) < _spine_bound(model, 2)))
+    assert (kept == 0) == (size < _CHUNK)
+    replay.random(kept * n)
+    assert rng.random() == replay.random()
+
+
+@pytest.mark.parametrize(
+    "model", [strongly_model(), weakly_mrca_model()], ids=["strongly", "weakly_mrca"]
+)
+def test_spine_chunk_memory_follows_kept_proposals(model):
+    # a cut proposal holds no environment row, so one long chunk stays well
+    # below a single (size, n) float block
+    n = 2000
+    tracemalloc.start()
+    try:
+        _mrca_spine_chunk(model, n, 2, stream(3, 0), _CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * _CHUNK * n * 8
 
 
 @pytest.mark.parametrize("target, seed", [(2, 81), (3, 83)])
