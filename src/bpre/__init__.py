@@ -6,9 +6,10 @@ Library layout:
   environment  environment models, tilting, rate function, regimes
   pgf          batched truncated-series kernels (*_rows) for pgf composition
   exact        quenched and annealed exact probabilities, subadditive bounds
-  lf           linear-fractional decay rate and survival bounds
+  lf           linear-fractional decay rate
   simulate     forward / conditioned-spine samplers, MRCA
-  rates        decay-rate reports and the two-environment example suites
+  rates        decay-rate reports (the monotone case included) and the
+               two-environment example suites
   cli          command-line front end
 """
 
@@ -36,21 +37,17 @@ from .exact import (
     annealed_pmf,
     annealed_pmf_row,
     fekete_bounds,
-    phi_n,
-    quenched_pmf,
     quenched_survival,
     smallest_reachable,
     subtree_extinction_identity,
 )
 from .laws import FiniteLaw, LinearFractionalLaw, OffspringLaw
-from .lf import agresti_survival_bounds, lf_rho
+from .lf import lf_rho
 from .rates import (
-    MonotoneRho,
     MrcaRegimeReport,
     RhoReport,
     example1_suite,
     example2_suite,
-    monotone_rho,
     mrca_regime_suite,
     rho_report,
 )

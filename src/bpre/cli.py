@@ -366,7 +366,7 @@ def _cmd_validate(cfg: ExperimentConfig) -> int:
         shown = ",".join(map(str, closure[:16])) + ("..." if len(closure) > 16 else "")
         print(f"z0: {reach.z0} closure: [{shown}] capped: {'yes' if reach.capped else 'no'}")
     else:
-        print("z0: n/a (monotone case: no state allows extinction)")
+        print("z0: 1 (monotone case: no state allows extinction)")
     if drift > 0.0:
         rf = rate_function_at_zero(model)
         lam = "inf" if math.isinf(rf.value) else f"{rf.value:.6f}"

@@ -26,8 +26,8 @@ the form both routes compute, and forms no differences.  An all-LF row
 reads its A_g straight off the ``_lf_suffix`` statistics, with no
 derivative and no product over generations, and its survival is the
 statistic p itself, kept however small.  One log-derivative helper forms
-the products prod f_k'(t_k) of the series rows of ``mrca_rows``, of
-``phi_n`` and of the subtree identity.
+the products prod f_k'(t_k) of the series rows of ``mrca_rows`` and of the
+subtree identity.
 
 The annealed enumerator (``_annealed_rows``) composes from the innermost
 generation outward: a shared breadth-first block, then the outermost
@@ -59,7 +59,7 @@ import numpy as np
 
 from .environment import EnvironmentModel
 from .errors import BudgetError, ContractError, TruncationError
-from .laws import FiniteLaw, LinearFractionalLaw, OffspringLaw, walk_increment
+from .laws import FiniteLaw, LinearFractionalLaw, OffspringLaw
 from .pgf import MAX_DEGREE, apply_law_rows, pow_rows
 
 ENUMERATION_BUDGET = 1 << 26
@@ -69,7 +69,7 @@ _TINY = 2.0**-512  # LF survival below this is carried as a mantissa and a power
 
 @dataclass(frozen=True)
 class EnvSequence:
-    """A realized environment (q_1, ..., q_n) with its walk prefix sums."""
+    """A realized environment (q_1, ..., q_n) with its extinction ladder."""
 
     laws: tuple[OffspringLaw, ...]
 
@@ -83,14 +83,6 @@ class EnvSequence:
     @classmethod
     def from_indices(cls, model: EnvironmentModel, indices) -> "EnvSequence":
         return cls(tuple(model.states[int(i)] for i in indices))
-
-    @cached_property
-    def walk(self) -> np.ndarray:
-        """S_0..S_n with S_k - S_{k-1} = log mean of q_k."""
-        s = np.zeros(self.n + 1)
-        s[1:] = np.cumsum([walk_increment(law) for law in self.laws])
-        s.flags.writeable = False
-        return s
 
     @cached_property
     def _indexed(self) -> tuple[tuple[OffspringLaw, ...], np.ndarray]:
@@ -392,19 +384,10 @@ def quenched_coeff_row(env: EnvSequence, z0: int, j_max: int) -> np.ndarray:
         raise ContractError("initial size must be >= 0")
     if j_max < 0:
         raise ContractError("j_max must be >= 0")
+    if j_max > MAX_DEGREE:
+        raise TruncationError(f"required degree {j_max} exceeds cap {MAX_DEGREE}")
     row = horizon_rows(*env._indexed, j_max + 1)
     return np.clip(pow_rows(row, z0)[0], 0.0, None)
-
-
-def quenched_pmf(env: EnvSequence, z0: int, j: int) -> float:
-    """P(Z_n = j | env, Z_0 = z0), exact: the series is truncated at degree j."""
-    if z0 < 1:
-        raise ContractError("initial size must be >= 1")
-    if j < 0:
-        raise ContractError("population size must be >= 0")
-    if j > MAX_DEGREE:
-        raise TruncationError(f"required degree {j} exceeds cap {MAX_DEGREE}")
-    return float(quenched_coeff_row(env, z0, j)[j])
 
 
 def quenched_survival(env: EnvSequence, z0: int) -> float:
@@ -414,39 +397,6 @@ def quenched_survival(env: EnvSequence, z0: int) -> float:
     """
     p = float(survival_rows(*env._indexed)[0])
     return 1.0 if p >= 1.0 else -math.expm1(z0 * math.log1p(-p))
-
-
-def phi_n(env: EnvSequence, z0: int) -> float:
-    """Quenched probability of the single-spine event.
-
-    The event: Z_n = z0 and every side subtree emerging strictly before
-    generation n is extinct by n, i.e. all generation-n individuals share
-    one parent.  Value: q_n(z0) * z0 * t_0^{z0-1} * prod_{i=1}^{n-1} f_i'(t_i)
-    with t_i = f_{i,n}(0), computed in the log domain.
-    """
-    if env.n < 1:
-        raise ContractError("phi needs at least one generation")
-    qn = env.laws[-1].prob(z0)
-    if qn == 0.0:
-        return 0.0
-    return _spine_product(env, z0, math.log(qn))
-
-
-def _spine_product(env: EnvSequence, z: int, log_lead: float) -> float:
-    """exp(log_lead) * z * t_0^{z-1} * prod_{k=1}^{n-1} f_k'(t_k), in the log domain.
-
-    The product is a one-row call of the helper behind ``mrca_rows``; the
-    value is 0 when a factor vanishes.
-    """
-    t = env.extinction_ladder()
-    log_val = log_lead + math.log(z)
-    if z > 1:
-        if t[0] == 0.0:
-            return 0.0
-        log_val += (z - 1) * math.log(t[0])
-    states, idx = env._indexed
-    log_val += float(_log_derivatives(states, idx[:, :-1], t[None, 1:-1]).sum())
-    return math.exp(log_val)
 
 
 def subtree_extinction_identity(env: EnvSequence, z: int) -> tuple[float, float]:
@@ -496,8 +446,16 @@ def subtree_extinction_identity(env: EnvSequence, z: int) -> tuple[float, float]
             total += qj * sum(tk ** (j - i - 1) * tk**i for i in range(j))
         lhs *= total / growth
 
-    # rhs: telescoped product
-    return lhs, _spine_product(env, z, math.log(1.0 - t[n - 1]) - math.log(surv))
+    # rhs: telescoped product in the log domain, a one-row call of the
+    # helper behind ``mrca_rows``; 0 when a factor vanishes
+    log_rhs = math.log(1.0 - t[n - 1]) - math.log(surv) + math.log(z)
+    if z > 1:
+        if t[0] == 0.0:
+            return lhs, 0.0
+        log_rhs += (z - 1) * math.log(t[0])
+    states, idx = env._indexed
+    log_rhs += float(_log_derivatives(states, idx[:, :-1], t[None, 1:-1]).sum())
+    return lhs, math.exp(log_rhs)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,9 @@ law on {1, 2, ...} with ratio ``c = b / (2m + b)`` plus a free atom at zero,
 
     q(0) = 1 - 2 m^2 / (2m + b),        q(k) = (1 - q0) (1 - c) c^(k-1),
 
-which requires ``b >= 2 m (m - 1)`` for q(0) >= 0.  Two standardized second
-moments coexist and are both exposed: ``eta_general = b / m^2`` (used by the
-survival lower bound) and ``eta_lf = b / (2 m^2)`` (used by every LF closed
-form).  Keeping them as separate named properties prevents silent factor-2
-mistakes.
+which requires ``b >= 2 m (m - 1)`` for q(0) >= 0.  Every LF closed form
+reads the standardized second moment ``eta_lf = b / (2 m^2)``; the general
+``b / m^2`` of survival bounds for arbitrary laws is twice it.
 """
 
 from __future__ import annotations
@@ -81,19 +79,11 @@ class FiniteLaw:
         return self.probs[k] if 0 <= k < len(self.probs) else 0.0
 
     @property
-    def eta_general(self) -> float:
-        m = self._positive_mean()
-        return self.second_factorial_moment / (m * m)
-
-    @property
     def eta_lf(self) -> float:
-        return 0.5 * self.eta_general
-
-    def _positive_mean(self) -> float:
         m = self.mean
         if m <= 0.0:
             raise DegenerateLawError("degenerate law: zero mean")
-        return m
+        return 0.5 * (self.second_factorial_moment / (m * m))
 
     def pgf(self, s):
         out = 0.0
@@ -105,20 +95,6 @@ class FiniteLaw:
         out = 0.0
         for k in range(len(self.probs) - 1, 0, -1):
             out = out * s + k * self.probs[k]
-        return out
-
-    def truncated_second_moment(self, a: int) -> float:
-        if a < 1:
-            raise ContractError("truncation level a must be >= 1")
-        m = self._positive_mean()
-        k = np.arange(len(self.probs))
-        mask = k >= a
-        return float(np.dot((k * k)[mask], self._arr[mask])) / (m * m)
-
-    def coefficients(self, degree: int) -> np.ndarray:
-        out = np.zeros(degree + 1)
-        upto = min(degree + 1, len(self.probs))
-        out[:upto] = self._arr[:upto]
         return out
 
     def support(self, cap: int) -> tuple[frozenset[int], bool]:
@@ -168,10 +144,6 @@ class LinearFractionalLaw:
         return self.b / (2.0 * self.m + self.b)
 
     @property
-    def eta_general(self) -> float:
-        return self.b / (self.m * self.m)
-
-    @property
     def eta_lf(self) -> float:
         return 0.5 * self.b / (self.m * self.m)
 
@@ -189,25 +161,6 @@ class LinearFractionalLaw:
     def pgf_prime(self, s):
         a = 1.0 / self.m
         return a / (a + self.eta_lf * (1.0 - s)) ** 2
-
-    def truncated_second_moment(self, a: int) -> float:
-        if a < 1:
-            raise ContractError("truncation level a must be >= 1")
-        c = self.ratio
-        if c == 0.0:
-            return self.prob(1) / (self.m * self.m) if a == 1 else 0.0
-        # sum_{y>=a} y^2 c^y = c^a (a^2 - (2a^2-2a-1) c + (a-1)^2 c^2) / (1-c)^3
-        t2 = c**a * (a * a - (2 * a * a - 2 * a - 1) * c + (a - 1) ** 2 * c * c) / (1 - c) ** 3
-        scale = (1.0 - self.p0) * (1.0 - c) / c
-        return scale * t2 / (self.m * self.m)
-
-    def coefficients(self, degree: int) -> np.ndarray:
-        out = np.empty(degree + 1)
-        out[0] = self.p0
-        if degree >= 1:
-            k = np.arange(degree)
-            out[1:] = (1.0 - self.p0) * (1.0 - self.ratio) * self.ratio**k
-        return out
 
     def support(self, cap: int) -> tuple[frozenset[int], bool]:
         vals = {0} if self.p0 > 0.0 else set()

@@ -37,7 +37,7 @@ class RhoReport:
     regime: str | None
     gamma_witness: float
     lattice: float | None
-    monotone_case: bool = False
+    monotone_case: bool
 
     def __post_init__(self):
         if self.lf_closed_form is not None:
@@ -76,24 +76,33 @@ class RhoReport:
 
 
 def rho_report(model: EnvironmentModel, n_max: int) -> RhoReport:
-    """Exact a_n table, Lambda(0), LF closed form and diagnostics for a model."""
-    if model.extinction_in_one_step <= 0.0:
-        raise ContractError("no extinction possible: use monotone_rho")
+    """Exact a_n table, Lambda(0), LF closed form and diagnostics for a model.
+
+    In the monotone case, where no state has q(0) > 0, the population never
+    shrinks, so P_1(Z_n = 1) = E[q(1)]^n: z0 is 1, the same sweep gives
+    a_n/n = -log E[q(1)] at every n, and there is no closure or LF closed
+    form (``lf_rho`` needs P(Z_1 = 0) > 0).
+    """
     if model.drift <= 0.0:
         raise ContractError("not supercritical: E[X] <= 0")
-    reach = smallest_reachable(model)
-    fek = fekete_bounds(model, z0=reach.z0, n_max=n_max)
+    monotone = model.extinction_in_one_step <= 0.0
+    if monotone:
+        z0, capped = 1, False
+    else:
+        reach = smallest_reachable(model)
+        z0, capped = reach.z0, reach.capped
+    fek = fekete_bounds(model, z0=z0, n_max=n_max)
     rf = rate_function_at_zero(model)
     closed = None
     regime = None
-    if model.is_lf_pure:
+    if model.is_lf_pure and not monotone:
         res = lf_rho(model)
         closed = res.rho
         regime = res.regime.value
     return RhoReport(
         model_id=model.model_id,
-        z0=reach.z0,
-        closure_capped=reach.capped,
+        z0=z0,
+        closure_capped=capped,
         n_max=n_max,
         fekete=fek,
         lambda0=rf.value,
@@ -102,39 +111,8 @@ def rho_report(model: EnvironmentModel, n_max: int) -> RhoReport:
         regime=regime,
         gamma_witness=model.assumption1_gamma,
         lattice=lattice_span(model),
+        monotone_case=monotone,
     )
-
-
-@dataclass(frozen=True)
-class MonotoneRho:
-    """Rates for models that cannot go extinct, from each state's Q(1) and weight."""
-
-    q1: tuple[float, ...]
-    weights: tuple[float, ...]
-
-    def rate(self, k: int) -> float:
-        """-log E[Q(1)^k], the rate of P_k(Z_n = k) = E[Q(1)^k]^n.
-
-        It is k rho only in a fixed environment: in a random one Jensen's
-        inequality makes it smaller.
-        """
-        moment = sum(w * q**k for q, w in zip(self.q1, self.weights))
-        return -math.log(moment) if moment > 0.0 else math.inf
-
-    @property
-    def rho(self) -> float:
-        """-log E[Q(1)], the rate from Z_0 = 1."""
-        return self.rate(1)
-
-    @property
-    def infinite(self) -> bool:
-        return math.isinf(self.rho)
-
-
-def monotone_rho(model: EnvironmentModel) -> MonotoneRho:
-    if any(law.p0 > 0.0 for law in model.states):
-        raise ContractError("monotone-case formula requires q(0) = 0 in every state")
-    return MonotoneRho(tuple(law.prob(1) for law in model.states), model.weights)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,18 @@
 
 The oracles here deliberately avoid the library's generating-function
 machinery: population laws are pushed forward by explicit pmf convolution,
-so agreement with the engine is a two-route check.
+so agreement with the engine is a two-route check.  ``quenched_pmf`` is the
+one exception, a shorthand that reads one coefficient of the library's
+``quenched_coeff_row``.
 """
+
+import math
+from collections import namedtuple
 
 import numpy as np
 
 from bpre.errors import ContractError
+from bpre.exact import quenched_coeff_row
 from bpre.laws import FiniteLaw, LinearFractionalLaw
 from bpre.pgf import apply_law_rows
 
@@ -39,6 +45,89 @@ def random_lf_law(rng, m_lo=0.4, m_hi=2.5):
 def law_pmf_vector(law, upto):
     """pmf values q(0..upto) straight from law.prob."""
     return np.array([law.prob(k) for k in range(upto + 1)])
+
+
+def eta_general(law):
+    """b / m^2, the standardized second moment of the general survival bound (twice eta_lf)."""
+    m = law.mean
+    return law.second_factorial_moment / (m * m)
+
+
+def truncated_second_moment(law, a):
+    """sum_{k >= a} k^2 q(k) / m^2: a dot product for a finite law, a closed form for an LF one."""
+    if a < 1:
+        raise ContractError("truncation level a must be >= 1")
+    m = law.mean
+    if isinstance(law, FiniteLaw):
+        k = np.arange(len(law.probs))
+        mask = k >= a
+        return float(np.dot((k * k)[mask], np.asarray(law.probs)[mask])) / (m * m)
+    c = law.ratio
+    if c == 0.0:
+        return law.prob(1) / (m * m) if a == 1 else 0.0
+    # sum_{y>=a} y^2 c^y = c^a (a^2 - (2a^2-2a-1) c + (a-1)^2 c^2) / (1-c)^3
+    t2 = c**a * (a * a - (2 * a * a - 2 * a - 1) * c + (a - 1) ** 2 * c * c) / (1 - c) ** 3
+    return (1.0 - law.p0) * (1.0 - c) / c * t2 / (m * m)
+
+
+def walk(env_laws):
+    """S_0..S_n with S_k - S_{k-1} = log mean of q_k; a law of mean 0 steps to -inf."""
+    steps = [math.log(law.mean) if law.mean > 0.0 else -math.inf for law in env_laws]
+    return np.concatenate([[0.0], np.cumsum(steps)])
+
+
+def quenched_pmf(env, z0, j):
+    """P(Z_n = j | env, Z_0 = z0): coefficient j of the library row truncated at degree j."""
+    return float(quenched_coeff_row(env, z0, j)[j])
+
+
+def phi_n(env_laws, z0):
+    """Quenched probability of the single-spine event, by the derivative product.
+
+    The event: Z_n = z0 and every horizon individual shares one parent.  Its
+    value is q_n(z0) z0 t_0^(z0-1) prod_{i=1}^{n-1} f_i'(t_i), t_i = f_{i,n}(0)
+    from the scalar ladder.
+    """
+    t = scalar_extinction_ladder(env_laws)
+    value = env_laws[-1].prob(z0) * z0 * t[0] ** (z0 - 1)
+    for i in range(1, len(env_laws)):
+        value *= env_laws[i - 1].pgf_prime(t[i])
+    return value
+
+
+SurvivalBounds = namedtuple("SurvivalBounds", "lower upper lf_exact")
+
+
+def survival_bounds(env_laws):
+    """Bounds on P(Z_n > 0 | env, Z_0 = 1) from the walk S (Agresti), plus the LF exact value.
+
+    lower: 1 / (exp(-S_n) + sum eta_general_{i+1} exp(-S_i)), valid for any
+    laws, with the eta_general sum taken as twice the eta_lf sum (doubling is
+    exact).  upper: exp(min(0, S_1..S_n)).  lf_exact, for an all-LF
+    environment, is the same expression with eta_lf, else None.
+    """
+    n = len(env_laws)
+    s = walk(env_laws)
+    try:
+        s_exp = math.exp(-s[-1])
+    except OverflowError:  # the lower bound is below the smallest double
+        s_exp = math.inf
+    eta = np.array([law.eta_lf for law in env_laws])
+    with np.errstate(over="ignore"):  # no inf * 0 where eta_lf = 0
+        terms = np.multiply(eta, np.exp(-s[:-1]), out=np.zeros(n), where=eta > 0.0)
+        h_lf = float(np.cumsum(terms)[-1]) if n else 0.0
+    lower = 1.0 / (s_exp + 2.0 * h_lf)
+    upper = math.exp(min(0.0, float(np.min(s[1:])))) if n else 1.0
+    lf = all(isinstance(law, LinearFractionalLaw) for law in env_laws)
+    return SurvivalBounds(lower, upper, 1.0 / (s_exp + h_lf) if lf else None)
+
+
+def monotone_rate(model, k=1):
+    """-log E[q(1)^k] for a model with q(0) = 0 in every state, where P_k(Z_n = k) = E[q(1)^k]^n."""
+    if any(law.p0 > 0.0 for law in model.states):
+        raise ContractError("monotone-case formula requires q(0) = 0 in every state")
+    moment = sum(w * law.prob(1) ** k for law, w in zip(model.states, model.weights))
+    return -math.log(moment) if moment > 0.0 else math.inf
 
 
 def scalar_extinction_ladder(env_laws):

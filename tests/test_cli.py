@@ -14,7 +14,7 @@ from bpre.environment import EnvironmentModel
 from bpre.errors import ContractError
 from bpre.models import intermediate_model, strongly_model
 
-from helpers import reachable_closure_oracle
+from helpers import monotone_rate, reachable_closure_oracle
 
 GW_MODEL = {"states": [{"type": "finite", "probs": [0.25, 0.0, 0.75]}], "weights": [1.0]}
 WEAKLY_MODEL = {
@@ -109,6 +109,50 @@ def test_rho_command_writes_report(gw_path, tmp_path, capsys):
     lines = csv.read_text().strip().split("\n")
     assert lines[0] == "n,quantity,value,lo,hi"
     assert any("a_n_over_n" in line for line in lines)
+
+
+# no state has q(0) > 0, so P_1(Z_n = 1) = E[q(1)]^n
+MONOTONE_MODEL = {
+    "states": [
+        {"type": "finite", "probs": [0.0, 0.5, 0.5]},
+        {"type": "finite", "probs": [0.0, 0.2, 0.8]},
+    ],
+    "weights": [0.5, 0.5],
+}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [MONOTONE_MODEL, {"states": [{"type": "lf", "m": 2.0, "b": 4.0}], "weights": [1.0]}],
+    ids=["finite", "lf"],
+)
+def test_rho_serves_the_monotone_case(obj, tmp_path, capsys):
+    path, out = tmp_path / "monotone.json", tmp_path / "report.json"
+    path.write_text(json.dumps(obj))
+    assert main(["rho", "--model", str(path), "--n-max", "8", "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())["certified"]
+    assert cert["monotone_case"] is True and cert["z0"] == 1
+    assert cert["lf_closed_form"] is None  # lf_rho needs P(Z_1 = 0) > 0
+    rate = monotone_rate(EnvironmentModel.from_json(obj))
+    assert [row["n"] for row in cert["a_table"]] == list(range(1, 9))
+    for row in cert["a_table"]:
+        assert row["a_n_over_n"] == pytest.approx(rate, rel=1e-12, abs=0.0)
+    capsys.readouterr()
+    assert main(["validate", "--model", str(path)]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("z0: ")]
+    assert lines == ["z0: 1 (monotone case: no state allows extinction)"]
+
+
+def test_rho_monotone_case_without_a_single_child_exits_two(tmp_path):
+    # q(1) = 0 as well: P_1(Z_n = 1) = 0, so no a_n is defined
+    path = tmp_path / "doubling.json"
+    path.write_text(json.dumps({"states": [{"type": "finite", "probs": [0.0, 0.0, 1.0]}],
+                                "weights": [1.0]}))
+    argv = [sys.executable, "-m", "bpre.cli", "rho", "--model", str(path), "--n-max", "8"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 def test_examples_command_dispatch(tmp_path, capsys):

@@ -12,15 +12,22 @@ from bpre.exact import (
     fekete_bounds,
     horizon_rows,
     quenched_coeff_row,
-    quenched_pmf,
     quenched_survival,
     survival_rows,
 )
 from bpre.laws import FiniteLaw, LinearFractionalLaw
-from bpre.lf import agresti_survival_bounds, lf_rho
+from bpre.lf import lf_rho
 from bpre.models import strongly_model, weakly_model
 
-from helpers import random_finite_law, random_lf_law, scalar_extinction_ladder
+from helpers import (
+    eta_general,
+    quenched_pmf,
+    random_finite_law,
+    random_lf_law,
+    scalar_extinction_ladder,
+    survival_bounds,
+    walk,
+)
 
 
 def lf_env(rng, n):
@@ -29,7 +36,7 @@ def lf_env(rng, n):
 
 def walk_statistics(env):
     """A = exp(-S_n) and B = sum_k eta_lf_{k+1} exp(-S_k), straight from the walk."""
-    s = env.walk
+    s = walk(env.laws)
     eta = np.array([law.eta_lf for law in env.laws])
     return math.exp(-s[-1]), float(np.sum(eta * np.exp(-s[:-1])))
 
@@ -58,7 +65,7 @@ def test_derivative_at_one_is_quenched_mean():
     rng = np.random.default_rng(2)
     env = lf_env(rng, 5)
     _, c1, c2 = quenched_coeff_row(env, 1, 2)
-    assert c1 / (1.0 - c2 / c1) ** 2 == pytest.approx(math.exp(env.walk[-1]), rel=1e-12)
+    assert c1 / (1.0 - c2 / c1) ** 2 == pytest.approx(math.exp(walk(env.laws)[-1]), rel=1e-12)
 
 
 def test_derivative_at_zero_is_survival_squared_identity():
@@ -68,7 +75,7 @@ def test_derivative_at_zero_is_survival_squared_identity():
         env = lf_env(rng, int(rng.integers(1, 6)))
         surv = survival_rows(*env._indexed)[0]
         p1 = quenched_coeff_row(env, 1, 1)[1]
-        assert p1 == pytest.approx(math.exp(-env.walk[-1]) * surv * surv, rel=1e-12)
+        assert p1 == pytest.approx(math.exp(-walk(env.laws)[-1]) * surv * surv, rel=1e-12)
         assert p1 == quenched_pmf(env, 1, 1)
 
 
@@ -109,7 +116,7 @@ def test_concatenation_composes_fgen(seed):
 @pytest.mark.parametrize("z0", [1, 2, 3])
 def test_quenched_pmf_rejects_negative_size(z0):
     env = lf_env(np.random.default_rng(14), 5)
-    with pytest.raises(ContractError, match="population size"):
+    with pytest.raises(ContractError, match="j_max"):
         quenched_pmf(env, z0, -1)
 
 
@@ -129,8 +136,9 @@ def test_state_survives_long_supercritical_horizon():
     # exp(-S_n) = 2^-1100 underflows; the bounded state keeps the survival
     env = EnvSequence((LinearFractionalLaw(2.0, 8.0),) * 1100)
     survival = survival_rows(*env._indexed)[0]
-    assert survival == quenched_survival(env, 1) == agresti_survival_bounds(env).lf_exact
+    assert survival == quenched_survival(env, 1)
     assert survival == pytest.approx(0.5, rel=1e-14)
+    assert survival_bounds(env.laws).lf_exact == pytest.approx(survival, rel=1e-12)
 
 
 def test_states_past_double_range_give_ieee_limits():
@@ -148,16 +156,17 @@ def test_states_past_double_range_give_ieee_limits():
 def test_agresti_bounds_past_double_range():
     # exp(-S_n) = 2^1100 overflows, so the lower bound is below the smallest double
     sub = EnvSequence((LinearFractionalLaw(0.5, 0.5),) * 1100)
-    bounds = agresti_survival_bounds(sub)
-    assert bounds.lower == 0.0 and bounds.lf_exact == 0.0
+    bounds = survival_bounds(sub.laws)
+    assert bounds.lower == 0.0 and bounds.lf_exact == 0.0 == survival_rows(*sub._indexed)[0]
     assert bounds.upper == 0.0  # exp(S_n) = 2^-1100 underflows too
     # a mean-1 law without variance has eta = 0 where exp(-S_k) overflows: no inf * 0
     flat = EnvSequence(sub.laws + (FiniteLaw((0.0, 1.0)),) * 5)
-    assert agresti_survival_bounds(flat).lower == 0.0
+    assert survival_bounds(flat.laws).lower == 0.0
     # the walk comes back to 0: the bound stays finite and below the survival 1/4
     excursion = EnvSequence((LinearFractionalLaw(2.0, 8.0),) * 1100 + sub.laws)
-    bounds = agresti_survival_bounds(excursion)
+    bounds = survival_bounds(excursion.laws)
     assert 0.0 < bounds.lower <= bounds.lf_exact == pytest.approx(0.25, rel=1e-12)
+    assert survival_rows(*excursion._indexed)[0] == pytest.approx(0.25, rel=1e-12)
 
 
 def test_lf_rho_strongly_weakly_and_boundary():
@@ -216,14 +225,14 @@ def test_lf_rho_below_fekete_bounds():
 
 def test_agresti_bounds_reject_a_mean_zero_law():
     with pytest.raises(ContractError):
-        agresti_survival_bounds(EnvSequence((FiniteLaw((1.0,)),)))
+        survival_bounds((FiniteLaw((1.0,)),))
 
 
 def test_agresti_bounds_lf_exact():
     rng = np.random.default_rng(8)
     for _ in range(15):
         env = lf_env(rng, int(rng.integers(1, 6)))
-        bounds = agresti_survival_bounds(env)
+        bounds = survival_bounds(env.laws)
         surv = quenched_survival(env, 1)
         assert bounds.lf_exact == pytest.approx(surv, abs=1e-10)
         assert bounds.lower <= surv + 1e-12
@@ -236,7 +245,7 @@ def test_agresti_bounds_general_env():
     for _ in range(15):
         laws = tuple(random_finite_law(rng, 3) for _ in range(int(rng.integers(1, 6))))
         env = EnvSequence(laws)
-        bounds = agresti_survival_bounds(env)
+        bounds = survival_bounds(laws)
         surv = quenched_survival(env, 1)
         assert bounds.lf_exact is None
         assert bounds.lower <= surv + 1e-12 <= bounds.upper + 1e-11 + surv
@@ -250,15 +259,14 @@ def test_agresti_lower_bound_matches_eta_general_sum():
             random_lf_law(rng) if rng.random() < 0.5 else random_finite_law(rng, 3, False)
             for _ in range(n)
         )
-        env = EnvSequence(laws)
-        terms = np.array([law.eta_general for law in laws]) * np.exp(-env.walk[:-1])
+        s = walk(laws)
+        terms = np.array([eta_general(law) for law in laws]) * np.exp(-s[:-1])
         h_general = float(np.cumsum(terms)[-1]) if n else 0.0
-        expected = 1.0 / (math.exp(-env.walk[-1]) + h_general)
-        assert agresti_survival_bounds(env).lower == expected
+        expected = 1.0 / (math.exp(-s[-1]) + h_general)
+        assert survival_bounds(laws).lower == expected
 
 
 def test_agresti_deterministic_line():
-    env = EnvSequence((FiniteLaw((0.0, 1.0)),) * 5)
-    bounds = agresti_survival_bounds(env)
+    bounds = survival_bounds((FiniteLaw((0.0, 1.0)),) * 5)
     assert bounds.lower == pytest.approx(1.0, abs=1e-15)
     assert bounds.upper == pytest.approx(1.0, abs=1e-15)

@@ -4,9 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bpre.errors import ContractError, TruncationError
-from bpre.exact import EnvSequence, quenched_pmf
+from bpre.exact import EnvSequence, quenched_coeff_row
 from bpre.laws import FiniteLaw, LinearFractionalLaw
 from bpre.pgf import MAX_DEGREE, apply_law_rows, mul_rows, pow_rows, recip_rows
+
+from helpers import law_pmf_vector
 
 
 def test_mul_rows_matches_convolution():
@@ -41,7 +43,7 @@ def test_pow_rows_matches_repeated_convolution():
 
 def test_apply_law_rows_lf_matches_direct_composition():
     law = LinearFractionalLaw(m=1.7, b=3.1)
-    inner = FiniteLaw((0.3, 0.3, 0.4)).coefficients(10)[None, :]
+    inner = law_pmf_vector(FiniteLaw((0.3, 0.3, 0.4)), 10)[None, :]
     out = apply_law_rows(law, inner.copy())[0]
     # compare with numeric coefficients of law.pgf(inner(s)) via polynomial fit
     xs = np.linspace(-0.25, 0.25, 11)
@@ -77,14 +79,14 @@ def test_apply_law_rows_finite_matches_full_horner_bit_for_bit(degree):
 
 
 def test_compose_identity_outer():
-    g = FiniteLaw((0.25, 0.0, 0.75)).coefficients(6)[None, :]
+    g = law_pmf_vector(FiniteLaw((0.25, 0.0, 0.75)), 6)[None, :]
     out = apply_law_rows(FiniteLaw((0.0, 1.0)), g.copy())
     assert np.allclose(out, g, atol=1e-15)
 
 
 def test_compose_self_composition_value():
     law = FiniteLaw((0.25, 0.0, 0.75))
-    out = apply_law_rows(law, law.coefficients(8)[None])[0]
+    out = apply_law_rows(law, law_pmf_vector(law, 8)[None])[0]
     assert out[0] == pytest.approx(0.296875, abs=1e-15)
     assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -101,7 +103,7 @@ def test_compose_with_constant_one():
 def test_degree_cap():
     env = EnvSequence((FiniteLaw((0.5, 0.5)),))
     with pytest.raises(TruncationError):
-        quenched_pmf(env, 1, MAX_DEGREE + 1)
+        quenched_coeff_row(env, 1, MAX_DEGREE + 1)
 
 
 @st.composite
@@ -114,8 +116,8 @@ def small_laws(draw):
 def test_compose_associativity_within_tail(f, g, h):
     # (f o g) o h against f o (g o h): f o g has degree <= 9, so its row at
     # degree 9 is an exact finite law and both sides are exact to degree 12
-    h_row = h.coefficients(12)[None, :]
-    fg = FiniteLaw(tuple(apply_law_rows(f, g.coefficients(9)[None, :])[0]))
+    h_row = law_pmf_vector(h, 12)[None, :]
+    fg = FiniteLaw(tuple(apply_law_rows(f, law_pmf_vector(g, 9)[None, :])[0]))
     left = apply_law_rows(fg, h_row.copy())
     right = apply_law_rows(f, apply_law_rows(g, h_row.copy()))
     assert np.max(np.abs(left - right)) <= 1e-12

@@ -21,10 +21,11 @@ from bpre.models import (
 from bpre.rates import (
     example1_suite,
     example2_suite,
-    monotone_rho,
     mrca_regime_suite,
     rho_report,
 )
+
+from helpers import monotone_rate
 
 
 def gw_pgf_iteration_oracle(p0, n_max, z0=2):
@@ -103,9 +104,15 @@ def test_rho_report_example1_upper_bounds():
 
 
 def test_rho_report_routes_monotone_case():
+    # no state can die out: z0 = 1 and P_1(Z_n = 1) = E[q(1)]^n, with no closure or LF form
     model = EnvironmentModel((FiniteLaw((0.0, 0.7, 0.3)),), (1.0,))
-    with pytest.raises(ContractError, match="monotone"):
-        rho_report(model, n_max=4)
+    report = rho_report(model, n_max=4)
+    assert report.monotone_case and report.z0 == 1 and not report.closure_capped
+    assert report.lf_closed_form is None and report.regime is None
+    for row in report.fekete.rows:
+        assert row.a_n_over_n == pytest.approx(monotone_rate(model), rel=1e-12)
+    assert report.to_json()["certified"]["monotone_case"] is True
+    assert rho_report(gw_binary(), n_max=4).monotone_case is False
 
 
 def test_fekete_doubling_subsequence_non_increasing():
@@ -118,28 +125,34 @@ def test_fekete_doubling_subsequence_non_increasing():
 
 def test_monotone_rho():
     single = EnvironmentModel((FiniteLaw((0.0, 0.7, 0.3)),), (1.0,))
-    res = monotone_rho(single)
-    assert res.rho == pytest.approx(-math.log(0.7), rel=1e-12)
-    assert res.rate(2) == pytest.approx(2 * res.rho)
+    rho = monotone_rate(single)
+    assert rho == pytest.approx(-math.log(0.7), rel=1e-12)
+    assert monotone_rate(single, 2) == pytest.approx(2 * rho)  # one state: a fixed environment
+    assert rho_report(single, n_max=6).fekete_upper == pytest.approx(rho, rel=1e-12)
     immortal = EnvironmentModel((FiniteLaw((0.0, 1.0)),), (1.0,))
-    assert monotone_rho(immortal).rho == 0.0
+    assert monotone_rate(immortal) == 0.0
+    with pytest.raises(ContractError, match="not supercritical"):
+        rho_report(immortal, n_max=4)
     doubling = EnvironmentModel((FiniteLaw((0.0, 0.0, 1.0)),), (1.0,))
-    assert monotone_rho(doubling).infinite
+    assert math.isinf(monotone_rate(doubling))
+    with pytest.raises(ContractError, match="= 0"):
+        rho_report(doubling, n_max=4)
     with pytest.raises(ContractError):
-        monotone_rho(gw_binary())
+        monotone_rate(gw_binary())
 
 
 @pytest.mark.parametrize("n", [10, 16])
 def test_monotone_rate_matches_enumeration_in_a_random_environment(n):
     # P_k(Z_n = k) = E[Q(1)^k]^n: the rate is -log E[Q(1)^k], not k rho
     model = EnvironmentModel((FiniteLaw((0.0, 0.5, 0.5)), FiniteLaw((0.0, 0.2, 0.8))), (0.5, 0.5))
-    res = monotone_rho(model)
-    assert res.rate(1) == pytest.approx(res.rho, rel=1e-15)
+    for row in rho_report(model, n_max=n).fekete.rows:
+        assert row.a_n_over_n == pytest.approx(monotone_rate(model), rel=1e-12)
     for k, want in ((1, 1.0498221244986778), (2, 1.9310215365615626), (3, 2.7105533313203285)):
         enumerated = -math.log(exact.annealed_pmf(model, k, n, k)) / n
-        assert res.rate(k) == pytest.approx(enumerated, rel=1e-12)
-        assert res.rate(k) == pytest.approx(want, rel=1e-12)
-    assert res.rate(2) < 2 * res.rho and res.rate(3) < 3 * res.rho
+        assert monotone_rate(model, k) == pytest.approx(enumerated, rel=1e-12)
+        assert monotone_rate(model, k) == pytest.approx(want, rel=1e-12)
+    rho = monotone_rate(model)
+    assert monotone_rate(model, 2) < 2 * rho and monotone_rate(model, 3) < 3 * rho
 
 
 def test_example1_suite_identity_and_separation():

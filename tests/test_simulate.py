@@ -16,7 +16,6 @@ from bpre.exact import (
     annealed_pmf_row,
     horizon_rows,
     mrca_rows,
-    phi_n,
     quenched_coeff_row,
     quenched_survival,
     survival_rows,
@@ -47,9 +46,11 @@ from helpers import (
     brood_law_oracle,
     log_derivative_mrca_rows,
     mrca_pair_law,
+    phi_n,
     random_finite_law,
     random_lf_law,
     tree_mrca_age,
+    walk,
 )
 
 
@@ -81,7 +82,7 @@ def test_forward_conditional_mean():
     vals = np.empty(reps)
     for rep in range(reps):
         traj = simulate_forward(model, z0, n, stream(99, rep))
-        vals[rep] = traj.sizes[-1] * math.exp(-traj.env.walk[-1])
+        vals[rep] = traj.sizes[-1] * math.exp(-walk(traj.env.laws)[-1])
     se = vals.std(ddof=1) / math.sqrt(reps)
     assert abs(vals.mean() - z0) < 3 * se
 
@@ -206,7 +207,7 @@ def test_geiger_brood_invariants():
 def test_geiger_spine_event_frequency_matches_phi():
     env = EnvSequence((FiniteLaw((0.3, 0.3, 0.4)), FiniteLaw((0.25, 0.25, 0.5))))
     z0 = 2
-    expect = phi_n(env, z0) / quenched_survival(env, z0)
+    expect = phi_n(env.laws, z0) / quenched_survival(env, z0)
     rng = stream(10, 0)
     reps = 30_000
     hits = 0
