@@ -141,8 +141,13 @@ class ExperimentConfig:
 
 
 def _write_json(path: str, obj: dict) -> None:
+    """Write ``obj`` as strict JSON; a non-finite number is a contract error, not ``Infinity``."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ContractError(f"artifact holds a non-finite number: {exc}")
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2))
+        fh.write(text)
         fh.write("\n")
 
 
@@ -166,7 +171,7 @@ def emit_plot_data(report: dict) -> str:
     if "a_table" in certified:
         for row in certified["a_table"]:
             add(row["n"], "a_n_over_n", row["a_n_over_n"])
-        if certified.get("lambda0") is not None and math.isfinite(certified["lambda0"]):
+        if certified.get("lambda0") is not None:
             add(None, "lambda0", certified["lambda0"])
         if certified.get("lf_closed_form") is not None:
             add(None, "lf_rho", certified["lf_closed_form"])
@@ -244,7 +249,8 @@ def _cmd_exact(cfg: ExperimentConfig) -> int:
             "certified": {},
             "estimated": {
                 "small_value_probability": est.estimate,
-                "std_error": est.std_error,
+                # one replicate has no standard error: null, with "replicates": 1
+                "std_error": est.std_error if math.isfinite(est.std_error) else None,
                 "nu": est.nu,
                 "mu": est.mu,
                 "replicates": est.replicates,
@@ -361,10 +367,14 @@ def _cmd_validate(cfg: ExperimentConfig) -> int:
     if model.is_lf_pure and drift > 0.0:
         print(f"regime: {classify_regime(model).value}")
     if p_ext > 0.0:
-        reach = smallest_reachable(model)
-        closure = sorted(reach.closure)
-        shown = ",".join(map(str, closure[:16])) + ("..." if len(closure) > 16 else "")
-        print(f"z0: {reach.z0} closure: [{shown}] capped: {'yes' if reach.capped else 'no'}")
+        try:
+            reach = smallest_reachable(model)
+        except ContractError as exc:  # extinction only through a law with no positive size
+            print(f"z0: none ({exc})")
+        else:
+            closure = sorted(reach.closure)
+            shown = ",".join(map(str, closure[:16])) + ("..." if len(closure) > 16 else "")
+            print(f"z0: {reach.z0} closure: [{shown}] capped: {'yes' if reach.capped else 'no'}")
     else:
         print("z0: 1 (monotone case: no state allows extinction)")
     if drift > 0.0:

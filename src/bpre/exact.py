@@ -43,6 +43,14 @@ child block, weight vector and coefficient chunk into buffers made once
 per call, one set per generation, through the ``out`` arguments of
 ``_lf_step``, ``_lf_layers``, ``pgf.apply_law_rows`` and ``pgf.mul_rows``,
 with unchanged arithmetic.  Partial sums are combined in a fixed order.
+A Fekete sweep (``fekete_bounds``) reads coefficient z0 of each horizon
+and nothing else, so it emits only that coefficient, through the same
+BLAS product and with the same bits.  At z0 = 1 it also folds the last
+generation in closed form: [s^1] f_a(g) = f_a'(g_0) g_1 is linear in the
+outermost law, so the children of a block one generation short of the
+deepest horizon are never built, and their sum is the block's g_1
+weighted by sum_a w_a f_a'(g_0).  At z0 >= 2, [s^z0] f_a(g)^z0 is not
+linear in the law, and nothing is folded.
 
 The reachability closure behind z0 works on Python-int bitmasks: bit k of a
 mask marks size k, and the sizes reachable from z in one generation are the
@@ -483,7 +491,7 @@ def smallest_reachable(model: EnvironmentModel, cap: int = 64) -> ReachableSet:
         if law.p0 > 0.0 and positive:
             z0 = positive[0] if z0 is None else min(z0, positive[0])
     if z0 is None:
-        raise ContractError("no extinction possible: use monotone-case formula")
+        raise ContractError("no state has q(0) > 0 and q(j) > 0 for some j >= 1")
 
     # a size is marked in `closure` when it is pushed, so each is pushed once
     closure = 1 << z0
@@ -540,7 +548,9 @@ def annealed_pmf_row(model: EnvironmentModel, z0: int, n: int, j_max: int) -> np
     return np.clip(_annealed_rows(model, z0, (n,), j_max)[n], 0.0, None)
 
 
-def _annealed_rows(model: EnvironmentModel, z0: int, horizons, j_max: int) -> dict[int, np.ndarray]:
+def _annealed_rows(
+    model: EnvironmentModel, z0: int, horizons, j_max: int, *, only_z0: bool = False
+) -> dict[int, np.ndarray]:
     """Unclipped sum over environments of w(env) * coefficients of f_{0,n}^{z0}, per horizon n.
 
     The state after d generations is a block with one row per environment of
@@ -578,6 +588,29 @@ def _annealed_rows(model: EnvironmentModel, z0: int, horizons, j_max: int) -> di
     2, an LF block at width 1 and the exponent carry).  A horizon's rows are
     summed only where it is requested, in the order of a recursive
     depth-first sweep, so one sweep serves every horizon up to the largest.
+
+    ``only_z0`` (with j_max = z0) is the Fekete sweep, which reads
+    coefficient z0 alone; the other coefficients of its totals are left at
+    0.  A series emission then copies only column z0 of its rows into a
+    zeroed row-major buffer made once per sweep, and an LF emission at
+    z0 = 1 writes [s^1] = p a into column 1 of a zeroed chunk, never
+    forming 1 - p, ``_lf_layers`` or ``pow_rows`` (at z0 >= 2 it builds its
+    rows as before).  Either keeps the (rows, z0 + 1) BLAS product, which
+    sums column z0 in the same order, so every emitted horizon keeps its
+    bits.
+
+    At z0 = 1 the last generation is folded as well.  The horizon-n_max
+    coefficient of a child f_a(g) of a depth-(n_max - 1) row g is
+    [s^1] f_a(g) = f_a'(g_0) g_1, linear in the law, so the descent expands
+    no block of depth n_max - 1: ``emit_children`` adds, per state a,
+    w_a (wvec f_a'(g_0)) . g_1 over the block's rows, with wvec f_a'(g_0)
+    formed in the level-n_max weight buffer.  An LF row has g_1 = p a and
+    f_a'(g_0) = m_a / (1 + eta_a m_a p)^2, from the survival p itself
+    (after the exponent carry), never from 1 - p; a series row takes the
+    derivative on column 0, in place for a finite law, so the fold
+    allocates no row vector.  At z0 >= 2, [s^z0] f_a(g)^z0 is not linear
+    in the law, so nothing is folded.  The fold sums the same terms as the
+    children would in another order, so horizon n_max moves by a few ulps.
     """
     n_max = max(horizons, default=0)
     states = list(zip(model.states, model.weights))
@@ -589,6 +622,7 @@ def _annealed_rows(model: EnvironmentModel, z0: int, horizons, j_max: int) -> di
         )
     width = j_max + 1
     totals = {n: np.zeros(width) for n in horizons}
+    fold = only_z0 and z0 == 1
 
     if model.is_lf_pure:
         keep = min(1.0 - law.p0 for law, _ in states)  # every p of depth d is >= keep^d
@@ -612,18 +646,41 @@ def _annealed_rows(model: EnvironmentModel, z0: int, horizons, j_max: int) -> di
             )
 
         def chunk_buffer(rows):
-            return np.empty((min(rows, step), width))
+            # a fold-route chunk keeps its column 0 at zero
+            return (np.zeros if fold else np.empty)((min(rows, step), width))
+
+        def survival(block, depth):
+            p, e = block[0], block[1]
+            return np.ldexp(p, -512 * e) if keep**depth < _TINY else p
 
         def emit(block, wvec, depth, f):
-            p, e, a, r = block
-            if keep**depth < _TINY:
-                p = np.ldexp(p, -512 * e)
+            p, a, r = survival(block, depth), block[2], block[3]
             total = 0
             for i in range(0, len(p), len(f)):
                 c = slice(i, i + len(f))
-                stats = [None if x is None else x[c] for x in (p, a, r)]
-                rows = _lf_layers(*stats, width, f[: len(stats[0])])
-                total = total + wvec[c] @ pow_rows(rows, z0)
+                if fold:  # [s^1] f = p a
+                    rows = f[: len(p[c])]
+                    np.multiply(p[c], a[c], out=rows[:, 1])
+                else:
+                    stats = [None if x is None else x[c] for x in (p, a, r)]
+                    rows = pow_rows(_lf_layers(*stats, width, f[: len(stats[0])]), z0)
+                total = total + wvec[c] @ rows
+            return total
+
+        def emit_children(block, wvec, depth, out, f):
+            # sum_a w_a f_a'(1 - p) p a, with f_a'(1 - p) = m / (1 + eta m p)^2;
+            # a descent block has at most _BLOCK_CELLS / 5 rows, and a width-2
+            # chunk holds _BLOCK_CELLS / 2
+            p = survival(block, depth)
+            rows = f[: len(p)]
+            np.multiply(p, block[2], out=rows[:, 1])
+            total = 0
+            for law, w in states:
+                np.multiply(law.eta_lf * law.m, p, out=out)
+                out += 1.0
+                np.multiply(out, out, out=out)
+                np.divide(wvec, out, out=out)
+                total = total + w * law.m * (out @ rows)
             return total
 
         root = (
@@ -655,7 +712,7 @@ def _annealed_rows(model: EnvironmentModel, z0: int, horizons, j_max: int) -> di
             return np.empty((rows, width), order="F")
 
         def chunk_buffer(rows):
-            return None
+            return np.zeros((rows, width)) if only_z0 else None
 
         def widen(rows, full):
             # the full width, or the degree one more generation can reach;
@@ -672,40 +729,69 @@ def _annealed_rows(model: EnvironmentModel, z0: int, horizons, j_max: int) -> di
             # certified values were first computed in; a column-major one
             # would sum differently
             p = pow_rows(widen(rows, True), z0)
-            c = np.empty(p.shape)
-            for j in range(width):
-                c[:, j] = p[:, j]
+            if f is None:
+                c = np.empty(p.shape)
+                for j in range(width):
+                    c[:, j] = p[:, j]
+            else:  # only column z0; the others stay zero
+                c = f[: len(p)]
+                c[:, z0] = p[:, z0]
             return wvec @ c
+
+        def emit_children(rows, wvec, depth, out, f):
+            # sum_a w_a f_a'(g_0) g_1; a finite law's f'(t) = sum_j j q_j t^(j-1)
+            # is the Horner sum of ``pgf_prime``, written in place, because its
+            # temporaries would raise the sweep's peak memory
+            t = rows[:, 0]
+            c = f[: len(rows)]
+            c[:, 1] = rows[:, 1]
+            total = 0
+            for law, w in states:
+                if isinstance(law, FiniteLaw):
+                    probs = law.probs
+                    out.fill((len(probs) - 1) * probs[-1])
+                    for j in range(len(probs) - 2, 0, -1):
+                        out *= t
+                        out += j * probs[j]
+                else:
+                    out[:] = law.pgf_prime(t)
+                out *= wvec
+                total = total + w * (out @ c)
+            return total
 
         root = np.zeros((1, min(width, 2)), order="F")  # the identity row
         if width > 1:
             root[0, 1] = 1.0
 
-    # breadth-first growth is a loop; one state never widens the block and
-    # stays breadth-first at any horizon
-    block, wvec, depth = root, np.ones(1), 0
-    while True:
+    # breadth-first growth to depth `top` is a loop; one state never widens
+    # the block and stays breadth-first at any horizon
+    top = 0
+    while top < n_max and (k == 1 or k ** (top + 1) * cells <= _BLOCK_CELLS):
+        top += 1
+    f = chunk_buffer(k**top)  # sized to the largest block, and shared by every emission
+    block, wvec = root, np.ones(1)
+    for depth in range(top + 1):
+        if depth:
+            block = join([apply(law, widen(block, False), depth - 1) for law, _ in states])
+            wvec = np.concatenate([wvec * w for _, w in states])
         if depth in totals:
-            totals[depth] += emit(block, wvec, depth, chunk_buffer(len(wvec)))
-        if depth == n_max:
-            return totals
-        if k > 1 and len(wvec) * k * cells > _BLOCK_CELLS:
-            break
-        block = widen(block, False)
-        block = join([apply(law, block, depth) for law, _ in states])
-        wvec = np.concatenate([wvec * w for _, w in states])
-        depth += 1
+            totals[depth] += emit(block, wvec, depth, f)
+    if top == n_max:
+        return totals
 
     # depth-first: level i holds a block of depth `top + i`, and nxt[i] is
-    # the next state to apply to it
-    top, rows = depth, len(wvec)
+    # the next state to apply to it; a fold expands no block of depth n_max - 1
+    rows = len(wvec)
     blocks = [widen(block, True)] + [None] * (n_max - top)
-    outs = [None] + [buffers(rows, d) for d in range(top + 1, n_max + 1)]
+    outs = [None] + [buffers(rows, d) for d in range(top + 1, n_max + 1 - fold)]
     weights = [wvec] + [np.empty(rows) for _ in range(top + 1, n_max + 1)]
-    f = chunk_buffer(rows)
     nxt = [0] * (n_max - top + 1)
     i = 0
     while i >= 0:
+        if fold and top + i == n_max - 1:
+            totals[n_max] += emit_children(blocks[i], weights[i], top + i, weights[i + 1], f)
+            i -= 1
+            continue
         if top + i == n_max or nxt[i] == k:
             i -= 1
             continue
@@ -756,12 +842,21 @@ class FeketeTable:
 def fekete_bounds(model: EnvironmentModel, z0: int | None = None, n_max: int = 12) -> FeketeTable:
     """a_n = -log P_{z0}(Z_n = z0) for n = 1..n_max; every a_n/n bounds the rate.
 
+    One enumeration sweep gives every horizon, and it computes coefficient
+    z0 alone (``_annealed_rows`` with ``only_z0``): each a_n with n < n_max
+    is the ``annealed_pmf`` value bit for bit.  At z0 = 1 the generation
+    n_max is folded into sum_a w_a f_a'(g_0) g_1 of the depth-(n_max - 1)
+    rows g, which sums the same terms in another order, so a_{n_max} may
+    differ from ``annealed_pmf`` in its last bits.  At z0 >= 2 the
+    coefficient is not linear in the last law, and a_{n_max} too keeps its
+    bits.
+
     Slope entries (a_n - a_{n/2}) / (n/2) are attached at even n as
     non-certified proxies that cancel the O(1) prefactor.
     """
     if z0 is None:
         z0 = smallest_reachable(model).z0
-    totals = _annealed_rows(model, z0, range(1, n_max + 1), z0)
+    totals = _annealed_rows(model, z0, range(1, n_max + 1), z0, only_z0=True)
     values = {}
     rows = []
     for n in range(1, n_max + 1):

@@ -63,7 +63,7 @@ class RhoReport:
                 {"n": r.n, "a_n": r.a_n, "a_n_over_n": r.a_n_over_n} for r in self.fekete.rows
             ],
             "fekete_upper": self.fekete_upper,
-            "lambda0": self.lambda0,
+            "lambda0": self.lambda0 if math.isfinite(self.lambda0) else None,  # the flag says why
             "lambda0_flag": self.lambda0_flag,
             "lf_closed_form": self.lf_closed_form,
             "regime": self.regime,

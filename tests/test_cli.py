@@ -12,6 +12,7 @@ from bpre import simulate
 from bpre.cli import ExperimentConfig, emit_plot_data, main
 from bpre.environment import EnvironmentModel
 from bpre.errors import ContractError
+from bpre.exact import smallest_reachable
 from bpre.models import intermediate_model, strongly_model
 
 from helpers import monotone_rate, reachable_closure_oracle
@@ -153,6 +154,68 @@ def test_rho_monotone_case_without_a_single_child_exits_two(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def _strict_json(path):
+    """The JSON document at ``path``; Infinity, -Infinity or NaN fail the load."""
+
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} in {path}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+def test_rho_artifact_writes_an_infinite_lambda0_as_null(tmp_path, capsys):
+    # no negative walk increment: Lambda(0) is infinite, and its flag says why
+    path, out = tmp_path / "monotone.json", tmp_path / "report.json"
+    path.write_text(json.dumps(MONOTONE_MODEL))
+    assert main(["rho", "--model", str(path), "--n-max", "4", "--out", str(out)]) == 0
+    cert = _strict_json(out)["certified"]
+    assert cert["lambda0"] is None and cert["lambda0_flag"] == "no-small-value"
+
+
+def test_estimate_artifact_writes_a_single_replicate_std_error_as_null(weakly_path, tmp_path):
+    out = tmp_path / "est.json"
+    argv = ["exact", "--model", weakly_path, "--n", "10", "--estimate", "--replicates", "1"]
+    assert main(argv + ["--seed", "1", "--out", str(out)]) == 0
+    est = _strict_json(out)["estimated"]
+    assert est["std_error"] is None and est["replicates"] == 1
+    assert est["small_value_probability"] > 0.0
+
+
+def test_non_finite_artifact_value_exits_two_with_one_line(weakly_path, tmp_path, monkeypatch, capsys):
+    # any non-finite number left in an artifact is an error, never Infinity or a traceback
+    def infinite(*args, **kwargs):
+        return simulate.ImportanceEstimate(math.inf, 0.0, 1.0, 1.0, 2)
+
+    monkeypatch.setattr("bpre.cli.importance_estimate", infinite)
+    out = tmp_path / "est.json"
+    argv = ["exact", "--model", weakly_path, "--n", "4", "--estimate", "--replicates", "2"]
+    capsys.readouterr()
+    assert main(argv + ["--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_validate_reports_no_z0_when_only_a_childless_law_dies(tmp_path, capsys):
+    # extinction is possible only through the all-zero law, which has no
+    # positive size, so no z0 exists; validate says so and exits 0
+    obj = {
+        "states": [{"type": "finite", "probs": [1.0]}, {"type": "finite", "probs": [0.0, 0.5, 0.5]}],
+        "weights": [0.2, 0.8],
+    }
+    path = tmp_path / "childless.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate", "--model", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "extinction_possible: yes (P(Z_1=0)=0.200000)" in lines
+    assert [ln for ln in lines if ln.startswith("z0: ")] == [
+        "z0: none (no state has q(0) > 0 and q(j) > 0 for some j >= 1)"
+    ]
+    with pytest.raises(ContractError, match=r"no state has q\(0\) > 0 and q\(j\) > 0"):
+        smallest_reachable(EnvironmentModel.from_json(obj))
 
 
 def test_examples_command_dispatch(tmp_path, capsys):

@@ -985,6 +985,135 @@ def test_series_emission_is_the_row_major_weighted_sum_bit_for_bit():
         assert got.tobytes() == want.tobytes(), z0
 
 
+def _fold_model(kind, seed):
+    """A random two- or three-state model whose laws all have q(0) > 0 and q(1) > 0."""
+    rng = np.random.default_rng(240 + seed)
+    letters = {"lf": "ll", "lf_three": "lll", "finite": "ff", "mixed": "flf"}[kind]
+    laws = tuple(
+        random_lf_law(rng) if c == "l" else FiniteLaw(tuple(rng.dirichlet(np.ones(4))))
+        for c in letters
+    )
+    return EnvironmentModel(laws, tuple(rng.dirichlet(np.ones(len(laws)))))
+
+
+def _check_fekete_route(model, z0, n_max, folded):
+    """The Fekete sweep's coefficient z0 against ``annealed_pmf_row`` at every horizon.
+
+    Every horizon below n_max keeps its bits; with ``folded`` the last one,
+    whose generation is folded in closed form, agrees to 1e-13 relative.
+    """
+    got = exact._annealed_rows(model, z0, range(1, n_max + 1), z0, only_z0=True)
+    for n in range(1, n_max + 1):
+        want = annealed_pmf_row(model, z0, n, z0)[z0]
+        assert want > 0.0
+        if n < n_max or not folded:
+            assert got[n][z0] == want, n
+        else:
+            assert abs(got[n][z0] - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["lf", "lf_three", "finite", "mixed"])
+def test_fekete_route_matches_annealed_rows(kind, seed, monkeypatch):
+    # a 15-cell block stops at depth 1 (LF rows) or 2 (series rows of width
+    # 2), so the descent emits nearly every horizon and folds the last one
+    monkeypatch.setattr(exact, "_BLOCK_CELLS", 15)
+    model = _fold_model(kind, seed)
+    _check_fekete_route(model, 1, 6 if kind == "lf_three" else 9, folded=True)
+
+
+_FOLD_EDGE_MODELS = {
+    # survival near 1e-9 with eta m p of order 1: a fold that read 1 - (1 - p)
+    # in place of p would be off by about 1e-9
+    "lf_heavy": EnvironmentModel(
+        (LinearFractionalLaw(0.8, 1e9), LinearFractionalLaw(1.5, 1e9)), (0.5, 0.5)
+    ),
+    # 1 - q(0) = 2^-47 and p = 2^-47 p per first-state generation, so keep^d
+    # falls below 2^-512 at d = 11 and the all-first-state row of depth 11,
+    # which the fold reads, carries p = 2^-5 * 2^-512
+    "lf_carry": EnvironmentModel(
+        (LinearFractionalLaw(2.0**-47, 0.0), LinearFractionalLaw(1.5, 4.0)), (0.5, 0.5)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FOLD_EDGE_MODELS))
+def test_fekete_route_folds_from_the_survival_itself(name, monkeypatch):
+    model = _FOLD_EDGE_MODELS[name]
+    if name == "lf_carry":
+        keep = 1.0 - model.states[0].p0
+        assert keep**10 > 2.0**-512 > keep**11
+    monkeypatch.setattr(exact, "_BLOCK_CELLS", 15)
+    _check_fekete_route(model, 1, 12, folded=True)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        EnvironmentModel((FiniteLaw((0.0, 0.5, 0.5)), FiniteLaw((0.0, 0.2, 0.8))), (0.5, 0.5)),
+        EnvironmentModel(
+            (LinearFractionalLaw(2.0, 4.0), LinearFractionalLaw(1.5, 1.5)), (0.3, 0.7)
+        ),
+        EnvironmentModel((FiniteLaw((0.0, 0.3, 0.7)), LinearFractionalLaw(2.0, 4.0)), (0.6, 0.4)),
+    ],
+    ids=["finite", "lf", "mixed"],
+)
+def test_fekete_route_in_the_monotone_case(model, monkeypatch):
+    # no state has q(0) > 0, so P_1(Z_n = 1) = E[q(1)]^n, the folded horizon included
+    assert model.extinction_in_one_step == 0.0
+    monkeypatch.setattr(exact, "_BLOCK_CELLS", 15)
+    q1 = sum(w * law.prob(1) for law, w in zip(model.states, model.weights))
+    got = exact._annealed_rows(model, 1, range(1, 11), 1, only_z0=True)
+    for n in range(1, 11):
+        assert got[n][1] == pytest.approx(q1**n, rel=1e-13, abs=0.0), n
+
+
+@pytest.mark.parametrize(
+    "model, z0, n_max",
+    [
+        (gw_binary(), 2, 40),
+        (EnvironmentModel((LinearFractionalLaw(0.9, 1.5),), (1.0,)), 1, 60),
+        (_fold_model("lf", 0), 2, 8),
+        (
+            EnvironmentModel((FiniteLaw((0.3, 0.0, 0.7)), FiniteLaw((0.5, 0.0, 0.5))), (0.5, 0.5)),
+            2,
+            9,
+        ),
+        (_fold_model("mixed", 1), 2, 6),
+    ],
+    ids=["gw_binary", "one_lf_state", "lf_z0_2", "finite_z0_2", "mixed_z0_2"],
+)
+def test_fekete_route_keeps_every_horizon_where_nothing_folds(model, z0, n_max, monkeypatch):
+    # one state never leaves the breadth-first block, and at z0 = 2 the
+    # coefficient [s^2] f_a(g)^2 is not linear in the law: n_max keeps its bits too
+    monkeypatch.setattr(exact, "_BLOCK_CELLS", 15)
+    _check_fekete_route(model, z0, n_max, folded=False)
+
+
+def test_fekete_sweep_expands_no_block_of_the_last_generation(monkeypatch):
+    # at n_max = 20 an LF block stops at depth 14, so the descent has
+    # 2 + 4 + ... + 64 = 126 nodes; the fold removes the 64 of depth 20, and
+    # the sweep forms no 1 - p row and no power
+    steps, rows = [], []
+
+    def spy(calls, kernel):
+        def wrapped(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(exact, "_lf_step", spy(steps, exact._lf_step))
+    monkeypatch.setattr(exact, "_lf_layers", spy(rows, exact._lf_layers))
+    monkeypatch.setattr(exact, "pow_rows", spy(rows, exact.pow_rows))
+    fekete_bounds(weakly_model(), 1, 20)
+    folded = len(steps)
+    assert rows == []
+    steps.clear()
+    exact._annealed_rows(weakly_model(), 1, range(1, 21), 1)
+    assert len(steps) - folded == 64
+
+
 def test_fekete_table():
     model = gw_binary()
     table = fekete_bounds(model, n_max=8)
