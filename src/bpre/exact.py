@@ -38,11 +38,21 @@ LF carries the closed-form statistics of each environment, one step of the
 same LF recursion per generation, only those a row of the requested width
 reads, and builds coefficient rows only at requested horizons; any other
 model carries series rows, column-major, with breadth-first blocks only
-as wide as their degree can reach.  The depth-first descent writes every
-child block, weight vector and coefficient chunk into buffers made once
-per call, one set per generation, through the ``out`` arguments of
-``_lf_step``, ``_lf_layers``, ``pgf.apply_law_rows`` and ``pgf.mul_rows``,
-with unchanged arithmetic.  Partial sums are combined in a fixed order.
+as wide as their degree can reach.  A series sweep applies each law to a
+node by its own Horner scheme (``pgf.apply_law_rows``), except where the
+rows are at least ``_LADDER_WIDTH`` wide and two finite states of degree 2
+or more can share products: there ``_power_ladder`` expands each node once,
+from one ladder of powers c, c^2, ..., c^D of its block (c^2 by
+``pgf.sqr_rows``, at half the cost of a product), forming every finite
+child by scaled adds, D - 1 products per node in place of sum_a (d_a - 1);
+LF states keep ``apply_law_rows``.  The choice is made once per sweep, so
+every row of a sweep has one arithmetic.  The depth-first descent writes
+every child block, weight vector and coefficient chunk into buffers made
+once per call, one set per generation (a ladder level holds all of its
+children, and the ladder's power blocks are shared by every level),
+through the ``out`` arguments of ``_lf_step``, ``_lf_layers``,
+``pgf.apply_law_rows``, ``pgf.mul_rows`` and ``pgf.sqr_rows``, with
+unchanged arithmetic.  Partial sums are combined in a fixed order.
 A Fekete sweep (``fekete_bounds``) reads coefficient z0 of each horizon
 and nothing else, so it emits only that coefficient, through the same
 BLAS product and with the same bits.  At z0 = 1 it also folds the last
@@ -68,10 +78,11 @@ import numpy as np
 from .environment import EnvironmentModel
 from .errors import BudgetError, ContractError, TruncationError
 from .laws import FiniteLaw, LinearFractionalLaw, OffspringLaw
-from .pgf import MAX_DEGREE, apply_law_rows, pow_rows
+from .pgf import MAX_DEGREE, apply_law_rows, mul_rows, pow_rows, sqr_rows
 
 ENUMERATION_BUDGET = 1 << 26
 _BLOCK_CELLS = 1 << 17
+_LADDER_WIDTH = 33  # series sweeps at least this wide may expand each node once (``_power_ladder``)
 _TINY = 2.0**-512  # LF survival below this is carried as a mantissa and a power of 2^-512
 
 
@@ -312,6 +323,45 @@ def _series_layers(
             else:
                 dst[sel] = apply_law_rows(law, src[sel])
     return f
+
+
+def _power_ladder(
+    laws: list[OffspringLaw], c: np.ndarray, out: list[np.ndarray] | None = None,
+    work: list[np.ndarray] | None = None,
+) -> list[np.ndarray]:
+    """Rows of ``law.pgf(c)`` for every law of ``laws``, from one ladder of powers of c.
+
+    A finite law's rows sum_j q_j c^j are accumulated while the ladder
+    climbs: c^2 by ``sqr_rows``, each higher power by ``mul_rows`` from the
+    one before it, up to the largest finite degree D.  That is D - 1
+    products for all the laws, where a Horner scheme per law makes
+    sum_a (d_a - 1), at the price of a scaled add per nonzero coefficient.
+    An LF law takes ``apply_law_rows``.  Beside the children only the
+    current power, the one before it and one scaled term are held, so
+    memory does not grow with D.
+
+    ``out`` holds one block per law; ``work`` holds the term block and one
+    power block, or two from D = 3.  Each is shaped like c and shares no
+    memory with it; where None they are allocated.
+    """
+    degree = max((len(law.probs) - 1 for law in laws if isinstance(law, FiniteLaw)), default=0)
+    out = [np.empty_like(c) for _ in laws] if out is None else out
+    if work is None:
+        work = [np.empty_like(c) for _ in range(min(degree, 3) if degree > 1 else 0)]
+    for law, kid in zip(laws, out):
+        if isinstance(law, FiniteLaw):
+            np.multiply(law.prob(1), c, out=kid)
+            kid[:, 0] += law.probs[0]
+        else:
+            apply_law_rows(law, c, out=kid)
+    power = c
+    for j in range(2, degree + 1):
+        # c^j alternates between the power blocks, never the one it reads
+        power = sqr_rows(c, out=work[1]) if j == 2 else mul_rows(power, c, out=work[1 + j % 2])
+        for law, kid in zip(laws, out):
+            if isinstance(law, FiniteLaw) and law.prob(j) != 0.0:
+                kid += np.multiply(law.probs[j], power, out=work[0])
+    return out
 
 
 def _log_derivatives(
@@ -561,8 +611,16 @@ def _annealed_rows(
     coefficient rows are built only at requested horizons (``_lf_layers``,
     in chunks of at most ``_BLOCK_CELLS`` cells), so each is the row
     ``horizon_rows`` gives for its environment; otherwise a row is the
-    series row itself and a law is applied by ``apply_law_rows``.  The block
-    grows breadth-first while the next block fits in ``_BLOCK_CELLS`` cells
+    series row itself, and its children are formed either law by law
+    (``apply_law_rows``, a Horner scheme for a finite law) or all at once
+    by ``_power_ladder``.  The ladder is taken where the sweep's width
+    j_max + 1 is at least ``_LADDER_WIDTH`` and two finite states have
+    degree 2 or more, so that it saves a product per node; narrower rows
+    gain less from a saved product than the ladder's scaled adds cost, and
+    a single such state shares nothing.  The choice is made once per sweep,
+    whatever the width of a breadth-first block, so every row of a sweep
+    has one arithmetic and the rows of a Horner sweep keep their bits.  The
+    block grows breadth-first while the next block fits in ``_BLOCK_CELLS`` cells
     (rows x states x cells per row, 5 cells for an LF row whatever it
     carries), and always with a single state, whose block never widens.
 
@@ -583,11 +641,14 @@ def _annealed_rows(
     of buffers per generation, made once per call: a child's block and
     weights are written into the buffers of its level and its coefficient
     rows into one shared chunk buffer (``out=``, the same arithmetic), so no
-    node allocates a block; only the kernels' own temporaries remain
-    (finite Horner steps, the series route's LF laws, ``pow_rows`` at z0 >=
-    2, an LF block at width 1 and the exponent carry).  A horizon's rows are
-    summed only where it is requested, in the order of a recursive
-    depth-first sweep, so one sweep serves every horizon up to the largest.
+    node allocates a block.  A ladder sweep expands a node when its first
+    child is visited, into one block per state at the next level, with the
+    ladder's term and power blocks made once and shared by every level.
+    Only the kernels' own temporaries remain (finite Horner steps, the
+    series route's LF laws, ``pow_rows`` at z0 >= 2, an LF block at width 1
+    and the exponent carry).  A horizon's rows are summed only where it is
+    requested, in the order of a recursive depth-first sweep, so one sweep
+    serves every horizon up to the largest.
 
     ``only_z0`` (with j_max = z0) is the Fekete sweep, which reads
     coefficient z0 alone; the other coefficients of its totals are left at
@@ -629,10 +690,14 @@ def _annealed_rows(
         cells = 5  # p, e, a, r and the weight
         step = max(1, _BLOCK_CELLS // width)  # rows per chunk of coefficient rows
 
-        def apply(law, block, depth, out=None):
+        def apply(a, block, depth, out=None):
+            law = states[a][0]
             return _lf_step(
                 law.m, law.eta_lf * law.m, *block, keep ** (depth + 1) < _TINY, out=out
             )
+
+        def expand(block, depth):
+            return [apply(a, block, depth) for a in range(k)]
 
         def join(blocks):
             return tuple(None if x[0] is None else np.concatenate(x) for x in zip(*blocks))
@@ -695,21 +760,39 @@ def _annealed_rows(
 
     else:
         cells = width
+        laws = [law for law, _ in states]
+        degrees = [len(law.probs) - 1 for law in laws if isinstance(law, FiniteLaw)]
         # a finite law of degree d takes a series of degree D to degree d D;
         # an LF law has no finite degree, so it keeps every block at full width
-        maxdeg = max(
-            len(law.probs) - 1 if isinstance(law, FiniteLaw) else width for law, _ in states
-        )
+        maxdeg = max(degrees) if len(degrees) == k else width
+        # a sweep at least _LADDER_WIDTH wide whose ladder saves a product (two
+        # finite states of degree >= 2) expands each node once into all of its
+        # children (``_power_ladder``); any other applies each law in turn
+        ladder = width >= _LADDER_WIDTH and sum(d >= 2 for d in degrees) >= 2
+        work = []  # the ladder's term and power blocks, shared by every descent level
 
-        def apply(law, rows, depth, out=None):
-            return apply_law_rows(law, rows, out=out)
+        def apply(a, rows, depth, out=None):
+            if not ladder:
+                return apply_law_rows(laws[a], rows, out=out)
+            if a == 0:  # a node's first child expands it into all of them
+                _power_ladder(laws, rows, out, work)
+            return out[a]
+
+        def expand(rows, depth):
+            if ladder:
+                return _power_ladder(laws, rows)
+            return [apply_law_rows(law, rows) for law in laws]
 
         def join(blocks):
             out = np.empty((sum(map(len, blocks)), blocks[0].shape[1]), order="F")
             return np.concatenate(blocks, out=out)
 
         def buffers(rows, depth):
-            return np.empty((rows, width), order="F")
+            if not ladder:
+                return np.empty((rows, width), order="F")
+            if not work:  # the term block and one power block, or two from degree 3
+                work.extend(np.empty((rows, width), order="F") for _ in range(min(max(degrees), 3)))
+            return [np.empty((rows, width), order="F") for _ in range(k)]
 
         def chunk_buffer(rows):
             return np.zeros((rows, width)) if only_z0 else None
@@ -772,7 +855,7 @@ def _annealed_rows(
     block, wvec = root, np.ones(1)
     for depth in range(top + 1):
         if depth:
-            block = join([apply(law, widen(block, False), depth - 1) for law, _ in states])
+            block = join(expand(widen(block, False), depth - 1))
             wvec = np.concatenate([wvec * w for _, w in states])
         if depth in totals:
             totals[depth] += emit(block, wvec, depth, f)
@@ -795,10 +878,10 @@ def _annealed_rows(
         if top + i == n_max or nxt[i] == k:
             i -= 1
             continue
-        law, w = states[nxt[i]]
+        a = nxt[i]
         nxt[i] += 1
-        blocks[i + 1] = apply(law, blocks[i], top + i, out=outs[i + 1])
-        np.multiply(weights[i], w, out=weights[i + 1])
+        blocks[i + 1] = apply(a, blocks[i], top + i, out=outs[i + 1])
+        np.multiply(weights[i], states[a][1], out=weights[i + 1])
         i += 1
         nxt[i] = 0
         if top + i in totals:

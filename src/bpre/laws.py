@@ -86,16 +86,10 @@ class FiniteLaw:
         return 0.5 * (self.second_factorial_moment / (m * m))
 
     def pgf(self, s):
-        out = 0.0
-        for p in reversed(self.probs):
-            out = out * s + p
-        return out
+        return _horner(self.probs, s)
 
     def pgf_prime(self, s):
-        out = 0.0
-        for k in range(len(self.probs) - 1, 0, -1):
-            out = out * s + k * self.probs[k]
-        return out
+        return _horner([k * p for k, p in enumerate(self.probs)][1:], s)
 
     def support(self, cap: int) -> tuple[frozenset[int], bool]:
         vals = frozenset(int(k) for k in np.nonzero(self._arr)[0] if k <= cap)
@@ -180,6 +174,26 @@ class LinearFractionalLaw:
 
 
 OffspringLaw = Union[FiniteLaw, LinearFractionalLaw]
+
+
+def _horner(coeffs, s):
+    """sum_k coeffs[k] s^k by Horner's scheme, starting from 0.
+
+    An array s (of at least one dimension) gets one result array, updated
+    in place with the same arithmetic and bits as the scalar steps
+    ``out = out * s + c``; a scalar s gets the scalar steps themselves.
+    """
+    if not (isinstance(s, np.ndarray) and s.ndim):
+        out = 0.0
+        for c in reversed(coeffs):
+            out = out * s + c
+        return out
+    out = np.multiply(s, 0.0)
+    for i, c in enumerate(reversed(coeffs)):
+        if i:
+            out *= s
+        out += c
+    return out
 
 
 def walk_increment(law: OffspringLaw) -> float:

@@ -2,12 +2,20 @@
 
 A series is a coefficient row ``c_0..c_D``; the ``*_rows`` kernels operate
 on batches of shape (M, D+1), one series per row, truncated at the common
-degree D.  They are the only series machinery in the package, shared by the
-series route of the composition kernel ``exact.horizon_rows`` (environment
-rows that contain a finite law) and the annealed enumerator on models with
-a finite state.  Environment rows whose laws are all linear fractional, and
-the enumeration of all-LF models, take the closed form instead: they never
-reach ``apply_law_rows`` and use only ``pow_rows`` (and so ``mul_rows``).
+degree D: the product ``mul_rows``, the square ``sqr_rows`` (half the
+multiply-adds, by symmetry), ``recip_rows``, ``pow_rows`` and the law
+application ``apply_law_rows``.  They are the only series machinery in the
+package, shared by the series route of the composition kernel
+``exact.horizon_rows`` (environment rows that contain a finite law) and the
+annealed enumerator on models with a finite state.  The enumerator applies
+each law by ``apply_law_rows`` on narrow rows; on wide rows, where two
+finite states of degree 2 or more share its products, it expands each node
+once through a ladder of powers of the node's block (``exact._power_ladder``:
+``sqr_rows``, then ``mul_rows``), and only its LF states reach
+``apply_law_rows``.  Environment rows whose laws are all linear fractional,
+and the enumeration of all-LF models, take the closed form instead: they
+never reach ``apply_law_rows`` and use only ``pow_rows`` (and so
+``mul_rows``).
 
 Composition is exact for the kept degrees: the coefficient of ``s^j`` in
 ``f(g(s))`` only depends on the coefficients of ``g`` up to degree ``j``, so
@@ -20,11 +28,11 @@ input.  Column-major (Fortran) rows are fastest, because each coefficient
 column is then one contiguous vector; the annealed enumerator keeps its
 series blocks that way.
 
-``mul_rows`` and ``apply_law_rows`` take an optional ``out`` array, which
-must share no memory with their inputs: the result is written there with
-the same arithmetic, so a caller that keeps one buffer per use (the
-depth-first descent of the annealed enumerator) allocates no result array
-per call.
+``mul_rows``, ``sqr_rows`` and ``apply_law_rows`` take an optional ``out``
+array, which must share no memory with their inputs: the result is written
+there with the same arithmetic, so a caller that keeps one buffer per use
+(the depth-first descent of the annealed enumerator) allocates no result
+array per call.
 """
 
 from __future__ import annotations
@@ -48,6 +56,29 @@ def mul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.
     for j in range(width):
         # out[:, j] = sum_{i<=j} a[:, i] * b[:, j-i]
         np.einsum("mi,mi->m", a[:, : j + 1], b[:, j::-1], out=out[:, j])
+    return out
+
+
+def sqr_rows(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise square of truncated series, with half the multiply-adds of ``mul_rows(c, c)``.
+
+    By symmetry [s^j] c^2 = 2 sum_{i<j/2} c_i c_{j-i} + [j even] c_{j/2}^2:
+    each column sums the products below the middle once, doubles the sum
+    (exactly) and adds the square of the middle coefficient.  The terms are
+    summed in another order than by ``mul_rows``, so the last bits may
+    differ from it.  ``out`` is as for ``mul_rows``; no block-sized
+    temporary is made.
+    """
+    m, width = c.shape
+    out = np.empty_like(c) if out is None else out
+    np.multiply(c[:, 0], c[:, 0], out=out[:, 0])
+    for j in range(1, width):
+        h = (j + 1) // 2  # the pairs i < j - i
+        col = out[:, j]
+        np.einsum("mi,mi->m", c[:, :h], c[:, j : j - h : -1], out=col)
+        col += col
+        if not j % 2:
+            col += c[:, j // 2] * c[:, j // 2]
     return out
 
 

@@ -948,15 +948,26 @@ def test_narrowed_breadth_first_blocks_match_enumeration_oracle(name, j_max, mon
     }
     widths = []
 
-    def spy(law, c, out=None):
+    def check(c):
         used = np.flatnonzero(c.any(axis=0))
         w_in = used[-1] + 1 if len(used) else 1
         assert c.flags.f_contiguous
         assert c.shape[1] >= min(width, maxdeg * (w_in - 1) + 1), (c.shape, w_in)
         widths.append(c.shape[1])
+
+    def spy(law, c, out=None):
+        check(c)
         return apply_law_rows(law, c, out=out)
 
+    def ladder_spy(laws, c, out=None, work=None):
+        check(c)
+        return power_ladder(laws, c, out, work)
+
+    # wide sweeps of a model with two finite states of degree >= 2 expand
+    # each node once through the power ladder, the others law by law
+    power_ladder = exact._power_ladder
     monkeypatch.setattr(exact, "apply_law_rows", spy)
+    monkeypatch.setattr(exact, "_power_ladder", ladder_spy)
     for z0 in (1, 2):
         got = annealed_pmf_row(model, z0, n, j_max)
         assert np.allclose(got, np.clip(want[z0, n], 0.0, None), rtol=1e-12, atol=0.0)
@@ -971,11 +982,18 @@ def test_series_emission_is_the_row_major_weighted_sum_bit_for_bit():
     # the blocks are column-major, but a horizon's weighted sum must be the
     # BLAS product over row-major rows, bit for bit: at n = 8 and width 129
     # the benchmark's finite model still emits from its breadth-first block,
-    # whose rows and weights are in the order of itertools.product
+    # whose rows and weights are in the order of itertools.product.  That
+    # width takes the power ladder, so each row is built by it, one
+    # generation at a time, from the row-major identity rows
     model = _NARROW_MODELS["benchmark_finite"]
     n, width = 8, 129
+    assert width >= exact._LADDER_WIDTH
     idx = np.array(list(itertools.product(range(2), repeat=n)), dtype=np.int64)
-    rows = exact._series_layers(model.states, idx, width, False)[0]
+    rows = np.zeros((len(idx), width))
+    rows[:, 1] = 1.0
+    for g in range(n - 1, -1, -1):
+        children = exact._power_ladder(list(model.states), rows)
+        rows = np.choose(idx[:, g, None], children)
     wvec = np.ones(1)
     for _ in range(n):
         wvec = np.concatenate([wvec * w for w in model.weights])
@@ -983,6 +1001,166 @@ def test_series_emission_is_the_row_major_weighted_sum_bit_for_bit():
         got = exact._annealed_rows(model, z0, (n,), width - 1)[n]
         want = wvec @ np.ascontiguousarray(pow_rows(rows, z0))
         assert got.tobytes() == want.tobytes(), z0
+
+
+def _pgf_rows(rng, rows, width):
+    """Column-major rows with nonnegative coefficients summing to at most 1, like pgf rows."""
+    c = rng.random((rows, width)) * (rng.random((rows, width)) < 0.9)
+    return np.asfortranarray(c / (c.sum(axis=1, keepdims=True) + rng.random((rows, 1))))
+
+
+def _finite_law(rng, degree):
+    """A random finite law on {0..degree}; at degree 0 the one law there is."""
+    return FiniteLaw((1.0,)) if degree == 0 else random_finite_law(rng, degree)
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_power_ladder_children_match_apply_law_rows(degree):
+    # every child of one expansion against the law's own Horner rows: finite
+    # laws of degree up to ``degree`` (one of exactly that degree), alone and
+    # with LF laws mixed in, with fresh and with given buffers
+    rng = np.random.default_rng(300 + degree)
+    for width in (1, 2, 9, 40):
+        for mixed in (False, True):
+            laws = [_finite_law(rng, d) for d in rng.integers(0, degree + 1, size=2)]
+            laws.append(_finite_law(rng, degree))
+            if mixed:
+                laws[1:1] = [random_lf_law(rng), random_lf_law(rng)]
+            c = _pgf_rows(rng, 11, width)
+            want = [apply_law_rows(law, c) for law in laws]
+            out = [np.empty_like(c) for _ in laws]
+            work = [np.empty_like(c) for _ in range(3)]
+            for got in (exact._power_ladder(laws, c), exact._power_ladder(laws, c, out, work)):
+                assert len(got) == len(laws)
+                for g, w in zip(got, want):
+                    assert g.flags.f_contiguous
+                    assert np.allclose(g, w, rtol=1e-14, atol=0.0)
+                    assert np.array_equal(g == 0.0, w == 0.0)
+            assert all(g is o for g, o in zip(exact._power_ladder(laws, c, out, work), out))
+
+
+def _spy_products(monkeypatch):
+    """Count the products the enumerator's power ladder makes, by kernel."""
+    calls = {"sqr_rows": 0, "mul_rows": 0, "ladder": 0, "apply_law_rows": 0}
+
+    def spy(name, kernel):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(exact, "sqr_rows", spy("sqr_rows", exact.sqr_rows))
+    monkeypatch.setattr(exact, "mul_rows", spy("mul_rows", exact.mul_rows))
+    monkeypatch.setattr(exact, "_power_ladder", spy("ladder", exact._power_ladder))
+    monkeypatch.setattr(exact, "apply_law_rows", spy("apply_law_rows", exact.apply_law_rows))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "degrees, sqr, mul",
+    [((2, 2), 1, 0), ((2, 4, 3), 1, 2), ((5,), 1, 3), ((1, 1), 0, 0), ((0, 2), 1, 0)],
+)
+def test_power_ladder_makes_d_minus_1_products_per_expansion(degrees, sqr, mul, monkeypatch):
+    # D - 1 products for the node, c^2 by sqr_rows, where per-law Horner
+    # schemes make sum_a (d_a - 1): for the benchmark's two degree-2 laws
+    # that is one sqr_rows call in place of two products
+    rng = np.random.default_rng(sum(degrees))
+    laws = [_finite_law(rng, d) for d in degrees]
+    assert max(degrees) - 1 == sqr + mul or max(degrees) < 2
+    calls = _spy_products(monkeypatch)
+    exact._power_ladder(laws, _pgf_rows(rng, 8, 33))
+    assert (calls["sqr_rows"], calls["mul_rows"]) == (sqr, mul)
+
+
+def test_wide_sweep_expands_each_node_once(monkeypatch):
+    # the benchmark's finite model at width 129: each breadth-first
+    # generation and each depth-first node is one ladder expansion of one
+    # sqr_rows call, and no finite law goes through apply_law_rows.  The
+    # block stops at depth 9, so at n = 11 the descent expands the block
+    # and its two children
+    model = _NARROW_MODELS["benchmark_finite"]
+    top = _block_depth(model, 129)
+    calls = _spy_products(monkeypatch)
+    exact._annealed_rows(model, 1, (11,), 128)
+    nodes = top + 2 ** (11 - top) - 1
+    assert calls == {"sqr_rows": nodes, "mul_rows": 0, "ladder": nodes, "apply_law_rows": 0}
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        _NARROW_MODELS["mixed_lf"],
+        _NARROW_MODELS["degrees_1_and_4"],
+        _NARROW_MODELS["benchmark_finite"],
+    ],
+    ids=["one_finite_and_lf", "one_law_above_degree_1", "benchmark_finite"],
+)
+def test_ladder_is_chosen_per_sweep_by_width_and_product_saving(model, monkeypatch):
+    # the ladder pays only where it saves a product (two finite states of
+    # degree >= 2) and the rows are wide; every other sweep applies each law
+    calls = _spy_products(monkeypatch)
+    saves = sum(isinstance(law, FiniteLaw) and len(law.probs) > 2 for law in model.states) >= 2
+    for width in (2, 3, exact._LADDER_WIDTH - 1, exact._LADDER_WIDTH):
+        calls["ladder"] = 0
+        exact._annealed_rows(model, 1, (3,), width - 1)
+        assert (calls["ladder"] > 0) == (saves and width >= exact._LADDER_WIDTH), width
+
+
+def test_power_ladder_memory_does_not_grow_with_the_degree():
+    # with its blocks given, as the depth-first descent gives them, one
+    # expansion by a degree-40 law holds no more than one by a degree-2 law,
+    # up to one block: the ladder keeps two powers, never all of them
+    rng = np.random.default_rng(8)
+    c = _pgf_rows(rng, 256, 65)
+
+    def peak(laws):
+        out = [np.empty_like(c) for _ in laws]
+        work = [np.empty_like(c) for _ in range(3)]
+        exact._power_ladder(laws, c, out, work)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            exact._power_ladder(laws, c, out, work)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    low = peak([FiniteLaw((0.2, 0.5, 0.3)), FiniteLaw((0.4, 0.2, 0.4))])
+    high = peak([FiniteLaw(tuple(np.full(41, 1.0 / 41.0))), FiniteLaw((0.4, 0.2, 0.4))])
+    assert high - low <= c.nbytes, (low, high, c.nbytes)
+
+
+_LADDER_MODELS = {
+    "benchmark_finite": _NARROW_MODELS["benchmark_finite"],
+    "degrees_2_3_5": EnvironmentModel(
+        (FiniteLaw((0.2, 0.5, 0.3)), FiniteLaw((0.1, 0.2, 0.3, 0.4)),
+         FiniteLaw((0.3, 0.1, 0.0, 0.2, 0.2, 0.2))),
+        (0.3, 0.3, 0.4),
+    ),
+    "mixed": _DESCENT_MODELS["mixed"][0],
+}
+
+
+@pytest.mark.parametrize("block_cells", [None, 200])
+@pytest.mark.parametrize("name", sorted(_LADDER_MODELS))
+def test_annealed_rows_match_oracle_on_either_side_of_the_ladder_width(name, block_cells, monkeypatch):
+    # every horizon of one sweep against per-environment rows, at the widest
+    # Horner sweep and the narrowest ladder sweep; a 200-cell block sends all
+    # but the first generations through the depth-first descent
+    model = _LADDER_MODELS[name]
+    if block_cells is not None:
+        monkeypatch.setattr(exact, "_BLOCK_CELLS", block_cells)
+    calls = _spy_products(monkeypatch)
+    n_max = 6 if len(model.states) == 2 else 4
+    for width in (exact._LADDER_WIDTH - 1, exact._LADDER_WIDTH):
+        for z0 in (1, 2):
+            calls["ladder"] = 0
+            totals = exact._annealed_rows(model, z0, range(n_max + 1), width - 1)
+            assert (calls["ladder"] > 0) == (width >= exact._LADDER_WIDTH)
+            for n, got in totals.items():
+                want = _enumeration_oracle(model, z0, n, width)
+                assert np.allclose(got, want, rtol=1e-12, atol=0.0), (width, z0, n)
 
 
 def _fold_model(kind, seed):

@@ -122,3 +122,58 @@ def test_law_json_round_trip():
         assert law_from_json(law_to_json(law)) == law
     with pytest.raises(ContractError):
         law_from_json({"type": "nope"})
+
+
+def _old_pgf(law, s):
+    """``FiniteLaw.pgf`` as first written: a fresh array at every Horner step."""
+    out = 0.0
+    for p in reversed(law.probs):
+        out = out * s + p
+    return out
+
+
+def _old_pgf_prime(law, s):
+    out = 0.0
+    for k in range(len(law.probs) - 1, 0, -1):
+        out = out * s + k * law.probs[k]
+    return out
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_finite_pgf_in_place_keeps_the_bits_of_the_fresh_array_steps(degree):
+    rng = np.random.default_rng(70 + degree)
+    raw = rng.random(degree + 1) + 0.05
+    law = FiniteLaw(tuple(raw / raw.sum()))
+    for shape in ((1,), (17,), (5, 3)):
+        s = rng.random(shape)
+        for new, old in ((law.pgf, _old_pgf), (law.pgf_prime, _old_pgf_prime)):
+            got, want = new(s), old(law, s)
+            assert isinstance(got, np.ndarray) and got.shape == shape
+            if degree == 0 and old is _old_pgf_prime:  # the old steps gave the scalar 0.0
+                assert want == 0.0 and not got.any()
+            else:
+                assert got.tobytes() == np.asarray(want).tobytes()
+    # scalars take the scalar steps: the same values, and the same types
+    for s in (0.3, np.float64(0.3), np.array(0.3), 1, np.float32(0.3)):
+        for new, old in ((law.pgf, _old_pgf), (law.pgf_prime, _old_pgf_prime)):
+            got, want = new(s), old(law, s)
+            assert type(got) is type(want) and got == want, (s, got, want)
+
+
+def test_finite_pgf_writes_one_array_per_call():
+    # the Horner steps update one result array in place: the traced peak of a
+    # call on n doubles stays within one result array and a little overhead
+    import tracemalloc
+
+    law = FiniteLaw(tuple(np.full(9, 1.0 / 9.0)))
+    s = np.random.default_rng(1).random(1 << 16)
+    for f in (law.pgf, law.pgf_prime):
+        f(s)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = f(s)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes <= peak < out.nbytes + 4096, peak

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from bpre.errors import ContractError, TruncationError
 from bpre.exact import EnvSequence, quenched_coeff_row
 from bpre.laws import FiniteLaw, LinearFractionalLaw
-from bpre.pgf import MAX_DEGREE, apply_law_rows, mul_rows, pow_rows, recip_rows
+from bpre.pgf import MAX_DEGREE, apply_law_rows, mul_rows, pow_rows, recip_rows, sqr_rows
 
 from helpers import law_pmf_vector
 
@@ -19,6 +21,38 @@ def test_mul_rows_matches_convolution():
     for i in range(4):
         ref = np.convolve(a[i], b[i])[:7]
         assert np.allclose(out[i], ref, atol=1e-14)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 8, 33, 129])
+def test_sqr_rows_matches_mul_rows_within_the_summation_bound(width):
+    # both kernels sum nonnegative products, each within (terms) u of the
+    # exactly rounded sum; sqr_rows sums about half as many, so against an
+    # fsum reference it is held to (j//2 + 2) u per column j, and to
+    # mul_rows within the two bounds together
+    rng = np.random.default_rng(10 + width)
+    c = rng.random((6, width)) / width
+    got, mul = sqr_rows(c), mul_rows(c, c)
+    u = np.finfo(float).eps / 2
+    for r in range(len(c)):
+        for j in range(width):
+            ref = math.fsum(c[r, i] * c[r, j - i] for i in range(j + 1))
+            assert abs(got[r, j] - ref) <= (j // 2 + 2) * u * ref, (r, j)
+            assert abs(got[r, j] - mul[r, j]) <= (j // 2 + j + 4) * u * ref, (r, j)
+    # within 4 ulps where each column sums at most a few products
+    narrow = min(width, 9)
+    assert np.all(np.abs(got - mul)[:, :narrow] <= 4 * np.spacing(mul[:, :narrow]))
+
+
+@pytest.mark.parametrize("width", [1, 2, 5, 64, 129])
+def test_sqr_rows_is_exact_on_dyadic_rows(width):
+    # coefficients k / 64 with k < 64: every product and partial sum is a
+    # dyadic rational with few bits, so both kernels are exact and agree
+    rng = np.random.default_rng(20 + width)
+    c = rng.integers(0, 64, size=(7, width)) / 64.0
+    out = np.empty_like(c)
+    assert sqr_rows(c, out=out) is out
+    assert np.array_equal(out, mul_rows(c, c))
+    assert np.array_equal(sqr_rows(np.zeros((2, width))), np.zeros((2, width)))
 
 
 def test_recip_rows_inverts():
@@ -177,6 +211,8 @@ def test_row_kernels_give_the_same_bits_in_either_memory_order(width, rows):
     fa, fb, fw = map(np.asfortranarray, (a, b, w))
     same(mul_rows(a, b), mul_rows(fa, fb))
     same(mul_rows(a, b), mul_rows(fa, fb, out=np.empty_like(fa)))
+    same(sqr_rows(a), sqr_rows(fa))
+    same(sqr_rows(a), sqr_rows(fa, out=np.empty_like(fa)))
     same(recip_rows(w), recip_rows(fw))
     for z in range(6):
         same(pow_rows(a, z), pow_rows(fa, z))
