@@ -21,8 +21,14 @@ mask, so without layers ``horizon_rows`` builds no (b, n) array besides
 the drawn indices.
 ``mrca_rows`` and ``survival_rows`` (P(Z_n > 0 | env), which the MRCA
 sampler thins on and ``quenched_survival`` reads) choose the same two
-routes per row.  ``mrca_rows`` returns the MRCA law as tail masses A_g,
-the form both routes compute, and forms no differences.  An all-LF row
+routes per row.  A model of K states has only K^L suffixes of length L,
+so a sampler builds ``_lf_suffix_table`` once per call: the ``_lf_suffix``
+statistics of f_{n-L,n} for every suffix, in at most a given number of
+rows, computed by ``_lf_suffix`` itself.  Each of the three kernels takes
+it as ``table``; an all-LF row then gathers its statistics by the code of
+its last L states and steps only the generations before them, with the
+bits of the full recursion.  ``mrca_rows`` returns the MRCA law as tail
+masses A_g, the form both routes compute, and forms no differences.  An all-LF row
 reads its A_g straight off the ``_lf_suffix`` statistics, with no
 derivative and no product over generations, and its survival is the
 statistic p itself, kept however small.  One log-derivative helper forms
@@ -72,6 +78,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,7 +134,8 @@ class EnvSequence:
 
 
 def horizon_rows(
-    states: tuple[OffspringLaw, ...], idx: np.ndarray, width: int, *, layers: bool = False
+    states: tuple[OffspringLaw, ...], idx: np.ndarray, width: int, *, layers: bool = False,
+    table: _SuffixTable | None = None,
 ) -> np.ndarray:
     """Rows (b, width) of f_{0,n} for each environment row of idx, truncated at s^(width-1).
 
@@ -138,27 +146,32 @@ def horizon_rows(
     The route is chosen per row, so a row gets the same arithmetic in any
     block: a row whose laws are all LF takes the closed form (``_lf_suffix``,
     then ``_lf_layers``), any other row the series route (``_series_layers``).
+    ``table`` (``_lf_suffix_table`` of ``states``) gives the closed form the
+    last generations of each row, with the same bits.
     """
     f = _by_route(
         states,
         idx,
-        lambda sub: _lf_layers(*_lf_suffix(states, sub, width, layers), width),
+        lambda sub: _lf_layers(*_lf_suffix(states, sub, width, layers, table=table), width),
         lambda sub: _series_layers(states, sub, width, layers),
     )
     return f if layers else f[0]
 
 
-def survival_rows(states: tuple[OffspringLaw, ...], idx: np.ndarray) -> np.ndarray:
+def survival_rows(
+    states: tuple[OffspringLaw, ...], idx: np.ndarray, *, table: _SuffixTable | None = None
+) -> np.ndarray:
     """P(Z_n > 0 | env, Z_0 = 1) for each environment row of idx, shape (b,).
 
     An all-LF row gives the survival p of ``_lf_suffix`` itself, which keeps
-    its value however small; any other row gives 1 - t_0 from the width-1
-    series route, which is 0 once t_0 rounds to 1.
+    its value however small, and reads its last generations from ``table``
+    where one is given; any other row gives 1 - t_0 from the width-1 series
+    route, which is 0 once t_0 rounds to 1.
     """
     return _by_route(
         states,
         idx,
-        lambda sub: _lf_suffix(states, sub, 1, False)[0],
+        lambda sub: _lf_suffix(states, sub, 1, False, table=table)[0],
         lambda sub: 1.0 - _series_layers(states, sub, 1, False)[..., 0],
     )[0]
 
@@ -187,9 +200,54 @@ def _by_route(states: tuple[OffspringLaw, ...], idx: np.ndarray, closed, series)
     return out
 
 
+class _SuffixTable(NamedTuple):
+    """``_lf_suffix`` statistics of f_{n-L,n} for every state sequence of the last L generations.
+
+    Entry ``c`` is the sequence whose state of generation n-L+1+j is digit j
+    of c in base K = len(states), most significant first.  p and a are
+    (K^L,); r is (L+1, K^L), layer j for f_{n-L+j,n}, when built with
+    ``r_layers``, else (1, K^L).  ``bound`` is the survival bound of
+    ``_lf_suffix`` after the L generations.
+    """
+
+    length: int
+    bound: float
+    p: np.ndarray
+    a: np.ndarray
+    r: np.ndarray
+
+
+def _lf_suffix_table(
+    states: tuple[OffspringLaw, ...], n: int, rows: int, *, r_layers: bool = False
+) -> _SuffixTable | None:
+    """The ``_lf_suffix`` statistics of every suffix of length L, for a block of horizon n.
+
+    L = min(n, the largest L with K^L <= ``rows``); each entry comes from
+    ``_lf_suffix`` itself on the enumerated K^L suffixes, with a and r
+    carried, so it has the bits the per-row recursion gives at any width.
+    None where no state is LF, where L = 0, or where the survival bound
+    falls below 2^-512 within L generations, so that no entry holds a
+    carried exponent.  A state that is not LF takes ``_lf_suffix``'s
+    placeholder, and its entries are never read.
+    """
+    keeps = [1.0 - law.p0 for law in states if isinstance(law, LinearFractionalLaw)]
+    k, length, bound = len(states), 0, 1.0
+    while keeps and length < n and k ** (length + 1) <= rows:
+        length += 1
+        bound *= min(keeps)  # the bound ``_lf_suffix`` runs
+    if length == 0 or bound < _TINY:
+        return None
+    kind = np.min_scalar_type(k**length)  # the smallest integer type that holds every code
+    codes = np.arange(k**length, dtype=kind)
+    suffixes = codes[:, None] // k ** np.arange(length - 1, -1, -1, dtype=kind)
+    suffixes %= k  # row c holds the digits of c, in place
+    p, a, r = _lf_suffix(states, suffixes, 3, False, r_layers=r_layers)
+    return _SuffixTable(length, bound, p[0], a[0], r)
+
+
 def _lf_suffix(
     states: tuple[OffspringLaw, ...], idx: np.ndarray, width: int, layers: bool,
-    *, r_layers: bool = False,
+    *, r_layers: bool = False, table: _SuffixTable | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Suffix statistics (p, a, r) of f_{k,n} for environment rows whose laws are all LF.
 
@@ -211,6 +269,14 @@ def _lf_suffix(
     the returned p is the value.  Since p_k >= (1 - q_{k+1}(0)) p_{k+1}, the
     check is skipped while that bound, run over the block, stays above
     2^-512; rows that never fall that low keep the same arithmetic.
+
+    ``table`` (``_lf_suffix_table`` of ``states``, with r layered where
+    ``r_layers`` asks for it) replaces the last L generations: each row
+    gathers the statistics of f_{n-L,n} by the code of ``idx[:, n-L:]`` and
+    steps only generations n-L, ..., 1, with the bound continued from the
+    table's.  The entries are this recursion's own values and the table
+    holds no carried exponent, so every row keeps its bits.  It is not read
+    with ``layers`` or where n < L; for n = L no row steps at all.
     """
     b, n = idx.shape
     # m, eta m and 1 - q(0) per state; these rows never index a finite state's placeholder
@@ -223,13 +289,24 @@ def _lf_suffix(
     p, e = np.empty((n_out, b)), np.zeros((n_out, b), dtype=np.int64)
     a = np.empty((n_out, b)) if width > 1 else None
     r = np.empty((n_r, b)) if width > 2 else None
-    p[-1] = 1.0  # f_{n,n}(s) = s
-    if a is not None:
-        a[-1] = 1.0
-    if r is not None:
-        r[-1] = 0.0
     bound, step = 1.0, float(keep_state.min(initial=1.0))  # bound <= every p of layer src
-    for g in range(n - 1, -1, -1):
+    start = n  # the generations after ``start`` are read from the table
+    if table is not None and not layers and table.length <= n and (n_r == 1 or len(table.r) > 1):
+        start, bound = n - table.length, table.bound
+        code = idx[:, start:] @ len(states) ** np.arange(table.length - 1, -1, -1)
+        p[0] = table.p[code]
+        if a is not None:
+            a[0] = table.a[code]
+        if r is not None:
+            lo = start if n_r > 1 else 0
+            r[lo:] = table.r[: n_r - lo, code]
+    else:
+        p[-1] = 1.0  # f_{n,n}(s) = s
+        if a is not None:
+            a[-1] = 1.0
+        if r is not None:
+            r[-1] = 0.0
+    for g in range(start - 1, -1, -1):
         src, dst = (g + 1, g) if layers else (0, 0)
         r_src, r_dst = (g + 1, g) if n_r > 1 else (0, 0)
         bound *= step
@@ -376,7 +453,10 @@ def _log_derivatives(
         return np.log(d)
 
 
-def mrca_rows(states: tuple[OffspringLaw, ...], idx: np.ndarray, target: int) -> np.ndarray:
+def mrca_rows(
+    states: tuple[OffspringLaw, ...], idx: np.ndarray, target: int,
+    *, table: _SuffixTable | None = None,
+) -> np.ndarray:
     """Tail masses (b, n+1): A_g = P(Z_n = target, MRCA in generation >= g | env, Z_0 = 1).
 
     With T = target and t_k = f_{k,n}(0), A_g is the probability that
@@ -397,28 +477,33 @@ def mrca_rows(states: tuple[OffspringLaw, ...], idx: np.ndarray, target: int) ->
         A_g = p_0 a_0 r_g^(T-1),
 
     every factor in [0, 1], so no horizon overflows, and r_n = 0 gives
-    A_n = 0.  Any other row takes the series route (``_series_mrca``),
-    where f'_{0,g}(t_g) = prod_{k=1..g} f_k'(t_k) is summed in log space.
+    A_n = 0.  ``table`` (``_lf_suffix_table`` with ``r_layers``) gives
+    these rows their last generations, with the same bits.  Any other row
+    takes the series route (``_series_mrca``), where f'_{0,g}(t_g) =
+    prod_{k=1..g} f_k'(t_k) is summed in log space.
     """
     if target < 2:
         raise ContractError("target size must be >= 2 for a meaningful MRCA")
     return _by_route(
         states,
         idx,
-        lambda sub: _lf_mrca(states, sub, target),
+        lambda sub: _lf_mrca(states, sub, target, table),
         lambda sub: _series_mrca(states, sub, target),
     ).T
 
 
-def _lf_mrca(states: tuple[OffspringLaw, ...], idx: np.ndarray, target: int) -> np.ndarray:
+def _lf_mrca(
+    states: tuple[OffspringLaw, ...], idx: np.ndarray, target: int,
+    table: _SuffixTable | None = None,
+) -> np.ndarray:
     """A_g = p_0 a_0 r_g^(T-1) of ``mrca_rows`` as (n+1, b), layer g for generation g.
 
     For rows whose laws are all LF: one ``_lf_suffix`` at width T + 1, the
     coefficient it reads (so r is carried), with only r layered, since p and
-    a are read at generation 0 alone; then powers of r as running products,
-    scaled in place.
+    a are read at generation 0 alone, and the last generations read from
+    ``table``; then powers of r as running products, scaled in place.
     """
-    p, a, r = _lf_suffix(states, idx, target + 1, layers=False, r_layers=True)
+    p, a, r = _lf_suffix(states, idx, target + 1, layers=False, r_layers=True, table=table)
     power = r
     for _ in range(target - 2):
         power = power * r

@@ -4,13 +4,16 @@ Randomness contract: every stochastic routine is a deterministic function of
 (root_seed, index).  Single trajectories derive a counter-based Philox stream
 per replicate index.  Importance sampling and both MRCA methods share one
 driver, ``_map_chunks``, which gives chunk c of at most ``_CHUNK`` units the
-stream (root_seed, c), so results are independent of the worker count
-(BPRE_THREADS only maps MRCA chunks to processes, never changes the draws;
-importance sampling stays serial).  Trajectories, the spine sampler's
-side subtrees and the rejection lane's trees grow by one branching step,
-``_generations``, which branches a forest: one tree per environment row,
-individuals kept in tree order, offspring drawn by state.  A single
-trajectory is a one-row forest.  The population cap
+stream (root_seed, c), built when the chunk runs, so results are
+independent of the worker count (BPRE_THREADS only maps MRCA chunks to
+processes, never changes the draws; importance sampling stays serial).
+Importance sampling and the exact MRCA sampler build one
+``exact._lf_suffix_table`` per call and send it to every chunk, and an
+all-LF environment reads its last generations from it.  Trajectories, the
+spine sampler's side subtrees and the rejection lane's trees grow by one
+branching step, ``_generations``, which branches a forest: one tree per
+environment row, individuals kept in tree order, offspring drawn by
+state.  A single trajectory is a one-row forest.  The population cap
 ``DEFAULT_POPULATION_CAP`` holds per tree.
 
 The conditioned sampler follows the spine construction: given survival to
@@ -39,8 +42,10 @@ P(Z_n > 0 | env) itself, thins the rest.  Both take the LF closed form for
 environments whose laws are all linear fractional: there the survival is
 the bounded LF suffix statistic p, kept however small, and
 A_g = p_0 a_0 r_g^(target-1) comes from the same statistics, finite at any
-horizon.  The rest take the series route: 1 - t_0 from the width-1
-extinction ladder, layers of f_{k,n} and log-derivative products.
+horizon; their last L generations are read from the call's suffix
+table, of at most ``_CHUNK`` rows, with the same bits.  The rest take
+the series route: 1 - t_0 from the width-1 extinction ladder, layers of
+f_{k,n} and log-derivative products.
 
 When the environment is random, conditioning on {Z_n = target} under the
 annealed law is NOT the same as sampling an environment, conditioning on
@@ -67,7 +72,7 @@ import numpy as np
 
 from .environment import EnvironmentModel, tilt
 from .errors import BudgetError, ContractError, PopulationCapError
-from .exact import EnvSequence, horizon_rows, mrca_rows, survival_rows
+from .exact import EnvSequence, _lf_suffix_table, horizon_rows, mrca_rows, survival_rows
 from .laws import PROB_TOL, FiniteLaw, LinearFractionalLaw, OffspringLaw
 from .pgf import pow_rows
 
@@ -107,24 +112,34 @@ def worker_count() -> int:
     return count
 
 
+def _run_chunk(fn, root_seed: int, c: int, size: int):
+    """fn(stream(root_seed, c), size): chunk c, its stream built where the chunk runs."""
+    return fn(stream(root_seed, c), size)
+
+
 def _map_chunks(fn, total: int, root_seed: int, workers: int) -> list:
     """[fn(stream(root_seed, c), size) for each chunk c of ``total`` units], in chunk order.
 
     Chunk c holds units c*_CHUNK .. min((c+1)*_CHUNK, total) - 1.  With more
-    than one worker and more than one chunk the calls run in a process pool.
+    than one worker and more than one chunk the calls run in a process pool,
+    which is sent (c, size) pairs in at most 4 batches per worker, so that
+    ``fn`` and what it carries (a suffix table) are pickled once per batch,
+    not once per chunk.  Either way a chunk's stream is built when the
+    chunk runs, so no more than one per worker is held at once.
     """
-    sizes = [min(_CHUNK, total - lo) for lo in range(0, total, _CHUNK)]
-    streams = [stream(root_seed, c) for c in range(len(sizes))]
-    if workers <= 1 or len(sizes) <= 1:
+    chunks = -(-total // _CHUNK)
+    sizes = (min(_CHUNK, total - lo) for lo in range(0, total, _CHUNK))
+    run = partial(_run_chunk, fn, root_seed)
+    if workers <= 1 or chunks <= 1:
         out = []
-        every = max(1, len(sizes) // 10)
-        for c, (rng, size) in enumerate(zip(streams, sizes)):
-            out.append(fn(rng, size))
+        every = max(1, chunks // 10)
+        for c, size in enumerate(sizes):
+            out.append(run(c, size))
             if (c + 1) % every == 0:
-                logger.info("progress: %d/%d chunks", c + 1, len(sizes))
+                logger.info("progress: %d/%d chunks", c + 1, chunks)
         return out
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, streams, sizes))
+        return list(pool.map(run, range(chunks), sizes, chunksize=-(-chunks // (4 * workers))))
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +349,23 @@ class ImportanceEstimate:
 
 
 def _quenched_small_value_rows(
-    states: tuple[OffspringLaw, ...], idx: np.ndarray, z0: int, j_max: int
+    states: tuple[OffspringLaw, ...], idx: np.ndarray, z0: int, j_max: int, table=None
 ) -> np.ndarray:
     """Exact P(1 <= Z_n <= j_max | env) for each environment row of idx."""
-    return pow_rows(horizon_rows(states, idx, j_max + 1), z0)[:, 1:].sum(axis=1)
+    return pow_rows(horizon_rows(states, idx, j_max + 1, table=table), z0)[:, 1:].sum(axis=1)
 
 
 def _importance_chunk(
-    tilted: EnvironmentModel, mu: float, z0: int, n: int, j_max: int, nu: float, rng, size: int
+    tilted: EnvironmentModel, mu: float, z0: int, n: int, j_max: int, nu: float, rng, size: int,
+    *, table=None,
 ) -> np.ndarray:
-    """Values p(env) mu^n exp(nu S_n) of ``size`` environments drawn from the ``tilted`` model."""
+    """Values p(env) mu^n exp(nu S_n) of ``size`` environments drawn from the ``tilted`` model.
+
+    ``table`` (``exact._lf_suffix_table`` of the tilted states at horizon
+    n) gives the all-LF rows their last generations, with the same bits.
+    """
     idx = tilted.sample_indices(rng, (size, n))
-    probs = _quenched_small_value_rows(tilted.states, idx, z0, j_max)
+    probs = _quenched_small_value_rows(tilted.states, idx, z0, j_max, table)
     s_n = np.asarray(tilted.x_values)[idx].sum(axis=1)
     with np.errstate(divide="ignore"):
         log_p = np.log(np.clip(probs, 0.0, None))
@@ -371,14 +391,17 @@ def importance_estimate(
     their maximum and scaled back, so squares of tiny values do not
     underflow.  A value that still overflows raises ContractError, and more
     than ``PROPOSAL_CAP`` replicates raise BudgetError before any draw.  The
-    chunks run serially, in one process.
+    chunks run serially, in one process, and share one suffix table
+    (``exact._lf_suffix_table``, at most ``_CHUNK`` rows), built once per
+    call, from which each all-LF row reads its last generations.
     """
     if replicates < 1:
         raise ContractError("replicates must be >= 1")
     if replicates > PROPOSAL_CAP:
         raise BudgetError(f"replicate budget {replicates} exceeds cap {PROPOSAL_CAP}")
     tilted, mu = tilt(model, nu)
-    fn = partial(_importance_chunk, tilted, mu, z0, n, j_max, nu)
+    table = _lf_suffix_table(tilted.states, n, _CHUNK)
+    fn = partial(_importance_chunk, tilted, mu, z0, n, j_max, nu, table=table)
     values = np.concatenate(_map_chunks(fn, replicates, root_seed, 1))
     scale = float(values.max())
     if not math.isfinite(scale):
@@ -440,8 +463,16 @@ def _spine_bound(model: EnvironmentModel, target: int) -> float:
     return min(1.0, kappa * c * (1.0 + 2.0**-20) + PROB_TOL)
 
 
+def _tally(ages: np.ndarray, n: int) -> dict[int, int]:
+    """{age: count} of MRCA ages in 0..n, ascending, nonzero counts only."""
+    counts = np.bincount(ages, minlength=n + 1)
+    values = counts.nonzero()[0]
+    return dict(zip(values.tolist(), counts[values].tolist()))
+
+
 def _mrca_spine_chunk(
-    model: EnvironmentModel, n: int, target: int, rng: np.random.Generator, size: int
+    model: EnvironmentModel, n: int, target: int, rng: np.random.Generator, size: int,
+    *, table=None,
 ) -> dict[int, int]:
     """One proposal chunk of the exact MRCA sampler; returns MRCA counts.
 
@@ -458,18 +489,18 @@ def _mrca_spine_chunk(
     u < A_0 = P(Z_n = target | env) accepts, and the first g with
     u < A_0 - A_{g+1} gives the age n - g.  Every row value is computed by
     row-wise arithmetic, so neither cut changes an accepted row or an age.
+    ``table`` (``exact._lf_suffix_table`` with r layered) gives both passes
+    the last generations of each all-LF row, with the same bits.
     """
     u = rng.random(size)
     u = u[u < _spine_bound(model, target)]
     idx = model.state_indices(rng.random((u.size, n)))
     if not model.is_lf_pure:
-        live = u < survival_rows(model.states, idx)
+        live = u < survival_rows(model.states, idx, table=table)
         idx, u = idx[live], u[live]
-    a = mrca_rows(model.states, idx, target)
+    a = mrca_rows(model.states, idx, target, table=table)
     hit = u < a[:, 0]
-    ages = n - np.argmax(u[hit, None] < a[hit, :1] - a[hit, 1:], axis=1)
-    values, counts = np.unique(ages, return_counts=True)
-    return dict(zip(values.tolist(), counts.tolist()))
+    return _tally(n - np.argmax(u[hit, None] < a[hit, :1] - a[hit, 1:], axis=1), n)
 
 
 def _forest_mrca_ages(parents: list[np.ndarray], sizes: np.ndarray, target: int) -> np.ndarray:
@@ -500,9 +531,7 @@ def _mrca_rejection_chunk(
     genealogy is held at once.
     """
     idx = model.sample_indices(rng, (size, n))
-    ages = _forest_mrca_ages(*_grow(model.states, idx, np.arange(size), rng), target)
-    values, counts = np.unique(ages, return_counts=True)
-    return dict(zip(values.tolist(), counts.tolist()))
+    return _tally(_forest_mrca_ages(*_grow(model.states, idx, np.arange(size), rng), target), n)
 
 
 def conditioned_mrca_sample(
@@ -520,7 +549,10 @@ def conditioned_mrca_sample(
     probability P(Z_n = target | env) and its MRCA age is drawn from the
     quenched law of ``exact.mrca_rows``, with one uniform per proposal and
     no tree simulated; that uniform is drawn first, and only proposals with
-    u < ``_spine_bound`` draw an environment.
+    u < ``_spine_bound`` draw an environment.  The call builds one suffix
+    table (``exact._lf_suffix_table``, at most ``_CHUNK`` rows), which every
+    chunk, in any worker, reads the last generations of its all-LF rows
+    from; for n up to the table's length no row steps at all.
     Method "rejection" simulates full forward trees, one forest per chunk of
     at most ``_CHUNK`` trees whose genealogy is held at once, and raises
     PopulationCapError when one tree's population exceeds
@@ -542,12 +574,15 @@ def conditioned_mrca_sample(
     if method not in ("geiger", "rejection"):
         raise ContractError(f"unknown method {method!r}")
 
-    chunk_fn = _mrca_rejection_chunk if method == "rejection" else _mrca_spine_chunk
     logger.info(
         "conditioned MRCA: %s proposals (method=%s, n=%s, target=%s)",
         proposals, method, n, target_size,
     )
-    fn = partial(chunk_fn, model, n, target_size)
+    if method == "rejection":
+        fn = partial(_mrca_rejection_chunk, model, n, target_size)
+    else:
+        table = _lf_suffix_table(model.states, n, _CHUNK, r_layers=True)
+        fn = partial(_mrca_spine_chunk, model, n, target_size, table=table)
     counts, accepted = _merge_counts(_map_chunks(fn, proposals, root_seed, worker_count()))
     if accepted == 0:
         raise ContractError(

@@ -244,6 +244,79 @@ def test_horizon_rows_route_per_row_in_mixed_block(width, layers):
         assert np.array_equal(one[:, 0] if layers else one[0], f[:, r] if layers else f[0, r])
 
 
+def _suffix_case(name):
+    """(states, row cap, the table's longest length L, idx sampler) of a two-route suffix case."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "lf":  # K = 3: 3^7 <= 4096 < 3^8
+        states = tuple(random_lf_law(rng) for _ in range(3))
+        return states, 4096, 7, lambda b, n: rng.integers(0, 3, (b, n))
+    if name == "mixed":  # the finite state 1 sends a row to the series route
+
+        def draw(b, n):
+            idx = rng.choice([0, 2], (b, n))
+            idx[1::2, rng.integers(0, n, (b + 1) // 2)] = 1
+            return idx
+
+        states = (random_lf_law(rng), random_finite_law(rng, 3, with_extinction=True), random_lf_law(rng))
+        return states, 4096, 7, draw
+    if name == "single":  # K = 1: the table spans the whole horizon, L = n
+        return (random_lf_law(rng),), 4096, 40, lambda b, n: np.zeros((b, n), dtype=np.int64)
+    # lf_carry: 1 - q(0) = 2^-47 for the first state, so keep^10 > 2^-512 >
+    # keep^11: at 1024 rows (L = 10) a row's exponent carry starts right
+    # after the table, and at 4096 rows (L = 12) no table is built
+    states = (LinearFractionalLaw(2.0**-47, 0.0), LinearFractionalLaw(1.5, 4.0))
+    return states, 1024, 10, lambda b, n: rng.integers(0, 2, (b, n))
+
+
+@pytest.mark.parametrize("offset", ["1", "L-1", "L", "L+1", "40"])
+@pytest.mark.parametrize("name", ["lf", "mixed", "single", "lf_carry"])
+def test_suffix_table_keeps_every_bit(name, offset):
+    # two routes: each kernel with the table against the table-free route,
+    # byte for byte, at every width and for r layered or not
+    states, rows, longest, draw = _suffix_case(name)
+    n = {"1": 1, "L-1": longest - 1, "L": longest, "L+1": longest + 1, "40": 40}[offset]
+    idx = draw(64, n)
+    lf = np.array([isinstance(law, LinearFractionalLaw) for law in states])[idx].all(axis=1)
+    assert lf.any()
+    table = exact._lf_suffix_table(states, n, rows, r_layers=True)
+    assert table.length == (n if len(states) == 1 else min(n, longest))
+    assert len(table.p) == len(states) ** table.length <= rows
+    flat = exact._lf_suffix_table(states, n, rows)
+    assert len(flat.r) == 1 and flat.r.tobytes() == table.r[:1].tobytes()
+    long = exact._lf_suffix_table(states, 40, rows, r_layers=True)  # not read where n < L
+    for t in (table, flat, long):
+        for width in (1, 2, 3, 5, 65):
+            for r_layers in (False, True):
+                want = exact._lf_suffix(states, idx[lf], width, False, r_layers=r_layers)
+                got = exact._lf_suffix(states, idx[lf], width, False, r_layers=r_layers, table=t)
+                assert [None if x is None else x.tobytes() for x in got] == [
+                    None if x is None else x.tobytes() for x in want
+                ], (width, r_layers)
+            got = exact.horizon_rows(states, idx, width, table=t)
+            assert got.tobytes() == exact.horizon_rows(states, idx, width).tobytes(), width
+        got = survival_rows(states, idx, table=t)
+        assert got.tobytes() == survival_rows(states, idx).tobytes()
+        for target in (2, 4, 64):
+            got = exact.mrca_rows(states, idx, target, table=t)
+            assert got.tobytes() == exact.mrca_rows(states, idx, target).tobytes(), target
+    if name == "lf_carry":
+        keep = 1.0 - states[0].p0
+        assert keep**10 > 2.0**-512 > keep**11
+        assert exact._lf_suffix_table(states, n, 4096) is None or n < 11
+        if n == 40:  # some row carries an exponent past the table
+            assert survival_rows(states, idx, table=table).min() < 2.0**-512
+
+
+def test_suffix_table_is_skipped_without_an_lf_state_or_a_generation():
+    rng = np.random.default_rng(5)
+    finite = (random_finite_law(rng, 3, with_extinction=True),) * 2
+    assert exact._lf_suffix_table(finite, 8, 4096) is None
+    lf = (random_lf_law(rng), random_lf_law(rng))
+    assert exact._lf_suffix_table(lf, 0, 4096) is None
+    assert exact._lf_suffix_table(lf, 8, 1) is None
+    assert exact._lf_suffix_table(lf, 8, 3).length == 1
+
+
 @pytest.mark.parametrize("target", [2, 3, 7])
 def test_lf_mrca_rows_match_log_derivative_route(target):
     # the closed form A_g = p_0 a_0 r_g^(T-1) against exp(cumsum log f') [s^T] f_{g,n}:

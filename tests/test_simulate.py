@@ -10,8 +10,10 @@ from scipy import stats
 
 from bpre.environment import EnvironmentModel, regime_tilt, solve_critical_tilt, tilt
 from bpre.errors import ContractError, PopulationCapError
+from bpre import exact
 from bpre.exact import (
     EnvSequence,
+    _lf_suffix_table,
     annealed_pmf,
     annealed_pmf_row,
     horizon_rows,
@@ -29,6 +31,7 @@ from bpre.simulate import (
     _forest_mrca_ages,
     _grow,
     _importance_chunk,
+    _map_chunks,
     _mrca_rejection_chunk,
     _mrca_spine_chunk,
     _quenched_small_value_rows,
@@ -632,13 +635,19 @@ DIFFERENCED_RULE_CASES = pytest.mark.parametrize(
 )
 
 
+def _spine_tables(model, n):
+    """No suffix table, then the one ``conditioned_mrca_sample`` builds (None on a finite model)."""
+    return (None, _lf_suffix_table(model.states, n, _CHUNK, r_layers=True))
+
+
 def _assert_spine_lane_matches_differenced_rule(model, n, target, cut):
-    accepted = 0
-    for c, size in enumerate((_CHUNK, _CHUNK, _CHUNK, 1001)):
-        got = _mrca_spine_chunk(model, n, target, stream(9, c), size)
-        assert got == _differenced_rule_counts(model, n, target, stream(9, c), size, cut)
-        accepted += sum(got.values())
-    assert accepted > 0
+    for table in _spine_tables(model, n):
+        accepted = 0
+        for c, size in enumerate((_CHUNK, _CHUNK, _CHUNK, 1001)):
+            got = _mrca_spine_chunk(model, n, target, stream(9, c), size, table=table)
+            assert got == _differenced_rule_counts(model, n, target, stream(9, c), size, cut)
+            accepted += sum(got.values())
+        assert accepted > 0
 
 
 @DIFFERENCED_RULE_CASES
@@ -666,13 +675,14 @@ def test_spine_lane_ages_match_differenced_rule_without_cut(model, n, target, mo
 def test_spine_chunk_draws_uniforms_then_kept_environments(model, n, seed, size):
     # the chunk draws size uniforms, then n cells for each kept proposal, and
     # nothing else: a later change of this order changes every geiger draw
-    rng = stream(seed, 0)
-    _mrca_spine_chunk(model, n, 2, rng, size)
-    replay = stream(seed, 0)
-    kept = int(np.count_nonzero(replay.random(size) < _spine_bound(model, 2)))
-    assert (kept == 0) == (size < _CHUNK)
-    replay.random(kept * n)
-    assert rng.random() == replay.random()
+    for table in _spine_tables(model, n):
+        rng = stream(seed, 0)
+        _mrca_spine_chunk(model, n, 2, rng, size, table=table)
+        replay = stream(seed, 0)
+        kept = int(np.count_nonzero(replay.random(size) < _spine_bound(model, 2)))
+        assert (kept == 0) == (size < _CHUNK)
+        replay.random(kept * n)
+        assert rng.random() == replay.random()
 
 
 @pytest.mark.parametrize(
@@ -682,13 +692,67 @@ def test_spine_chunk_memory_follows_kept_proposals(model):
     # a cut proposal holds no environment row, so one long chunk stays well
     # below a single (size, n) float block
     n = 2000
-    tracemalloc.start()
-    try:
-        _mrca_spine_chunk(model, n, 2, stream(3, 0), _CHUNK)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.75 * _CHUNK * n * 8
+    for table in _spine_tables(model, n):
+        tracemalloc.start()
+        try:
+            _mrca_spine_chunk(model, n, 2, stream(3, 0), _CHUNK, table=table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * _CHUNK * n * 8
+
+
+@pytest.mark.parametrize(
+    "model, n, counts",
+    [
+        (strongly_model(), 16, {1: 10, 2: 1, 3: 1, 4: 2, 12: 2}),
+        (weakly_mrca_model(), 8, {1: 36, 2: 14, 3: 3, 4: 4, 5: 7, 6: 4, 7: 6, 8: 7}),
+    ],
+    ids=["strongly_n16", "weakly_mrca_n8"],
+)
+def test_geiger_counts_are_pinned(model, n, counts, monkeypatch):
+    # recorded before the sampler read a suffix table, which moves no draw
+    # and no bit, in one process or in a pool; n = 16 steps four generations
+    # past the table, and n = 8 none
+    for workers in ("1", "2"):
+        monkeypatch.setenv("BPRE_THREADS", workers)
+        d = conditioned_mrca_sample(model, n, 2, "geiger", 3 * _CHUNK, root_seed=7)
+        assert d.counts == counts
+        assert d.accepted == sum(counts.values())
+
+
+def test_geiger_sampler_builds_one_suffix_table(monkeypatch):
+    # one call builds one table for all of its chunks; a chunk whose horizon
+    # fits in the table steps no generation, and a longer one steps only
+    # the generations before it
+    built, steps = [], []
+
+    def build_spy(*args, **kwargs):
+        built.append(_lf_suffix_table(*args, **kwargs))
+        return built[-1]
+
+    def step_spy(*args, **kwargs):
+        steps.append(1)
+        return lf_step(*args, **kwargs)
+
+    lf_step = exact._lf_step
+    monkeypatch.setattr(simulate, "_lf_suffix_table", build_spy)
+    monkeypatch.setenv("BPRE_THREADS", "1")
+    model = strongly_model()
+    for n, length in ((8, 8), (16, 12)):
+        built.clear()
+        conditioned_mrca_sample(model, n, 2, "geiger", 3 * _CHUNK, root_seed=5)
+        assert len(built) == 1
+        table = built[0]
+        assert table.length == length and len(table.p) == 2**length <= _CHUNK
+        monkeypatch.setattr(exact, "_lf_step", step_spy)
+        steps.clear()
+        got = _mrca_spine_chunk(model, n, 2, stream(5, 0), _CHUNK, table=table)
+        assert len(steps) == n - length
+        monkeypatch.setattr(exact, "_lf_step", lf_step)
+        assert got == _mrca_spine_chunk(model, n, 2, stream(5, 0), _CHUNK) != {}
+    conditioned_mrca_sample(model, 8, 2, "rejection", 10, root_seed=5)
+    assert len(built) == 1  # the rejection lane reads no table
 
 
 @pytest.mark.parametrize("target, seed", [(2, 81), (3, 83)])
@@ -806,6 +870,52 @@ def test_conditioned_mrca_chunk_layout(method, chunk_fn, monkeypatch):
         merged.update(chunk_fn(EVEN_FINITE_MODEL, n, 2, stream(seed, c), size))
     assert dist.counts == dict(merged)
     assert dist.accepted == sum(merged.values()) > 0
+
+
+def test_map_chunks_memory_does_not_grow_with_chunk_count():
+    # a chunk's stream is built when the chunk runs, so only the returned
+    # list, one pointer per chunk, grows with the chunk count; a Philox
+    # generator per chunk would hold more than 600 bytes each
+    def trivial(rng, size):
+        return None
+
+    _map_chunks(trivial, 1, 1, 1)  # first-call set-up, outside the trace
+    peaks = []
+    for chunks in (20, 2000):
+        tracemalloc.start()
+        try:
+            out = _map_chunks(trivial, chunks * _CHUNK, 1, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert out == [None] * chunks
+    assert peaks[1] - peaks[0] < 2000 * 16
+
+
+class _CountedPickles:
+    """A chunk function that records, in the process that pickles it, each time it is pickled."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __call__(self, rng, size):
+        return size, rng.random()
+
+    def __reduce__(self):
+        self.log.append(1)
+        return (_CountedPickles, ([],))
+
+
+def test_map_chunks_pickles_the_function_once_per_batch():
+    # a pool is sent at most 4 batches per worker, so a function carrying a
+    # suffix table is not pickled once per chunk; the results are those of
+    # the serial path, in chunk order
+    log = []
+    total = 40 * _CHUNK + 7
+    pooled = _map_chunks(_CountedPickles(log), total, 3, 2)
+    assert 1 <= len(log) <= 8
+    assert pooled == _map_chunks(_CountedPickles([]), total, 3, 1)
+    assert [size for size, _ in pooled] == [_CHUNK] * 40 + [7]
 
 
 def test_importance_estimate_chunk_layout():
