@@ -205,9 +205,9 @@ class _SuffixTable(NamedTuple):
 
     Entry ``c`` is the sequence whose state of generation n-L+1+j is digit j
     of c in base K = len(states), most significant first.  p and a are
-    (K^L,); r is (L+1, K^L), layer j for f_{n-L+j,n}, when built with
-    ``r_layers``, else (1, K^L).  ``bound`` is the survival bound of
-    ``_lf_suffix`` after the L generations.
+    (K^L,); r is (L+1, K^L), layer j for f_{n-L+j,n}, so a reader of r's
+    layers (``_lf_mrca``) and one of f_{0,n} alone (layer 0) share a table.
+    ``bound`` is the survival bound of ``_lf_suffix`` after the L generations.
     """
 
     length: int
@@ -218,30 +218,34 @@ class _SuffixTable(NamedTuple):
 
 
 def _lf_suffix_table(
-    states: tuple[OffspringLaw, ...], n: int, rows: int, *, r_layers: bool = False
+    states: tuple[OffspringLaw, ...], n: int, rows: int
 ) -> _SuffixTable | None:
     """The ``_lf_suffix`` statistics of every suffix of length L, for a block of horizon n.
 
-    L = min(n, the largest L with K^L <= ``rows``); each entry comes from
+    L = min(n, the largest L with K^L <= ``rows``); the samplers pass their
+    chunk size, ``simulate._CHUNK``, which lives there and not here so that
+    this module does not import the sampler.  Each entry comes from
     ``_lf_suffix`` itself on the enumerated K^L suffixes, with a and r
-    carried, so it has the bits the per-row recursion gives at any width.
-    None where no state is LF, where L = 0, or where the survival bound
-    falls below 2^-512 within L generations, so that no entry holds a
-    carried exponent.  A state that is not LF takes ``_lf_suffix``'s
-    placeholder, and its entries are never read.
+    carried and r layered, so it has the bits the per-row recursion gives
+    at any width.  None where no state is LF, where L = 0, or where the
+    survival bound falls below 2^-512 within L generations, so that no
+    entry holds a carried exponent.  A state that is not LF takes
+    ``_lf_suffix``'s placeholder, and its entries are never read.
     """
     keeps = [1.0 - law.p0 for law in states if isinstance(law, LinearFractionalLaw)]
     k, length, bound = len(states), 0, 1.0
-    while keeps and length < n and k ** (length + 1) <= rows:
+    while keeps and length < n and k ** (length + 1) <= rows and bound >= _TINY:
         length += 1
         bound *= min(keeps)  # the bound ``_lf_suffix`` runs
     if length == 0 or bound < _TINY:
         return None
     kind = np.min_scalar_type(k**length)  # the smallest integer type that holds every code
     codes = np.arange(k**length, dtype=kind)
-    suffixes = codes[:, None] // k ** np.arange(length - 1, -1, -1, dtype=kind)
+    # place values K^(L-1) .. 1 fit in ``kind``; the exponents, up to L - 1
+    # (L = n at K = 1), need not, so they stay in the default integer
+    suffixes = codes[:, None] // (k ** np.arange(length - 1, -1, -1)).astype(kind)
     suffixes %= k  # row c holds the digits of c, in place
-    p, a, r = _lf_suffix(states, suffixes, 3, False, r_layers=r_layers)
+    p, a, r = _lf_suffix(states, suffixes, 3, False, r_layers=True)
     return _SuffixTable(length, bound, p[0], a[0], r)
 
 
@@ -270,13 +274,13 @@ def _lf_suffix(
     check is skipped while that bound, run over the block, stays above
     2^-512; rows that never fall that low keep the same arithmetic.
 
-    ``table`` (``_lf_suffix_table`` of ``states``, with r layered where
-    ``r_layers`` asks for it) replaces the last L generations: each row
-    gathers the statistics of f_{n-L,n} by the code of ``idx[:, n-L:]`` and
-    steps only generations n-L, ..., 1, with the bound continued from the
-    table's.  The entries are this recursion's own values and the table
-    holds no carried exponent, so every row keeps its bits.  It is not read
-    with ``layers`` or where n < L; for n = L no row steps at all.
+    ``table`` (``_lf_suffix_table`` of ``states``) replaces the last L
+    generations: each row gathers the statistics of f_{n-L,n} (and r's L+1
+    layers with ``r_layers``) by the code of ``idx[:, n-L:]`` and steps only
+    generations n-L, ..., 1, with the bound continued from the table's.
+    The entries are this recursion's own values and the table holds no
+    carried exponent, so every row keeps its bits.  It is not read with
+    ``layers`` or where n < L; for n = L no row steps at all.
     """
     b, n = idx.shape
     # m, eta m and 1 - q(0) per state; these rows never index a finite state's placeholder
@@ -291,7 +295,7 @@ def _lf_suffix(
     r = np.empty((n_r, b)) if width > 2 else None
     bound, step = 1.0, float(keep_state.min(initial=1.0))  # bound <= every p of layer src
     start = n  # the generations after ``start`` are read from the table
-    if table is not None and not layers and table.length <= n and (n_r == 1 or len(table.r) > 1):
+    if table is not None and not layers and table.length <= n:
         start, bound = n - table.length, table.bound
         code = idx[:, start:] @ len(states) ** np.arange(table.length - 1, -1, -1)
         p[0] = table.p[code]
@@ -477,7 +481,7 @@ def mrca_rows(
         A_g = p_0 a_0 r_g^(T-1),
 
     every factor in [0, 1], so no horizon overflows, and r_n = 0 gives
-    A_n = 0.  ``table`` (``_lf_suffix_table`` with ``r_layers``) gives
+    A_n = 0.  ``table`` (``_lf_suffix_table`` of ``states``) gives
     these rows their last generations, with the same bits.  Any other row
     takes the series route (``_series_mrca``), where f'_{0,g}(t_g) =
     prod_{k=1..g} f_k'(t_k) is summed in log space.

@@ -122,9 +122,11 @@ def _map_chunks(fn, total: int, root_seed: int, workers: int) -> list:
 
     Chunk c holds units c*_CHUNK .. min((c+1)*_CHUNK, total) - 1.  With more
     than one worker and more than one chunk the calls run in a process pool,
-    which is sent (c, size) pairs in at most 4 batches per worker, so that
-    ``fn`` and what it carries (a suffix table) are pickled once per batch,
-    not once per chunk.  Either way a chunk's stream is built when the
+    which is sent (c, size) pairs in one batch per worker, so that ``fn``
+    and what it carries (a suffix table) are pickled once per worker, not
+    once per chunk.  Every chunk but the last holds ``_CHUNK`` units of
+    one task, so equal batches are already balanced; smaller ones would only
+    pickle ``fn`` more often.  Either way a chunk's stream is built when the
     chunk runs, so no more than one per worker is held at once.
     """
     chunks = -(-total // _CHUNK)
@@ -139,7 +141,7 @@ def _map_chunks(fn, total: int, root_seed: int, workers: int) -> list:
                 logger.info("progress: %d/%d chunks", c + 1, chunks)
         return out
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(chunks), sizes, chunksize=-(-chunks // (4 * workers))))
+        return list(pool.map(run, range(chunks), sizes, chunksize=-(-chunks // workers)))
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +491,8 @@ def _mrca_spine_chunk(
     u < A_0 = P(Z_n = target | env) accepts, and the first g with
     u < A_0 - A_{g+1} gives the age n - g.  Every row value is computed by
     row-wise arithmetic, so neither cut changes an accepted row or an age.
-    ``table`` (``exact._lf_suffix_table`` with r layered) gives both passes
-    the last generations of each all-LF row, with the same bits.
+    ``table`` (``exact._lf_suffix_table`` of the model's states) gives both
+    passes the last generations of each all-LF row, with the same bits.
     """
     u = rng.random(size)
     u = u[u < _spine_bound(model, target)]
@@ -581,7 +583,7 @@ def conditioned_mrca_sample(
     if method == "rejection":
         fn = partial(_mrca_rejection_chunk, model, n, target_size)
     else:
-        table = _lf_suffix_table(model.states, n, _CHUNK, r_layers=True)
+        table = _lf_suffix_table(model.states, n, _CHUNK)
         fn = partial(_mrca_spine_chunk, model, n, target_size, table=table)
     counts, accepted = _merge_counts(_map_chunks(fn, proposals, root_seed, worker_count()))
     if accepted == 0:

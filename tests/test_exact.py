@@ -268,23 +268,23 @@ def _suffix_case(name):
     return states, 1024, 10, lambda b, n: rng.integers(0, 2, (b, n))
 
 
-@pytest.mark.parametrize("offset", ["1", "L-1", "L", "L+1", "40"])
+@pytest.mark.parametrize("offset", ["1", "L-1", "L", "L+1", "40", "300"])
 @pytest.mark.parametrize("name", ["lf", "mixed", "single", "lf_carry"])
 def test_suffix_table_keeps_every_bit(name, offset):
     # two routes: each kernel with the table against the table-free route,
-    # byte for byte, at every width and for r layered or not
+    # byte for byte, at every width and for r layered or not; at K = 1 and
+    # n = 300 the table's L = 300 digits outgrow its one-byte codes
     states, rows, longest, draw = _suffix_case(name)
-    n = {"1": 1, "L-1": longest - 1, "L": longest, "L+1": longest + 1, "40": 40}[offset]
+    n = {"1": 1, "L-1": longest - 1, "L": longest, "L+1": longest + 1, "40": 40, "300": 300}[offset]
     idx = draw(64, n)
     lf = np.array([isinstance(law, LinearFractionalLaw) for law in states])[idx].all(axis=1)
     assert lf.any()
-    table = exact._lf_suffix_table(states, n, rows, r_layers=True)
+    table = exact._lf_suffix_table(states, n, rows)
     assert table.length == (n if len(states) == 1 else min(n, longest))
     assert len(table.p) == len(states) ** table.length <= rows
-    flat = exact._lf_suffix_table(states, n, rows)
-    assert len(flat.r) == 1 and flat.r.tobytes() == table.r[:1].tobytes()
-    long = exact._lf_suffix_table(states, 40, rows, r_layers=True)  # not read where n < L
-    for t in (table, flat, long):
+    assert table.r.shape == (table.length + 1, len(table.p))
+    long = exact._lf_suffix_table(states, 40, rows)  # not read where n < L
+    for t in (table, long):
         for width in (1, 2, 3, 5, 65):
             for r_layers in (False, True):
                 want = exact._lf_suffix(states, idx[lf], width, False, r_layers=r_layers)
