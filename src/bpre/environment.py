@@ -28,6 +28,7 @@ from .laws import (
     PROB_TOL,
     LinearFractionalLaw,
     OffspringLaw,
+    json_numbers,
     law_from_json,
     law_to_json,
     walk_increment,
@@ -138,9 +139,14 @@ class EnvironmentModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EnvironmentModel":
+        if not isinstance(obj, dict):
+            raise ContractError("model JSON must be an object with 'states' and 'weights'")
         if "states" not in obj or "weights" not in obj:
             raise ContractError("model JSON needs 'states' and 'weights'")
-        return cls(tuple(law_from_json(s) for s in obj["states"]), tuple(obj["weights"]))
+        if not isinstance(obj["states"], list):
+            raise ContractError("model JSON 'states' must be a list of laws")
+        states = tuple(law_from_json(s) for s in obj["states"])
+        return cls(states, json_numbers(obj, "weights", many=True))
 
     @property
     def model_id(self) -> str:

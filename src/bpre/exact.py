@@ -23,8 +23,8 @@ the drawn indices.
 sampler thins on and ``quenched_survival`` reads) choose the same two
 routes per row.  A model of K states has only K^L suffixes of length L,
 so a sampler builds ``_lf_suffix_table`` once per call: the ``_lf_suffix``
-statistics of f_{n-L,n} for every suffix, in at most a given number of
-rows, computed by ``_lf_suffix`` itself.  Each of the three kernels takes
+statistics of f_{n-L,n} for every suffix, at most ``_SUFFIX_ROWS`` of them,
+grown breadth-first by ``_lf_levels``.  Each of the three kernels takes
 it as ``table``; an all-LF row then gathers its statistics by the code of
 its last L states and steps only the generations before them, with the
 bits of the full recursion.  ``mrca_rows`` returns the MRCA law as tail
@@ -40,8 +40,8 @@ generation outward: a shared breadth-first block, then the outermost
 generations depth-first, in one sweep that reports every horizon up to the
 deepest requested one (the Fekete table needs n = 1..n_max, the example
 suites every n of their tables).  A model whose enumerated states are all
-LF carries the closed-form statistics of each environment, one step of the
-same LF recursion per generation, only those a row of the requested width
+LF carries the closed-form statistics of each environment, grown as the
+suffix table's (``_lf_levels``), only those a row of the requested width
 reads, and builds coefficient rows only at requested horizons; any other
 model carries series rows, column-major, with breadth-first blocks only
 as wide as their degree can reach.  A series sweep applies each law to a
@@ -91,6 +91,7 @@ ENUMERATION_BUDGET = 1 << 26
 _BLOCK_CELLS = 1 << 17
 _LADDER_WIDTH = 33  # series sweeps at least this wide may expand each node once (``_power_ladder``)
 _TINY = 2.0**-512  # LF survival below this is carried as a mantissa and a power of 2^-512
+_SUFFIX_ROWS = 4096  # the most entries of an ``_lf_suffix_table``, one sampler chunk's rows
 
 
 @dataclass(frozen=True)
@@ -217,36 +218,55 @@ class _SuffixTable(NamedTuple):
     r: np.ndarray
 
 
-def _lf_suffix_table(
-    states: tuple[OffspringLaw, ...], n: int, rows: int
-) -> _SuffixTable | None:
+def _lf_suffix_table(states: tuple[OffspringLaw, ...], n: int) -> _SuffixTable | None:
     """The ``_lf_suffix`` statistics of every suffix of length L, for a block of horizon n.
 
-    L = min(n, the largest L with K^L <= ``rows``); the samplers pass their
-    chunk size, ``simulate._CHUNK``, which lives there and not here so that
-    this module does not import the sampler.  Each entry comes from
-    ``_lf_suffix`` itself on the enumerated K^L suffixes, with a and r
-    carried and r layered, so it has the bits the per-row recursion gives
-    at any width.  None where no state is LF, where L = 0, or where the
-    survival bound falls below 2^-512 within L generations, so that no
-    entry holds a carried exponent.  A state that is not LF takes
+    L = min(n, the largest L with K^L <= ``_SUFFIX_ROWS``).  The entries are
+    the last of the breadth-first levels of ``_lf_levels``, with a and r
+    carried, and r's layer j is level L - j tiled K^j times, since f_{n-L+j,n}
+    reads only the last L - j digits; every entry has the bits the per-row
+    recursion gives at any width.  None where no state is LF, where L = 0,
+    or where the survival bound falls below 2^-512 within L generations, so
+    that no entry holds a carried exponent.  A state that is not LF takes
     ``_lf_suffix``'s placeholder, and its entries are never read.
     """
     keeps = [1.0 - law.p0 for law in states if isinstance(law, LinearFractionalLaw)]
     k, length, bound = len(states), 0, 1.0
-    while keeps and length < n and k ** (length + 1) <= rows and bound >= _TINY:
+    while keeps and length < n and k ** (length + 1) <= _SUFFIX_ROWS and bound >= _TINY:
         length += 1
         bound *= min(keeps)  # the bound ``_lf_suffix`` runs
     if length == 0 or bound < _TINY:
         return None
-    kind = np.min_scalar_type(k**length)  # the smallest integer type that holds every code
-    codes = np.arange(k**length, dtype=kind)
-    # place values K^(L-1) .. 1 fit in ``kind``; the exponents, up to L - 1
-    # (L = n at K = 1), need not, so they stay in the default integer
-    suffixes = codes[:, None] // (k ** np.arange(length - 1, -1, -1)).astype(kind)
-    suffixes %= k  # row c holds the digits of c, in place
-    p, a, r = _lf_suffix(states, suffixes, 3, False, r_layers=True)
-    return _SuffixTable(length, bound, p[0], a[0], r)
+    r = np.empty((length + 1, k**length))
+    for d, (p, _, a, level_r) in enumerate(_lf_levels(states, min(keeps), length, 3)):
+        r[length - d] = np.tile(level_r, k ** (length - d))
+    return _SuffixTable(length, bound, p, a, r)
+
+
+def _lf_levels(states: tuple[OffspringLaw, ...], keep: float, depth: int, width: int):
+    """The (p, e, a, r) of ``_lf_step`` for every state sequence of the last d generations.
+
+    Yields level d = 0..depth, ordered as the entries of ``_SuffixTable``:
+    level 0 is f_{n,n}(s) = s, and level d + 1 concatenates, state by state,
+    one ``_lf_step`` per state on level d.  a is carried from width 2 and r
+    from width 3.  ``keep`` <= 1 - q(0) of every LF state, and the exponent
+    carry starts once keep^d < 2^-512.  A state that is not LF steps with
+    m = 1 and eta m = 0, ``_lf_suffix``'s placeholder, a no-op.
+    """
+    laws = [(law.m, law.eta_lf * law.m) if isinstance(law, LinearFractionalLaw) else (1.0, 0.0)
+            for law in states]
+    block = (
+        np.ones(1),
+        np.zeros(1, dtype=np.int64),
+        np.ones(1) if width > 1 else None,
+        np.zeros(1) if width > 2 else None,
+    )
+    yield block
+    for d in range(depth):
+        kids = [_lf_step(m, em, *block, keep ** (d + 1) < _TINY) for m, em in laws]
+        block = tuple(None if x[0] is None else np.concatenate(x) for x in zip(*kids))
+        del kids  # not held across the yield, while the caller reads the level
+        yield block
 
 
 def _lf_suffix(
@@ -693,32 +713,31 @@ def _annealed_rows(
     """Unclipped sum over environments of w(env) * coefficients of f_{0,n}^{z0}, per horizon n.
 
     The state after d generations is a block with one row per environment of
-    those d generations, standing for f_{n-d+1,n}.  Where every enumerated
-    state is LF, a row is the (p, e, a, r) of ``_lf_step``, with a carried
-    from width 2, r from width 3 and e only once the exponent carry may
-    start (before that every row shares the one zero array), and
-    coefficient rows are built only at requested horizons (``_lf_layers``,
-    in chunks of at most ``_BLOCK_CELLS`` cells), so each is the row
-    ``horizon_rows`` gives for its environment; otherwise a row is the
-    series row itself, and its children are formed either law by law
-    (``apply_law_rows``, a Horner scheme for a finite law) or all at once
-    by ``_power_ladder``.  The ladder is taken where the sweep's width
-    j_max + 1 is at least ``_LADDER_WIDTH`` and two finite states have
-    degree 2 or more, so that it saves a product per node; narrower rows
-    gain less from a saved product than the ladder's scaled adds cost, and
-    a single such state shares nothing.  The choice is made once per sweep,
-    whatever the width of a breadth-first block, so every row of a sweep
-    has one arithmetic and the rows of a Horner sweep keep their bits.  The
-    block grows breadth-first while the next block fits in ``_BLOCK_CELLS`` cells
-    (rows x states x cells per row, 5 cells for an LF row whatever it
-    carries), and always with a single state, whose block never widens.
+    those d generations, standing for f_{n-d+1,n}.  The block grows
+    breadth-first while the next block fits in ``_BLOCK_CELLS`` cells (rows
+    x states x cells per row, 5 cells for an LF row whatever it carries),
+    and always with a single state, whose block never widens.  Where every
+    enumerated state is LF, a row is the (p, e, a, r) of ``_lf_step``, the
+    levels are those of the suffix table (``_lf_levels``), and coefficient
+    rows are built only at requested horizons (``_lf_layers``, in chunks of
+    at most ``_BLOCK_CELLS`` cells), so each is the row ``horizon_rows``
+    gives for its environment; otherwise a row is the series row itself, and
+    its children are formed either law by law (``apply_law_rows``, a Horner
+    scheme for a finite law) or all at once by ``_power_ladder``.  The ladder
+    is taken where the sweep's width j_max + 1 is at least ``_LADDER_WIDTH``
+    and two finite states have degree 2 or more, so that it saves a product
+    per node; narrower rows gain less from a saved product than the ladder's
+    scaled adds cost, and a single such state shares nothing.  The choice is
+    made once per sweep, whatever the width of a breadth-first block, so
+    every row of a sweep has one arithmetic and the rows of a Horner sweep
+    keep their bits.
 
     Series blocks are column-major, so each coefficient column the kernels
     sum over is one contiguous vector.  A breadth-first block of degree D
     is padded with zero columns only to the degree maxdeg D the next
     generation can reach (maxdeg is the largest degree of a finite state;
     an LF state keeps every block at full width), and to the full width
-    before an emission and before the descent: the columns it leaves out
+    before an emission and at the last level: the columns it leaves out
     are exact zeros, so every value is the full-width one, bit for bit.
     ``emit`` copies its coefficient rows to row-major before the weighted
     sum, because the BLAS product sums a column-major block in another
@@ -774,22 +793,20 @@ def _annealed_rows(
     totals = {n: np.zeros(width) for n in horizons}
     fold = only_z0 and z0 == 1
 
+    # breadth-first to depth `top`, while the next block fits in _BLOCK_CELLS cells
+    cells = 5 if model.is_lf_pure else width  # an LF row holds p, e, a, r and the weight
+    top = 0
+    while top < n_max and (k == 1 or k ** (top + 1) * cells <= _BLOCK_CELLS):
+        top += 1
+
     if model.is_lf_pure:
         keep = min(1.0 - law.p0 for law, _ in states)  # every p of depth d is >= keep^d
-        cells = 5  # p, e, a, r and the weight
+        levels = _lf_levels(model.states, keep, top, width)
         step = max(1, _BLOCK_CELLS // width)  # rows per chunk of coefficient rows
 
         def apply(a, block, depth, out=None):
             law = states[a][0]
-            return _lf_step(
-                law.m, law.eta_lf * law.m, *block, keep ** (depth + 1) < _TINY, out=out
-            )
-
-        def expand(block, depth):
-            return [apply(a, block, depth) for a in range(k)]
-
-        def join(blocks):
-            return tuple(None if x[0] is None else np.concatenate(x) for x in zip(*blocks))
+            return _lf_step(law.m, law.eta_lf * law.m, *block, keep ** (depth + 1) < _TINY, out=out)
 
         def buffers(rows, depth):
             return (
@@ -837,18 +854,7 @@ def _annealed_rows(
                 total = total + w * law.m * (out @ rows)
             return total
 
-        root = (
-            np.ones(1),
-            np.zeros(1, dtype=np.int64),
-            np.ones(1) if width > 1 else None,
-            np.zeros(1) if width > 2 else None,
-        )
-
-        def widen(block, full):
-            return block
-
     else:
-        cells = width
         laws = [law for law, _ in states]
         degrees = [len(law.probs) - 1 for law in laws if isinstance(law, FiniteLaw)]
         # a finite law of degree d takes a series of degree D to degree d D;
@@ -866,15 +872,6 @@ def _annealed_rows(
             if a == 0:  # a node's first child expands it into all of them
                 _power_ladder(laws, rows, out, work)
             return out[a]
-
-        def expand(rows, depth):
-            if ladder:
-                return _power_ladder(laws, rows)
-            return [apply_law_rows(law, rows) for law in laws]
-
-        def join(blocks):
-            out = np.empty((sum(map(len, blocks)), blocks[0].shape[1]), order="F")
-            return np.concatenate(blocks, out=out)
 
         def buffers(rows, depth):
             if not ladder:
@@ -931,21 +928,24 @@ def _annealed_rows(
                 total = total + w * (out @ c)
             return total
 
-        root = np.zeros((1, min(width, 2)), order="F")  # the identity row
-        if width > 1:
-            root[0, 1] = 1.0
+        def grow():
+            # each level only as wide as the next generation can reach, and
+            # the last at full width
+            rows = np.zeros((1, min(width, 2)), order="F")
+            rows[0, 1:] = 1.0  # the identity row s
+            for depth in range(top + 1):
+                if depth:
+                    c = widen(rows, False)
+                    kids = _power_ladder(laws, c) if ladder else [apply_law_rows(q, c) for q in laws]
+                    rows = np.concatenate(kids, out=np.empty((k * len(c), c.shape[1]), order="F"))
+                    del c, kids  # not held across the yield, while the sweep reads the level
+                yield widen(rows, True) if depth == top else rows
 
-    # breadth-first growth to depth `top` is a loop; one state never widens
-    # the block and stays breadth-first at any horizon
-    top = 0
-    while top < n_max and (k == 1 or k ** (top + 1) * cells <= _BLOCK_CELLS):
-        top += 1
+        levels = grow()
+
     f = chunk_buffer(k**top)  # sized to the largest block, and shared by every emission
-    block, wvec = root, np.ones(1)
-    for depth in range(top + 1):
-        if depth:
-            block = join(expand(widen(block, False), depth - 1))
-            wvec = np.concatenate([wvec * w for _, w in states])
+    for depth, block in enumerate(levels):
+        wvec = np.concatenate([wvec * w for _, w in states]) if depth else np.ones(1)
         if depth in totals:
             totals[depth] += emit(block, wvec, depth, f)
     if top == n_max:
@@ -954,7 +954,7 @@ def _annealed_rows(
     # depth-first: level i holds a block of depth `top + i`, and nxt[i] is
     # the next state to apply to it; a fold expands no block of depth n_max - 1
     rows = len(wvec)
-    blocks = [widen(block, True)] + [None] * (n_max - top)
+    blocks = [block] + [None] * (n_max - top)
     outs = [None] + [buffers(rows, d) for d in range(top + 1, n_max + 1 - fold)]
     weights = [wvec] + [np.empty(rows) for _ in range(top + 1, n_max + 1)]
     nxt = [0] * (n_max - top + 1)

@@ -203,12 +203,29 @@ def walk_increment(law: OffspringLaw) -> float:
 
 
 def law_from_json(obj: dict) -> OffspringLaw:
+    if not isinstance(obj, dict):
+        raise ContractError("each entry of model JSON 'states' must be an object")
     kind = obj.get("type")
     if kind == "finite":
-        return FiniteLaw(tuple(obj["probs"]))
+        return FiniteLaw(json_numbers(obj, "probs", many=True))
     if kind == "lf":
-        return LinearFractionalLaw(obj["m"], obj["b"])
+        return LinearFractionalLaw(json_numbers(obj, "m"), json_numbers(obj, "b"))
     raise ContractError(f"unknown offspring law type {kind!r}")
+
+
+def json_numbers(obj: dict, key: str, many: bool = False):
+    """Field ``key`` of a model JSON object as a float, or with ``many`` a tuple of floats.
+
+    A missing field, or one that ``float`` rejects, raises ContractError
+    naming the field.
+    """
+    if key not in obj:
+        raise ContractError(f"model JSON needs {key!r}")
+    try:
+        return tuple(map(float, obj[key])) if many else float(obj[key])
+    except (TypeError, ValueError, OverflowError):
+        kind = "a list of numbers" if many else "a number"
+        raise ContractError(f"model JSON {key!r} must be {kind}")
 
 
 def law_to_json(law: OffspringLaw) -> dict:

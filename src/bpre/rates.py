@@ -20,6 +20,7 @@ from .models import example1_model, example2_model
 from .simulate import conditioned_mrca_sample, subseed
 
 _ORDERING_SLACK = 1e-9
+_EXAMPLE1_ENUMERATION_LIMIT = 10  # example 1's identity is enumerated up to this horizon
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,6 @@ def example1_suite(
     r: float,
     p: float,
     n_max: int,
-    enumeration_limit: int = 10,
     table_limit: int = 16,
 ) -> Example1Report:
     model = example1_model(r, p)
@@ -178,7 +178,7 @@ def example1_suite(
     # support argument: q1 is the copy law, q2 moves to {0} or even sizes
     if not (q1.prob(1) == 1.0 and q2.prob(1) == 0.0 and q2.max_support % 2 == 0):
         raise ContractError("example-1 support structure violated")
-    checked = range(1, min(n_max, enumeration_limit) + 1)
+    checked = range(1, min(n_max, _EXAMPLE1_ENUMERATION_LIMIT) + 1)
     ns = tuple(range(1, min(n_max, table_limit) + 1))
     # one sweep serves both: column 1 for the identity, column 2 for the table
     totals = _annealed_rows(model, 1, range(1, max(len(checked), len(ns)) + 1), 2)

@@ -43,7 +43,7 @@ environments whose laws are all linear fractional: there the survival is
 the bounded LF suffix statistic p, kept however small, and
 A_g = p_0 a_0 r_g^(target-1) comes from the same statistics, finite at any
 horizon; their last L generations are read from the call's suffix
-table, of at most ``_CHUNK`` rows, with the same bits.  The rest take
+table, with the same bits.  The rest take
 the series route: 1 - t_0 from the width-1 extinction ladder, layers of
 f_{k,n} and log-derivative products.
 
@@ -394,7 +394,7 @@ def importance_estimate(
     underflow.  A value that still overflows raises ContractError, and more
     than ``PROPOSAL_CAP`` replicates raise BudgetError before any draw.  The
     chunks run serially, in one process, and share one suffix table
-    (``exact._lf_suffix_table``, at most ``_CHUNK`` rows), built once per
+    (``exact._lf_suffix_table``), built once per
     call, from which each all-LF row reads its last generations.
     """
     if replicates < 1:
@@ -402,7 +402,7 @@ def importance_estimate(
     if replicates > PROPOSAL_CAP:
         raise BudgetError(f"replicate budget {replicates} exceeds cap {PROPOSAL_CAP}")
     tilted, mu = tilt(model, nu)
-    table = _lf_suffix_table(tilted.states, n, _CHUNK)
+    table = _lf_suffix_table(tilted.states, n)
     fn = partial(_importance_chunk, tilted, mu, z0, n, j_max, nu, table=table)
     values = np.concatenate(_map_chunks(fn, replicates, root_seed, 1))
     scale = float(values.max())
@@ -552,7 +552,7 @@ def conditioned_mrca_sample(
     quenched law of ``exact.mrca_rows``, with one uniform per proposal and
     no tree simulated; that uniform is drawn first, and only proposals with
     u < ``_spine_bound`` draw an environment.  The call builds one suffix
-    table (``exact._lf_suffix_table``, at most ``_CHUNK`` rows), which every
+    table (``exact._lf_suffix_table``), which every
     chunk, in any worker, reads the last generations of its all-LF rows
     from; for n up to the table's length no row steps at all.
     Method "rejection" simulates full forward trees, one forest per chunk of
@@ -583,7 +583,7 @@ def conditioned_mrca_sample(
     if method == "rejection":
         fn = partial(_mrca_rejection_chunk, model, n, target_size)
     else:
-        table = _lf_suffix_table(model.states, n, _CHUNK)
+        table = _lf_suffix_table(model.states, n)
         fn = partial(_mrca_spine_chunk, model, n, target_size, table=table)
     counts, accepted = _merge_counts(_map_chunks(fn, proposals, root_seed, worker_count()))
     if accepted == 0:

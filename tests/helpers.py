@@ -13,7 +13,7 @@ from collections import namedtuple
 import numpy as np
 
 from bpre.errors import ContractError
-from bpre.exact import quenched_coeff_row
+from bpre.exact import _lf_suffix, _SuffixTable, quenched_coeff_row
 from bpre.laws import FiniteLaw, LinearFractionalLaw
 from bpre.pgf import apply_law_rows
 
@@ -168,6 +168,32 @@ def series_horizon_rows(states, idx, width, layers=False):
         for r in range(b):
             f[g, r] = apply_law_rows(states[idx[r, g]], f[g + 1, r][None, :])[0]
     return f if layers else f[0]
+
+
+def digit_rows(k, length):
+    """Every sequence of ``length`` out of k states, one per row.
+
+    Row c holds the base-k digits of c, most significant first.
+    """
+    return np.arange(k**length)[:, None] // k ** np.arange(length - 1, -1, -1) % k
+
+
+def digit_suffix_table(states, n, rows):
+    """``exact._lf_suffix_table`` of at most ``rows`` entries, by the per-row recursion.
+
+    The same rule for L and the survival bound, then ``_lf_suffix`` itself,
+    with a and r carried and r layered, on the K^L suffixes written out as
+    ``digit_rows``; the reference for the table's breadth-first levels.
+    """
+    keeps = [1.0 - law.p0 for law in states if isinstance(law, LinearFractionalLaw)]
+    k, length, bound = len(states), 0, 1.0
+    while keeps and length < n and k ** (length + 1) <= rows and bound >= 2.0**-512:
+        length += 1
+        bound *= min(keeps)
+    if length == 0 or bound < 2.0**-512:
+        return None
+    p, a, r = _lf_suffix(states, digit_rows(k, length), 3, False, r_layers=True)
+    return _SuffixTable(length, bound, p[0], a[0], r)
 
 
 def log_derivative_mrca_rows(states, idx, target):

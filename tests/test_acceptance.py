@@ -78,7 +78,7 @@ def test_criterion_01_gw_baseline():
 def test_criterion_02_example1_identity():
     """P_1(Z_n = 1) = r^n exactly for r = 0.3 up to n = 20."""
     t0 = time.time()
-    rep = example1_suite(0.3, 0.5, n_max=20, enumeration_limit=10, table_limit=4)
+    rep = example1_suite(0.3, 0.5, n_max=20, table_limit=4)
     # spot enumeration beyond the shortcut threshold
     from bpre.models import example1_model
 

@@ -297,6 +297,42 @@ def test_validate_rejects_nan_model(text, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+LF_STATE = '{"type": "lf", "m": 2.0, "b": 8.0}'
+# model JSON of the wrong shape, each of which once escaped ``main`` as a
+# TypeError, KeyError, AttributeError, ValueError or OverflowError
+BAD_SHAPE_MODELS = [
+    "5",
+    "null",
+    '["states", "weights"]',
+    '"states weights"',
+    '{"states": 5, "weights": [1]}',
+    '{"states": [5], "weights": [1]}',
+    '{"states": [{"type": "lf", "m": 2.0}], "weights": [1]}',
+    '{"states": [{"type": "finite", "probs": "ab"}], "weights": [1]}',
+    '{"states": [%s], "weights": ["a"]}' % LF_STATE,
+    '{"states": [{"type": "lf", "m": "x", "b": 8.0}], "weights": [1]}',
+    '{"states": [%s], "weights": [1%s]}' % (LF_STATE, "0" * 400),
+]
+
+
+@pytest.mark.parametrize("text", BAD_SHAPE_MODELS)
+def test_validate_rejects_model_of_wrong_shape(text, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["validate", "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_model_of_wrong_shape_exits_two_from_the_command_line(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(BAD_SHAPE_MODELS[0])
+    argv = [sys.executable, "-m", "bpre.cli", "validate", "--model", str(path)]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, cwd=tmp_path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: model JSON must be an object with 'states' and 'weights'\n"
+
+
 def test_validate_gw(gw_path, capsys):
     assert main(["validate", "--model", gw_path]) == 0
     out = capsys.readouterr().out

@@ -28,6 +28,8 @@ from bpre.models import example1_model, gw_binary, weakly_model
 from bpre.pgf import MAX_DEGREE, apply_law_rows, pow_rows
 
 from helpers import (
+    digit_rows,
+    digit_suffix_table,
     gapped_finite_law,
     log_derivative_mrca_rows,
     phi_n,
@@ -270,20 +272,21 @@ def _suffix_case(name):
 
 @pytest.mark.parametrize("offset", ["1", "L-1", "L", "L+1", "40", "300"])
 @pytest.mark.parametrize("name", ["lf", "mixed", "single", "lf_carry"])
-def test_suffix_table_keeps_every_bit(name, offset):
+def test_suffix_table_keeps_every_bit(name, offset, monkeypatch):
     # two routes: each kernel with the table against the table-free route,
     # byte for byte, at every width and for r layered or not; at K = 1 and
-    # n = 300 the table's L = 300 digits outgrow its one-byte codes
+    # n = 300 the table spans L = 300 generations
     states, rows, longest, draw = _suffix_case(name)
+    monkeypatch.setattr(exact, "_SUFFIX_ROWS", rows)
     n = {"1": 1, "L-1": longest - 1, "L": longest, "L+1": longest + 1, "40": 40, "300": 300}[offset]
     idx = draw(64, n)
     lf = np.array([isinstance(law, LinearFractionalLaw) for law in states])[idx].all(axis=1)
     assert lf.any()
-    table = exact._lf_suffix_table(states, n, rows)
+    table = exact._lf_suffix_table(states, n)
     assert table.length == (n if len(states) == 1 else min(n, longest))
     assert len(table.p) == len(states) ** table.length <= rows
     assert table.r.shape == (table.length + 1, len(table.p))
-    long = exact._lf_suffix_table(states, 40, rows)  # not read where n < L
+    long = exact._lf_suffix_table(states, 40)  # not read where n < L
     for t in (table, long):
         for width in (1, 2, 3, 5, 65):
             for r_layers in (False, True):
@@ -302,19 +305,66 @@ def test_suffix_table_keeps_every_bit(name, offset):
     if name == "lf_carry":
         keep = 1.0 - states[0].p0
         assert keep**10 > 2.0**-512 > keep**11
-        assert exact._lf_suffix_table(states, n, 4096) is None or n < 11
+        monkeypatch.setattr(exact, "_SUFFIX_ROWS", 4096)
+        assert exact._lf_suffix_table(states, n) is None or n < 11
         if n == 40:  # some row carries an exponent past the table
             assert survival_rows(states, idx, table=table).min() < 2.0**-512
 
 
-def test_suffix_table_is_skipped_without_an_lf_state_or_a_generation():
+@pytest.mark.parametrize(
+    "name, n, length",
+    [("two", 1, 1), ("two", 5, 5), ("two", 12, 12), ("two", 40, 12), ("single", 300, 300),
+     ("lf", 40, 7), ("mixed", 40, 7), ("lf_carry", 40, None)],
+)
+def test_suffix_table_matches_digit_oracle(name, n, length):
+    # two routes: the breadth-first levels against ``_lf_suffix`` on every
+    # suffix written out as digits, byte for byte, placeholder entries of
+    # the mixed model's finite state included; at 4096 rows the lf_carry
+    # model's survival bound falls below 2^-512 within L, so no table
+    if name == "two":
+        rng = np.random.default_rng(17)
+        states = (random_lf_law(rng), random_lf_law(rng))
+    else:
+        states = _suffix_case(name)[0]
+    table = exact._lf_suffix_table(states, n)
+    want = digit_suffix_table(states, n, exact._SUFFIX_ROWS)
+    if length is None:
+        assert table is None and want is None
+        return
+    assert table.length == want.length == length and table.bound == want.bound
+    for got, ref in zip(table[2:], want[2:]):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", ["lf", "mixed", "single", "lf_carry"])
+def test_lf_levels_match_per_row_recursion(name):
+    # level d of the breadth-first growth is ``_lf_suffix`` on the K^d digit
+    # rows of length d, at every width; two levels past the lf_carry case's
+    # table some rows carry an exponent
+    states, _, longest, _ = _suffix_case(name)
+    keep = min(1.0 - law.p0 for law in states if isinstance(law, LinearFractionalLaw))
+    for width in (1, 2, 3):
+        levels = list(exact._lf_levels(states, keep, longest + 2, width))
+        assert len(levels) == longest + 3
+        for d, (p, e, a, r) in enumerate(levels):
+            want = exact._lf_suffix(states, digit_rows(len(states), d), width, False)
+            got = (np.ldexp(p, -512 * e), a, r)
+            assert [None if x is None else x.tobytes() for x in got] == [
+                None if x is None else x[0].tobytes() for x in want
+            ], (width, d)
+        assert (levels[-1][1].max() > 0) == (name == "lf_carry")
+
+
+def test_suffix_table_is_skipped_without_an_lf_state_or_a_generation(monkeypatch):
     rng = np.random.default_rng(5)
     finite = (random_finite_law(rng, 3, with_extinction=True),) * 2
-    assert exact._lf_suffix_table(finite, 8, 4096) is None
+    assert exact._lf_suffix_table(finite, 8) is None
     lf = (random_lf_law(rng), random_lf_law(rng))
-    assert exact._lf_suffix_table(lf, 0, 4096) is None
-    assert exact._lf_suffix_table(lf, 8, 1) is None
-    assert exact._lf_suffix_table(lf, 8, 3).length == 1
+    assert exact._lf_suffix_table(lf, 0) is None
+    monkeypatch.setattr(exact, "_SUFFIX_ROWS", 1)
+    assert exact._lf_suffix_table(lf, 8) is None
+    monkeypatch.setattr(exact, "_SUFFIX_ROWS", 3)
+    assert exact._lf_suffix_table(lf, 8).length == 1
 
 
 @pytest.mark.parametrize("target", [2, 3, 7])

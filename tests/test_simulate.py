@@ -637,7 +637,7 @@ DIFFERENCED_RULE_CASES = pytest.mark.parametrize(
 
 def _spine_tables(model, n):
     """No suffix table, then the one ``conditioned_mrca_sample`` builds (None on a finite model)."""
-    return (None, _lf_suffix_table(model.states, n, _CHUNK))
+    return (None, _lf_suffix_table(model.states, n))
 
 
 def _assert_spine_lane_matches_differenced_rule(model, n, target, cut):
@@ -744,7 +744,7 @@ def test_geiger_sampler_builds_one_suffix_table(monkeypatch):
         conditioned_mrca_sample(model, n, 2, "geiger", 3 * _CHUNK, root_seed=5)
         assert len(built) == 1
         table = built[0]
-        assert table.length == length and len(table.p) == 2**length <= _CHUNK
+        assert table.length == length and len(table.p) == 2**length <= exact._SUFFIX_ROWS
         monkeypatch.setattr(exact, "_lf_step", step_spy)
         steps.clear()
         got = _mrca_spine_chunk(model, n, 2, stream(5, 0), _CHUNK, table=table)
@@ -756,12 +756,11 @@ def test_geiger_sampler_builds_one_suffix_table(monkeypatch):
 
 
 def test_one_state_samplers_read_a_table_past_255_generations(monkeypatch):
-    # at K = 1 the table spans the whole horizon, L = n, so its digit
-    # exponents outgrow the one-byte codes; both samplers keep the
-    # table-free route's results
+    # at K = 1 the table spans the whole horizon, L = n; both samplers keep
+    # the table-free route's results
     model = EnvironmentModel((LinearFractionalLaw(1.0, 0.1),), (1.0,))
     n = 300
-    assert _lf_suffix_table(model.states, n, _CHUNK).length == n
+    assert _lf_suffix_table(model.states, n).length == n
     monkeypatch.setenv("BPRE_THREADS", "1")
     runs = []
     for build in (_lf_suffix_table, lambda *args: None):
