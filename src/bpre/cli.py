@@ -5,8 +5,8 @@ results go to JSON (--out), tidy plot tables to CSV (--csv); every
 stochastic artifact embeds its config hash and seed, and outputs are
 byte-identical for identical (config, seed) regardless of BPRE_THREADS.
 
-Exit codes: 0 success, 1 unknown command / usage, 2 contract errors,
-3 budget errors.
+Exit codes: 0 success, 1 unknown command / usage or a stdout closed
+before the output was written, 2 contract errors, 3 budget errors.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -444,13 +445,18 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 2
     try:
         config = ExperimentConfig.from_args(command, args)
-        return _HANDLERS[command](config)
+        code = _HANDLERS[command](config)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+        return code
     except BudgetError as exc:
         sys.stderr.write(f"budget error: {exc}\n")
         return 3
     except ContractError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except BrokenPipeError:  # the reader left: send the rest of stdout nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -22,18 +22,19 @@ the drawn indices.
 ``mrca_rows`` and ``survival_rows`` (P(Z_n > 0 | env), which the MRCA
 sampler thins on and ``quenched_survival`` reads) choose the same two
 routes per row.  A model of K states has only K^L suffixes of length L,
-so a sampler builds ``_lf_suffix_table`` once per call: the ``_lf_suffix``
-statistics of f_{n-L,n} for every suffix, at most ``_SUFFIX_ROWS`` of them,
-grown breadth-first by ``_lf_levels``.  Each of the three kernels takes
-it as ``table``; an all-LF row then gathers its statistics by the code of
-its last L states and steps only the generations before them, with the
-bits of the full recursion.  ``mrca_rows`` returns the MRCA law as tail
-masses A_g, the form both routes compute, and forms no differences.  An all-LF row
-reads its A_g straight off the ``_lf_suffix`` statistics, with no
-derivative and no product over generations, and its survival is the
-statistic p itself, kept however small.  One log-derivative helper forms
-the products prod f_k'(t_k) of the series rows of ``mrca_rows`` and of the
-subtree identity.
+so ``_lf_suffix_table`` holds the ``_lf_suffix`` statistics of f_{n-L,n}
+for every suffix, at most ``_SUFFIX_ROWS`` of them, grown breadth-first by
+``_lf_levels``.  ``_lf_suffix`` looks it up for its own (states, n), and a
+process builds one table per model and horizon and keeps only the last, so
+the chunks of a sampler call share one.  An all-LF row then gathers its
+statistics by the code of its last L states and steps only the generations
+before them, with the bits of the full recursion.  ``mrca_rows`` returns
+the MRCA law as tail masses A_g, the form both routes compute, and forms
+no differences.  An all-LF row reads its A_g straight off the
+``_lf_suffix`` statistics, with no derivative and no product over
+generations, and its survival is the statistic p itself, kept however
+small.  One log-derivative helper forms the products prod f_k'(t_k) of the
+series rows of ``mrca_rows`` and of the subtree identity.
 
 The annealed enumerator (``_annealed_rows``) composes from the innermost
 generation outward: a shared breadth-first block, then the outermost
@@ -77,7 +78,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -135,8 +136,7 @@ class EnvSequence:
 
 
 def horizon_rows(
-    states: tuple[OffspringLaw, ...], idx: np.ndarray, width: int, *, layers: bool = False,
-    table: _SuffixTable | None = None,
+    states: tuple[OffspringLaw, ...], idx: np.ndarray, width: int, *, layers: bool = False
 ) -> np.ndarray:
     """Rows (b, width) of f_{0,n} for each environment row of idx, truncated at s^(width-1).
 
@@ -147,32 +147,27 @@ def horizon_rows(
     The route is chosen per row, so a row gets the same arithmetic in any
     block: a row whose laws are all LF takes the closed form (``_lf_suffix``,
     then ``_lf_layers``), any other row the series route (``_series_layers``).
-    ``table`` (``_lf_suffix_table`` of ``states``) gives the closed form the
-    last generations of each row, with the same bits.
     """
     f = _by_route(
         states,
         idx,
-        lambda sub: _lf_layers(*_lf_suffix(states, sub, width, layers, table=table), width),
+        lambda sub: _lf_layers(*_lf_suffix(states, sub, width, layers), width),
         lambda sub: _series_layers(states, sub, width, layers),
     )
     return f if layers else f[0]
 
 
-def survival_rows(
-    states: tuple[OffspringLaw, ...], idx: np.ndarray, *, table: _SuffixTable | None = None
-) -> np.ndarray:
+def survival_rows(states: tuple[OffspringLaw, ...], idx: np.ndarray) -> np.ndarray:
     """P(Z_n > 0 | env, Z_0 = 1) for each environment row of idx, shape (b,).
 
     An all-LF row gives the survival p of ``_lf_suffix`` itself, which keeps
-    its value however small, and reads its last generations from ``table``
-    where one is given; any other row gives 1 - t_0 from the width-1 series
-    route, which is 0 once t_0 rounds to 1.
+    its value however small; any other row gives 1 - t_0 from the width-1
+    series route, which is 0 once t_0 rounds to 1.
     """
     return _by_route(
         states,
         idx,
-        lambda sub: _lf_suffix(states, sub, 1, False, table=table)[0],
+        lambda sub: _lf_suffix(states, sub, 1, False)[0],
         lambda sub: 1.0 - _series_layers(states, sub, 1, False)[..., 0],
     )[0]
 
@@ -218,6 +213,7 @@ class _SuffixTable(NamedTuple):
     r: np.ndarray
 
 
+@lru_cache(maxsize=1)
 def _lf_suffix_table(states: tuple[OffspringLaw, ...], n: int) -> _SuffixTable | None:
     """The ``_lf_suffix`` statistics of every suffix of length L, for a block of horizon n.
 
@@ -229,6 +225,10 @@ def _lf_suffix_table(states: tuple[OffspringLaw, ...], n: int) -> _SuffixTable |
     or where the survival bound falls below 2^-512 within L generations, so
     that no entry holds a carried exponent.  A state that is not LF takes
     ``_lf_suffix``'s placeholder, and its entries are never read.
+
+    The last table built is kept, read-only, for the next call with equal
+    (states, n), so the rows of one model and horizon share one table in
+    each process; memory stays at one table of ``_SUFFIX_ROWS`` entries.
     """
     keeps = [1.0 - law.p0 for law in states if isinstance(law, LinearFractionalLaw)]
     k, length, bound = len(states), 0, 1.0
@@ -240,6 +240,8 @@ def _lf_suffix_table(states: tuple[OffspringLaw, ...], n: int) -> _SuffixTable |
     r = np.empty((length + 1, k**length))
     for d, (p, _, a, level_r) in enumerate(_lf_levels(states, min(keeps), length, 3)):
         r[length - d] = np.tile(level_r, k ** (length - d))
+    for x in (p, a, r):
+        x.flags.writeable = False
     return _SuffixTable(length, bound, p, a, r)
 
 
@@ -271,7 +273,7 @@ def _lf_levels(states: tuple[OffspringLaw, ...], keep: float, depth: int, width:
 
 def _lf_suffix(
     states: tuple[OffspringLaw, ...], idx: np.ndarray, width: int, layers: bool,
-    *, r_layers: bool = False, table: _SuffixTable | None = None,
+    *, r_layers: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Suffix statistics (p, a, r) of f_{k,n} for environment rows whose laws are all LF.
 
@@ -294,13 +296,13 @@ def _lf_suffix(
     check is skipped while that bound, run over the block, stays above
     2^-512; rows that never fall that low keep the same arithmetic.
 
-    ``table`` (``_lf_suffix_table`` of ``states``) replaces the last L
+    Without ``layers`` the suffix table of (states, n) (``_lf_suffix_table``,
+    built on the first call and kept for the next) replaces the last L
     generations: each row gathers the statistics of f_{n-L,n} (and r's L+1
     layers with ``r_layers``) by the code of ``idx[:, n-L:]`` and steps only
     generations n-L, ..., 1, with the bound continued from the table's.
     The entries are this recursion's own values and the table holds no
-    carried exponent, so every row keeps its bits.  It is not read with
-    ``layers`` or where n < L; for n = L no row steps at all.
+    carried exponent, so every row keeps its bits; for n = L no row steps.
     """
     b, n = idx.shape
     # m, eta m and 1 - q(0) per state; these rows never index a finite state's placeholder
@@ -315,7 +317,8 @@ def _lf_suffix(
     r = np.empty((n_r, b)) if width > 2 else None
     bound, step = 1.0, float(keep_state.min(initial=1.0))  # bound <= every p of layer src
     start = n  # the generations after ``start`` are read from the table
-    if table is not None and not layers and table.length <= n:
+    table = None if layers else _lf_suffix_table(states, n)
+    if table is not None:
         start, bound = n - table.length, table.bound
         code = idx[:, start:] @ len(states) ** np.arange(table.length - 1, -1, -1)
         p[0] = table.p[code]
@@ -477,10 +480,7 @@ def _log_derivatives(
         return np.log(d)
 
 
-def mrca_rows(
-    states: tuple[OffspringLaw, ...], idx: np.ndarray, target: int,
-    *, table: _SuffixTable | None = None,
-) -> np.ndarray:
+def mrca_rows(states: tuple[OffspringLaw, ...], idx: np.ndarray, target: int) -> np.ndarray:
     """Tail masses (b, n+1): A_g = P(Z_n = target, MRCA in generation >= g | env, Z_0 = 1).
 
     With T = target and t_k = f_{k,n}(0), A_g is the probability that
@@ -501,33 +501,28 @@ def mrca_rows(
         A_g = p_0 a_0 r_g^(T-1),
 
     every factor in [0, 1], so no horizon overflows, and r_n = 0 gives
-    A_n = 0.  ``table`` (``_lf_suffix_table`` of ``states``) gives
-    these rows their last generations, with the same bits.  Any other row
-    takes the series route (``_series_mrca``), where f'_{0,g}(t_g) =
-    prod_{k=1..g} f_k'(t_k) is summed in log space.
+    A_n = 0.  Any other row takes the series route (``_series_mrca``),
+    where f'_{0,g}(t_g) = prod_{k=1..g} f_k'(t_k) is summed in log space.
     """
     if target < 2:
         raise ContractError("target size must be >= 2 for a meaningful MRCA")
     return _by_route(
         states,
         idx,
-        lambda sub: _lf_mrca(states, sub, target, table),
+        lambda sub: _lf_mrca(states, sub, target),
         lambda sub: _series_mrca(states, sub, target),
     ).T
 
 
-def _lf_mrca(
-    states: tuple[OffspringLaw, ...], idx: np.ndarray, target: int,
-    table: _SuffixTable | None = None,
-) -> np.ndarray:
+def _lf_mrca(states: tuple[OffspringLaw, ...], idx: np.ndarray, target: int) -> np.ndarray:
     """A_g = p_0 a_0 r_g^(T-1) of ``mrca_rows`` as (n+1, b), layer g for generation g.
 
     For rows whose laws are all LF: one ``_lf_suffix`` at width T + 1, the
     coefficient it reads (so r is carried), with only r layered, since p and
-    a are read at generation 0 alone, and the last generations read from
-    ``table``; then powers of r as running products, scaled in place.
+    a are read at generation 0 alone; then powers of r as running products,
+    scaled in place.
     """
-    p, a, r = _lf_suffix(states, idx, target + 1, layers=False, r_layers=True, table=table)
+    p, a, r = _lf_suffix(states, idx, target + 1, layers=False, r_layers=True)
     power = r
     for _ in range(target - 2):
         power = power * r

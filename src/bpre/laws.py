@@ -13,6 +13,7 @@ reads the standardized second moment ``eta_lf = b / (2 m^2)``; the general
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -216,16 +217,19 @@ def law_from_json(obj: dict) -> OffspringLaw:
 def json_numbers(obj: dict, key: str, many: bool = False):
     """Field ``key`` of a model JSON object as a float, or with ``many`` a tuple of floats.
 
-    A missing field, or one that ``float`` rejects, raises ContractError
-    naming the field.
+    A missing field, a value that is not a JSON number (an int or a float
+    within the float range, never a bool or a string), or with ``many`` a
+    field that is not a JSON list, raises ContractError naming the field.
     """
     if key not in obj:
         raise ContractError(f"model JSON needs {key!r}")
-    try:
-        return tuple(map(float, obj[key])) if many else float(obj[key])
-    except (TypeError, ValueError, OverflowError):
-        kind = "a list of numbers" if many else "a number"
-        raise ContractError(f"model JSON {key!r} must be {kind}")
+    values = obj[key] if many else [obj[key]]
+    if isinstance(values, list) and not any(isinstance(v, (bool, str)) for v in values):
+        with contextlib.suppress(TypeError, OverflowError):  # null, a list or an object; a huge int
+            numbers = tuple(map(float, values))
+            return numbers if many else numbers[0]
+    kind = "a list of numbers" if many else "a number"
+    raise ContractError(f"model JSON {key!r} must be {kind}")
 
 
 def law_to_json(law: OffspringLaw) -> dict:

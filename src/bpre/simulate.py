@@ -7,9 +7,10 @@ driver, ``_map_chunks``, which gives chunk c of at most ``_CHUNK`` units the
 stream (root_seed, c), built when the chunk runs, so results are
 independent of the worker count (BPRE_THREADS only maps MRCA chunks to
 processes, never changes the draws; importance sampling stays serial).
-Importance sampling and the exact MRCA sampler build one
-``exact._lf_suffix_table`` per call and send it to every chunk, and an
-all-LF environment reads its last generations from it.  Trajectories, the
+In importance sampling and the exact MRCA sampler an all-LF environment
+reads its last generations from ``exact``'s suffix table, which each
+process builds once per model and horizon, keeping only the last, so the
+chunks of a call that run in one process share one.  Trajectories, the
 spine sampler's side subtrees and the rejection lane's trees grow by one
 branching step, ``_generations``, which branches a forest: one tree per
 environment row, individuals kept in tree order, offspring drawn by
@@ -42,10 +43,9 @@ P(Z_n > 0 | env) itself, thins the rest.  Both take the LF closed form for
 environments whose laws are all linear fractional: there the survival is
 the bounded LF suffix statistic p, kept however small, and
 A_g = p_0 a_0 r_g^(target-1) comes from the same statistics, finite at any
-horizon; their last L generations are read from the call's suffix
-table, with the same bits.  The rest take
-the series route: 1 - t_0 from the width-1 extinction ladder, layers of
-f_{k,n} and log-derivative products.
+horizon; their last L generations are read from the suffix table, with
+the same bits.  The rest take the series route: 1 - t_0 from the width-1
+extinction ladder, layers of f_{k,n} and log-derivative products.
 
 When the environment is random, conditioning on {Z_n = target} under the
 annealed law is NOT the same as sampling an environment, conditioning on
@@ -72,7 +72,7 @@ import numpy as np
 
 from .environment import EnvironmentModel, tilt
 from .errors import BudgetError, ContractError, PopulationCapError
-from .exact import EnvSequence, _lf_suffix_table, horizon_rows, mrca_rows, survival_rows
+from .exact import EnvSequence, horizon_rows, mrca_rows, survival_rows
 from .laws import PROB_TOL, FiniteLaw, LinearFractionalLaw, OffspringLaw
 from .pgf import pow_rows
 
@@ -123,10 +123,11 @@ def _map_chunks(fn, total: int, root_seed: int, workers: int) -> list:
     Chunk c holds units c*_CHUNK .. min((c+1)*_CHUNK, total) - 1.  With more
     than one worker and more than one chunk the calls run in a process pool,
     which is sent (c, size) pairs in one batch per worker, so that ``fn``
-    and what it carries (a suffix table) are pickled once per worker, not
-    once per chunk.  Every chunk but the last holds ``_CHUNK`` units of
-    one task, so equal batches are already balanced; smaller ones would only
-    pickle ``fn`` more often.  Either way a chunk's stream is built when the
+    and what it carries (a model) are pickled once per worker, not once per
+    chunk, and a worker whose chunks read a suffix table builds it once.
+    Every chunk but the last holds ``_CHUNK`` units of one task, so equal
+    batches are already balanced; smaller ones would only pickle ``fn`` and
+    build tables more often.  Either way a chunk's stream is built when the
     chunk runs, so no more than one per worker is held at once.
     """
     chunks = -(-total // _CHUNK)
@@ -351,23 +352,23 @@ class ImportanceEstimate:
 
 
 def _quenched_small_value_rows(
-    states: tuple[OffspringLaw, ...], idx: np.ndarray, z0: int, j_max: int, table=None
+    states: tuple[OffspringLaw, ...], idx: np.ndarray, z0: int, j_max: int
 ) -> np.ndarray:
     """Exact P(1 <= Z_n <= j_max | env) for each environment row of idx."""
-    return pow_rows(horizon_rows(states, idx, j_max + 1, table=table), z0)[:, 1:].sum(axis=1)
+    return pow_rows(horizon_rows(states, idx, j_max + 1), z0)[:, 1:].sum(axis=1)
 
 
 def _importance_chunk(
-    tilted: EnvironmentModel, mu: float, z0: int, n: int, j_max: int, nu: float, rng, size: int,
-    *, table=None,
+    tilted: EnvironmentModel, mu: float, z0: int, n: int, j_max: int, nu: float, rng, size: int
 ) -> np.ndarray:
     """Values p(env) mu^n exp(nu S_n) of ``size`` environments drawn from the ``tilted`` model.
 
-    ``table`` (``exact._lf_suffix_table`` of the tilted states at horizon
-    n) gives the all-LF rows their last generations, with the same bits.
+    The all-LF rows read their last generations from the suffix table of
+    the tilted states at horizon n, built by the first chunk of a process
+    and kept for the rest, with the same bits.
     """
     idx = tilted.sample_indices(rng, (size, n))
-    probs = _quenched_small_value_rows(tilted.states, idx, z0, j_max, table)
+    probs = _quenched_small_value_rows(tilted.states, idx, z0, j_max)
     s_n = np.asarray(tilted.x_values)[idx].sum(axis=1)
     with np.errstate(divide="ignore"):
         log_p = np.log(np.clip(probs, 0.0, None))
@@ -393,17 +394,17 @@ def importance_estimate(
     their maximum and scaled back, so squares of tiny values do not
     underflow.  A value that still overflows raises ContractError, and more
     than ``PROPOSAL_CAP`` replicates raise BudgetError before any draw.  The
-    chunks run serially, in one process, and share one suffix table
-    (``exact._lf_suffix_table``), built once per
-    call, from which each all-LF row reads its last generations.
+    chunks run serially, in one process, and share one suffix table of the
+    tilted states at horizon n, which ``exact`` builds at most once per call
+    and keeps until a call with another model or horizon; each all-LF row
+    reads its last generations from it.
     """
     if replicates < 1:
         raise ContractError("replicates must be >= 1")
     if replicates > PROPOSAL_CAP:
         raise BudgetError(f"replicate budget {replicates} exceeds cap {PROPOSAL_CAP}")
     tilted, mu = tilt(model, nu)
-    table = _lf_suffix_table(tilted.states, n)
-    fn = partial(_importance_chunk, tilted, mu, z0, n, j_max, nu, table=table)
+    fn = partial(_importance_chunk, tilted, mu, z0, n, j_max, nu)
     values = np.concatenate(_map_chunks(fn, replicates, root_seed, 1))
     scale = float(values.max())
     if not math.isfinite(scale):
@@ -473,8 +474,7 @@ def _tally(ages: np.ndarray, n: int) -> dict[int, int]:
 
 
 def _mrca_spine_chunk(
-    model: EnvironmentModel, n: int, target: int, rng: np.random.Generator, size: int,
-    *, table=None,
+    model: EnvironmentModel, n: int, target: int, rng: np.random.Generator, size: int
 ) -> dict[int, int]:
     """One proposal chunk of the exact MRCA sampler; returns MRCA counts.
 
@@ -491,16 +491,17 @@ def _mrca_spine_chunk(
     u < A_0 = P(Z_n = target | env) accepts, and the first g with
     u < A_0 - A_{g+1} gives the age n - g.  Every row value is computed by
     row-wise arithmetic, so neither cut changes an accepted row or an age.
-    ``table`` (``exact._lf_suffix_table`` of the model's states) gives both
-    passes the last generations of each all-LF row, with the same bits.
+    Both passes read the last generations of each all-LF row from the
+    suffix table of the model's states at horizon n, built by the first
+    chunk of a process and kept for the rest, with the same bits.
     """
     u = rng.random(size)
     u = u[u < _spine_bound(model, target)]
     idx = model.state_indices(rng.random((u.size, n)))
     if not model.is_lf_pure:
-        live = u < survival_rows(model.states, idx, table=table)
+        live = u < survival_rows(model.states, idx)
         idx, u = idx[live], u[live]
-    a = mrca_rows(model.states, idx, target, table=table)
+    a = mrca_rows(model.states, idx, target)
     hit = u < a[:, 0]
     return _tally(n - np.argmax(u[hit, None] < a[hit, :1] - a[hit, 1:], axis=1), n)
 
@@ -551,10 +552,10 @@ def conditioned_mrca_sample(
     probability P(Z_n = target | env) and its MRCA age is drawn from the
     quenched law of ``exact.mrca_rows``, with one uniform per proposal and
     no tree simulated; that uniform is drawn first, and only proposals with
-    u < ``_spine_bound`` draw an environment.  The call builds one suffix
-    table (``exact._lf_suffix_table``), which every
-    chunk, in any worker, reads the last generations of its all-LF rows
-    from; for n up to the table's length no row steps at all.
+    u < ``_spine_bound`` draw an environment.  Each process builds one
+    suffix table of the model's states at horizon n and keeps only the
+    last, and every chunk it runs reads the last generations of its all-LF
+    rows from it; for n up to the table's length no row steps at all.
     Method "rejection" simulates full forward trees, one forest per chunk of
     at most ``_CHUNK`` trees whose genealogy is held at once, and raises
     PopulationCapError when one tree's population exceeds
@@ -580,11 +581,8 @@ def conditioned_mrca_sample(
         "conditioned MRCA: %s proposals (method=%s, n=%s, target=%s)",
         proposals, method, n, target_size,
     )
-    if method == "rejection":
-        fn = partial(_mrca_rejection_chunk, model, n, target_size)
-    else:
-        table = _lf_suffix_table(model.states, n)
-        fn = partial(_mrca_spine_chunk, model, n, target_size, table=table)
+    chunk = _mrca_rejection_chunk if method == "rejection" else _mrca_spine_chunk
+    fn = partial(chunk, model, n, target_size)
     counts, accepted = _merge_counts(_map_chunks(fn, proposals, root_seed, worker_count()))
     if accepted == 0:
         raise ContractError(

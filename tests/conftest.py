@@ -1,7 +1,10 @@
 import os
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
+
+from bpre import exact
 
 # subprocess tests run ``python -m bpre.cli``; let them import the source tree
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -15,3 +18,29 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 settings.load_profile("bpre")
+
+
+@pytest.fixture(autouse=True)
+def _no_kept_suffix_table():
+    # ``exact`` keeps the last suffix table it built; each test starts and
+    # ends without one, so no test reads a table another one built
+    exact._lf_suffix_table.cache_clear()
+    yield
+    exact._lf_suffix_table.cache_clear()
+
+
+@pytest.fixture
+def table_free(monkeypatch):
+    """``table_free(fn)`` is fn() on the table-free route: at 0 rows no suffix table is built."""
+
+    def run(fn):
+        rows = exact._SUFFIX_ROWS
+        monkeypatch.setattr(exact, "_SUFFIX_ROWS", 0)
+        exact._lf_suffix_table.cache_clear()
+        try:
+            return fn()
+        finally:
+            monkeypatch.setattr(exact, "_SUFFIX_ROWS", rows)
+            exact._lf_suffix_table.cache_clear()
+
+    return run

@@ -312,6 +312,15 @@ BAD_SHAPE_MODELS = [
     '{"states": [%s], "weights": ["a"]}' % LF_STATE,
     '{"states": [{"type": "lf", "m": "x", "b": 8.0}], "weights": [1]}',
     '{"states": [%s], "weights": [1%s]}' % (LF_STATE, "0" * 400),
+    # a string, a bool or an object where numbers belong is no number
+    '{"states": [{"type": "lf", "m": "2.0", "b": "8"}], "weights": "1"}',
+    '{"states": [{"type": "lf", "m": 2.0, "b": "8"}], "weights": [1]}',
+    '{"states": [%s], "weights": "1"}' % LF_STATE,
+    '{"states": [%s], "weights": "0.5"}' % LF_STATE,
+    '{"states": [{"type": "finite", "probs": [true, false]}], "weights": [true]}',
+    '{"states": [%s], "weights": [true]}' % LF_STATE,
+    '{"states": [%s], "weights": {"0.5": 1}}' % LF_STATE,
+    '{"states": [%s], "weights": {"1": 1}}' % LF_STATE,
 ]
 
 
@@ -331,6 +340,26 @@ def test_model_of_wrong_shape_exits_two_from_the_command_line(tmp_path):
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, cwd=tmp_path)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: model JSON must be an object with 'states' and 'weights'\n"
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_one_without_a_traceback(buffered, gw_path, tmp_path):
+    # the pipe's reader is gone before the first line is written; a
+    # block-buffered stdout meets the closed pipe only when it is flushed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    argv = [sys.executable, "-m", "bpre.cli", "validate", "--model", gw_path]
+    try:
+        proc = subprocess.run(
+            argv, stdout=write, stderr=subprocess.PIPE, text=True, timeout=60, env=env, cwd=tmp_path
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_validate_gw(gw_path, capsys):

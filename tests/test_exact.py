@@ -270,12 +270,21 @@ def _suffix_case(name):
     return states, 1024, 10, lambda b, n: rng.integers(0, 2, (b, n))
 
 
+def _as_bytes(x):
+    """Arrays as bytes and floats as hex, through nested tuples and lists: a bit-for-bit key."""
+    if isinstance(x, (tuple, list)):
+        return [_as_bytes(y) for y in x]
+    if isinstance(x, float):
+        return x.hex()
+    return None if x is None else x.tobytes()
+
+
 @pytest.mark.parametrize("offset", ["1", "L-1", "L", "L+1", "40", "300"])
 @pytest.mark.parametrize("name", ["lf", "mixed", "single", "lf_carry"])
-def test_suffix_table_keeps_every_bit(name, offset, monkeypatch):
-    # two routes: each kernel with the table against the table-free route,
-    # byte for byte, at every width and for r layered or not; at K = 1 and
-    # n = 300 the table spans L = 300 generations
+def test_suffix_table_keeps_every_bit(name, offset, monkeypatch, table_free):
+    # two routes: each kernel reading the kept table against the table-free
+    # route, byte for byte, at every width and for r layered or not; at K = 1
+    # and n = 300 the table spans L = 300 generations
     states, rows, longest, draw = _suffix_case(name)
     monkeypatch.setattr(exact, "_SUFFIX_ROWS", rows)
     n = {"1": 1, "L-1": longest - 1, "L": longest, "L+1": longest + 1, "40": 40, "300": 300}[offset]
@@ -286,29 +295,53 @@ def test_suffix_table_keeps_every_bit(name, offset, monkeypatch):
     assert table.length == (n if len(states) == 1 else min(n, longest))
     assert len(table.p) == len(states) ** table.length <= rows
     assert table.r.shape == (table.length + 1, len(table.p))
-    long = exact._lf_suffix_table(states, 40)  # not read where n < L
-    for t in (table, long):
-        for width in (1, 2, 3, 5, 65):
-            for r_layers in (False, True):
-                want = exact._lf_suffix(states, idx[lf], width, False, r_layers=r_layers)
-                got = exact._lf_suffix(states, idx[lf], width, False, r_layers=r_layers, table=t)
-                assert [None if x is None else x.tobytes() for x in got] == [
-                    None if x is None else x.tobytes() for x in want
-                ], (width, r_layers)
-            got = exact.horizon_rows(states, idx, width, table=t)
-            assert got.tobytes() == exact.horizon_rows(states, idx, width).tobytes(), width
-        got = survival_rows(states, idx, table=t)
-        assert got.tobytes() == survival_rows(states, idx).tobytes()
-        for target in (2, 4, 64):
-            got = exact.mrca_rows(states, idx, target, table=t)
-            assert got.tobytes() == exact.mrca_rows(states, idx, target).tobytes(), target
+    widths = (1, 2, 3, 5, 65)
+
+    def kernels():
+        return (
+            [[exact._lf_suffix(states, idx[lf], width, False, r_layers=r_layers)
+              for r_layers in (False, True)] for width in widths],
+            [exact.horizon_rows(states, idx, width) for width in widths],
+            survival_rows(states, idx),
+            [exact.mrca_rows(states, idx, target) for target in (2, 4, 64)],
+        )
+
+    got = kernels()
+    assert exact._lf_suffix_table.cache_info().misses == 1  # every kernel read the one table
+    want = table_free(kernels)
+    for width, g, w in zip(widths, got[0], want[0]):
+        assert _as_bytes(g) == _as_bytes(w), width
+    for width, g, w in zip(widths, got[1], want[1]):
+        assert g.tobytes() == w.tobytes(), width
+    assert got[2].tobytes() == want[2].tobytes()
+    for target, g, w in zip((2, 4, 64), got[3], want[3]):
+        assert g.tobytes() == w.tobytes(), target
     if name == "lf_carry":
         keep = 1.0 - states[0].p0
         assert keep**10 > 2.0**-512 > keep**11
         monkeypatch.setattr(exact, "_SUFFIX_ROWS", 4096)
+        exact._lf_suffix_table.cache_clear()
         assert exact._lf_suffix_table(states, n) is None or n < 11
         if n == 40:  # some row carries an exponent past the table
-            assert survival_rows(states, idx, table=table).min() < 2.0**-512
+            assert got[2].min() < 2.0**-512
+
+
+@pytest.mark.parametrize("name, n", [("lf", 12), ("lf", 40), ("single", 300), ("lf_carry", 40)])
+def test_quenched_rows_keep_every_bit_with_the_suffix_table(name, n, monkeypatch, table_free):
+    # two routes: ``quenched_coeff_row`` and ``quenched_survival`` of all-LF
+    # environments read a table of their own distinct laws, and give the
+    # table-free route's bits; at K = 1 the table spans all 300 generations
+    states, rows, _, draw = _suffix_case(name)
+    monkeypatch.setattr(exact, "_SUFFIX_ROWS", rows)
+    envs = [EnvSequence(tuple(states[a] for a in row)) for row in draw(8, n)]
+
+    def quenched():
+        return [(quenched_coeff_row(env, z0, 6), quenched_survival(env, z0))
+                for env in envs for z0 in (1, 3)]
+
+    got = quenched()
+    assert all(exact._lf_suffix_table(env._indexed[0], n) is not None for env in envs)
+    assert _as_bytes(got) == _as_bytes(table_free(quenched))
 
 
 @pytest.mark.parametrize(
@@ -364,6 +397,7 @@ def test_suffix_table_is_skipped_without_an_lf_state_or_a_generation(monkeypatch
     monkeypatch.setattr(exact, "_SUFFIX_ROWS", 1)
     assert exact._lf_suffix_table(lf, 8) is None
     monkeypatch.setattr(exact, "_SUFFIX_ROWS", 3)
+    exact._lf_suffix_table.cache_clear()  # the kept None was found at 1 row
     assert exact._lf_suffix_table(lf, 8).length == 1
 
 

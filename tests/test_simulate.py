@@ -13,7 +13,6 @@ from bpre.errors import ContractError, PopulationCapError
 from bpre import exact
 from bpre.exact import (
     EnvSequence,
-    _lf_suffix_table,
     annealed_pmf,
     annealed_pmf_row,
     horizon_rows,
@@ -635,31 +634,36 @@ DIFFERENCED_RULE_CASES = pytest.mark.parametrize(
 )
 
 
-def _spine_tables(model, n):
-    """No suffix table, then the one ``conditioned_mrca_sample`` builds (None on a finite model)."""
-    return (None, _lf_suffix_table(model.states, n))
+def _both_routes(table_free, check):
+    """check() with the suffix table ``exact`` keeps (none on a finite model), then table-free."""
+    check()
+    table_free(check)
 
 
-def _assert_spine_lane_matches_differenced_rule(model, n, target, cut):
-    for table in _spine_tables(model, n):
+def _assert_spine_lane_matches_differenced_rule(model, n, target, cut, table_free):
+    def check():
         accepted = 0
         for c, size in enumerate((_CHUNK, _CHUNK, _CHUNK, 1001)):
-            got = _mrca_spine_chunk(model, n, target, stream(9, c), size, table=table)
+            got = _mrca_spine_chunk(model, n, target, stream(9, c), size)
             assert got == _differenced_rule_counts(model, n, target, stream(9, c), size, cut)
             accepted += sum(got.values())
         assert accepted > 0
 
-
-@DIFFERENCED_RULE_CASES
-def test_spine_lane_ages_match_differenced_rule(model, n, target):
-    _assert_spine_lane_matches_differenced_rule(model, n, target, cut=True)
+    _both_routes(table_free, check)
 
 
 @DIFFERENCED_RULE_CASES
-def test_spine_lane_ages_match_differenced_rule_without_cut(model, n, target, monkeypatch):
+def test_spine_lane_ages_match_differenced_rule(model, n, target, table_free):
+    _assert_spine_lane_matches_differenced_rule(model, n, target, True, table_free)
+
+
+@DIFFERENCED_RULE_CASES
+def test_spine_lane_ages_match_differenced_rule_without_cut(
+    model, n, target, monkeypatch, table_free
+):
     # with the bound at 1 the lane cuts nothing, and neither does the oracle
     monkeypatch.setattr(simulate, "_spine_bound", lambda model, target: 1.0)
-    _assert_spine_lane_matches_differenced_rule(model, n, target, cut=False)
+    _assert_spine_lane_matches_differenced_rule(model, n, target, False, table_free)
 
 
 @pytest.mark.parametrize(
@@ -672,34 +676,39 @@ def test_spine_lane_ages_match_differenced_rule_without_cut(model, n, target, mo
     ],
     ids=["strongly", "finite", "strongly_none_kept", "finite_none_kept"],
 )
-def test_spine_chunk_draws_uniforms_then_kept_environments(model, n, seed, size):
+def test_spine_chunk_draws_uniforms_then_kept_environments(model, n, seed, size, table_free):
     # the chunk draws size uniforms, then n cells for each kept proposal, and
     # nothing else: a later change of this order changes every geiger draw
-    for table in _spine_tables(model, n):
+    def check():
         rng = stream(seed, 0)
-        _mrca_spine_chunk(model, n, 2, rng, size, table=table)
+        _mrca_spine_chunk(model, n, 2, rng, size)
         replay = stream(seed, 0)
         kept = int(np.count_nonzero(replay.random(size) < _spine_bound(model, 2)))
         assert (kept == 0) == (size < _CHUNK)
         replay.random(kept * n)
         assert rng.random() == replay.random()
 
+    _both_routes(table_free, check)
+
 
 @pytest.mark.parametrize(
     "model", [strongly_model(), weakly_mrca_model()], ids=["strongly", "weakly_mrca"]
 )
-def test_spine_chunk_memory_follows_kept_proposals(model):
+def test_spine_chunk_memory_follows_kept_proposals(model, table_free):
     # a cut proposal holds no environment row, so one long chunk stays well
-    # below a single (size, n) float block
+    # below a single (size, n) float block, the suffix table it builds included
     n = 2000
-    for table in _spine_tables(model, n):
+
+    def check():
         tracemalloc.start()
         try:
-            _mrca_spine_chunk(model, n, 2, stream(3, 0), _CHUNK, table=table)
+            _mrca_spine_chunk(model, n, 2, stream(3, 0), _CHUNK)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 0.75 * _CHUNK * n * 8
+
+    _both_routes(table_free, check)
 
 
 @pytest.mark.parametrize(
@@ -721,53 +730,60 @@ def test_geiger_counts_are_pinned(model, n, counts, monkeypatch):
         assert d.accepted == sum(counts.values())
 
 
-def test_geiger_sampler_builds_one_suffix_table(monkeypatch):
-    # one call builds one table for all of its chunks; a chunk whose horizon
-    # fits in the table steps no generation, and a longer one steps only
-    # the generations before it
-    built, steps = [], []
-
-    def build_spy(*args, **kwargs):
-        built.append(_lf_suffix_table(*args, **kwargs))
-        return built[-1]
+def test_a_sampler_call_builds_at_most_one_suffix_table(monkeypatch, table_free):
+    # a geiger or importance call builds one table for all of its chunks, a
+    # repeat call with the same (states, n) builds none, and ``exact`` keeps
+    # one table at most; a chunk whose horizon fits in the table steps no
+    # generation, and a longer one steps only the generations before it
+    info = exact._lf_suffix_table.cache_info
+    steps = []
 
     def step_spy(*args, **kwargs):
         steps.append(1)
         return lf_step(*args, **kwargs)
 
     lf_step = exact._lf_step
-    monkeypatch.setattr(simulate, "_lf_suffix_table", build_spy)
     monkeypatch.setenv("BPRE_THREADS", "1")
     model = strongly_model()
+    samplers = {
+        "geiger": lambda n: conditioned_mrca_sample(model, n, 2, "geiger", 3 * _CHUNK, root_seed=5),
+        "importance": lambda n: importance_estimate(model, 1, n, 4, 0.0, 3 * _CHUNK, root_seed=5),
+    }
+    assert info().maxsize == 1
     for n, length in ((8, 8), (16, 12)):
-        built.clear()
-        conditioned_mrca_sample(model, n, 2, "geiger", 3 * _CHUNK, root_seed=5)
-        assert len(built) == 1
-        table = built[0]
+        for name, sample in samplers.items():
+            exact._lf_suffix_table.cache_clear()
+            first = sample(n)
+            assert info().misses == 1 and info().currsize == 1, name
+            assert sample(n) == first and info().misses == 1, name
+        table = exact._lf_suffix_table(model.states, n)
+        assert info().misses == 1 and info().currsize == 1
         assert table.length == length and len(table.p) == 2**length <= exact._SUFFIX_ROWS
         monkeypatch.setattr(exact, "_lf_step", step_spy)
         steps.clear()
-        got = _mrca_spine_chunk(model, n, 2, stream(5, 0), _CHUNK, table=table)
+        got = _mrca_spine_chunk(model, n, 2, stream(5, 0), _CHUNK)
         assert len(steps) == n - length
         monkeypatch.setattr(exact, "_lf_step", lf_step)
-        assert got == _mrca_spine_chunk(model, n, 2, stream(5, 0), _CHUNK) != {}
+        assert got == table_free(lambda: _mrca_spine_chunk(model, n, 2, stream(5, 0), _CHUNK)) != {}
+    exact._lf_suffix_table.cache_clear()
     conditioned_mrca_sample(model, 8, 2, "rejection", 10, root_seed=5)
-    assert len(built) == 1  # the rejection lane reads no table
+    assert info().misses == 0  # the rejection lane reads no table
 
 
-def test_one_state_samplers_read_a_table_past_255_generations(monkeypatch):
+def test_one_state_samplers_read_a_table_past_255_generations(monkeypatch, table_free):
     # at K = 1 the table spans the whole horizon, L = n; both samplers keep
     # the table-free route's results
     model = EnvironmentModel((LinearFractionalLaw(1.0, 0.1),), (1.0,))
     n = 300
-    assert _lf_suffix_table(model.states, n).length == n
+    assert exact._lf_suffix_table(model.states, n).length == n
     monkeypatch.setenv("BPRE_THREADS", "1")
-    runs = []
-    for build in (_lf_suffix_table, lambda *args: None):
-        monkeypatch.setattr(simulate, "_lf_suffix_table", build)
+
+    def run():
         est = importance_estimate(model, 1, n, 4, 0.0, 300, root_seed=3)
         d = conditioned_mrca_sample(model, n, 2, "geiger", 2 * _CHUNK + 5, root_seed=3)
-        runs.append((est, d.counts, d.accepted))
+        return est, d.counts, d.accepted
+
+    runs = [run(), table_free(run)]
     assert runs[0] == runs[1]
     assert runs[0][2] > 0 and runs[0][0].estimate > 0.0
 
