@@ -16,7 +16,9 @@ import hashlib
 import json
 import math
 import os
+import select
 import sys
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 
 from .environment import (
@@ -454,7 +456,13 @@ def main(argv: list[str] | None = None) -> int:
     except ContractError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except BrokenPipeError:  # the reader left: send the rest of stdout nowhere
+    except BrokenPipeError:
+        poller = select.poll()  # a pipe whose reader has closed it polls as an error
+        with suppress(OSError, ValueError):  # an in-memory stdout has no descriptor
+            poller.register(sys.stdout, select.POLLOUT)
+        if not any(event & select.POLLERR for _, event in poller.poll(0)):
+            raise  # a pipe other than stdout broke
+        # stdout's reader left: send the rest of stdout nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 

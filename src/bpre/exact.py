@@ -24,17 +24,19 @@ sampler thins on and ``quenched_survival`` reads) choose the same two
 routes per row.  A model of K states has only K^L suffixes of length L,
 so ``_lf_suffix_table`` holds the ``_lf_suffix`` statistics of f_{n-L,n}
 for every suffix, at most ``_SUFFIX_ROWS`` of them, grown breadth-first by
-``_lf_levels``.  ``_lf_suffix`` looks it up for its own (states, n), and a
-process builds one table per model and horizon and keeps only the last, so
-the chunks of a sampler call share one.  An all-LF row then gathers its
-statistics by the code of its last L states and steps only the generations
-before them, with the bits of the full recursion.  ``mrca_rows`` returns
-the MRCA law as tail masses A_g, the form both routes compute, and forms
-no differences.  An all-LF row reads its A_g straight off the
-``_lf_suffix`` statistics, with no derivative and no product over
-generations, and its survival is the statistic p itself, kept however
-small.  One log-derivative helper forms the products prod f_k'(t_k) of the
-series rows of ``mrca_rows`` and of the subtree identity.
+``_lf_levels``.  ``_lf_suffix`` looks it up for its own (states, n) on a
+block of more than one row, and a process builds one table per model and
+horizon and keeps only the last, so the chunks of a sampler call share
+one (a quenched environment, one row, steps without it).  An all-LF row
+in such a block gathers its statistics by the code of its last L states
+and steps only the generations before them, with the bits of the full
+recursion.  ``mrca_rows`` returns the MRCA law as tail masses A_g, the
+form both routes compute, and forms no differences.  An all-LF row reads
+its A_g straight off the ``_lf_suffix`` statistics, with no derivative and
+no product over generations, and its survival is the statistic p itself,
+kept however small.  One log-derivative helper forms the products
+prod f_k'(t_k) of the series rows of ``mrca_rows`` and of the subtree
+identity.
 
 The annealed enumerator (``_annealed_rows``) composes from the innermost
 generation outward: a shared breadth-first block, then the outermost
@@ -213,6 +215,10 @@ class _SuffixTable(NamedTuple):
     r: np.ndarray
 
 
+# the empty suffix, f_{n,n}(s) = s, from which a block that reads no table steps
+_NO_SUFFIX = _SuffixTable(0, 1.0, np.ones(1), np.ones(1), np.zeros((1, 1)))
+
+
 @lru_cache(maxsize=1)
 def _lf_suffix_table(states: tuple[OffspringLaw, ...], n: int) -> _SuffixTable | None:
     """The ``_lf_suffix`` statistics of every suffix of length L, for a block of horizon n.
@@ -296,13 +302,15 @@ def _lf_suffix(
     check is skipped while that bound, run over the block, stays above
     2^-512; rows that never fall that low keep the same arithmetic.
 
-    Without ``layers`` the suffix table of (states, n) (``_lf_suffix_table``,
-    built on the first call and kept for the next) replaces the last L
-    generations: each row gathers the statistics of f_{n-L,n} (and r's L+1
-    layers with ``r_layers``) by the code of ``idx[:, n-L:]`` and steps only
-    generations n-L, ..., 1, with the bound continued from the table's.
-    The entries are this recursion's own values and the table holds no
-    carried exponent, so every row keeps its bits; for n = L no row steps.
+    A block of more than one row without ``layers`` reads the suffix table
+    of (states, n) (``_lf_suffix_table``, built on the first call and kept
+    for the next) in place of the last L generations: each row gathers the
+    statistics of f_{n-L,n} (and r's L+1 layers with ``r_layers``) by the
+    code of ``idx[:, n-L:]`` and steps only generations n-L, ..., 1, with
+    the bound continued from the table's.  The entries are this recursion's
+    own values and the table holds no carried exponent, so every row keeps
+    its bits; for n = L no row steps.  A single row (a quenched environment)
+    steps every generation, since a table it built would serve it alone.
     """
     b, n = idx.shape
     # m, eta m and 1 - q(0) per state; these rows never index a finite state's placeholder
@@ -315,24 +323,17 @@ def _lf_suffix(
     p, e = np.empty((n_out, b)), np.zeros((n_out, b), dtype=np.int64)
     a = np.empty((n_out, b)) if width > 1 else None
     r = np.empty((n_r, b)) if width > 2 else None
-    bound, step = 1.0, float(keep_state.min(initial=1.0))  # bound <= every p of layer src
-    start = n  # the generations after ``start`` are read from the table
-    table = None if layers else _lf_suffix_table(states, n)
-    if table is not None:
-        start, bound = n - table.length, table.bound
-        code = idx[:, start:] @ len(states) ** np.arange(table.length - 1, -1, -1)
-        p[0] = table.p[code]
-        if a is not None:
-            a[0] = table.a[code]
-        if r is not None:
-            lo = start if n_r > 1 else 0
-            r[lo:] = table.r[: n_r - lo, code]
-    else:
-        p[-1] = 1.0  # f_{n,n}(s) = s
-        if a is not None:
-            a[-1] = 1.0
-        if r is not None:
-            r[-1] = 0.0
+    step = float(keep_state.min(initial=1.0))
+    table = (None if layers or b == 1 else _lf_suffix_table(states, n)) or _NO_SUFFIX
+    # the generations after ``start`` are read from the table; bound <= every p of layer src
+    start, bound = n - table.length, table.bound
+    code = idx[:, start:] @ len(states) ** np.arange(table.length - 1, -1, -1) if start < n else 0
+    p[-1] = table.p[code]
+    if a is not None:
+        a[-1] = table.a[code]
+    if r is not None:
+        lo = start if n_r > 1 else 0
+        r[lo:] = table.r[: n_r - lo, code]
     for g in range(start - 1, -1, -1):
         src, dst = (g + 1, g) if layers else (0, 0)
         r_src, r_dst = (g + 1, g) if n_r > 1 else (0, 0)

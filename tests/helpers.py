@@ -182,8 +182,9 @@ def digit_suffix_table(states, n, rows):
     """``exact._lf_suffix_table`` of at most ``rows`` entries, by the per-row recursion.
 
     The same rule for L and the survival bound, then ``_lf_suffix`` itself,
-    with a and r carried and r layered, on the K^L suffixes written out as
-    ``digit_rows``; the reference for the table's breadth-first levels.
+    with a and r carried, on the K^L suffixes written out as ``digit_rows``;
+    the reference for the table's breadth-first levels.  It runs layered,
+    the route that reads no table and steps every generation of every row.
     """
     keeps = [1.0 - law.p0 for law in states if isinstance(law, LinearFractionalLaw)]
     k, length, bound = len(states), 0, 1.0
@@ -192,7 +193,7 @@ def digit_suffix_table(states, n, rows):
         bound *= min(keeps)
     if length == 0 or bound < 2.0**-512:
         return None
-    p, a, r = _lf_suffix(states, digit_rows(k, length), 3, False, r_layers=True)
+    p, a, r = _lf_suffix(states, digit_rows(k, length), 3, True)
     return _SuffixTable(length, bound, p[0], a[0], r)
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bpre import simulate
+from bpre import cli, simulate
 from bpre.cli import ExperimentConfig, emit_plot_data, main
 from bpre.environment import EnvironmentModel
 from bpre.errors import ContractError
@@ -360,6 +361,33 @@ def test_closed_stdout_exits_one_without_a_traceback(buffered, gw_path, tmp_path
         os.close(write)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize("stdout", ["pipe", "closed_pipe", "memory"])
+def test_broken_pipe_exit_is_only_for_stdout(stdout, gw_path, monkeypatch):
+    # a BrokenPipeError while stdout's reader is still there, or while
+    # stdout is in memory, came from some other pipe and propagates; with
+    # stdout's reader gone main returns 1
+    def broken(config):
+        raise BrokenPipeError
+
+    monkeypatch.setitem(cli._HANDLERS, "validate", broken)
+    if stdout == "memory":
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        with pytest.raises(BrokenPipeError):
+            main(["validate", "--model", gw_path])
+        return
+    read, write = os.pipe()
+    with os.fdopen(write, "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        if stdout == "pipe":
+            with pytest.raises(BrokenPipeError):
+                main(["validate", "--model", gw_path])
+        else:
+            os.close(read)
+            assert main(["validate", "--model", gw_path]) == 1
+    if stdout == "pipe":
+        os.close(read)
 
 
 def test_validate_gw(gw_path, capsys):

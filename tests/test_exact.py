@@ -329,19 +329,27 @@ def test_suffix_table_keeps_every_bit(name, offset, monkeypatch, table_free):
 @pytest.mark.parametrize("name, n", [("lf", 12), ("lf", 40), ("single", 300), ("lf_carry", 40)])
 def test_quenched_rows_keep_every_bit_with_the_suffix_table(name, n, monkeypatch, table_free):
     # two routes: ``quenched_coeff_row`` and ``quenched_survival`` of all-LF
-    # environments read a table of their own distinct laws, and give the
-    # table-free route's bits; at K = 1 the table spans all 300 generations
+    # environments, one row each, build no table and give the table-free
+    # route's bits, and their rows are those of the same environments in a
+    # block that reads the model's table; at K = 1 it spans all 300 generations
     states, rows, _, draw = _suffix_case(name)
     monkeypatch.setattr(exact, "_SUFFIX_ROWS", rows)
-    envs = [EnvSequence(tuple(states[a] for a in row)) for row in draw(8, n)]
+    idx = draw(8, n)
+    envs = [EnvSequence(tuple(states[a] for a in row)) for row in idx]
 
     def quenched():
         return [(quenched_coeff_row(env, z0, 6), quenched_survival(env, z0))
                 for env in envs for z0 in (1, 3)]
 
     got = quenched()
-    assert all(exact._lf_suffix_table(env._indexed[0], n) is not None for env in envs)
+    assert exact._lf_suffix_table.cache_info().misses == 0
     assert _as_bytes(got) == _as_bytes(table_free(quenched))
+    block = (exact.horizon_rows(states, idx, 7), survival_rows(states, idx))
+    assert exact._lf_suffix_table.cache_info().currsize == 1
+    assert exact._lf_suffix_table(states, n) is not None
+    for row, env in enumerate(envs):
+        alone = (exact.horizon_rows(*env._indexed, 7)[0], survival_rows(*env._indexed)[0])
+        assert _as_bytes(alone) == _as_bytes((block[0][row], block[1][row]))
 
 
 @pytest.mark.parametrize(
@@ -359,8 +367,9 @@ def test_suffix_table_matches_digit_oracle(name, n, length):
         states = (random_lf_law(rng), random_lf_law(rng))
     else:
         states = _suffix_case(name)[0]
-    table = exact._lf_suffix_table(states, n)
     want = digit_suffix_table(states, n, exact._SUFFIX_ROWS)
+    assert exact._lf_suffix_table.cache_info().misses == 0  # the oracle reads no table
+    table = exact._lf_suffix_table(states, n)
     if length is None:
         assert table is None and want is None
         return
@@ -372,20 +381,22 @@ def test_suffix_table_matches_digit_oracle(name, n, length):
 @pytest.mark.parametrize("name", ["lf", "mixed", "single", "lf_carry"])
 def test_lf_levels_match_per_row_recursion(name):
     # level d of the breadth-first growth is ``_lf_suffix`` on the K^d digit
-    # rows of length d, at every width; two levels past the lf_carry case's
-    # table some rows carry an exponent
+    # rows of length d, at every width, layered so that it reads no table and
+    # steps every generation; two levels past the lf_carry case's table some
+    # rows carry an exponent
     states, _, longest, _ = _suffix_case(name)
     keep = min(1.0 - law.p0 for law in states if isinstance(law, LinearFractionalLaw))
     for width in (1, 2, 3):
         levels = list(exact._lf_levels(states, keep, longest + 2, width))
         assert len(levels) == longest + 3
         for d, (p, e, a, r) in enumerate(levels):
-            want = exact._lf_suffix(states, digit_rows(len(states), d), width, False)
+            want = exact._lf_suffix(states, digit_rows(len(states), d), width, True)
             got = (np.ldexp(p, -512 * e), a, r)
             assert [None if x is None else x.tobytes() for x in got] == [
                 None if x is None else x[0].tobytes() for x in want
             ], (width, d)
         assert (levels[-1][1].max() > 0) == (name == "lf_carry")
+    assert exact._lf_suffix_table.cache_info().misses == 0  # the reference read no table
 
 
 def test_suffix_table_is_skipped_without_an_lf_state_or_a_generation(monkeypatch):
