@@ -6,7 +6,8 @@ stochastic artifact embeds its config hash and seed, and outputs are
 byte-identical for identical (config, seed) regardless of BPRE_THREADS.
 
 Exit codes: 0 success, 1 unknown command / usage or a stdout closed
-before the output was written, 2 contract errors, 3 budget errors.
+before the output was written, 2 contract errors or a stdout that cannot
+be written, 3 budget errors.
 """
 
 from __future__ import annotations
@@ -387,8 +388,14 @@ def _cmd_validate(cfg: ExperimentConfig) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own print_help drops a failed write; ``main`` reports it
+        (file or sys.stdout).write(self.format_help())
+
+
 def _build_parser(command: str) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog=f"bpre {command}")
+    p = _Parser(prog=f"bpre {command}")
     p.add_argument("--model", required=command != "examples", help="model JSON path")
     p.add_argument("--out", default=None, help="JSON artifact path")
     if command in ("rho", "mrca", "examples"):
@@ -431,8 +438,7 @@ _HANDLERS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+def _run(argv: list[str]) -> int:
     if not argv or argv[0] in ("-h", "--help"):
         sys.stdout.write(_USAGE)
         return 0 if argv else 1
@@ -440,15 +446,32 @@ def main(argv: list[str] | None = None) -> int:
     if command not in COMMANDS:
         sys.stderr.write(f"unknown command: {command}\n{_USAGE}")
         return 1
-    parser = _build_parser(command)
     try:
-        args = parser.parse_args(rest)
+        args = _build_parser(command).parse_args(rest)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
+    return _HANDLERS[command](ExperimentConfig.from_args(command, args))
+
+
+def _stdout_failed(exc: OSError) -> bool:
+    """Whether ``exc`` is stdout's: its pipe's reader left, or it fails a write again."""
+    if isinstance(exc, BrokenPipeError):
+        poller = select.poll()  # a pipe whose reader has closed it polls as an error
+        with suppress(OSError, ValueError):  # an in-memory stdout has no descriptor
+            poller.register(sys.stdout, select.POLLOUT)
+        return any(event & select.POLLERR for _, event in poller.poll(0))
     try:
-        config = ExperimentConfig.from_args(command, args)
-        code = _HANDLERS[command](config)
-        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+        sys.stdout.flush()  # a buffered stdout still holds what it could not write
+        os.write(sys.stdout.fileno(), b"")  # an unbuffered one is probed with no bytes
+    except OSError as again:  # an in-memory stdout fails fileno() with no errno
+        return exc.errno is not None and again.errno == exc.errno
+    return False
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(list(sys.argv[1:] if argv is None else argv))
+        sys.stdout.flush()  # a closed pipe or a full device raises here, not at shutdown
         return code
     except BudgetError as exc:
         sys.stderr.write(f"budget error: {exc}\n")
@@ -456,15 +479,15 @@ def main(argv: list[str] | None = None) -> int:
     except ContractError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except BrokenPipeError:
-        poller = select.poll()  # a pipe whose reader has closed it polls as an error
-        with suppress(OSError, ValueError):  # an in-memory stdout has no descriptor
-            poller.register(sys.stdout, select.POLLOUT)
-        if not any(event & select.POLLERR for _, event in poller.poll(0)):
-            raise  # a pipe other than stdout broke
-        # stdout's reader left: send the rest of stdout nowhere
+    except OSError as exc:
+        if not _stdout_failed(exc):
+            raise  # a pipe or file other than stdout failed
+        # send the rest of stdout nowhere, so that the flush at shutdown cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        if isinstance(exc, BrokenPipeError):
+            return 1  # stdout's reader left
+        sys.stderr.write(f"error: cannot write output: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

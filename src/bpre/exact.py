@@ -56,12 +56,13 @@ from one ladder of powers c, c^2, ..., c^D of its block (c^2 by
 child by scaled adds, D - 1 products per node in place of sum_a (d_a - 1);
 LF states keep ``apply_law_rows``.  The choice is made once per sweep, so
 every row of a sweep has one arithmetic.  The depth-first descent writes
-every child block, weight vector and coefficient chunk into buffers made
-once per call, one set per generation (a ladder level holds all of its
-children, and the ladder's power blocks are shared by every level),
-through the ``out`` arguments of ``_lf_step``, ``_lf_layers``,
-``pgf.apply_law_rows``, ``pgf.mul_rows`` and ``pgf.sqr_rows``, with
-unchanged arithmetic.  Partial sums are combined in a fixed order.
+every child block and weight vector into buffers made once per call, one
+set per generation (a ladder level holds all of its children, and the
+ladder's power blocks are shared by every level), through the ``out``
+arguments of ``_lf_step``, ``pgf.apply_law_rows``, ``pgf.mul_rows`` and
+``pgf.sqr_rows``, with unchanged arithmetic; an LF sweep's coefficient rows
+are formed in chunks by ``_lf_layers``.  Partial sums are combined in a
+fixed order.
 A Fekete sweep (``fekete_bounds``) reads coefficient z0 of each horizon
 and nothing else, so it emits only that coefficient, through the same
 BLAS product and with the same bits.  At z0 = 1 it also folds the last
@@ -558,6 +559,10 @@ def quenched_survival(env: EnvSequence, z0: int) -> float:
 
     An all-LF environment keeps a survival p that ``1 - t_0`` rounds to 0.
     """
+    if z0 < 0:
+        raise ContractError("initial size must be >= 0")
+    if z0 == 0:
+        return 0.0
     p = float(survival_rows(*env._indexed)[0])
     return 1.0 if p >= 1.0 else -math.expm1(z0 * math.log1p(-p))
 
@@ -743,11 +748,11 @@ def _annealed_rows(
     depth-first, and a child has as many rows as its parent.  The descent
     is a loop over an explicit stack, not a recursion, and it owns one set
     of buffers per generation, made once per call: a child's block and
-    weights are written into the buffers of its level and its coefficient
-    rows into one shared chunk buffer (``out=``, the same arithmetic), so no
-    node allocates a block.  A ladder sweep expands a node when its first
-    child is visited, into one block per state at the next level, with the
-    ladder's term and power blocks made once and shared by every level.
+    weights are written into the buffers of its level (``out=``, the same
+    arithmetic), so no node allocates a block.  A ladder sweep expands a
+    node when its first child is visited, into one block per state at the
+    next level, with the ladder's term and power blocks made once and
+    shared by every level.
     Only the kernels' own temporaries remain (finite Horner steps, the
     series route's LF laws, ``pow_rows`` at z0 >= 2, an LF block at width 1
     and the exponent carry).  A horizon's rows are summed only where it is
@@ -771,11 +776,11 @@ def _annealed_rows(
     w_a (wvec f_a'(g_0)) . g_1 over the block's rows, with wvec f_a'(g_0)
     formed in the level-n_max weight buffer.  An LF row has g_1 = p a and
     f_a'(g_0) = m_a / (1 + eta_a m_a p)^2, from the survival p itself
-    (after the exponent carry), never from 1 - p; a series row takes the
-    derivative on column 0, in place for a finite law, so the fold
-    allocates no row vector.  At z0 >= 2, [s^z0] f_a(g)^z0 is not linear
-    in the law, so nothing is folded.  The fold sums the same terms as the
-    children would in another order, so horizon n_max moves by a few ulps.
+    (after the exponent carry), never from 1 - p; a series row takes
+    ``law.pgf_prime`` of column 0.  At z0 >= 2, [s^z0] f_a(g)^z0 is not
+    linear in the law, so nothing is folded.  The fold sums the same terms
+    as the children would in another order, so horizon n_max moves by a few
+    ulps.
     """
     n_max = max(horizons, default=0)
     states = list(zip(model.states, model.weights))
@@ -798,7 +803,6 @@ def _annealed_rows(
     if model.is_lf_pure:
         keep = min(1.0 - law.p0 for law, _ in states)  # every p of depth d is >= keep^d
         levels = _lf_levels(model.states, keep, top, width)
-        step = max(1, _BLOCK_CELLS // width)  # rows per chunk of coefficient rows
 
         def apply(a, block, depth, out=None):
             law = states[a][0]
@@ -812,34 +816,34 @@ def _annealed_rows(
                 np.empty(rows) if width > 2 else None,
             )
 
-        def chunk_buffer(rows):
-            # a fold-route chunk keeps its column 0 at zero
-            return (np.zeros if fold else np.empty)((min(rows, step), width))
-
         def survival(block, depth):
             p, e = block[0], block[1]
             return np.ldexp(p, -512 * e) if keep**depth < _TINY else p
 
-        def emit(block, wvec, depth, f):
+        # one chunk of at most _BLOCK_CELLS cells of coefficient rows, shared by
+        # every emission; a fold-route chunk keeps its column 0 at zero
+        chunk = (np.zeros if fold else np.empty)((min(k**top, max(1, _BLOCK_CELLS // width)), width))
+
+        def emit(block, wvec, depth):
             p, a, r = survival(block, depth), block[2], block[3]
             total = 0
-            for i in range(0, len(p), len(f)):
-                c = slice(i, i + len(f))
+            for i in range(0, len(p), len(chunk)):
+                c = slice(i, i + len(chunk))
                 if fold:  # [s^1] f = p a
-                    rows = f[: len(p[c])]
+                    rows = chunk[: len(p[c])]
                     np.multiply(p[c], a[c], out=rows[:, 1])
                 else:
                     stats = [None if x is None else x[c] for x in (p, a, r)]
-                    rows = pow_rows(_lf_layers(*stats, width, f[: len(stats[0])]), z0)
+                    rows = pow_rows(_lf_layers(*stats, width, chunk[: len(stats[0])]), z0)
                 total = total + wvec[c] @ rows
             return total
 
-        def emit_children(block, wvec, depth, out, f):
+        def emit_children(block, wvec, depth, out):
             # sum_a w_a f_a'(1 - p) p a, with f_a'(1 - p) = m / (1 + eta m p)^2;
             # a descent block has at most _BLOCK_CELLS / 5 rows, and a width-2
             # chunk holds _BLOCK_CELLS / 2
             p = survival(block, depth)
-            rows = f[: len(p)]
+            rows = chunk[: len(p)]
             np.multiply(p, block[2], out=rows[:, 1])
             total = 0
             for law, w in states:
@@ -876,9 +880,6 @@ def _annealed_rows(
                 work.extend(np.empty((rows, width), order="F") for _ in range(min(max(degrees), 3)))
             return [np.empty((rows, width), order="F") for _ in range(k)]
 
-        def chunk_buffer(rows):
-            return np.zeros((rows, width)) if only_z0 else None
-
         def widen(rows, full):
             # the full width, or the degree one more generation can reach;
             # the columns added are zeros, exactly what the full block holds
@@ -889,37 +890,30 @@ def _annealed_rows(
             out[:, : rows.shape[1]] = rows
             return out
 
-        def emit(rows, wvec, depth, f):
+        # a Fekete sweep's row-major rows, sized to the largest block and shared by every emission
+        chunk = np.zeros((k**top, width)) if only_z0 else None
+
+        def emit(rows, wvec, depth):
             # the BLAS product sums a row-major block in the order the
             # certified values were first computed in; a column-major one
             # would sum differently
             p = pow_rows(widen(rows, True), z0)
-            if f is None:
-                c = np.empty(p.shape)
-                for j in range(width):
-                    c[:, j] = p[:, j]
+            if chunk is None:
+                c = np.ascontiguousarray(p)
             else:  # only column z0; the others stay zero
-                c = f[: len(p)]
+                c = chunk[: len(p)]
                 c[:, z0] = p[:, z0]
             return wvec @ c
 
-        def emit_children(rows, wvec, depth, out, f):
-            # sum_a w_a f_a'(g_0) g_1; a finite law's f'(t) = sum_j j q_j t^(j-1)
-            # is the Horner sum of ``pgf_prime``, written in place, because its
+        def emit_children(rows, wvec, depth, out):
+            # sum_a w_a f_a'(g_0) g_1, each f_a'(g_0) written into ``out``, because
             # temporaries would raise the sweep's peak memory
             t = rows[:, 0]
-            c = f[: len(rows)]
+            c = chunk[: len(rows)]
             c[:, 1] = rows[:, 1]
             total = 0
             for law, w in states:
-                if isinstance(law, FiniteLaw):
-                    probs = law.probs
-                    out.fill((len(probs) - 1) * probs[-1])
-                    for j in range(len(probs) - 2, 0, -1):
-                        out *= t
-                        out += j * probs[j]
-                else:
-                    out[:] = law.pgf_prime(t)
+                law.pgf_prime(t, out=out)
                 out *= wvec
                 total = total + w * (out @ c)
             return total
@@ -939,11 +933,10 @@ def _annealed_rows(
 
         levels = grow()
 
-    f = chunk_buffer(k**top)  # sized to the largest block, and shared by every emission
     for depth, block in enumerate(levels):
         wvec = np.concatenate([wvec * w for _, w in states]) if depth else np.ones(1)
         if depth in totals:
-            totals[depth] += emit(block, wvec, depth, f)
+            totals[depth] += emit(block, wvec, depth)
     if top == n_max:
         return totals
 
@@ -957,7 +950,7 @@ def _annealed_rows(
     i = 0
     while i >= 0:
         if fold and top + i == n_max - 1:
-            totals[n_max] += emit_children(blocks[i], weights[i], top + i, weights[i + 1], f)
+            totals[n_max] += emit_children(blocks[i], weights[i], top + i, weights[i + 1])
             i -= 1
             continue
         if top + i == n_max or nxt[i] == k:
@@ -970,7 +963,7 @@ def _annealed_rows(
         i += 1
         nxt[i] = 0
         if top + i in totals:
-            totals[top + i] += emit(blocks[i], weights[i], top + i, f)
+            totals[top + i] += emit(blocks[i], weights[i], top + i)
     return totals
 
 

@@ -89,8 +89,8 @@ class FiniteLaw:
     def pgf(self, s):
         return _horner(self.probs, s)
 
-    def pgf_prime(self, s):
-        return _horner([k * p for k, p in enumerate(self.probs)][1:], s)
+    def pgf_prime(self, s, out=None):
+        return _horner([k * p for k, p in enumerate(self.probs)][1:], s, out)
 
     def support(self, cap: int) -> tuple[frozenset[int], bool]:
         vals = frozenset(int(k) for k in np.nonzero(self._arr)[0] if k <= cap)
@@ -153,9 +153,15 @@ class LinearFractionalLaw:
         u = 1.0 - s
         return 1.0 - u / (1.0 / self.m + self.eta_lf * u)
 
-    def pgf_prime(self, s):
+    def pgf_prime(self, s, out=None):
         a = 1.0 / self.m
-        return a / (a + self.eta_lf * (1.0 - s)) ** 2
+        if out is None:
+            return a / (a + self.eta_lf * (1.0 - s)) ** 2
+        np.subtract(1.0, s, out=out)  # the same steps, in place
+        out *= self.eta_lf
+        out += a
+        np.multiply(out, out, out=out)
+        return np.divide(a, out, out=out)
 
     def support(self, cap: int) -> tuple[frozenset[int], bool]:
         vals = {0} if self.p0 > 0.0 else set()
@@ -177,19 +183,20 @@ class LinearFractionalLaw:
 OffspringLaw = Union[FiniteLaw, LinearFractionalLaw]
 
 
-def _horner(coeffs, s):
+def _horner(coeffs, s, out=None):
     """sum_k coeffs[k] s^k by Horner's scheme, starting from 0.
 
-    An array s (of at least one dimension) gets one result array, updated
-    in place with the same arithmetic and bits as the scalar steps
-    ``out = out * s + c``; a scalar s gets the scalar steps themselves.
+    An array s (of at least one dimension), or any s given a result array
+    ``out``, gets one result array, updated in place with the same
+    arithmetic and bits as the scalar steps ``out = out * s + c``; a scalar
+    s gets the scalar steps themselves.
     """
-    if not (isinstance(s, np.ndarray) and s.ndim):
+    if out is None and not (isinstance(s, np.ndarray) and s.ndim):
         out = 0.0
         for c in reversed(coeffs):
             out = out * s + c
         return out
-    out = np.multiply(s, 0.0)
+    out = np.multiply(s, 0.0, out=out)
     for i, c in enumerate(reversed(coeffs)):
         if i:
             out *= s

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import math
@@ -361,6 +362,60 @@ def test_closed_stdout_exits_one_without_a_traceback(buffered, gw_path, tmp_path
         os.close(write)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def _bpre(args, stdout, buffered, cwd):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "bpre.cli", *args]
+    return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60, env=env, cwd=cwd)
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("args", [[], ["--help"], ["rho", "--help"]], ids=["bare", "help", "rho_help"])
+def test_usage_and_help_on_a_closed_stdout_exit_one_with_an_empty_stderr(args, buffered, tmp_path):
+    # the usage and argparse's help are written inside the handler as well
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _bpre(args, write, buffered, tmp_path)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["validate", "help", "rho_help"])
+def test_stdout_that_cannot_be_written_exits_two_with_one_line(command, buffered, gw_path, tmp_path):
+    args = {"validate": ["validate", "--model", gw_path], "help": ["--help"], "rho_help": ["rho", "--help"]}
+    with open("/dev/full", "w") as full:
+        proc = _bpre(args[command], full, buffered, tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write output: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"
+
+
+@pytest.mark.parametrize("stdout", ["pipe", "memory"])
+def test_an_oserror_of_a_working_stdout_propagates(stdout, gw_path, monkeypatch):
+    # a failure that is not stdout's is no stdout exit, whatever its errno
+    def fails(config):
+        raise OSError(errno.ENOSPC, "not stdout's")
+
+    monkeypatch.setitem(cli._HANDLERS, "validate", fails)
+    if stdout == "memory":
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        with pytest.raises(OSError, match="not stdout's"):
+            main(["validate", "--model", gw_path])
+        return
+    read, write = os.pipe()
+    try:
+        with os.fdopen(write, "w") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            with pytest.raises(OSError, match="not stdout's"):
+                main(["validate", "--model", gw_path])
+    finally:
+        os.close(read)
 
 
 @pytest.mark.parametrize("stdout", ["pipe", "closed_pipe", "memory"])

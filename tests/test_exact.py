@@ -609,6 +609,20 @@ def test_quenched_survival_keeps_a_small_lf_survival(z0):
         assert quenched_pmf(env, 1, 1) > 0.0
 
 
+@pytest.mark.parametrize(
+    "law", [FiniteLaw((0.0, 0.5, 0.5)), FiniteLaw((0.2, 0.5, 0.3)), LinearFractionalLaw(2.0, 8.0)], ids=repr
+)
+def test_quenched_survival_at_no_initial_individual_agrees_with_the_coefficient_row(law):
+    # Z_0 = 0 stays 0, also where one individual never dies out (q(0) = 0)
+    env = EnvSequence((law,) * 3)
+    assert quenched_coeff_row(env, 0, 2).tolist() == [1.0, 0.0, 0.0]
+    survival = quenched_survival(env, 0)
+    assert type(survival) is float and survival == 0.0 and math.copysign(1.0, survival) == 1.0
+    for f in (lambda: quenched_coeff_row(env, -1, 2), lambda: quenched_survival(env, -1)):
+        with pytest.raises(ContractError, match="initial size must be >= 0"):
+            f()
+
+
 def test_phi_single_generation():
     law = FiniteLaw((0.3, 0.5, 0.2))
     env = EnvSequence((law,))

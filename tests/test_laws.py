@@ -160,6 +160,57 @@ def test_finite_pgf_in_place_keeps_the_bits_of_the_fresh_array_steps(degree):
             assert type(got) is type(want) and got == want, (s, got, want)
 
 
+def _fold_loop_prime(law, t):
+    """f'(t) of a finite law by the in-place Horner loop the annealed fold once carried."""
+    probs = law.probs
+    out = np.empty_like(t)
+    out.fill((len(probs) - 1) * probs[-1])
+    for j in range(len(probs) - 2, 0, -1):
+        out *= t
+        out += j * probs[j]
+    return out
+
+
+def _out_laws():
+    rng = np.random.default_rng(91)
+    for degree in range(5):
+        raw = rng.random(degree + 1) + 0.05
+        yield FiniteLaw(tuple(raw / raw.sum()))
+    yield FiniteLaw((0.25, 0.0, 0.75))  # a zero coefficient inside the support
+    yield from (LinearFractionalLaw(2.0, 8.0), LinearFractionalLaw(0.5, 0.5), LinearFractionalLaw(1.2, 0.5))
+
+
+@pytest.mark.parametrize("law", list(_out_laws()), ids=repr)
+def test_pgf_prime_out_returns_the_buffer_with_the_bits_of_a_fresh_result(law):
+    rng = np.random.default_rng(92)
+    edges = np.array([-0.0, 0.0, 1.0])
+    for s in (np.concatenate([edges, rng.random(13)]), np.concatenate([edges, rng.random(9)]).reshape(3, 4)):
+        want = law.pgf_prime(s)
+        buf = np.full(s.shape, np.nan)
+        got = law.pgf_prime(s, out=buf)
+        assert got is buf
+        assert got.tobytes() == want.tobytes()  # the sign of every zero included
+        # at t >= 0 the bits are those of the fold's former loop for a finite law
+        if isinstance(law, FiniteLaw) and len(law.probs) > 1:
+            t = np.abs(s)
+            assert law.pgf_prime(t, out=np.empty(s.shape)).tobytes() == _fold_loop_prime(law, t).tobytes()
+
+
+@pytest.mark.parametrize("law", list(_out_laws()), ids=repr)
+def test_pgf_prime_of_a_scalar_keeps_its_type_and_value(law):
+    a = None if isinstance(law, FiniteLaw) else 1.0 / law.m
+    for s in (0.3, -0.0, 0.0, 1.0, 1):
+        got = law.pgf_prime(s)
+        if a is None:
+            want = _old_pgf_prime(law, s)
+        else:
+            want = a / (a + law.eta_lf * (1.0 - s)) ** 2
+        assert type(got) is type(want) is float and got == want, (s, got, want)
+        # the result array takes a scalar s with the same bits
+        buf = np.empty(1)
+        assert law.pgf_prime(s, out=buf) is buf and buf[0] == want
+
+
 def test_finite_pgf_writes_one_array_per_call():
     # the Horner steps update one result array in place: the traced peak of a
     # call on n doubles stays within one result array and a little overhead
