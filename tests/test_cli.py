@@ -344,32 +344,26 @@ def test_model_of_wrong_shape_exits_two_from_the_command_line(tmp_path):
     assert proc.stderr == "error: model JSON must be an object with 'states' and 'weights'\n"
 
 
-@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
-def test_closed_stdout_exits_one_without_a_traceback(buffered, gw_path, tmp_path):
-    # the pipe's reader is gone before the first line is written; a
-    # block-buffered stdout meets the closed pipe only when it is flushed
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    if not buffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    read, write = os.pipe()
-    os.close(read)
-    argv = [sys.executable, "-m", "bpre.cli", "validate", "--model", gw_path]
-    try:
-        proc = subprocess.run(
-            argv, stdout=write, stderr=subprocess.PIPE, text=True, timeout=60, env=env, cwd=tmp_path
-        )
-    finally:
-        os.close(write)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
-
-
 def _bpre(args, stdout, buffered, cwd):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
     argv = [sys.executable, "-m", "bpre.cli", *args]
     return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60, env=env, cwd=cwd)
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_one_without_a_traceback(buffered, gw_path, tmp_path):
+    # the pipe's reader is gone before the first line is written; a
+    # block-buffered stdout meets the closed pipe only when it is flushed
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _bpre(["validate", "--model", gw_path], write, buffered, tmp_path)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])

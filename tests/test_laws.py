@@ -194,19 +194,12 @@ def test_pgf_prime_out_returns_the_buffer_with_the_bits_of_a_fresh_result(law):
         if isinstance(law, FiniteLaw) and len(law.probs) > 1:
             t = np.abs(s)
             assert law.pgf_prime(t, out=np.empty(s.shape)).tobytes() == _fold_loop_prime(law, t).tobytes()
-
-
-@pytest.mark.parametrize("law", list(_out_laws()), ids=repr)
-def test_pgf_prime_of_a_scalar_keeps_its_type_and_value(law):
-    a = None if isinstance(law, FiniteLaw) else 1.0 / law.m
+    # a scalar keeps its float steps and type, and a result array takes it with their bits
+    a = 1.0 / law.m if isinstance(law, LinearFractionalLaw) else None
     for s in (0.3, -0.0, 0.0, 1.0, 1):
+        want = _old_pgf_prime(law, s) if a is None else a / (a + law.eta_lf * (1.0 - s)) ** 2
         got = law.pgf_prime(s)
-        if a is None:
-            want = _old_pgf_prime(law, s)
-        else:
-            want = a / (a + law.eta_lf * (1.0 - s)) ** 2
         assert type(got) is type(want) is float and got == want, (s, got, want)
-        # the result array takes a scalar s with the same bits
         buf = np.empty(1)
         assert law.pgf_prime(s, out=buf) is buf and buf[0] == want
 
