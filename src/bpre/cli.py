@@ -388,14 +388,8 @@ def _cmd_validate(cfg: ExperimentConfig) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    def print_help(self, file=None):
-        # argparse's own print_help drops a failed write; ``main`` reports it
-        (file or sys.stdout).write(self.format_help())
-
-
 def _build_parser(command: str) -> argparse.ArgumentParser:
-    p = _Parser(prog=f"bpre {command}")
+    p = argparse.ArgumentParser(prog=f"bpre {command}")
     p.add_argument("--model", required=command != "examples", help="model JSON path")
     p.add_argument("--out", default=None, help="JSON artifact path")
     if command in ("rho", "mrca", "examples"):
@@ -453,22 +447,45 @@ def _run(argv: list[str]) -> int:
     return _HANDLERS[command](ExperimentConfig.from_args(command, args))
 
 
-def _stdout_failed(exc: OSError) -> bool:
-    """Whether ``exc`` is stdout's: its pipe's reader left, or it fails a write again."""
-    if isinstance(exc, BrokenPipeError):
-        poller = select.poll()  # a pipe whose reader has closed it polls as an error
-        with suppress(OSError, ValueError):  # an in-memory stdout has no descriptor
-            poller.register(sys.stdout, select.POLLOUT)
-        return any(event & select.POLLERR for _, event in poller.poll(0))
-    try:
-        sys.stdout.flush()  # a buffered stdout still holds what it could not write
-        os.write(sys.stdout.fileno(), b"")  # an unbuffered one is probed with no bytes
-    except OSError as again:  # an in-memory stdout fails fileno() with no errno
-        return exc.errno is not None and again.errno == exc.errno
-    return False
+class _StdoutError(Exception):
+    """A write to stdout failed with the OSError that is its ``__cause__``.
+
+    It is no OSError, so argparse's help, which drops an OSError of its
+    write, lets it through.
+    """
+
+
+class _Stdout:
+    """sys.stdout inside ``main``: a failed write or flush raises ``_StdoutError``."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+    def write(self, text):
+        try:
+            return self.stream.write(text)
+        except OSError as exc:
+            raise _StdoutError from exc
+
+    def flush(self):
+        try:
+            self.stream.flush()
+        except OSError as exc:
+            raise _StdoutError from exc
+
+
+def _reader_left(stdout) -> bool:
+    poller = select.poll()  # a pipe whose reader has closed it polls as an error
+    with suppress(OSError, ValueError):  # an in-memory stdout has no descriptor
+        poller.register(stdout, select.POLLOUT)
+    return any(event & select.POLLERR for _, event in poller.poll(0))
 
 
 def main(argv: list[str] | None = None) -> int:
+    stdout, sys.stdout = sys.stdout, _Stdout(sys.stdout)
     try:
         code = _run(list(sys.argv[1:] if argv is None else argv))
         sys.stdout.flush()  # a closed pipe or a full device raises here, not at shutdown
@@ -479,15 +496,20 @@ def main(argv: list[str] | None = None) -> int:
     except ContractError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except OSError as exc:
-        if not _stdout_failed(exc):
-            raise  # a pipe or file other than stdout failed
-        # send the rest of stdout nowhere, so that the flush at shutdown cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if isinstance(exc, BrokenPipeError):
-            return 1  # stdout's reader left
-        sys.stderr.write(f"error: cannot write output: {exc}\n")
-        return 2
+    except _StdoutError as exc:
+        failure = exc.__cause__
+    except BrokenPipeError as exc:
+        if not _reader_left(stdout):
+            raise  # a pipe other than stdout broke
+        failure = exc
+    finally:
+        sys.stdout = stdout
+    # send the rest of stdout nowhere, so that the flush at shutdown cannot fail
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
+    if isinstance(failure, BrokenPipeError):
+        return 1  # stdout's reader left
+    sys.stderr.write(f"error: cannot write output: {failure}\n")
+    return 2
 
 
 if __name__ == "__main__":

@@ -155,13 +155,11 @@ class LinearFractionalLaw:
 
     def pgf_prime(self, s, out=None):
         a = 1.0 / self.m
+        d = a / (a + self.eta_lf * (1.0 - s)) ** 2
         if out is None:
-            return a / (a + self.eta_lf * (1.0 - s)) ** 2
-        np.subtract(1.0, s, out=out)  # the same steps, in place
-        out *= self.eta_lf
-        out += a
-        np.multiply(out, out, out=out)
-        return np.divide(a, out, out=out)
+            return d
+        out[...] = d
+        return out
 
     def support(self, cap: int) -> tuple[frozenset[int], bool]:
         vals = {0} if self.p0 > 0.0 else set()

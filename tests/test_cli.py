@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import resource
+import signal
 import subprocess
 import sys
 
@@ -344,12 +346,14 @@ def test_model_of_wrong_shape_exits_two_from_the_command_line(tmp_path):
     assert proc.stderr == "error: model JSON must be an object with 'states' and 'weights'\n"
 
 
-def _bpre(args, stdout, buffered, cwd):
+def _bpre(args, stdout, buffered, cwd, **popen):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
     argv = [sys.executable, "-m", "bpre.cli", *args]
-    return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60, env=env, cwd=cwd)
+    return subprocess.run(
+        argv, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60, env=env, cwd=cwd, **popen
+    )
 
 
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
@@ -388,6 +392,24 @@ def test_stdout_that_cannot_be_written_exits_two_with_one_line(command, buffered
         proc = _bpre(args[command], full, buffered, tmp_path)
     assert proc.returncode == 2
     assert proc.stderr == f"error: cannot write output: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"
+
+
+def _no_file_growth():
+    # every write that would grow a regular file fails with EFBIG, while a
+    # write of no bytes still succeeds, as on a full filesystem
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (0, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["validate", "help"])
+def test_stdout_on_a_regular_file_that_cannot_grow_exits_two_with_one_line(command, buffered, gw_path, tmp_path):
+    args = {"validate": ["validate", "--model", gw_path], "help": ["rho", "--help"]}
+    with open(tmp_path / "stdout.txt", "w") as log:
+        proc = _bpre(args[command], log, buffered, tmp_path, preexec_fn=_no_file_growth)
+    assert (tmp_path / "stdout.txt").stat().st_size == 0
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write output: {OSError(errno.EFBIG, os.strerror(errno.EFBIG))}\n"
 
 
 @pytest.mark.parametrize("stdout", ["pipe", "memory"])
