@@ -383,17 +383,6 @@ def test_usage_and_help_on_a_closed_stdout_exit_one_with_an_empty_stderr(args, b
     assert (proc.returncode, proc.stderr) == (1, "")
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
-@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize("command", ["validate", "help", "rho_help"])
-def test_stdout_that_cannot_be_written_exits_two_with_one_line(command, buffered, gw_path, tmp_path):
-    args = {"validate": ["validate", "--model", gw_path], "help": ["--help"], "rho_help": ["rho", "--help"]}
-    with open("/dev/full", "w") as full:
-        proc = _bpre(args[command], full, buffered, tmp_path)
-    assert proc.returncode == 2
-    assert proc.stderr == f"error: cannot write output: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"
-
-
 def _no_file_growth():
     # every write that would grow a regular file fails with EFBIG, while a
     # write of no bytes still succeeds, as on a full filesystem
@@ -402,14 +391,20 @@ def _no_file_growth():
 
 
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize("command", ["validate", "help"])
-def test_stdout_on_a_regular_file_that_cannot_grow_exits_two_with_one_line(command, buffered, gw_path, tmp_path):
-    args = {"validate": ["validate", "--model", gw_path], "help": ["rho", "--help"]}
-    with open(tmp_path / "stdout.txt", "w") as log:
-        proc = _bpre(args[command], log, buffered, tmp_path, preexec_fn=_no_file_growth)
-    assert (tmp_path / "stdout.txt").stat().st_size == 0
+@pytest.mark.parametrize("command", ["validate", "help", "rho_help"])
+@pytest.mark.parametrize("target", ["dev_full", "file_that_cannot_grow"])
+def test_stdout_that_cannot_be_written_exits_two_with_one_line(target, command, buffered, gw_path, tmp_path):
+    if target == "dev_full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs a device that is always full")
+    args = {"validate": ["validate", "--model", gw_path], "help": ["--help"], "rho_help": ["rho", "--help"]}
+    if target == "dev_full":
+        path, code, popen = "/dev/full", errno.ENOSPC, {}
+    else:
+        path, code, popen = tmp_path / "stdout.txt", errno.EFBIG, {"preexec_fn": _no_file_growth}
+    with open(path, "w") as stdout:
+        proc = _bpre(args[command], stdout, buffered, tmp_path, **popen)
     assert proc.returncode == 2
-    assert proc.stderr == f"error: cannot write output: {OSError(errno.EFBIG, os.strerror(errno.EFBIG))}\n"
+    assert proc.stderr == f"error: cannot write output: {OSError(code, os.strerror(code))}\n"
 
 
 @pytest.mark.parametrize("stdout", ["pipe", "memory"])
