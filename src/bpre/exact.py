@@ -21,22 +21,26 @@ mask, so without layers ``horizon_rows`` builds no (b, n) array besides
 the drawn indices.
 ``mrca_rows`` and ``survival_rows`` (P(Z_n > 0 | env), which the MRCA
 sampler thins on and ``quenched_survival`` reads) choose the same two
-routes per row.  A model of K states has only K^L suffixes of length L,
-so ``_lf_suffix_table`` holds the ``_lf_suffix`` statistics of f_{n-L,n}
-for every suffix, at most ``_SUFFIX_ROWS`` of them, grown breadth-first by
-``_lf_levels``.  ``_lf_suffix`` looks it up for its own (states, n) on a
-block of more than one row, and a process builds one table per model and
-horizon and keeps only the last, so the chunks of a sampler call share
-one (a quenched environment, one row, steps without it).  An all-LF row
-in such a block gathers its statistics by the code of its last L states
-and steps only the generations before them, with the bits of the full
-recursion.  ``mrca_rows`` returns the MRCA law as tail masses A_g, the
-form both routes compute, and forms no differences.  An all-LF row reads
-its A_g straight off the ``_lf_suffix`` statistics, with no derivative and
-no product over generations, and its survival is the statistic p itself,
-kept however small.  One log-derivative helper forms the products
-prod f_k'(t_k) of the series rows of ``mrca_rows`` and of the subtree
-identity.
+routes per row.  In u = 1 - s an LF law is a Mobius map, and so is a
+block of generations, the same map wherever it sits in an environment.
+A model of K states has only K^d blocks of d generations, so
+``_lf_block_table`` holds the ``_lf_suffix`` statistics of every block of
+d = 0..L generations, at most ``_SUFFIX_ROWS`` of the longest, grown
+breadth-first by ``_lf_levels``.  It is keyed by the states alone: a
+process builds one per model, which serves every horizon, and keeps only
+the last.  ``_lf_suffix`` reads it on a block of more than one row (a
+quenched environment, one row, steps every generation without it).  An
+all-LF row in such a block composes f_{0,n} from its blocks, about n / L
+steps, to the rounding of the recursion (bit for bit where n <= L); a row
+of ``mrca_rows``, which needs r at every generation, gathers the layers
+of its last L generations and steps only the generations before them,
+with the bits of the full recursion.  ``mrca_rows`` returns the MRCA law
+as tail masses A_g, the form both routes compute, and forms no
+differences.  An all-LF row reads its A_g straight off the ``_lf_suffix``
+statistics, with no derivative and no product over generations, and its
+survival is the statistic p itself, kept however small.  One
+log-derivative helper forms the products prod f_k'(t_k) of the series
+rows of ``mrca_rows`` and of the subtree identity.
 
 The annealed enumerator (``_annealed_rows``) composes from the innermost
 generation outward: a shared breadth-first block, then the outermost
@@ -44,7 +48,7 @@ generations depth-first, in one sweep that reports every horizon up to the
 deepest requested one (the Fekete table needs n = 1..n_max, the example
 suites every n of their tables).  A model whose enumerated states are all
 LF carries the closed-form statistics of each environment, grown as the
-suffix table's (``_lf_levels``), only those a row of the requested width
+block table's (``_lf_levels``), only those a row of the requested width
 reads, and builds coefficient rows only at requested horizons; any other
 model carries series rows, column-major, with breadth-first blocks only
 as wide as their degree can reach.  A series sweep applies each law to a
@@ -95,7 +99,7 @@ ENUMERATION_BUDGET = 1 << 26
 _BLOCK_CELLS = 1 << 17
 _LADDER_WIDTH = 33  # series sweeps at least this wide may expand each node once (``_power_ladder``)
 _TINY = 2.0**-512  # LF survival below this is carried as a mantissa and a power of 2^-512
-_SUFFIX_ROWS = 4096  # the most entries of an ``_lf_suffix_table``, one sampler chunk's rows
+_SUFFIX_ROWS = 4096  # the most blocks of one length in an ``_lf_block_table``, a chunk's rows
 
 
 @dataclass(frozen=True)
@@ -180,10 +184,11 @@ def _by_route(states: tuple[OffspringLaw, ...], idx: np.ndarray, closed, series)
 
     Both return arrays with the environment row on axis 1, which are merged
     in row order; a block of one route is passed whole.  The route is read
-    off ``states`` first: where every state is LF, or none is, the whole
-    block takes one route and no per-cell mask is built.
+    off the model's states first (``_lf_states``): where every state is LF,
+    or none is, the whole block takes one route and no per-cell mask is
+    built.
     """
-    is_lf = np.array([isinstance(law, LinearFractionalLaw) for law in states], dtype=bool)
+    is_lf = _lf_states(states).is_lf
     if is_lf.all():
         return closed(idx)
     if not is_lf.any():
@@ -199,71 +204,117 @@ def _by_route(states: tuple[OffspringLaw, ...], idx: np.ndarray, closed, series)
     return out
 
 
-class _SuffixTable(NamedTuple):
-    """``_lf_suffix`` statistics of f_{n-L,n} for every state sequence of the last L generations.
+class _LFStates(NamedTuple):
+    """Per-state arrays of the LF kernels, built once per model by ``_lf_states``.
 
-    Entry ``c`` is the sequence whose state of generation n-L+1+j is digit j
-    of c in base K = len(states), most significant first.  p and a are
-    (K^L,); r is (L+1, K^L), layer j for f_{n-L+j,n}, so a reader of r's
-    layers (``_lf_mrca``) and one of f_{0,n} alone (layer 0) share a table.
-    ``bound`` is the survival bound of ``_lf_suffix`` after the L generations.
+    ``m`` and ``em`` (= eta_lf m) are each state's law for ``_lf_step``; a
+    state that is not LF takes m = 1 and eta m = 0, a no-op placeholder no
+    all-LF row reads.  ``keep`` is the least 1 - q(0) of the LF states (1
+    without one): p_k >= keep p_{k+1}, so keep^d bounds the survival of d
+    generations from below.
     """
 
-    length: int
-    bound: float
-    p: np.ndarray
-    a: np.ndarray
-    r: np.ndarray
+    is_lf: np.ndarray
+    m: np.ndarray
+    em: np.ndarray
+    keep: float
 
 
-# the empty suffix, f_{n,n}(s) = s, from which a block that reads no table steps
-_NO_SUFFIX = _SuffixTable(0, 1.0, np.ones(1), np.ones(1), np.zeros((1, 1)))
+@lru_cache(maxsize=16)
+def _lf_states(states: tuple[OffspringLaw, ...]) -> _LFStates:
+    """The ``_LFStates`` of ``states``, kept for the next calls with equal states."""
+    is_lf = np.array([isinstance(law, LinearFractionalLaw) for law in states], dtype=bool)
+    m, em = np.array(
+        [(law.m, law.eta_lf * law.m) if lf else (1.0, 0.0) for law, lf in zip(states, is_lf)]
+    ).reshape(len(states), 2).T
+    for x in (is_lf, m, em):
+        x.flags.writeable = False
+    keep = min((1.0 - law.p0 for law, lf in zip(states, is_lf) if lf), default=1.0)
+    return _LFStates(is_lf, m, em, keep)
+
+
+class _BlockTable:
+    """``_lf_suffix`` statistics of every block of d = 0..L generations of one model.
+
+    ``stats`` has rows p, a and r, and level d, the K^d blocks of d
+    generations, in columns ``start[d] + c``: entry c is the block whose
+    generation j, outermost first, has the state of digit j of c in base
+    K = len(states), most significant first.  A block is the same map
+    wherever it sits in an environment, so one table serves every horizon.
+    ``bounds[d]`` is keep^d, the survival bound ``_lf_suffix`` runs over d
+    generations.  A plain class, not a dataclass, whose generated methods
+    would be compiled at every import.
+    """
+
+    def __init__(self, stats: np.ndarray, start: np.ndarray, bounds: tuple[float, ...]):
+        self.stats, self.start, self.bounds = stats, start, bounds
+
+    @property
+    def length(self) -> int:
+        return len(self.bounds) - 1
+
+    @cached_property
+    def r_by_code(self) -> np.ndarray:
+        """(L+1, K^L): row d holds the r of level d at the last d digits of each L-digit code.
+
+        A reader of r's layers (``_lf_mrca``) gathers them all by one code.
+        Built on its first read, a row at a time, so that a table read only
+        for composed rows never holds it.
+        """
+        start, length = self.start, self.length
+        codes = np.arange(start[-1] - start[-2])
+        r = np.empty((length + 1, codes.size))
+        for d in range(length + 1):  # level d has K^d entries; codes % K^d are the last d digits
+            r[d] = self.stats[2, start[d] + codes % (start[d + 1] - start[d])]
+        r.flags.writeable = False
+        return r
+
+
+# the empty block, f_{n,n}(s) = s, from which a block that reads no table steps
+_NO_TABLE = _BlockTable(np.array([[1.0], [1.0], [0.0]]), np.array([0, 1]), (1.0,))
 
 
 @lru_cache(maxsize=1)
-def _lf_suffix_table(states: tuple[OffspringLaw, ...], n: int) -> _SuffixTable | None:
-    """The ``_lf_suffix`` statistics of every suffix of length L, for a block of horizon n.
+def _lf_block_table(states: tuple[OffspringLaw, ...]) -> _BlockTable | None:
+    """The ``_BlockTable`` of ``states``: levels d = 0..L of ``_lf_levels``, a and r carried.
 
-    L = min(n, the largest L with K^L <= ``_SUFFIX_ROWS``).  The entries are
-    the last of the breadth-first levels of ``_lf_levels``, with a and r
-    carried, and r's layer j is level L - j tiled K^j times, since f_{n-L+j,n}
-    reads only the last L - j digits; every entry has the bits the per-row
-    recursion gives at any width.  None where no state is LF, where L = 0,
-    or where the survival bound falls below 2^-512 within L generations, so
-    that no entry holds a carried exponent.  A state that is not LF takes
-    ``_lf_suffix``'s placeholder, and its entries are never read.
+    L is the largest length with K^L <= ``_SUFFIX_ROWS`` (at K = 1, K = 2's
+    length, so that no horizon sets the build's cost) and keep^L >= 2^-512,
+    so that no entry holds a carried exponent: every entry has the bits
+    the per-row recursion gives at any width.  None where no state is LF
+    or where L = 0.  A state that is not LF takes ``_lf_states``'
+    placeholder, and its entries are never read.
 
     The last table built is kept, read-only, for the next call with equal
-    (states, n), so the rows of one model and horizon share one table in
-    each process; memory stays at one table of ``_SUFFIX_ROWS`` entries.
+    states, so every horizon and every chunk of one model share one table
+    in each process; memory stays at one table of fewer than
+    2 ``_SUFFIX_ROWS`` entries, and L + 1 rows of ``_SUFFIX_ROWS`` once r's
+    layers are read.
     """
-    keeps = [1.0 - law.p0 for law in states if isinstance(law, LinearFractionalLaw)]
-    k, length, bound = len(states), 0, 1.0
-    while keeps and length < n and k ** (length + 1) <= _SUFFIX_ROWS and bound >= _TINY:
-        length += 1
-        bound *= min(keeps)  # the bound ``_lf_suffix`` runs
-    if length == 0 or bound < _TINY:
+    lf = _lf_states(states)
+    base, bounds = max(len(states), 2), [1.0]
+    while lf.is_lf.any() and base ** len(bounds) <= _SUFFIX_ROWS and bounds[-1] * lf.keep >= _TINY:
+        bounds.append(bounds[-1] * lf.keep)  # the bound ``_lf_suffix`` runs
+    if len(bounds) == 1:
         return None
-    r = np.empty((length + 1, k**length))
-    for d, (p, _, a, level_r) in enumerate(_lf_levels(states, min(keeps), length, 3)):
-        r[length - d] = np.tile(level_r, k ** (length - d))
-    for x in (p, a, r):
-        x.flags.writeable = False
-    return _SuffixTable(length, bound, p, a, r)
+    levels = [np.stack([p, a, r]) for p, _, a, r in _lf_levels(states, lf.keep, len(bounds) - 1, 3)]
+    stats, start = np.concatenate(levels, axis=1), np.cumsum([0] + [x.shape[1] for x in levels])
+    stats.flags.writeable = start.flags.writeable = False
+    return _BlockTable(stats, start, tuple(bounds))
 
 
 def _lf_levels(states: tuple[OffspringLaw, ...], keep: float, depth: int, width: int):
     """The (p, e, a, r) of ``_lf_step`` for every state sequence of the last d generations.
 
-    Yields level d = 0..depth, ordered as the entries of ``_SuffixTable``:
+    Yields level d = 0..depth, ordered as the entries of ``_BlockTable``:
     level 0 is f_{n,n}(s) = s, and level d + 1 concatenates, state by state,
     one ``_lf_step`` per state on level d.  a is carried from width 2 and r
     from width 3.  ``keep`` <= 1 - q(0) of every LF state, and the exponent
     carry starts once keep^d < 2^-512.  A state that is not LF steps with
-    m = 1 and eta m = 0, ``_lf_suffix``'s placeholder, a no-op.
+    ``_lf_states``' placeholder, a no-op.
     """
-    laws = [(law.m, law.eta_lf * law.m) if isinstance(law, LinearFractionalLaw) else (1.0, 0.0)
-            for law in states]
+    lf = _lf_states(states)
+    laws = list(zip(lf.m.tolist(), lf.em.tolist()))
     block = (
         np.ones(1),
         np.zeros(1, dtype=np.int64),
@@ -291,10 +342,10 @@ def _lf_suffix(
     with x = eta m p and q = 1 + x, a <- a/q, r <- (x + r)/q and
     p <- m p / q.  Each array is (n+1, b) with ``layers``, row k for f_{k,n},
     else (1, b) for f_{0,n}; ``r_layers`` layers r alone (``_lf_mrca``),
-    with the same arithmetic.  Only what a row of ``width`` reads is carried:
-    a from width 2 and r from width 3 (``_lf_layers``); below that they are
-    None.  A generation's m and eta m are gathered per column of idx as it
-    is stepped, so no per-cell (n, b) array is built.
+    with the same arithmetic.  Only what a row of ``width`` reads is
+    returned: a from width 2 and r from width 3 (``_lf_layers``); below
+    that they are None.  A generation's m and eta m are gathered per column
+    of idx as it is stepped, so no per-cell (n, b) array is built.
 
     A long subcritical suffix drives p towards underflow, and a
     supercritical prefix may bring it back.  So a row whose p falls below
@@ -303,46 +354,49 @@ def _lf_suffix(
     check is skipped while that bound, run over the block, stays above
     2^-512; rows that never fall that low keep the same arithmetic.
 
-    A block of more than one row without ``layers`` reads the suffix table
-    of (states, n) (``_lf_suffix_table``, built on the first call and kept
-    for the next) in place of the last L generations: each row gathers the
-    statistics of f_{n-L,n} (and r's L+1 layers with ``r_layers``) by the
-    code of ``idx[:, n-L:]`` and steps only generations n-L, ..., 1, with
-    the bound continued from the table's.  The entries are this recursion's
-    own values and the table holds no carried exponent, so every row keeps
-    its bits; for n = L no row steps.  A single row (a quenched environment)
-    steps every generation, since a table it built would serve it alone.
+    A block of more than one row reads the model's block table
+    (``_lf_block_table``, built on the first call and kept for the next).
+    Without ``layers`` or ``r_layers`` it composes f_{0,n} from the table's
+    blocks (``_lf_composed``), O(n/L) steps per row; the rows agree with
+    the recursion's to rounding, not bit for bit, where n > L.  With
+    ``r_layers`` each row gathers the statistics of f_{n-L,n} and r's
+    L + 1 layers (layer n-L+j from level L-j, by the last L-j digits of
+    the code of ``idx[:, n-L:]``, L here at most n; ``r_by_code``) and
+    steps only generations n-L, ..., 1, with the bound continued from the
+    table's; the entries are this recursion's own values and hold no
+    carried exponent, so every row keeps its bits.  ``layers`` and a single row (a
+    quenched environment) step every generation and read no table, since
+    a table would serve one row alone.
     """
     b, n = idx.shape
-    # m, eta m and 1 - q(0) per state; these rows never index a finite state's placeholder
-    m_state, em_state, keep_state = np.array(
-        [(law.m, law.eta_lf * law.m, 1.0 - law.p0) if isinstance(law, LinearFractionalLaw)
-         else (1.0, 0.0, 1.0) for law in states]
-    ).reshape(len(states), 3).T
+    lf = _lf_states(states)
+    table = None if layers or b == 1 else _lf_block_table(states)
+    if table is not None and not r_layers:
+        p, a, r = _lf_composed(table, len(states), idx)
+        return p[None], a[None] if width > 1 else None, r[None] if width > 2 else None
+    table = table or _NO_TABLE
     n_out = n + 1 if layers else 1
     n_r = n + 1 if layers or r_layers else 1
     p, e = np.empty((n_out, b)), np.zeros((n_out, b), dtype=np.int64)
     a = np.empty((n_out, b)) if width > 1 else None
     r = np.empty((n_r, b)) if width > 2 else None
-    step = float(keep_state.min(initial=1.0))
-    table = (None if layers or b == 1 else _lf_suffix_table(states, n)) or _NO_SUFFIX
     # the generations after ``start`` are read from the table; bound <= every p of layer src
-    start, bound = n - table.length, table.bound
-    code = idx[:, start:] @ len(states) ** np.arange(table.length - 1, -1, -1) if start < n else 0
-    p[-1] = table.p[code]
+    length = min(n, table.length)
+    start, bound = n - length, table.bounds[length]
+    code = idx[:, start:] @ len(states) ** np.arange(length - 1, -1, -1) if length else 0
+    p[-1] = table.stats[0, table.start[length] + code]
     if a is not None:
-        a[-1] = table.a[code]
-    if r is not None:
-        lo = start if n_r > 1 else 0
-        r[lo:] = table.r[: n_r - lo, code]
+        a[-1] = table.stats[1, table.start[length] + code]
+    if r is not None:  # layer start + j reads level length - j, by the last length - j digits
+        r[start if n_r > 1 else 0 :] = table.r_by_code[length::-1, code]
     for g in range(start - 1, -1, -1):
         src, dst = (g + 1, g) if layers else (0, 0)
         r_src, r_dst = (g + 1, g) if n_r > 1 else (0, 0)
-        bound *= step
+        bound *= lf.keep
         fa = None if a is None else a[src]
         fr = None if r is None else r[r_src]
         col = idx[:, g]  # the states of generation g+1
-        m, em = m_state[col], em_state[col]
+        m, em = lf.m[col], lf.em[col]
         p[dst], fe, fa, fr = _lf_step(m, em, p[src], e[src], fa, fr, bound < _TINY)
         if bound < _TINY:
             e[dst] = fe
@@ -353,6 +407,61 @@ def _lf_suffix(
     if bound < _TINY:
         p = np.ldexp(p, -512 * e)
     return p, a, r
+
+
+def _lf_composed(table: _BlockTable, k: int, idx: np.ndarray):
+    """(p, a, r) of f_{0,n}, each (b,), for all-LF rows: the table's blocks composed.
+
+    A row's generations split into runs of L from the innermost, read from
+    level L, and its outermost n mod L, read from level n mod L.  From the
+    innermost block outward, each block's map is gathered by the code of
+    its digits and composed onto the result (``_lf_compose``), so a row
+    costs about n / L gathers and compositions and no (b, n) array is
+    built.  Once the bound keep^(generations covered) falls below 2^-512,
+    p is carried with an exponent, as in ``_lf_suffix``.
+    """
+    b, n = idx.shape
+    length = table.length
+    place = k ** np.arange(length - 1, -1, -1)
+    blocks = [(length, lo) for lo in range(n - length, -1, -length)]  # (depth, first column)
+    if n % length or not blocks:
+        blocks.append((n % length, 0))
+
+    def gather(d, lo):
+        code = idx[:, lo : lo + d] @ place[length - d :]
+        return np.take(table.stats, table.start[d] + code, axis=1)
+
+    (d, lo), *outer = blocks
+    p, a, r = gather(d, lo)
+    e, bound = 0, table.bounds[d]
+    for d, lo in outer:
+        bound *= table.bounds[d]
+        p, e, a, r = _lf_compose(gather(d, lo), p, e, a, r, bound < _TINY)
+    return np.ldexp(p, -512 * e) if bound < _TINY else p, a, r
+
+
+def _lf_compose(outer: np.ndarray, p, e, a, r, carry: bool):
+    """(p, e, a, r) of the ``outer`` block's map, rows (p, a, r), after the map (p, e, a, r).
+
+    In u = 1 - s the map of statistics (p, a, r) is u -> p u / (a + r u),
+    with a + r = 1.  So the outer (p1, a1, r1) after the inner (p2, a2, r2)
+    has D = a1 + r1 p2, p = p1 p2 / D, a = a1 a2 / D and
+    r = (a1 r2 + r1 p2) / D, every term nonnegative.  With ``carry`` the
+    inner survival is the mantissa p times 2^(-512 e): its value enters D
+    and r, and the new mantissa, formed at one 2^512 above the inner's so
+    that no product is subnormal, is brought back into [2^-512, 1) with
+    its exponent, e = 0 wherever p >= 2^-512; a block may move p by many
+    powers of 2^512.  Without ``carry`` e is returned as given.
+    """
+    p1, a1, r1 = outer
+    x = r1 * (np.ldexp(p, -512 * e) if carry else p)
+    d = a1 + x
+    a, r = a1 * a / d, (a1 * r + x) / d
+    if not carry:
+        return p1 * p / d, e, a, r
+    y = p1 * np.ldexp(p, 512) / d  # the new p times 2^(512 (e + 1))
+    e_new = np.maximum(e + 1 - (np.frexp(y)[1] + 511) // 512, 0)
+    return np.ldexp(y, 512 * (e_new - e - 1)), e_new, a, r
 
 
 def _lf_step(m, em, p, e, a, r, carry: bool, out=None):
@@ -719,7 +828,7 @@ def _annealed_rows(
     x states x cells per row, 5 cells for an LF row whatever it carries),
     and always with a single state, whose block never widens.  Where every
     enumerated state is LF, a row is the (p, e, a, r) of ``_lf_step``, the
-    levels are those of the suffix table (``_lf_levels``), and coefficient
+    levels are those of the block table (``_lf_levels``), and coefficient
     rows are built only at requested horizons (``_lf_layers``, in chunks of
     at most ``_BLOCK_CELLS`` cells), so each is the row ``horizon_rows``
     gives for its environment; otherwise a row is the series row itself, and

@@ -8,9 +8,9 @@ stream (root_seed, c), built when the chunk runs, so results are
 independent of the worker count (BPRE_THREADS only maps MRCA chunks to
 processes, never changes the draws; importance sampling stays serial).
 In importance sampling and the exact MRCA sampler an all-LF environment
-reads its last generations from ``exact``'s suffix table, which each
-process builds once per model and horizon, keeping only the last, so the
-chunks of a call that run in one process share one.  Trajectories, the
+reads ``exact``'s block table, which each process builds once per model,
+for every horizon, keeping only the last, so the chunks and horizons of
+a model that run in one process share one.  Trajectories, the
 spine sampler's side subtrees and the rejection lane's trees grow by one
 branching step, ``_generations``, which branches a forest: one tree per
 environment row, individuals kept in tree order, offspring drawn by
@@ -43,9 +43,10 @@ P(Z_n > 0 | env) itself, thins the rest.  Both take the LF closed form for
 environments whose laws are all linear fractional: there the survival is
 the bounded LF suffix statistic p, kept however small, and
 A_g = p_0 a_0 r_g^(target-1) comes from the same statistics, finite at any
-horizon; their last L generations are read from the suffix table, with
-the same bits.  The rest take the series route: 1 - t_0 from the width-1
-extinction ladder, layers of f_{k,n} and log-derivative products.
+horizon; their last L generations are read from the block table, with
+the same bits, and a survival is composed from its blocks.  The rest take
+the series route: 1 - t_0 from the width-1 extinction ladder, layers of
+f_{k,n} and log-derivative products.
 
 When the environment is random, conditioning on {Z_n = target} under the
 annealed law is NOT the same as sampling an environment, conditioning on
@@ -124,7 +125,7 @@ def _map_chunks(fn, total: int, root_seed: int, workers: int) -> list:
     than one worker and more than one chunk the calls run in a process pool,
     which is sent (c, size) pairs in one batch per worker, so that ``fn``
     and what it carries (a model) are pickled once per worker, not once per
-    chunk, and a worker whose chunks read a suffix table builds it once.
+    chunk, and a worker whose chunks read a block table builds it once.
     Every chunk but the last holds ``_CHUNK`` units of one task, so equal
     batches are already balanced; smaller ones would only pickle ``fn`` and
     build tables more often.  Either way a chunk's stream is built when the
@@ -363,9 +364,11 @@ def _importance_chunk(
 ) -> np.ndarray:
     """Values p(env) mu^n exp(nu S_n) of ``size`` environments drawn from the ``tilted`` model.
 
-    The all-LF rows read their last generations from the suffix table of
-    the tilted states at horizon n, built by the first chunk of a process
-    and kept for the rest, with the same bits.
+    The all-LF rows compose f_{0,n} from the block table of the tilted
+    states (the model's own: a tilt moves only the weights), built by the
+    first chunk of a process and kept for the rest and for other horizons,
+    so a row costs about n / L steps; its values agree with the
+    generation-by-generation recursion to rounding, not bit for bit.
     """
     idx = tilted.sample_indices(rng, (size, n))
     probs = _quenched_small_value_rows(tilted.states, idx, z0, j_max)
@@ -394,10 +397,10 @@ def importance_estimate(
     their maximum and scaled back, so squares of tiny values do not
     underflow.  A value that still overflows raises ContractError, and more
     than ``PROPOSAL_CAP`` replicates raise BudgetError before any draw.  The
-    chunks run serially, in one process, and share one suffix table of the
-    tilted states at horizon n, which ``exact`` builds at most once per call
-    and keeps until a call with another model or horizon; each all-LF row
-    reads its last generations from it.
+    chunks run serially, in one process, and share the block table of the
+    model's states, which ``exact`` builds at most once and keeps for every
+    horizon until a call with another model; each all-LF row is composed
+    from its blocks.
     """
     if replicates < 1:
         raise ContractError("replicates must be >= 1")
@@ -491,9 +494,10 @@ def _mrca_spine_chunk(
     u < A_0 = P(Z_n = target | env) accepts, and the first g with
     u < A_0 - A_{g+1} gives the age n - g.  Every row value is computed by
     row-wise arithmetic, so neither cut changes an accepted row or an age.
-    Both passes read the last generations of each all-LF row from the
-    suffix table of the model's states at horizon n, built by the first
-    chunk of a process and kept for the rest, with the same bits.
+    Both passes read each all-LF row from the block table of the model's
+    states, built by the first chunk of a process and kept for the rest and
+    for other horizons: ``mrca_rows`` gathers the last L generations, with
+    the same bits, and ``survival_rows`` composes the row from its blocks.
     """
     u = rng.random(size)
     u = u[u < _spine_bound(model, target)]
@@ -553,9 +557,9 @@ def conditioned_mrca_sample(
     quenched law of ``exact.mrca_rows``, with one uniform per proposal and
     no tree simulated; that uniform is drawn first, and only proposals with
     u < ``_spine_bound`` draw an environment.  Each process builds one
-    suffix table of the model's states at horizon n and keeps only the
-    last, and every chunk it runs reads the last generations of its all-LF
-    rows from it; for n up to the table's length no row steps at all.
+    block table of the model's states, for every horizon, and keeps only
+    the last, and every chunk it runs reads the last L generations of its
+    all-LF rows from it; for n up to L no row steps at all.
     Method "rejection" simulates full forward trees, one forest per chunk of
     at most ``_CHUNK`` trees whose genealogy is held at once, and raises
     PopulationCapError when one tree's population exceeds

@@ -21,26 +21,26 @@ settings.load_profile("bpre")
 
 
 @pytest.fixture(autouse=True)
-def _no_kept_suffix_table():
-    # ``exact`` keeps the last suffix table it built; each test starts and
+def _no_kept_block_table():
+    # ``exact`` keeps the last block table it built; each test starts and
     # ends without one, so no test reads a table another one built
-    exact._lf_suffix_table.cache_clear()
+    exact._lf_block_table.cache_clear()
     yield
-    exact._lf_suffix_table.cache_clear()
+    exact._lf_block_table.cache_clear()
 
 
 @pytest.fixture
 def table_free(monkeypatch):
-    """``table_free(fn)`` is fn() on the table-free route: at 0 rows no suffix table is built."""
+    """``table_free(fn)`` is fn() on the table-free route: at 0 rows no block table is built."""
 
     def run(fn):
         rows = exact._SUFFIX_ROWS
         monkeypatch.setattr(exact, "_SUFFIX_ROWS", 0)
-        exact._lf_suffix_table.cache_clear()
+        exact._lf_block_table.cache_clear()
         try:
             return fn()
         finally:
             monkeypatch.setattr(exact, "_SUFFIX_ROWS", rows)
-            exact._lf_suffix_table.cache_clear()
+            exact._lf_block_table.cache_clear()
 
     return run

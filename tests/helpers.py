@@ -13,7 +13,7 @@ from collections import namedtuple
 import numpy as np
 
 from bpre.errors import ContractError
-from bpre.exact import _lf_suffix, _SuffixTable, quenched_coeff_row
+from bpre.exact import _lf_suffix, quenched_coeff_row
 from bpre.laws import FiniteLaw, LinearFractionalLaw
 from bpre.pgf import apply_law_rows
 
@@ -178,23 +178,32 @@ def digit_rows(k, length):
     return np.arange(k**length)[:, None] // k ** np.arange(length - 1, -1, -1) % k
 
 
-def digit_suffix_table(states, n, rows):
-    """``exact._lf_suffix_table`` of at most ``rows`` entries, by the per-row recursion.
+BlockTableRef = namedtuple("BlockTableRef", "stats start bounds r_by_code")
+
+
+def digit_block_table(states, rows):
+    """``exact._lf_block_table`` with levels of at most ``rows`` entries, by the per-row recursion.
 
     The same rule for L and the survival bound, then ``_lf_suffix`` itself,
-    with a and r carried, on the K^L suffixes written out as ``digit_rows``;
+    with a and r carried, on the K^d blocks of each length d <= L written
+    out as ``digit_rows``, and r's layers of the K^L blocks of length L;
     the reference for the table's breadth-first levels.  It runs layered,
     the route that reads no table and steps every generation of every row.
     """
-    keeps = [1.0 - law.p0 for law in states if isinstance(law, LinearFractionalLaw)]
-    k, length, bound = len(states), 0, 1.0
-    while keeps and length < n and k ** (length + 1) <= rows and bound >= 2.0**-512:
-        length += 1
-        bound *= min(keeps)
-    if length == 0 or bound < 2.0**-512:
+    keep = min((1.0 - law.p0 for law in states if isinstance(law, LinearFractionalLaw)), default=1.0)
+    base, bounds = max(len(states), 2), [1.0]
+    lf = any(isinstance(law, LinearFractionalLaw) for law in states)
+    while lf and base ** len(bounds) <= rows and bounds[-1] * keep >= 2.0**-512:
+        bounds.append(bounds[-1] * keep)
+    if len(bounds) == 1:
         return None
-    p, a, r = _lf_suffix(states, digit_rows(k, length), 3, True)
-    return _SuffixTable(length, bound, p[0], a[0], r)
+    levels = []
+    for d in range(len(bounds)):
+        p, a, r = _lf_suffix(states, digit_rows(len(states), d), 3, True)
+        levels.append(np.stack([p[0], a[0], r[0]]))
+    start = np.cumsum([0] + [x.shape[1] for x in levels])
+    r_by_code = r[::-1]  # layer k of the longest blocks holds their last L - k generations
+    return BlockTableRef(np.concatenate(levels, axis=1), start, tuple(bounds), r_by_code)
 
 
 def log_derivative_mrca_rows(states, idx, target):

@@ -28,8 +28,8 @@ from bpre.models import example1_model, gw_binary, weakly_model
 from bpre.pgf import MAX_DEGREE, apply_law_rows, pow_rows
 
 from helpers import (
+    digit_block_table,
     digit_rows,
-    digit_suffix_table,
     gapped_finite_law,
     log_derivative_mrca_rows,
     phi_n,
@@ -225,11 +225,26 @@ def test_lf_closed_form_scales_survival_back_up():
     assert abs(survival_rows(states, idx)[0] - survival) <= 1e-14 * survival
 
 
+# composed LF rows against stepped ones, relative, wherever the stepped value
+# is a normal double; 1.3e-15 was seen at n <= 100 and 4.5e-14 at K = 1, n = 300
+COMPOSED_RTOL = 1e-13
+
+
+def _assert_composed_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    err = np.abs(got - want)
+    normal = np.abs(want) >= np.finfo(float).tiny
+    assert np.all(err[normal] <= COMPOSED_RTOL * np.abs(want[normal]))
+    assert np.all(err[~normal] <= 1e-300)
+
+
 @pytest.mark.parametrize("width", [1, 4, 65])
 @pytest.mark.parametrize("layers", [False, True])
 def test_horizon_rows_route_per_row_in_mixed_block(width, layers):
     # all-LF rows take the closed form, rows with a finite law the series
-    # route, and each row equals its one-row call bit for bit
+    # route; a series row, and a layered LF row, equals its one-row call bit
+    # for bit, and an LF row of the block without layers, composed from the
+    # block table (n = 9 > L = 7), agrees with its one-row steps
     rng = np.random.default_rng(11)
     states = (random_lf_law(rng), random_finite_law(rng, 3, with_extinction=True), random_lf_law(rng))
     idx = rng.choice([0, 2], (24, 9))
@@ -243,15 +258,22 @@ def test_horizon_rows_route_per_row_in_mixed_block(width, layers):
     assert np.array_equal(f[:, ~closed], exact._series_layers(states, idx[~closed], width, layers))
     for r in range(idx.shape[0]):
         one = exact.horizon_rows(states, idx[r : r + 1], width, layers=layers)
-        assert np.array_equal(one[:, 0] if layers else one[0], f[:, r] if layers else f[0, r])
+        got, want = (one[:, 0], f[:, r]) if layers else (one[0], f[0, r])
+        if layers or not closed[r]:
+            assert np.array_equal(got, want)
+        else:
+            _assert_composed_close(want, got)
 
 
 def _suffix_case(name):
-    """(states, row cap, the table's longest length L, idx sampler) of a two-route suffix case."""
+    """(states, the block table's length L, idx sampler) of a two-route block table case."""
     rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "two":  # K = 2: 2^12 = 4096
+        states = (random_lf_law(rng), random_lf_law(rng))
+        return states, 12, lambda b, n: rng.integers(0, 2, (b, n))
     if name == "lf":  # K = 3: 3^7 <= 4096 < 3^8
         states = tuple(random_lf_law(rng) for _ in range(3))
-        return states, 4096, 7, lambda b, n: rng.integers(0, 3, (b, n))
+        return states, 7, lambda b, n: rng.integers(0, 3, (b, n))
     if name == "mixed":  # the finite state 1 sends a row to the series route
 
         def draw(b, n):
@@ -260,14 +282,14 @@ def _suffix_case(name):
             return idx
 
         states = (random_lf_law(rng), random_finite_law(rng, 3, with_extinction=True), random_lf_law(rng))
-        return states, 4096, 7, draw
-    if name == "single":  # K = 1: the table spans the whole horizon, L = n
-        return (random_lf_law(rng),), 4096, 40, lambda b, n: np.zeros((b, n), dtype=np.int64)
+        return states, 7, draw
+    if name == "single":  # K = 1 takes K = 2's length, whatever the horizon
+        return (random_lf_law(rng),), 12, lambda b, n: np.zeros((b, n), dtype=np.int64)
     # lf_carry: 1 - q(0) = 2^-47 for the first state, so keep^10 > 2^-512 >
-    # keep^11: at 1024 rows (L = 10) a row's exponent carry starts right
-    # after the table, and at 4096 rows (L = 12) no table is built
+    # keep^11: the survival bound caps L at 10, and a row's exponent carry
+    # starts right after the first block
     states = (LinearFractionalLaw(2.0**-47, 0.0), LinearFractionalLaw(1.5, 4.0))
-    return states, 1024, 10, lambda b, n: rng.integers(0, 2, (b, n))
+    return states, 10, lambda b, n: rng.integers(0, 2, (b, n))
 
 
 def _as_bytes(x):
@@ -279,61 +301,106 @@ def _as_bytes(x):
     return None if x is None else x.tobytes()
 
 
-@pytest.mark.parametrize("offset", ["1", "L-1", "L", "L+1", "40", "300"])
-@pytest.mark.parametrize("name", ["lf", "mixed", "single", "lf_carry"])
-def test_suffix_table_keeps_every_bit(name, offset, monkeypatch, table_free):
-    # two routes: each kernel reading the kept table against the table-free
-    # route, byte for byte, at every width and for r layered or not; at K = 1
-    # and n = 300 the table spans L = 300 generations
-    states, rows, longest, draw = _suffix_case(name)
-    monkeypatch.setattr(exact, "_SUFFIX_ROWS", rows)
-    n = {"1": 1, "L-1": longest - 1, "L": longest, "L+1": longest + 1, "40": 40, "300": 300}[offset]
+BLOCK_TABLE_CASES = pytest.mark.parametrize("name", ["two", "lf", "mixed", "single", "lf_carry"])
+HORIZONS = pytest.mark.parametrize("offset", ["1", "L-1", "L", "L+1", "3L+1", "300"])
+
+
+def _horizon(offset, length):
+    return {"1": 1, "L-1": length - 1, "L": length, "L+1": length + 1, "3L+1": 3 * length + 1,
+            "300": 300}[offset]
+
+
+@HORIZONS
+@BLOCK_TABLE_CASES
+def test_block_table_keeps_every_bit_of_r_layers(name, offset, table_free):
+    # two routes: the r-layered reads of ``_lf_mrca`` (the last min(n, L)
+    # generations from the kept table, the rest stepped) against the
+    # table-free route, byte for byte, at every width; at K = 1 and n = 300
+    # a row steps 288 generations past the table
+    states, length, draw = _suffix_case(name)
+    n = _horizon(offset, length)
     idx = draw(64, n)
-    lf = np.array([isinstance(law, LinearFractionalLaw) for law in states])[idx].all(axis=1)
+    lf = exact._lf_states(states).is_lf[idx].all(axis=1)
     assert lf.any()
-    table = exact._lf_suffix_table(states, n)
-    assert table.length == (n if len(states) == 1 else min(n, longest))
-    assert len(table.p) == len(states) ** table.length <= rows
-    assert table.r.shape == (table.length + 1, len(table.p))
-    widths = (1, 2, 3, 5, 65)
 
     def kernels():
         return (
-            [[exact._lf_suffix(states, idx[lf], width, False, r_layers=r_layers)
-              for r_layers in (False, True)] for width in widths],
-            [exact.horizon_rows(states, idx, width) for width in widths],
-            survival_rows(states, idx),
+            [exact._lf_suffix(states, idx[lf], width, False, r_layers=True)
+             for width in (1, 2, 3, 5, 65)],
             [exact.mrca_rows(states, idx, target) for target in (2, 4, 64)],
         )
 
     got = kernels()
-    assert exact._lf_suffix_table.cache_info().misses == 1  # every kernel read the one table
-    want = table_free(kernels)
-    for width, g, w in zip(widths, got[0], want[0]):
-        assert _as_bytes(g) == _as_bytes(w), width
-    for width, g, w in zip(widths, got[1], want[1]):
-        assert g.tobytes() == w.tobytes(), width
-    assert got[2].tobytes() == want[2].tobytes()
-    for target, g, w in zip((2, 4, 64), got[3], want[3]):
-        assert g.tobytes() == w.tobytes(), target
-    if name == "lf_carry":
-        keep = 1.0 - states[0].p0
-        assert keep**10 > 2.0**-512 > keep**11
-        monkeypatch.setattr(exact, "_SUFFIX_ROWS", 4096)
-        exact._lf_suffix_table.cache_clear()
-        assert exact._lf_suffix_table(states, n) is None or n < 11
-        if n == 40:  # some row carries an exponent past the table
-            assert got[2].min() < 2.0**-512
+    assert exact._lf_block_table.cache_info().misses == 1  # every kernel read the one table
+    assert exact._lf_block_table(states).length == length
+    assert _as_bytes(got) == _as_bytes(table_free(kernels))
+    if name == "lf_carry" and n > 2 * length:  # some row carries an exponent past the table
+        assert got[0][0][0].min() < 2.0**-512
 
 
-@pytest.mark.parametrize("name, n", [("lf", 12), ("lf", 40), ("single", 300), ("lf_carry", 40)])
-def test_quenched_rows_keep_every_bit_with_the_suffix_table(name, n, monkeypatch, table_free):
-    # two routes: ``quenched_coeff_row`` and ``quenched_survival`` of all-LF
-    # environments, one row each, build no table and give the table-free
-    # route's bits, and their rows are those of the same environments in a
-    # block that reads the model's table; at K = 1 it spans all 300 generations
-    states, rows, _, draw = _suffix_case(name)
-    monkeypatch.setattr(exact, "_SUFFIX_ROWS", rows)
+@HORIZONS
+@BLOCK_TABLE_CASES
+def test_composed_rows_match_the_layered_route(name, offset):
+    # two routes: (p, a, r) of f_{0,n} composed from the block table against
+    # layered ``_lf_suffix``, which reads no table and steps every
+    # generation; a row of n <= L reads one block and keeps every bit.
+    # ``horizon_rows`` and ``survival_rows`` give the composed statistics
+    states, length, draw = _suffix_case(name)
+    n = _horizon(offset, length)
+    idx = draw(64, n)
+    lf = exact._lf_states(states).is_lf[idx].all(axis=1)
+    composed = exact._lf_suffix(states, idx[lf], 3, False)
+    layered = [x[:1] for x in exact._lf_suffix(states, idx[lf], 3, True)]
+    assert exact._lf_block_table.cache_info().misses == 1
+    for got, want in zip(composed, layered):
+        assert got.shape == want.shape
+        _assert_composed_close(got, want)
+        if n <= length:
+            assert got.tobytes() == want.tobytes()
+    for width in (1, 2, 5):
+        rows = exact._lf_layers(*exact._lf_suffix(states, idx[lf], width, False), width)[0]
+        assert exact.horizon_rows(states, idx, width)[lf].tobytes() == rows.tobytes()
+    assert survival_rows(states, idx)[lf].tobytes() == composed[0][0].tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 3, 6])
+def test_composed_rows_survive_long_excursions(width, monkeypatch):
+    # the environments of ``test_lf_closed_form_survives_long_excursions``,
+    # both orders in one block, so that they compose from the block table:
+    # behind the subcritical half the composed p falls below 2^-512 and is
+    # carried with an exponent; the series route checks the row whose
+    # survival underflows, the true values the one it comes back to 1/4 in
+    states = (LinearFractionalLaw(0.5, 0.5), LinearFractionalLaw(2.0, 8.0))
+    idx = np.stack([np.repeat([0, 1], 1100), np.repeat([1, 0], 1100)])
+    carried = []
+    compose = exact._lf_compose
+
+    def spy(outer, p, e, a, r, carry):
+        carried.append(carry)
+        return compose(outer, p, e, a, r, carry)
+
+    monkeypatch.setattr(exact, "_lf_compose", spy)
+    rows = exact.horizon_rows(states, idx, width)
+    assert len(carried) == 2200 // 12 and any(carried)
+    assert np.all(np.isfinite(rows)) and np.all(rows >= 0.0)
+    np.testing.assert_allclose(
+        rows[0], series_horizon_rows(states, idx[:1], width)[0], rtol=0.0, atol=1e-300
+    )
+    oracle = _mp_lf_rows([states[a] for a in idx[1]], width)
+    _assert_composed_close(rows[1], np.array([float(v) for v in oracle]))
+    survival = survival_rows(states, idx)
+    assert survival[0] <= 1e-300
+    _assert_composed_close(survival[1], float(1 - oracle[0]))
+    assert float(1 - oracle[0]) == pytest.approx(0.25, rel=1e-14)
+
+
+@pytest.mark.parametrize("name, n", [("two", 12), ("lf", 40), ("single", 300), ("lf_carry", 40)])
+def test_quenched_rows_read_no_block_table(name, n, table_free):
+    # ``quenched_coeff_row`` and ``quenched_survival`` of all-LF environments,
+    # one row each, neither build nor evict the model's block table and give
+    # the table-free route's bits; the same environments in a block, composed
+    # from the table, agree with them, bit for bit where n <= L
+    states, length, draw = _suffix_case(name)
     idx = draw(8, n)
     envs = [EnvSequence(tuple(states[a] for a in row)) for row in idx]
 
@@ -341,50 +408,45 @@ def test_quenched_rows_keep_every_bit_with_the_suffix_table(name, n, monkeypatch
         return [(quenched_coeff_row(env, z0, 6), quenched_survival(env, z0))
                 for env in envs for z0 in (1, 3)]
 
-    got = quenched()
-    assert exact._lf_suffix_table.cache_info().misses == 0
-    assert _as_bytes(got) == _as_bytes(table_free(quenched))
     block = (exact.horizon_rows(states, idx, 7), survival_rows(states, idx))
-    assert exact._lf_suffix_table.cache_info().currsize == 1
-    assert exact._lf_suffix_table(states, n) is not None
+    table = exact._lf_block_table(states)
+    got = quenched()
+    info = exact._lf_block_table.cache_info()
+    assert info.misses == 1 and info.currsize == 1 and exact._lf_block_table(states) is table
+    assert _as_bytes(got) == _as_bytes(table_free(quenched))
     for row, env in enumerate(envs):
         alone = (exact.horizon_rows(*env._indexed, 7)[0], survival_rows(*env._indexed)[0])
-        assert _as_bytes(alone) == _as_bytes((block[0][row], block[1][row]))
+        if n <= length:
+            assert _as_bytes(alone) == _as_bytes((block[0][row], block[1][row]))
+        _assert_composed_close(block[0][row], alone[0])
+        _assert_composed_close(block[1][row], alone[1])
 
 
-@pytest.mark.parametrize(
-    "name, n, length",
-    [("two", 1, 1), ("two", 5, 5), ("two", 12, 12), ("two", 40, 12), ("single", 300, 300),
-     ("lf", 40, 7), ("mixed", 40, 7), ("lf_carry", 40, None)],
-)
-def test_suffix_table_matches_digit_oracle(name, n, length):
+@BLOCK_TABLE_CASES
+def test_block_table_matches_digit_oracle(name):
     # two routes: the breadth-first levels against ``_lf_suffix`` on every
-    # suffix written out as digits, byte for byte, placeholder entries of
-    # the mixed model's finite state included; at 4096 rows the lf_carry
-    # model's survival bound falls below 2^-512 within L, so no table
-    if name == "two":
-        rng = np.random.default_rng(17)
-        states = (random_lf_law(rng), random_lf_law(rng))
-    else:
-        states = _suffix_case(name)[0]
-    want = digit_suffix_table(states, n, exact._SUFFIX_ROWS)
-    assert exact._lf_suffix_table.cache_info().misses == 0  # the oracle reads no table
-    table = exact._lf_suffix_table(states, n)
-    if length is None:
-        assert table is None and want is None
-        return
-    assert table.length == want.length == length and table.bound == want.bound
-    for got, ref in zip(table[2:], want[2:]):
-        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    # block written out as digits, byte for byte, placeholder entries of
+    # the mixed model's finite state included
+    states, length, _ = _suffix_case(name)
+    want = digit_block_table(states, exact._SUFFIX_ROWS)
+    assert exact._lf_block_table.cache_info().misses == 0  # the oracle reads no table
+    table = exact._lf_block_table(states)
+    assert table.length == len(want.bounds) - 1 == length and table.bounds == want.bounds
+    k = len(states)
+    assert table.stats.shape == (3, sum(k**d for d in range(length + 1)))
+    assert table.r_by_code.shape == (length + 1, k**length)
+    for field in ("stats", "start", "r_by_code"):
+        got, ref = getattr(table, field), getattr(want, field)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), field
 
 
-@pytest.mark.parametrize("name", ["lf", "mixed", "single", "lf_carry"])
+@BLOCK_TABLE_CASES
 def test_lf_levels_match_per_row_recursion(name):
     # level d of the breadth-first growth is ``_lf_suffix`` on the K^d digit
     # rows of length d, at every width, layered so that it reads no table and
     # steps every generation; two levels past the lf_carry case's table some
     # rows carry an exponent
-    states, _, longest, _ = _suffix_case(name)
+    states, longest, _ = _suffix_case(name)
     keep = min(1.0 - law.p0 for law in states if isinstance(law, LinearFractionalLaw))
     for width in (1, 2, 3):
         levels = list(exact._lf_levels(states, keep, longest + 2, width))
@@ -396,20 +458,29 @@ def test_lf_levels_match_per_row_recursion(name):
                 None if x is None else x[0].tobytes() for x in want
             ], (width, d)
         assert (levels[-1][1].max() > 0) == (name == "lf_carry")
-    assert exact._lf_suffix_table.cache_info().misses == 0  # the reference read no table
+    assert exact._lf_block_table.cache_info().misses == 0  # the reference read no table
 
 
-def test_suffix_table_is_skipped_without_an_lf_state_or_a_generation(monkeypatch):
+def test_block_table_is_skipped_without_an_lf_state_or_a_level(monkeypatch):
     rng = np.random.default_rng(5)
     finite = (random_finite_law(rng, 3, with_extinction=True),) * 2
-    assert exact._lf_suffix_table(finite, 8) is None
+    assert exact._lf_block_table(finite) is None
     lf = (random_lf_law(rng), random_lf_law(rng))
-    assert exact._lf_suffix_table(lf, 0) is None
+    assert exact._lf_block_table(lf).length == 12
+    assert exact._lf_block_table(lf[:1]).length == 12  # K = 1 takes K = 2's length
     monkeypatch.setattr(exact, "_SUFFIX_ROWS", 1)
-    assert exact._lf_suffix_table(lf, 8) is None
+    exact._lf_block_table.cache_clear()
+    assert exact._lf_block_table(lf) is None
     monkeypatch.setattr(exact, "_SUFFIX_ROWS", 3)
-    exact._lf_suffix_table.cache_clear()  # the kept None was found at 1 row
-    assert exact._lf_suffix_table(lf, 8).length == 1
+    exact._lf_block_table.cache_clear()  # the kept None was found at 1 row
+    assert exact._lf_block_table(lf).length == 1
+    # 1 - q(0) = 1e-160 < 2^-512: not one generation keeps the bound, so a
+    # block builds no table and steps every generation
+    tiny = (LinearFractionalLaw(1e-160, 0.0), lf[0])
+    assert exact._lf_block_table(tiny) is None
+    idx = rng.integers(0, 2, (4, 30))
+    layered = [x[:1] for x in exact._lf_suffix(tiny, idx, 3, True)]
+    assert _as_bytes(exact._lf_suffix(tiny, idx, 3, False)) == _as_bytes(layered)
 
 
 @pytest.mark.parametrize("target", [2, 3, 7])

@@ -1,4 +1,5 @@
 import itertools
+import json
 import logging
 import math
 import tracemalloc
@@ -23,6 +24,7 @@ from bpre.exact import (
 )
 from bpre.laws import FiniteLaw, LinearFractionalLaw
 from bpre import simulate
+from bpre.cli import main
 from bpre.models import intermediate_model, strongly_model, weakly_mrca_model, weakly_model
 from bpre.simulate import (
     _CHUNK,
@@ -250,16 +252,24 @@ def test_importance_estimate_tilted_matches_exact():
 
 @pytest.mark.parametrize("z0, j_max", [(1, 4), (2, 9), (3, 1)])
 def test_quenched_small_value_rows_match_quenched_coeff_row(z0, j_max):
-    # the batched rows of importance sampling against one environment at a time, bit for bit
+    # the batched rows of importance sampling against one environment at a
+    # time: bit for bit on rows with a finite law (the series route), and
+    # within 1e-13 on all-LF rows, which the block composes from the block
+    # table (n = 9 > L = 7) where the one-row call steps
     model = EnvironmentModel(
         (LinearFractionalLaw(1.6, 5.0), FiniteLaw((0.3, 0.2, 0.5)), LinearFractionalLaw(0.7, 0.4)),
         (0.4, 0.3, 0.3),
     )
     idx = model.sample_indices(np.random.default_rng(8), (64, 9))
     rows = _quenched_small_value_rows(model.states, idx, z0, j_max)
+    series = (idx == 1).any(axis=1)
+    assert series.any() and not series.all()
     for r in range(idx.shape[0]):
         row = quenched_coeff_row(EnvSequence.from_indices(model, idx[r]), z0, j_max)
-        assert rows[r] == row[1:].sum()
+        if series[r]:
+            assert rows[r] == row[1:].sum()
+        else:
+            assert rows[r] == pytest.approx(row[1:].sum(), rel=1e-13, abs=0.0)
 
 
 def test_importance_estimate_standard_error_does_not_underflow():
@@ -635,7 +645,7 @@ DIFFERENCED_RULE_CASES = pytest.mark.parametrize(
 
 
 def _both_routes(table_free, check):
-    """check() with the suffix table ``exact`` keeps (none on a finite model), then table-free."""
+    """check() with the block table ``exact`` keeps (none on a finite model), then table-free."""
     check()
     table_free(check)
 
@@ -696,7 +706,7 @@ def test_spine_chunk_draws_uniforms_then_kept_environments(model, n, seed, size,
 )
 def test_spine_chunk_memory_follows_kept_proposals(model, table_free):
     # a cut proposal holds no environment row, so one long chunk stays well
-    # below a single (size, n) float block, the suffix table it builds included
+    # below a single (size, n) float block, the block table it builds included
     n = 2000
 
     def check():
@@ -720,9 +730,9 @@ def test_spine_chunk_memory_follows_kept_proposals(model, table_free):
     ids=["strongly_n16", "weakly_mrca_n8"],
 )
 def test_geiger_counts_are_pinned(model, n, counts, monkeypatch):
-    # recorded before the sampler read a suffix table, which moves no draw
-    # and no bit, in one process or in a pool; n = 16 steps four generations
-    # past the table, and n = 8 none
+    # recorded before the sampler read a table of LF statistics, which moves
+    # no draw and no bit of ``mrca_rows``, in one process or in a pool;
+    # n = 16 steps four generations past the block table's L = 12, n = 8 none
     for workers in ("1", "2"):
         monkeypatch.setenv("BPRE_THREADS", workers)
         d = conditioned_mrca_sample(model, n, 2, "geiger", 3 * _CHUNK, root_seed=7)
@@ -730,12 +740,13 @@ def test_geiger_counts_are_pinned(model, n, counts, monkeypatch):
         assert d.accepted == sum(counts.values())
 
 
-def test_a_sampler_call_builds_at_most_one_suffix_table(monkeypatch, table_free):
-    # a geiger or importance call builds one table for all of its chunks, a
-    # repeat call with the same (states, n) builds none, and ``exact`` keeps
-    # one table at most; a chunk whose horizon fits in the table steps no
-    # generation, and a longer one steps only the generations before it
-    info = exact._lf_suffix_table.cache_info
+def test_one_block_table_serves_every_horizon_of_a_model(monkeypatch, tmp_path, table_free):
+    # a geiger ``--n-list 8,16`` call and importance sampling at n = 16 and
+    # 40 on one model build one table between them, a repeat builds none,
+    # and ``exact`` keeps one table at most; a spine chunk steps only the
+    # generations before its last L (``mrca_rows`` reads r's layers), and a
+    # block's composed rows step none
+    info = exact._lf_block_table.cache_info
     steps = []
 
     def step_spy(*args, **kwargs):
@@ -745,37 +756,46 @@ def test_a_sampler_call_builds_at_most_one_suffix_table(monkeypatch, table_free)
     lf_step = exact._lf_step
     monkeypatch.setenv("BPRE_THREADS", "1")
     model = strongly_model()
-    samplers = {
-        "geiger": lambda n: conditioned_mrca_sample(model, n, 2, "geiger", 3 * _CHUNK, root_seed=5),
-        "importance": lambda n: importance_estimate(model, 1, n, 4, 0.0, 3 * _CHUNK, root_seed=5),
-    }
+    path = tmp_path / "strongly.json"
+    path.write_text(json.dumps(model.to_json()))
+    argv = ["mrca", "--model", str(path), "--n-list", "8,16", "--replicates", str(3 * _CHUNK),
+            "--seed", "5", "--out", str(tmp_path / "mrca.json")]
     assert info().maxsize == 1
-    for n, length in ((8, 8), (16, 12)):
-        for name, sample in samplers.items():
-            exact._lf_suffix_table.cache_clear()
-            first = sample(n)
-            assert info().misses == 1 and info().currsize == 1, name
-            assert sample(n) == first and info().misses == 1, name
-        table = exact._lf_suffix_table(model.states, n)
-        assert info().misses == 1 and info().currsize == 1
-        assert table.length == length and len(table.p) == 2**length <= exact._SUFFIX_ROWS
-        monkeypatch.setattr(exact, "_lf_step", step_spy)
+    assert main(argv) == 0
+    assert info().misses == 1 and info().currsize == 1
+    estimates = [importance_estimate(model, 1, n, 4, 0.0, 3 * _CHUNK, root_seed=5) for n in (16, 40)]
+    assert info().misses == 1 and info().currsize == 1
+    artifact = (tmp_path / "mrca.json").read_bytes()
+    assert main(argv) == 0 and (tmp_path / "mrca.json").read_bytes() == artifact
+    assert [importance_estimate(model, 1, n, 4, 0.0, 3 * _CHUNK, root_seed=5)
+            for n in (16, 40)] == estimates
+    assert info().misses == 1 and exact._lf_block_table(model.states).length == 12
+    monkeypatch.setattr(exact, "_lf_step", step_spy)
+    for n in (8, 16, 30):
+        exact._lf_block_table(model.states)  # ``table_free`` dropped the last one
         steps.clear()
-        got = _mrca_spine_chunk(model, n, 2, stream(5, 0), _CHUNK)
-        assert len(steps) == n - length
+        idx = model.sample_indices(stream(5, n), (_CHUNK, n))
+        horizon_rows(model.states, idx, 5)
+        survival_rows(model.states, idx)
+        assert steps == []
+        got = _mrca_spine_chunk(model, n, 2, stream(2, 0), _CHUNK)
+        assert len(steps) == n - min(n, 12)
         monkeypatch.setattr(exact, "_lf_step", lf_step)
-        assert got == table_free(lambda: _mrca_spine_chunk(model, n, 2, stream(5, 0), _CHUNK)) != {}
-    exact._lf_suffix_table.cache_clear()
+        assert got == table_free(lambda: _mrca_spine_chunk(model, n, 2, stream(2, 0), _CHUNK)) != {}
+        monkeypatch.setattr(exact, "_lf_step", step_spy)
+    exact._lf_block_table.cache_clear()
     conditioned_mrca_sample(model, 8, 2, "rejection", 10, root_seed=5)
     assert info().misses == 0  # the rejection lane reads no table
 
 
 def test_one_state_samplers_read_a_table_past_255_generations(monkeypatch, table_free):
-    # at K = 1 the table spans the whole horizon, L = n; both samplers keep
-    # the table-free route's results
+    # at K = 1 the table holds K = 2's L = 12 levels, so a row of n = 300
+    # composes 25 blocks (importance sampling) or steps the 288 generations
+    # before its last block (geiger); the geiger counts keep the table-free
+    # route's, and the estimate agrees with it to rounding
     model = EnvironmentModel((LinearFractionalLaw(1.0, 0.1),), (1.0,))
     n = 300
-    assert exact._lf_suffix_table(model.states, n).length == n
+    assert exact._lf_block_table(model.states).length == 12
     monkeypatch.setenv("BPRE_THREADS", "1")
 
     def run():
@@ -783,9 +803,10 @@ def test_one_state_samplers_read_a_table_past_255_generations(monkeypatch, table
         d = conditioned_mrca_sample(model, n, 2, "geiger", 2 * _CHUNK + 5, root_seed=3)
         return est, d.counts, d.accepted
 
-    runs = [run(), table_free(run)]
-    assert runs[0] == runs[1]
-    assert runs[0][2] > 0 and runs[0][0].estimate > 0.0
+    (est, *geiger), (free, *geiger_free) = run(), table_free(run)
+    assert geiger == geiger_free and geiger[1] > 0
+    assert est.estimate > 0.0 and est.estimate == pytest.approx(free.estimate, rel=1e-13, abs=0.0)
+    assert est.std_error == free.std_error == 0.0  # one state: every environment is the same
 
 
 @pytest.mark.parametrize("target, seed", [(2, 81), (3, 83)])
