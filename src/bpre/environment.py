@@ -113,9 +113,33 @@ class EnvironmentModel:
         """Whether every state is linear fractional."""
         return all(isinstance(law, LinearFractionalLaw) for law in self.states)
 
+    @cached_property
+    def _raw_bounds(self) -> tuple[np.uint64, ...]:
+        """Each state boundary cum_a as a bound on raw 64-bit words: ceil(cum_a 2^53) << 11.
+
+        A word w gives the double u = (w >> 11) 2^-53, so u >= cum_a exactly
+        when w is at least the bound.  A boundary at or above 1 is never
+        crossed and has no bound, as ceil(cum_a 2^53) << 11 fits no uint64.
+        """
+        tops = (math.ceil(c * 2.0**53) for c in np.cumsum(self._w)[:-1].tolist())
+        return tuple(np.uint64(t << 11) for t in tops if t < 2**53)
+
     def sample_indices(self, rng: np.random.Generator, size) -> np.ndarray:
-        """States drawn i.i.d.: ``state_indices`` of ``size`` uniforms from ``rng``."""
-        return self.state_indices(rng.random(size))
+        """States drawn i.i.d. from ``size`` raw words of ``rng``'s bit generator.
+
+        The index of each word is the ``state_indices`` of its double
+        (w >> 11) 2^-53, the double ``rng.random`` makes of it with Philox and
+        PCG64, so the indices are those of ``state_indices(rng.random(size))``
+        bit for bit and the stream advances by the same words; the words are
+        compared with integer bounds (``_raw_bounds``), and no double is
+        formed.  The count runs in the smallest unsigned type that holds the
+        number of states less one and is widened to int64 once.
+        """
+        words = rng.bit_generator.random_raw(size)
+        count = np.zeros(words.shape, dtype=np.min_scalar_type(len(self._w) - 1))
+        for bound in self._raw_bounds:
+            count += (words >= bound).view(np.uint8)
+        return count.astype(np.int64)
 
     def state_indices(self, u: np.ndarray) -> np.ndarray:
         """States by inversion of the uniforms u: index #{a : cum_a <= u} of each.
@@ -183,9 +207,17 @@ def rate_function_at_zero(model: EnvironmentModel) -> RateFunctionAtZero:
 
 
 def tilt(model: EnvironmentModel, nu: float) -> tuple[EnvironmentModel, float]:
-    """Reweight the environment by ``exp(-nu X) / mu``; returns (model, mu)."""
-    factors = np.exp(-nu * model._x)
-    mu = float(np.dot(model._w, factors))
+    """Reweight the environment by ``exp(-nu X) / mu``; returns (model, mu).
+
+    nu = 0 is the identity tilt, (model, 1.0), also where a state has mean
+    0 (X = -inf, where 0 X is not a number).  An infinite or vanishing mu
+    raises ContractError, with no NumPy warning.
+    """
+    if nu == 0.0:
+        return model, 1.0
+    with np.errstate(over="ignore", under="ignore"):
+        factors = np.exp(-nu * model._x)
+        mu = float(np.dot(model._w, factors))
     if not math.isfinite(mu) or mu <= 0.0:
         raise ContractError("tilt normalizer is not finite and positive")
     return EnvironmentModel(model.states, tuple((model._w * factors / mu).tolist())), mu

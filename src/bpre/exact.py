@@ -31,7 +31,10 @@ process builds one per model, which serves every horizon, and keeps only
 the last.  ``_lf_suffix`` reads it on a block of more than one row (a
 quenched environment, one row, steps every generation without it).  An
 all-LF row in such a block composes f_{0,n} from its blocks, about n / L
-steps, to the rounding of the recursion (bit for bit where n <= L); a row
+steps, to the rounding of the recursion (bit for bit where n <= L):
+``_block_codes`` codes the block's states and ``_lf_composed`` composes
+the codes, which importance sampling draws itself, a block at a time,
+and hands to ``composed_rows``; a row
 of ``mrca_rows``, which needs r at every generation, gathers the layers
 of its last L generations and steps only the generations before them,
 with the bits of the full recursion.  ``mrca_rows`` returns the MRCA law
@@ -274,16 +277,30 @@ class _BlockTable:
 _NO_TABLE = _BlockTable(np.array([[1.0], [1.0], [0.0]]), np.array([0, 1]), (1.0,))
 
 
+def block_length(states: tuple[OffspringLaw, ...]) -> int:
+    """L of the block table of ``states``: the largest length with K^L <= ``_SUFFIX_ROWS``.
+
+    At K = 1 the rule takes K = 2's length, so that no horizon sets the
+    table's cost, and it also stops before keep^L < 2^-512 (``_LFStates``),
+    so that no entry holds a carried exponent.  0 where even one
+    generation breaks a rule.  Importance sampling draws its blocks at this
+    length (at least 1), so its draws follow the table's layout.
+    """
+    keep = _lf_states(states).keep
+    base, length, bound = max(len(states), 2), 0, 1.0
+    while base ** (length + 1) <= _SUFFIX_ROWS and bound * keep >= _TINY:
+        length, bound = length + 1, bound * keep
+    return length
+
+
 @lru_cache(maxsize=1)
 def _lf_block_table(states: tuple[OffspringLaw, ...]) -> _BlockTable | None:
     """The ``_BlockTable`` of ``states``: levels d = 0..L of ``_lf_levels``, a and r carried.
 
-    L is the largest length with K^L <= ``_SUFFIX_ROWS`` (at K = 1, K = 2's
-    length, so that no horizon sets the build's cost) and keep^L >= 2^-512,
-    so that no entry holds a carried exponent: every entry has the bits
-    the per-row recursion gives at any width.  None where no state is LF
-    or where L = 0.  A state that is not LF takes ``_lf_states``'
-    placeholder, and its entries are never read.
+    L is ``block_length``, so every entry has the bits the per-row
+    recursion gives at any width.  None where no state is LF or where
+    L = 0.  A state that is not LF takes ``_lf_states``' placeholder, and
+    its entries are never read.
 
     The last table built is kept, read-only, for the next call with equal
     states, so every horizon and every chunk of one model share one table
@@ -292,12 +309,13 @@ def _lf_block_table(states: tuple[OffspringLaw, ...]) -> _BlockTable | None:
     layers are read.
     """
     lf = _lf_states(states)
-    base, bounds = max(len(states), 2), [1.0]
-    while lf.is_lf.any() and base ** len(bounds) <= _SUFFIX_ROWS and bounds[-1] * lf.keep >= _TINY:
-        bounds.append(bounds[-1] * lf.keep)  # the bound ``_lf_suffix`` runs
-    if len(bounds) == 1:
+    length = block_length(states)
+    if not lf.is_lf.any() or length == 0:
         return None
-    levels = [np.stack([p, a, r]) for p, _, a, r in _lf_levels(states, lf.keep, len(bounds) - 1, 3)]
+    bounds = [1.0]
+    for _ in range(length):
+        bounds.append(bounds[-1] * lf.keep)  # the bound ``_lf_suffix`` runs
+    levels = [np.stack([p, a, r]) for p, _, a, r in _lf_levels(states, lf.keep, length, 3)]
     stats, start = np.concatenate(levels, axis=1), np.cumsum([0] + [x.shape[1] for x in levels])
     stats.flags.writeable = start.flags.writeable = False
     return _BlockTable(stats, start, tuple(bounds))
@@ -372,7 +390,7 @@ def _lf_suffix(
     lf = _lf_states(states)
     table = None if layers or b == 1 else _lf_block_table(states)
     if table is not None and not r_layers:
-        p, a, r = _lf_composed(table, len(states), idx)
+        p, a, r = _lf_composed(table, _block_codes(table.length, len(states), idx))
         return p[None], a[None] if width > 1 else None, r[None] if width > 2 else None
     table = table or _NO_TABLE
     n_out = n + 1 if layers else 1
@@ -409,35 +427,61 @@ def _lf_suffix(
     return p, a, r
 
 
-def _lf_composed(table: _BlockTable, k: int, idx: np.ndarray):
-    """(p, a, r) of f_{0,n}, each (b,), for all-LF rows: the table's blocks composed.
+def _block_codes(length: int, k: int, idx: np.ndarray):
+    """Yield the blocks of the rows of idx as (depth, code), innermost first, for ``_lf_composed``.
 
-    A row's generations split into runs of L from the innermost, read from
-    level L, and its outermost n mod L, read from level n mod L.  From the
-    innermost block outward, each block's map is gathered by the code of
-    its digits and composed onto the result (``_lf_compose``), so a row
-    costs about n / L gathers and compositions and no (b, n) array is
-    built.  Once the bound keep^(generations covered) falls below 2^-512,
-    p is carried with an exponent, as in ``_lf_suffix``.
+    A row's generations split into runs of ``length`` from the innermost
+    and its outermost n mod ``length``; a block's code has the digits of
+    its states in base k, the outermost most significant, the order of
+    ``_BlockTable``.  At n = 0 the one block is the empty one.  Each code
+    is formed as it is read, so one is held at a time.
     """
     b, n = idx.shape
-    length = table.length
     place = k ** np.arange(length - 1, -1, -1)
     blocks = [(length, lo) for lo in range(n - length, -1, -length)]  # (depth, first column)
     if n % length or not blocks:
         blocks.append((n % length, 0))
+    for d, lo in blocks:
+        yield d, idx[:, lo : lo + d] @ place[length - d :]
 
-    def gather(d, lo):
-        code = idx[:, lo : lo + d] @ place[length - d :]
+
+def _lf_composed(table: _BlockTable, blocks):
+    """(p, a, r) of f_{0,n}, each (b,), for all-LF rows: the table's blocks composed.
+
+    ``blocks`` yields each block of the rows as (depth, code), innermost
+    first, a code of depth at most L (``_block_codes``, or importance
+    sampling's drawn codes).  From the innermost block outward, each
+    block's map is gathered by its code and composed onto the result
+    (``_lf_compose``), so a row costs one gather and composition per block
+    and no (b, n) array is built.  Once the bound keep^(generations
+    covered) falls below 2^-512, p is carried with an exponent, as in
+    ``_lf_suffix``.
+    """
+
+    def gather(d, code):
         return np.take(table.stats, table.start[d] + code, axis=1)
 
-    (d, lo), *outer = blocks
-    p, a, r = gather(d, lo)
+    blocks = iter(blocks)
+    d, code = next(blocks)
+    p, a, r = gather(d, code)
     e, bound = 0, table.bounds[d]
-    for d, lo in outer:
+    for d, code in blocks:
         bound *= table.bounds[d]
-        p, e, a, r = _lf_compose(gather(d, lo), p, e, a, r, bound < _TINY)
+        p, e, a, r = _lf_compose(gather(d, code), p, e, a, r, bound < _TINY)
     return np.ldexp(p, -512 * e) if bound < _TINY else p, a, r
+
+
+def composed_rows(
+    states: tuple[OffspringLaw, ...], blocks: list[tuple[int, np.ndarray]], width: int
+) -> np.ndarray:
+    """Rows (b, width) of f_{0,n} for all-LF rows given as block codes, innermost first.
+
+    The codes index the block table of ``states``, which must exist (every
+    state LF and ``block_length`` at least 1), at depths at most its L;
+    the rows are those ``horizon_rows`` composes for the same environments
+    in a block of more than one row.
+    """
+    return _lf_layers(*_lf_composed(_lf_block_table(states), blocks), width)
 
 
 def _lf_compose(outer: np.ndarray, p, e, a, r, carry: bool):

@@ -7,10 +7,17 @@ driver, ``_map_chunks``, which gives chunk c of at most ``_CHUNK`` units the
 stream (root_seed, c), built when the chunk runs, so results are
 independent of the worker count (BPRE_THREADS only maps MRCA chunks to
 processes, never changes the draws; importance sampling stays serial).
-In importance sampling and the exact MRCA sampler an all-LF environment
-reads ``exact``'s block table, which each process builds once per model,
-for every horizon, keeping only the last, so the chunks and horizons of
-a model that run in one process share one.  Trajectories, the
+The MRCA lanes and ``simulate_forward`` draw an environment one
+generation at a time, one raw 64-bit word per generation
+(``EnvironmentModel.sample_indices``).  Importance sampling
+draws it one block of L generations at a time instead, two uniforms per
+block for one alias draw of the block's code (``_importance_chunk``), with
+L = ``exact.block_length`` of the tilted states, so its draws depend on L
+and through it on ``exact._SUFFIX_ROWS``.  In importance sampling and the
+exact MRCA sampler an all-LF environment reads ``exact``'s block table,
+which each process builds once per model, for every horizon, keeping
+only the last, so the chunks and horizons of a model that run in one
+process share one.  Trajectories, the
 spine sampler's side subtrees and the rejection lane's trees grow by one
 branching step, ``_generations``, which branches a forest: one tree per
 environment row, individuals kept in tree order, offspring drawn by
@@ -68,12 +75,15 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .environment import EnvironmentModel, tilt
 from .errors import BudgetError, ContractError, PopulationCapError
-from .exact import EnvSequence, horizon_rows, mrca_rows, survival_rows
+from .exact import (
+    EnvSequence, block_length, composed_rows, horizon_rows, mrca_rows, survival_rows,
+)
 from .laws import PROB_TOL, FiniteLaw, LinearFractionalLaw, OffspringLaw
 from .pgf import pow_rows
 
@@ -352,6 +362,107 @@ class ImportanceEstimate:
     replicates: int
 
 
+def _alias_table(law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vose's alias table (q, alias) of the law proportional to ``law``, N entries.
+
+    A draw takes an entry i uniformly and keeps it with probability q[i],
+    else takes alias[i], so entry i has probability
+    (q[i] + sum over j with alias[j] = i of (1 - q[j])) / N.  The shares
+    N law / sum(law) at or above 1 give to those below 1 until none is
+    left on one side, and a share left over keeps q = 1.  The shares'
+    roundings leave their sum off N, by up to about N 2^-53 from the one
+    rounding of N / sum(law), and whatever is off at the end falls on the
+    share that gives last, relative to it.  So that excess (``math.fsum``)
+    is first taken back one ulp at a time from the largest shares, which
+    leaves less than one ulp of the largest, and the largest gives last.
+    """
+    size = law.size
+    share = law * (size / law.sum())
+    q = share.tolist()
+    excess = math.fsum(q + [-size])
+    order = np.argsort(share)[::-1]
+    if excess:
+        top = share[order]
+        nudged = np.nextafter(top, -math.copysign(math.inf, excess))
+        take = np.searchsorted(np.cumsum(np.abs(top - nudged)), abs(excess))
+        share[order[:take]] = nudged[:take]
+        q = share.tolist()
+    alias = list(range(size))
+    small = np.flatnonzero(share < 1.0).tolist()
+    large = order[share[order] >= 1.0].tolist()  # the largest at the bottom, so it gives last
+    while small and large:
+        i, j = small.pop(), large[-1]
+        alias[i] = j
+        q[j] -= 1.0 - q[i]
+        if q[j] < 1.0:
+            small.append(large.pop())
+    for i in small + large:
+        q[i] = 1.0
+    return np.array(q), np.array(alias, dtype=np.intp)
+
+
+class _CodeLevel(NamedTuple):
+    """Codes of the blocks of ``depth`` generations of one model, with their alias table.
+
+    Code c has the state of digit j of c in base K = len(states) at the
+    block's generation j, outermost first and most significant first, the
+    order of ``exact``'s block table.  Its probability is the product of
+    the model's weights over its digits, drawn through the alias table
+    (``q``, ``alias``) of that law; ``walk[c]`` is the sum of the walk
+    increments x over its digits, -inf where one has mean 0.  ``digits``,
+    (N, depth), holds the states of each code, None where no row expands
+    its codes.
+    """
+
+    depth: int
+    q: np.ndarray
+    alias: np.ndarray
+    walk: np.ndarray
+    digits: np.ndarray | None
+
+    def draw(self, u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
+        """Codes of uniforms u0, u1: i = min(floor(u0 N), N - 1) if u1 < q[i], else alias[i]."""
+        size = self.q.size
+        i = np.minimum((u0 * size).astype(np.intp), size - 1)
+        return np.where(u1 < self.q[i], i, self.alias[i])
+
+
+def _code_level(model: EnvironmentModel, depth: int, expand: bool) -> _CodeLevel:
+    """The ``_CodeLevel`` of blocks of ``depth`` generations, with ``digits`` where ``expand``."""
+    law, walk = np.ones(1), np.zeros(1)
+    w, x = np.asarray(model.weights), np.asarray(model.x_values)
+    for _ in range(depth):  # the new digit is the least significant
+        law = np.multiply.outer(law, w).ravel()
+        walk = np.add.outer(walk, x).ravel()
+    digits = np.indices((len(w),) * depth).reshape(depth, -1).T.copy() if expand else None
+    return _CodeLevel(depth, *_alias_table(law), walk, digits)
+
+
+class _Blocks(NamedTuple):
+    """The blocks of one horizon n under one model, as importance sampling draws them.
+
+    ``groups`` holds (level, count) from the outermost: one block of the
+    first n mod L generations where L does not divide n, then n // L
+    blocks of L generations, where n >= L.  L is ``exact.block_length`` of
+    the states, at least 1.  ``composed`` is whether the rows are composed
+    from the codes (every state LF, with a block table of length L);
+    elsewhere the levels carry their digits and the codes are expanded
+    into states.
+    """
+
+    groups: tuple[tuple[_CodeLevel, int], ...]
+    composed: bool
+
+    @classmethod
+    def of(cls, model: EnvironmentModel, n: int) -> "_Blocks":
+        length = block_length(model.states)
+        composed = model.is_lf_pure and length > 0
+        length = max(length, 1)
+        counts = ((n % length, 1 if n % length else 0), (length, n // length))
+        groups = tuple((_code_level(model, d, not composed), c) for d, c in counts if c)
+        return cls(groups, composed)
+
+
 def _quenched_small_value_rows(
     states: tuple[OffspringLaw, ...], idx: np.ndarray, z0: int, j_max: int
 ) -> np.ndarray:
@@ -360,22 +471,44 @@ def _quenched_small_value_rows(
 
 
 def _importance_chunk(
-    tilted: EnvironmentModel, mu: float, z0: int, n: int, j_max: int, nu: float, rng, size: int
+    tilted: EnvironmentModel, mu: float, z0: int, n: int, j_max: int, nu: float,
+    blocks: _Blocks, rng, size: int,
 ) -> np.ndarray:
     """Values p(env) mu^n exp(nu S_n) of ``size`` environments drawn from the ``tilted`` model.
 
-    The all-LF rows compose f_{0,n} from the block table of the tilted
-    states (the model's own: a tilt moves only the weights), built by the
-    first chunk of a process and kept for the rest and for other horizons,
-    so a row costs about n / L steps; its values agree with the
+    Each environment is drawn as its blocks' codes (``_Blocks``): the chunk
+    draws ``rng.random((2, blocks, size))``, an index uniform and a coin
+    for each block of each row, outermost block first, and each code is
+    one alias draw (``_CodeLevel.draw``).  S_n is the sum of the codes'
+    walks, and at nu = 0 the weight is mu^n alone.  Where
+    ``blocks.composed`` the rows are composed from the codes through the
+    block table of the tilted states (the model's own: a tilt moves only
+    the weights; ``exact.composed_rows``), one gather and composition per
+    block and no (size, n) array; they agree with the
     generation-by-generation recursion to rounding, not bit for bit.
+    Elsewhere the codes are expanded into the (size, n) states by their
+    digits and take ``horizon_rows``.  A row with p = 0 has the value 0.
     """
-    idx = tilted.sample_indices(rng, (size, n))
-    probs = _quenched_small_value_rows(tilted.states, idx, z0, j_max)
-    s_n = np.asarray(tilted.x_values)[idx].sum(axis=1)
+    u = rng.random((2, sum(count for _, count in blocks.groups), size))
+    drawn, row = [], 0
+    for level, count in blocks.groups:  # codes (count, size), a row per block
+        drawn.append((level, level.draw(u[0, row : row + count], u[1, row : row + count])))
+        row += count
+    if blocks.composed:
+        codes = [(level.depth, code) for level, block in drawn for code in block][::-1]
+        rows = composed_rows(tilted.states, codes or [(0, np.zeros(size, np.intp))], j_max + 1)
+        probs = pow_rows(rows, z0)[:, 1:].sum(axis=1)
+    else:
+        idx = [level.digits[block.T].reshape(size, -1) for level, block in drawn]
+        probs = _quenched_small_value_rows(
+            tilted.states, np.hstack(idx) if idx else np.zeros((size, 0), np.intp), z0, j_max
+        )
+    log_w = n * math.log(mu)
+    if nu:
+        log_w = log_w + sum(nu * level.walk[block].sum(axis=0) for level, block in drawn)
     with np.errstate(divide="ignore"):
         log_p = np.log(np.clip(probs, 0.0, None))
-    return np.exp(log_p + (n * math.log(mu) + nu * s_n))
+    return np.exp(log_p + log_w)
 
 
 def importance_estimate(
@@ -396,18 +529,24 @@ def importance_estimate(
     weight; the mean and standard error are taken of the values divided by
     their maximum and scaled back, so squares of tiny values do not
     underflow.  A value that still overflows raises ContractError, and more
-    than ``PROPOSAL_CAP`` replicates raise BudgetError before any draw.  The
-    chunks run serially, in one process, and share the block table of the
+    than ``PROPOSAL_CAP`` replicates raise BudgetError before any draw.
+
+    Each environment is drawn as the codes of its blocks of L generations
+    (``_Blocks``), one alias draw per block; the alias tables of the one or
+    two block lengths the horizon uses are built once per call, from the
+    tilted weights, and passed to every chunk.  The chunks run serially,
+    in one process, and on an all-LF model share the block table of the
     model's states, which ``exact`` builds at most once and keeps for every
-    horizon until a call with another model; each all-LF row is composed
-    from its blocks.
+    horizon until a call with another model: each row is composed from its
+    drawn codes, about n / L draws, gathers and compositions, and S_n is
+    the sum of their n / L walks.
     """
     if replicates < 1:
         raise ContractError("replicates must be >= 1")
     if replicates > PROPOSAL_CAP:
         raise BudgetError(f"replicate budget {replicates} exceeds cap {PROPOSAL_CAP}")
     tilted, mu = tilt(model, nu)
-    fn = partial(_importance_chunk, tilted, mu, z0, n, j_max, nu)
+    fn = partial(_importance_chunk, tilted, mu, z0, n, j_max, nu, _Blocks.of(tilted, n))
     values = np.concatenate(_map_chunks(fn, replicates, root_seed, 1))
     scale = float(values.max())
     if not math.isfinite(scale):
@@ -484,9 +623,10 @@ def _mrca_spine_chunk(
     Every step is batched over the chunk.  The chunk draws one uniform u
     per proposal, ``rng.random(size)``.  Proposals with u >= ``_spine_bound``
     cannot accept and are cut before they draw an environment; the kept
-    ones then draw theirs, ``state_indices`` of ``rng.random((kept, n))``,
-    so a cut proposal costs one double of the stream and no (n,) row.  On
-    a model with a finite state the bound may be 1, and
+    ones then draw theirs, ``sample_indices`` of (kept, n) raw words, the
+    words ``rng.random((kept, n))`` would turn into doubles, with the same
+    states, so a cut proposal costs one word of the stream and no (n,)
+    row.  On a model with a finite state the bound may be 1, and
     ``exact.survival_rows`` keeps the proposals with
     u < P(Z_n > 0 | env), which loses nothing because
     P(Z_n = target | env) is at most that.  For the kept ones,
@@ -501,7 +641,7 @@ def _mrca_spine_chunk(
     """
     u = rng.random(size)
     u = u[u < _spine_bound(model, target)]
-    idx = model.state_indices(rng.random((u.size, n)))
+    idx = model.sample_indices(rng, (u.size, n))
     if not model.is_lf_pure:
         live = u < survival_rows(model.states, idx)
         idx, u = idx[live], u[live]

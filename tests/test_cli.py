@@ -610,6 +610,41 @@ def test_exact_estimate_strong_tilt_stays_finite(nu, weakly_path, capsys):
     assert "[estimated]" in capsys.readouterr().out
 
 
+STERILE_MODEL = {
+    "states": [{"type": "finite", "probs": [1.0]}, {"type": "lf", "m": 2, "b": 8}],
+    "weights": [0.1, 0.9],
+}
+
+
+def _estimate_run(obj, tmp_path, *args):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    argv = [sys.executable, "-m", "bpre.cli", "exact", "--model", str(path), "--n", "5", *args]
+    return subprocess.run(argv, capture_output=True, text=True, timeout=60, cwd=tmp_path)
+
+
+def test_exact_estimate_at_zero_tilt_serves_a_sterile_state(tmp_path):
+    # the sterile state has X = -inf, where 0 X is not a number: nu = 0 is
+    # the identity tilt, with no warning, and the estimate is within 4 SE of
+    # the certified value
+    cert = _estimate_run(STERILE_MODEL, tmp_path, "--out", "cert.json")
+    est = _estimate_run(STERILE_MODEL, tmp_path, "--estimate", "--nu", "0", "--replicates", "4000",
+                        "--seed", "3", "--out", "est.json")
+    assert cert.returncode == est.returncode == 0 and cert.stderr == est.stderr == ""
+    exact = json.loads((tmp_path / "cert.json").read_text())["certified"]["small_value_probability"]
+    estimated = json.loads((tmp_path / "est.json").read_text())["estimated"]
+    assert exact == pytest.approx(1.859463e-2, rel=1e-6)
+    assert estimated["nu"] == 0.0 and estimated["mu"] == 1.0
+    assert abs(estimated["small_value_probability"] - exact) <= 4.0 * estimated["std_error"]
+
+
+@pytest.mark.parametrize("obj", [STERILE_MODEL, WEAKLY_MODEL], ids=["sterile", "weakly"])
+def test_exact_estimate_at_an_overflowing_tilt_exits_two_with_one_line(obj, tmp_path):
+    proc = _estimate_run(obj, tmp_path, "--estimate", "--nu", "1e308", "--seed", "1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: tilt normalizer is not finite and positive\n"
+
+
 def test_simulate_artifact_embeds_seed(weakly_path, tmp_path):
     out = tmp_path / "sim.json"
     rc = main(

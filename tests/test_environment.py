@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -115,6 +116,32 @@ def test_tilt_identity_and_round_trip():
     back, _ = tilt(tilted, -0.7)
     assert np.allclose(back.weights, model.weights, atol=1e-12)
     assert mu == pytest.approx(model.tilted_moment(0.7), rel=1e-12)
+
+
+STERILE_LF_MODEL = EnvironmentModel((FiniteLaw((1.0,)), LinearFractionalLaw(2.0, 8.0)), (0.1, 0.9))
+
+
+def test_tilt_at_zero_is_the_identity_also_with_a_sterile_state():
+    # X = -inf on the sterile state, where 0 X is not a number
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tilted, mu = tilt(STERILE_LF_MODEL, 0.0)
+        assert tilted is STERILE_LF_MODEL and mu == 1.0
+        dropped, mu = tilt(STERILE_LF_MODEL, -1.0)  # exp(-inf) = 0: the sterile state drops
+        assert dropped.states == STERILE_LF_MODEL.states[1:] and mu == pytest.approx(0.9 * 2.0)
+
+
+@pytest.mark.parametrize(
+    "model, nu",
+    [(STERILE_LF_MODEL, 1e308), (weakly_model(), 1e308), (STERILE_LF_MODEL, 1.0)],
+    ids=["sterile", "weakly", "sterile_at_one"],
+)
+def test_tilt_without_a_finite_normalizer_raises_without_a_warning(model, nu):
+    # exp(-nu X) overflows (weakly) or is exp(inf) (the sterile state)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="tilt normalizer is not finite and positive"):
+            tilt(model, nu)
 
 
 def test_tilt_centre_drift():
@@ -249,6 +276,60 @@ def test_state_indices_match_sample_indices_on_the_same_stream(model, size):
         assert np.array_equal(model.state_indices(u[keep]), want[keep])
 
 
+class _Words:
+    """A generator whose bit generator yields the given 64-bit words, and whose doubles are theirs."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+        self.bit_generator = self
+
+    def random_raw(self, size):
+        return self.words[:size].copy()
+
+    def random(self, size):
+        return (self.random_raw(size) >> np.uint64(11)) * 2.0**-53
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        (0.3, 0.7),
+        (0.25, 0.375, 0.375),
+        (1.0 - 2.0**-53, 2.0**-53),
+        (1.0, 1e-13),
+        (1.0 + 2.0**-52, 1e-13),
+    ],
+    ids=["inexact", "dyadic", "ulp_below_one", "at_one", "ulp_above_one"],
+)
+def test_raw_word_bounds_match_the_doubles_at_each_boundary(weights):
+    # the words on and next to each bound ceil(cum 2^53) << 11; at cum >= 1
+    # the bound 2^53 << 11 fits no uint64, and no word crosses it
+    model = EnvironmentModel(tuple(random_lf_law(np.random.default_rng(1)) for _ in weights), weights)
+    tops = [math.ceil(c * 2.0**53) for c in np.cumsum(model.weights)[:-1]]
+    assert len(model._raw_bounds) == sum(t < 2**53 for t in tops)
+    words = [0, 2**64 - 1, (2**53 - 1) << 11]
+    for t in tops:
+        words += [w for w in ((t << 11) - 1, t << 11, (t << 11) + 1, (t << 11) + 2047) if w < 2**64]
+    got = model.sample_indices(_Words(words), len(words))
+    assert np.array_equal(got, model.state_indices(_Words(words).random(len(words))))
+    assert got[1] == sum(c <= 1.0 - 2.0**-53 for c in np.cumsum(model.weights)[:-1])
+
+
+@pytest.mark.parametrize("bits", [np.random.Philox, np.random.PCG64])
+@pytest.mark.parametrize("k", [1, 3, 300])
+def test_sample_indices_keep_the_doubles_indices_on_one_stream(k, bits):
+    # the words a draw reads are the words ``random`` turns into doubles
+    rng = np.random.default_rng(k)
+    w = rng.random(k) + 0.01
+    model = EnvironmentModel(tuple(random_lf_law(rng) for _ in range(k)), tuple(w / w.sum()))
+    for size in [(4096, 40), (3,), (0, 5), 1]:
+        drawn, doubles = np.random.Generator(bits(11)), np.random.Generator(bits(11))
+        got = model.sample_indices(drawn, size)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, model.state_indices(doubles.random(size)))
+        assert drawn.random() == doubles.random()
+
+
 @pytest.mark.parametrize("size", [(4096, 40), (3,), (0, 5)])
 @pytest.mark.parametrize("k", [2, 3, 7, 300])
 def test_sample_indices_widen_a_small_count_to_int64(k, size):
@@ -349,11 +430,7 @@ def test_zero_and_rounding_weight_states_are_dropped():
         got = padded.sample_indices(np.random.default_rng(seed), 1000)
         assert np.array_equal(got, base.sample_indices(np.random.default_rng(seed), 1000))
 
-    class BelowHalf:
-        """Uniforms in [0.5 - 1e-13, 0.5), where the -1e-13 state's interval once lay."""
-
-        def random(self, size):
-            return np.linspace(0.5 - 1e-13, np.nextafter(0.5, 0.0), size)
-
-    drawn = padded.sample_indices(BelowHalf(), 64)
+    # the words of uniforms in [0.5 - 1e-13, 0.5), where the -1e-13 state's interval once lay
+    below_half = np.linspace(0.5 - 1e-13, np.nextafter(0.5, 0.0), 64)
+    drawn = padded.sample_indices(_Words((below_half * 2.0**53).astype(np.uint64) << np.uint64(11)), 64)
     assert all(padded.states[i] is a for i in drawn)

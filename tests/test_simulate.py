@@ -4,6 +4,7 @@ import logging
 import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from bpre.simulate import (
     _draw_brood,
     _forest_mrca_ages,
     _grow,
+    _Blocks,
+    _code_level,
     _importance_chunk,
     _map_chunks,
     _mrca_rejection_chunk,
@@ -308,6 +311,127 @@ def test_importance_estimate_strongly_regime_coverage(n):
         est = importance_estimate(model, 1, n, 4, nu, 400, root_seed=subseed(424242, "cov", run))
         cover += abs(est.estimate - exact) <= z99 * est.std_error
     assert cover >= 190
+
+
+THREE_LF_MODEL = EnvironmentModel(
+    (LinearFractionalLaw(1.6, 5.0), LinearFractionalLaw(0.7, 0.4), LinearFractionalLaw(1.2, 1.0)),
+    (0.5, 0.3, 0.2),
+)
+STERILE_LF_MODEL = EnvironmentModel((FiniteLaw((1.0,)), LinearFractionalLaw(2.0, 8.0)), (0.1, 0.9))
+
+
+def _assert_within_four_se(model, n, nu, seed, replicates=4000):
+    exact_value = float(annealed_pmf_row(model, 1, n, 4)[1:].sum())
+    est = importance_estimate(model, 1, n, 4, nu, replicates, root_seed=seed)
+    assert abs(est.estimate - exact_value) <= 4 * est.std_error
+
+
+@pytest.mark.parametrize(
+    "name, n, composed, length",
+    [("mixed", 15, False, 12), ("finite", 15, False, 12), ("finite", 0, False, 12)]
+    + [("three_lf", n, True, 7) for n in (0, 6, 7, 8, 15)],
+)
+def test_importance_estimate_matches_enumeration_on_every_route(name, n, composed, length):
+    # a model with a finite state expands its block codes into states, also
+    # with no LF state and so no block table (the same K^L <= 4096 rule
+    # sets L); an all-LF model (K = 3, L = 7) composes them, at n around
+    # one and two blocks; at n = 0 no block is drawn and every value is 1
+    model = {"mixed": MIXED_MODEL, "finite": FINITE_MODEL, "three_lf": THREE_LF_MODEL}[name]
+    blocks = _Blocks.of(tilt(model, 0.3)[0], n)
+    assert blocks.composed == composed
+    assert [(level.depth, count) for level, count in blocks.groups] == (
+        [(n % length, 1)] * (n % length > 0) + [(length, n // length)] * (n >= length)
+    )
+    assert (exact._lf_block_table(model.states) is None) == (name == "finite")
+    _assert_within_four_se(model, n, 0.3, seed=n)
+
+
+def test_importance_estimate_on_the_table_free_route(table_free):
+    # with no block table an all-LF model draws one code per generation
+    # (L = 1), expands it and steps every row
+    model = weakly_model()
+    nu = solve_critical_tilt(model)
+
+    def run():
+        blocks = _Blocks.of(tilt(model, nu)[0], 10)
+        assert not blocks.composed
+        assert [(level.depth, count) for level, count in blocks.groups] == [(1, 10)]
+        _assert_within_four_se(model, 10, nu, seed=23)
+        assert exact._lf_block_table(model.states) is None
+
+    table_free(run)
+
+
+def test_importance_estimate_at_zero_tilt_serves_a_sterile_state():
+    # a state of mean 0 has X = -inf: nu = 0 is the identity tilt, and a row
+    # that meets the sterile generation has the value 0
+    est = importance_estimate(STERILE_LF_MODEL, 1, 5, 4, 0.0, 4000, root_seed=3)
+    assert est.mu == 1.0 and math.isfinite(est.estimate) and math.isfinite(est.std_error)
+    _assert_within_four_se(STERILE_LF_MODEL, 5, 0.0, seed=3)
+    tilted, mu = tilt(STERILE_LF_MODEL, 0.0)
+    blocks = _Blocks.of(tilted, 5)
+    values = _importance_chunk(tilted, mu, 1, 5, 4, 0.0, blocks, stream(3, 0), 4096)
+    (level, _), = blocks.groups
+    assert (level.walk == -math.inf).any()
+    assert not np.isnan(values).any() and (values == 0.0).any()
+
+
+def test_alias_index_stays_below_the_table_size():
+    # the largest uniform, 1 - 2^-53, takes the last entry of a table of 3^7
+    level = _code_level(THREE_LF_MODEL, 7, False)
+    size = 3**7
+    u0 = np.array([1.0 - 2.0**-53])
+    assert math.floor(u0[0] * size) == size - 1
+    last = size - 1 if level.q[-1] > 0.0 else level.alias[-1]
+    assert level.draw(u0, np.array([0.0]))[0] == last
+    assert level.draw(u0, np.array([level.q[-1]]))[0] == level.alias[-1]
+
+
+def _implied_law(level):
+    """Each code's probability under the alias table, in exact arithmetic."""
+    size = level.q.size
+    mass = [Fraction(q) for q in level.q.tolist()]
+    for j, (q, i) in enumerate(zip(level.q.tolist(), level.alias.tolist())):
+        if i != j:
+            mass[i] += 1 - Fraction(q)
+    return [m / size for m in mass]
+
+
+def _wide_model():
+    rng = np.random.default_rng(4)
+    w = rng.random(exact._SUFFIX_ROWS + 404) ** 4
+    return EnvironmentModel(tuple(random_lf_law(rng) for _ in w), tuple(w / w.sum()))
+
+
+@pytest.mark.parametrize(
+    "name, length",
+    [("one_state", 12), ("two_state", 12), ("three_state", 7), ("weakly_tilted", 12),
+     ("sterile", 12), ("wide", 1)],
+)
+def test_code_levels_hold_the_product_law_and_the_walk(name, length):
+    # every level a horizon draws: the alias table's law is the product of
+    # the weights over the code's digits, the walk the sum of their x
+    model = {
+        "one_state": EnvironmentModel((LinearFractionalLaw(1.5, 3.0),), (1.0,)),
+        "two_state": strongly_model(),
+        "three_state": THREE_LF_MODEL,
+        "weakly_tilted": tilt(weakly_model(), solve_critical_tilt(weakly_model()))[0],
+        "sterile": STERILE_LF_MODEL,
+        "wide": _wide_model(),
+    }[name]
+    k, w, x = len(model.states), model.weights, model.x_values
+    assert max(1, exact.block_length(model.states)) == length
+    blocks = _Blocks.of(model, 3 * length - 1)
+    levels = [level for level, _ in blocks.groups]
+    assert [level.depth for level in levels] == [length - 1] * (length > 1) + [length]
+    for level in levels:
+        digits = np.indices((k,) * level.depth).reshape(level.depth, -1).T
+        want = [math.prod(w[d] for d in row) for row in digits.tolist()]
+        got = _implied_law(level)
+        assert max(abs(float(g / Fraction(v)) - 1.0) for g, v in zip(got, want)) <= 1e-14
+        assert level.walk.tolist() == [sum(x[d] for d in row) for row in digits.tolist()]
+        expanded = _code_level(model, level.depth, True)
+        assert np.array_equal(expanded.digits, digits) and np.array_equal(expanded.q, level.q)
 
 
 # ---------------------------------------------------------------------------
@@ -978,9 +1102,10 @@ def test_importance_estimate_chunk_layout():
     reps = 2 * _CHUNK + 1
     est = importance_estimate(model, 1, n, j_max, nu, reps, root_seed=seed)
     tilted, mu = tilt(model, nu)
+    blocks = _Blocks.of(tilted, n)
     values = np.concatenate(
         [
-            _importance_chunk(tilted, mu, 1, n, j_max, nu, stream(seed, c), size)
+            _importance_chunk(tilted, mu, 1, n, j_max, nu, blocks, stream(seed, c), size)
             for c, size in enumerate((4096, 4096, 1))
         ]
     )
