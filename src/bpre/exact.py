@@ -34,7 +34,7 @@ all-LF row in such a block composes f_{0,n} from its blocks, about n / L
 steps, to the rounding of the recursion (bit for bit where n <= L):
 ``_block_codes`` codes the block's states and ``_lf_composed`` composes
 the codes, which importance sampling draws itself, a block at a time,
-and hands to ``composed_rows``; a row
+and hands to ``composed_stats`` (or ``composed_rows``); a row
 of ``mrca_rows``, which needs r at every generation, gathers the layers
 of its last L generations and steps only the generations before them,
 with the bits of the full recursion.  ``mrca_rows`` returns the MRCA law
@@ -471,17 +471,24 @@ def _lf_composed(table: _BlockTable, blocks):
     return np.ldexp(p, -512 * e) if bound < _TINY else p, a, r
 
 
-def composed_rows(
-    states: tuple[OffspringLaw, ...], blocks: list[tuple[int, np.ndarray]], width: int
-) -> np.ndarray:
-    """Rows (b, width) of f_{0,n} for all-LF rows given as block codes, innermost first.
+def composed_stats(
+    states: tuple[OffspringLaw, ...], blocks: list[tuple[int, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, a, r) of f_{0,n}, each (b,), for all-LF rows given as block codes, innermost first.
 
     The codes index the block table of ``states``, which must exist (every
     state LF and ``block_length`` at least 1), at depths at most its L;
-    the rows are those ``horizon_rows`` composes for the same environments
-    in a block of more than one row.
+    the statistics are those ``horizon_rows`` composes for the same
+    environments in a block of more than one row.
     """
-    return _lf_layers(*_lf_composed(_lf_block_table(states), blocks), width)
+    return _lf_composed(_lf_block_table(states), blocks)
+
+
+def composed_rows(
+    states: tuple[OffspringLaw, ...], blocks: list[tuple[int, np.ndarray]], width: int
+) -> np.ndarray:
+    """Rows (b, width) of f_{0,n} from the ``composed_stats`` of the same block codes."""
+    return _lf_layers(*composed_stats(states, blocks), width)
 
 
 def _lf_compose(outer: np.ndarray, p, e, a, r, carry: bool):

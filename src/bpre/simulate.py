@@ -13,11 +13,12 @@ generation at a time, one raw 64-bit word per generation
 draws it one block of L generations at a time instead, two uniforms per
 block for one alias draw of the block's code (``_importance_chunk``), with
 L = ``exact.block_length`` of the tilted states, so its draws depend on L
-and through it on ``exact._SUFFIX_ROWS``.  In importance sampling and the
-exact MRCA sampler an all-LF environment reads ``exact``'s block table,
-which each process builds once per model, for every horizon, keeping
-only the last, so the chunks and horizons of a model that run in one
-process share one.  Trajectories, the
+and through it on ``exact._SUFFIX_ROWS``; its alias tables are built once
+per tilted model and block length and kept (``_code_level``).  In
+importance sampling and the exact MRCA sampler an all-LF environment
+reads ``exact``'s block table, which each process builds once per model,
+for every horizon, keeping only the last, so the chunks and horizons of
+a model that run in one process share one.  Trajectories, the
 spine sampler's side subtrees and the rejection lane's trees grow by one
 branching step, ``_generations``, which branches a forest: one tree per
 environment row, individuals kept in tree order, offspring drawn by
@@ -74,18 +75,19 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .environment import EnvironmentModel, tilt
-from .errors import BudgetError, ContractError, PopulationCapError
+from .errors import BudgetError, ContractError, PopulationCapError, TruncationError
 from .exact import (
-    EnvSequence, block_length, composed_rows, horizon_rows, mrca_rows, survival_rows,
+    EnvSequence, block_length, composed_rows, composed_stats, horizon_rows, mrca_rows,
+    survival_rows,
 )
 from .laws import PROB_TOL, FiniteLaw, LinearFractionalLaw, OffspringLaw
-from .pgf import pow_rows
+from .pgf import MAX_DEGREE, pow_rows
 
 _MASK64 = (1 << 64) - 1
 DEFAULT_POPULATION_CAP = 10_000_000
@@ -427,15 +429,26 @@ class _CodeLevel(NamedTuple):
         return np.where(u1 < self.q[i], i, self.alias[i])
 
 
+@lru_cache(maxsize=8)
 def _code_level(model: EnvironmentModel, depth: int, expand: bool) -> _CodeLevel:
-    """The ``_CodeLevel`` of blocks of ``depth`` generations, with ``digits`` where ``expand``."""
+    """The ``_CodeLevel`` of blocks of ``depth`` generations, with ``digits`` where ``expand``.
+
+    The last few levels built are kept, read-only, keyed by the (tilted)
+    model, so every horizon, ``j_max`` and call on one model shares one
+    alias table per block length, as every chunk does; a horizon reads at
+    most two levels, of at most max(K, ``exact._SUFFIX_ROWS``) codes each.
+    """
     law, walk = np.ones(1), np.zeros(1)
     w, x = np.asarray(model.weights), np.asarray(model.x_values)
     for _ in range(depth):  # the new digit is the least significant
         law = np.multiply.outer(law, w).ravel()
         walk = np.add.outer(walk, x).ravel()
     digits = np.indices((len(w),) * depth).reshape(depth, -1).T.copy() if expand else None
-    return _CodeLevel(depth, *_alias_table(law), walk, digits)
+    level = _CodeLevel(depth, *_alias_table(law), walk, digits)
+    for array in level[1:]:
+        if array is not None:
+            array.flags.writeable = False
+    return level
 
 
 class _Blocks(NamedTuple):
@@ -470,6 +483,20 @@ def _quenched_small_value_rows(
     return pow_rows(horizon_rows(states, idx, j_max + 1), z0)[:, 1:].sum(axis=1)
 
 
+def _lf_small_value_mass(p: np.ndarray, a: np.ndarray, j_max: int) -> np.ndarray:
+    """P(1 <= Z_n <= j_max | env, Z_0 = 1) = p (1 - (1 - a)^j_max) from LF statistics of f_{0,n}.
+
+    Given the environment Z_n is 0 with probability 1 - p and geometric
+    otherwise, P(Z_n = j) = p a r^(j-1) with a + r = 1, so the mass is a
+    geometric sum in a closed form, formed as p (-expm1(j_max log1p(-a))):
+    through a, not r, since 1 - r^j_max cancels where r is near 1, and to
+    a few ulps of the value that p and a give.  At a = 1 (n = 0, or every
+    generation at most one child) the mass is p, for j_max >= 1.
+    """
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf, and (1 - a)^j_max = 0
+        return p * -np.expm1(j_max * np.log1p(-a))
+
+
 def _importance_chunk(
     tilted: EnvironmentModel, mu: float, z0: int, n: int, j_max: int, nu: float,
     blocks: _Blocks, rng, size: int,
@@ -481,13 +508,18 @@ def _importance_chunk(
     for each block of each row, outermost block first, and each code is
     one alias draw (``_CodeLevel.draw``).  S_n is the sum of the codes'
     walks, and at nu = 0 the weight is mu^n alone.  Where
-    ``blocks.composed`` the rows are composed from the codes through the
-    block table of the tilted states (the model's own: a tilt moves only
-    the weights; ``exact.composed_rows``), one gather and composition per
-    block and no (size, n) array; they agree with the
-    generation-by-generation recursion to rounding, not bit for bit.
-    Elsewhere the codes are expanded into the (size, n) states by their
-    digits and take ``horizon_rows``.  A row with p = 0 has the value 0.
+    ``blocks.composed`` the statistics (p, a, r) of f_{0,n} are composed
+    from the codes through the block table of the tilted states (the
+    model's own: a tilt moves only the weights; ``exact.composed_stats``),
+    one gather and composition per block and no (size, n) array; they
+    agree with the generation-by-generation recursion to rounding, not bit
+    for bit.  At z0 = 1 (and j_max >= 1) a row's value is then read in
+    closed form (``_lf_small_value_mass``), so no (size, j_max + 1) row is
+    built and its cost does not grow with j_max; at z0 >= 2 the rows of
+    width j_max + 1 are formed (``exact.composed_rows``) and raised to the
+    power z0.  Elsewhere the codes are expanded into the (size, n) states
+    by their digits and take ``horizon_rows``.  A row with p = 0 has the
+    value 0.
     """
     u = rng.random((2, sum(count for _, count in blocks.groups), size))
     drawn, row = [], 0
@@ -496,8 +528,12 @@ def _importance_chunk(
         row += count
     if blocks.composed:
         codes = [(level.depth, code) for level, block in drawn for code in block][::-1]
-        rows = composed_rows(tilted.states, codes or [(0, np.zeros(size, np.intp))], j_max + 1)
-        probs = pow_rows(rows, z0)[:, 1:].sum(axis=1)
+        codes = codes or [(0, np.zeros(size, np.intp))]
+        if z0 == 1 and j_max:
+            p, a, _ = composed_stats(tilted.states, codes)
+            probs = _lf_small_value_mass(p, a, j_max)
+        else:
+            probs = pow_rows(composed_rows(tilted.states, codes, j_max + 1), z0)[:, 1:].sum(axis=1)
     else:
         idx = [level.digits[block.T].reshape(size, -1) for level, block in drawn]
         probs = _quenched_small_value_rows(
@@ -533,14 +569,27 @@ def importance_estimate(
 
     Each environment is drawn as the codes of its blocks of L generations
     (``_Blocks``), one alias draw per block; the alias tables of the one or
-    two block lengths the horizon uses are built once per call, from the
-    tilted weights, and passed to every chunk.  The chunks run serially,
-    in one process, and on an all-LF model share the block table of the
-    model's states, which ``exact`` builds at most once and keeps for every
-    horizon until a call with another model: each row is composed from its
-    drawn codes, about n / L draws, gathers and compositions, and S_n is
-    the sum of their n / L walks.
+    two block lengths the horizon uses are built from the tilted weights
+    once per model and block length (``_code_level`` keeps them), so
+    every chunk, horizon, ``j_max`` and call on one tilted model shares
+    them.  The chunks run serially, in one process, and on an all-LF model
+    share the block table of the model's states, which ``exact`` builds at
+    most once and keeps for every horizon until a call with another model:
+    each row is composed from its drawn codes, about n / L draws, gathers
+    and compositions, and S_n is the sum of their n / L walks; at z0 = 1
+    its value is p (1 - (1 - a)^j_max), whatever j_max.
+
+    z0, n or j_max below 0 raise ContractError and j_max above
+    ``MAX_DEGREE`` TruncationError, before any draw.
     """
+    if z0 < 0:
+        raise ContractError("initial size must be >= 0")
+    if n < 0:
+        raise ContractError("n must be >= 0")
+    if j_max < 0:
+        raise ContractError("j_max must be >= 0")
+    if j_max > MAX_DEGREE:
+        raise TruncationError(f"required degree {j_max} exceeds cap {MAX_DEGREE}")
     if replicates < 1:
         raise ContractError("replicates must be >= 1")
     if replicates > PROPOSAL_CAP:

@@ -6,12 +6,13 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
 from bpre.environment import EnvironmentModel, regime_tilt, solve_critical_tilt, tilt
-from bpre.errors import ContractError, PopulationCapError
+from bpre.errors import ContractError, PopulationCapError, TruncationError
 from bpre import exact
 from bpre.exact import (
     EnvSequence,
@@ -26,7 +27,11 @@ from bpre.exact import (
 from bpre.laws import FiniteLaw, LinearFractionalLaw
 from bpre import simulate
 from bpre.cli import main
-from bpre.models import intermediate_model, strongly_model, weakly_mrca_model, weakly_model
+from bpre.models import (
+    intermediate_model, random_supercritical_lf_model, strongly_model, weakly_mrca_model,
+    weakly_model,
+)
+from bpre.pgf import MAX_DEGREE, pow_rows
 from bpre.simulate import (
     _CHUNK,
     _draw_brood,
@@ -35,6 +40,7 @@ from bpre.simulate import (
     _Blocks,
     _code_level,
     _importance_chunk,
+    _lf_small_value_mass,
     _map_chunks,
     _mrca_rejection_chunk,
     _mrca_spine_chunk,
@@ -432,6 +438,163 @@ def test_code_levels_hold_the_product_law_and_the_walk(name, length):
         assert level.walk.tolist() == [sum(x[d] for d in row) for row in digits.tolist()]
         expanded = _code_level(model, level.depth, True)
         assert np.array_equal(expanded.digits, digits) and np.array_equal(expanded.q, level.q)
+
+
+def _random_lf_model(k, seed):
+    """A K-state supercritical all-LF model, ``random_supercritical_lf_model`` at K = 2."""
+    rng = np.random.default_rng(seed)
+    if k == 2:
+        return random_supercritical_lf_model(rng)
+    while True:  # that function's rule: redraw until E[X] > 1e-3
+        w = rng.uniform(0.05, 1.0, k)
+        model = EnvironmentModel(tuple(random_lf_law(rng) for _ in w), tuple(w / w.sum()))
+        if model.drift > 1e-3:
+            return model
+
+
+def _assert_mass_matches_rows(states, codes, j_max):
+    """The closed form against the z0 = 1 rows route, rel 4 j_max 2^-52: a + r = 1 to rounding."""
+    p, a, _ = exact.composed_stats(states, codes)
+    rows = pow_rows(exact.composed_rows(states, codes, j_max + 1), 1)[:, 1:].sum(axis=1)
+    mass = _lf_small_value_mass(p, a, j_max)
+    np.testing.assert_allclose(mass, rows, rtol=4 * j_max * 2.0**-52, atol=0.0)
+    return mass
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_lf_small_value_mass_matches_the_composed_rows(k):
+    # two routes for P(1 <= Z_n <= j_max | env): p (1 - (1 - a)^j_max)
+    # against the coefficient rows of f_{0,n} summed, on the block codes of
+    # drawn environments, at n around one and three blocks and at 300
+    model = _random_lf_model(k, seed=40 + k)
+    length = exact.block_length(model.states)
+    rng = np.random.default_rng(k)
+    for n in (0, 1, length - 1, length, length + 1, 3 * length + 1, 300):
+        idx = model.sample_indices(rng, (64, n))
+        codes = list(exact._block_codes(length, k, idx))
+        for j_max in (1, 4, 64, 1000):
+            mass = _assert_mass_matches_rows(model.states, codes, j_max)
+            assert np.all((mass > 0.0) & (mass <= 1.0))
+            if n == 0:
+                assert np.all(mass == 1.0)
+
+
+def test_lf_small_value_mass_survives_long_excursions():
+    # the 1100 + 1100 generation environments: behind the subcritical half p
+    # underflows to 0 and its rows are exactly 0; behind the supercritical
+    # half a underflows, and the survival returns to about 1/4
+    states = (LinearFractionalLaw(0.5, 0.5), LinearFractionalLaw(2.0, 8.0))
+    idx = np.stack([np.repeat([0, 1], 1100), np.repeat([1, 0], 1100)])
+    codes = list(exact._block_codes(exact.block_length(states), 2, idx))
+    for j_max in (1, 4, 64, 1000):
+        mass = _assert_mass_matches_rows(states, codes, j_max)
+        assert mass[0] == 0.0 and 0.0 < mass[1] <= 0.25 + 1e-14
+
+
+def test_lf_small_value_mass_of_no_survival_is_zero():
+    # p = 0 is exactly 0 at every a, also at a = 1 where log1p(-a) = -inf
+    # (RuntimeWarnings are errors in this suite)
+    p, a = np.zeros(4), np.array([0.0, 0.5, 1.0 - 2.0**-53, 1.0])
+    for j_max in (1, 64, MAX_DEGREE):
+        assert _lf_small_value_mass(p, a, j_max).tolist() == [0.0] * 4
+
+
+def test_lf_small_value_mass_matches_mpmath():
+    # given its own doubles p and a, the closed form is within 4 ulps of the
+    # 50-digit p (-expm1(J log1p(-a))), also at a near 1e-119, where
+    # 1 - (1 - a)^J loses every digit at 50 and a naive p (1 - r^J) in
+    # doubles is 0
+    rng = np.random.default_rng(7)
+    a = np.concatenate([
+        rng.random(64), 10.0 ** rng.uniform(-300, -1, 64), 1.0 - 10.0 ** rng.uniform(-16, -1, 32),
+        [1e-119, 3.7e-119, 2.0**-1074, 0.0, 0.5, 1.0 - 2.0**-53, 1.0],
+    ])
+    p = rng.uniform(1e-3, 1.0, a.size)
+    for j_max in (1, 4, 64, 1000, MAX_DEGREE):
+        got = _lf_small_value_mass(p, a, j_max)
+        with mpmath.workdps(50):
+            for pi, ai, gi in zip(p.tolist(), a.tolist(), got.tolist()):
+                log_keep = mpmath.log1p(-mpmath.mpf(ai)) if ai < 1.0 else -mpmath.inf
+                want = float(mpmath.mpf(pi) * -mpmath.expm1(j_max * log_keep))
+                assert abs(gi - want) <= 4 * np.spacing(want), (pi, ai, j_max)
+    with mpmath.workdps(50):
+        assert 1 - (1 - mpmath.mpf(1e-119)) ** 64 == 0
+    r = 1.0 - 1e-119
+    assert 1.0 - r**64 == 0.0 and _lf_small_value_mass(np.ones(1), np.array([1e-119]), 64)[0] > 0.0
+
+
+def test_importance_chunk_at_z0_one_builds_no_coefficient_rows(monkeypatch):
+    # an all-LF model at z0 = 1 reads each row's mass in closed form: no
+    # (rows, j_max + 1) block; z0 = 2 keeps the rows route
+    model = weakly_model()
+    nu = solve_critical_tilt(model)
+    want = importance_estimate(model, 2, 13, 64, nu, 400, root_seed=4)
+
+    def refuse(*args):
+        raise AssertionError("coefficient rows built")
+
+    monkeypatch.setattr(simulate, "composed_rows", refuse)
+    monkeypatch.setattr(simulate, "pow_rows", refuse)
+    est = importance_estimate(model, 1, 40, 1000, nu, 400, root_seed=4)
+    assert 0.0 < est.estimate < 1.0
+    with pytest.raises(AssertionError, match="coefficient rows built"):
+        importance_estimate(model, 2, 13, 64, nu, 400, root_seed=4)
+    monkeypatch.undo()
+    assert importance_estimate(model, 2, 13, 64, nu, 400, root_seed=4) == want
+
+
+@pytest.mark.parametrize("name", ["weakly", "finite"])
+@pytest.mark.parametrize(
+    "z0, n, j_max, error, message",
+    [
+        (1, -1, 4, ContractError, "n must be >= 0"),
+        (1, 5, -1, ContractError, "j_max must be >= 0"),
+        (-1, 5, 4, ContractError, "initial size must be >= 0"),
+        (1, 5, MAX_DEGREE + 1, TruncationError, f"required degree {MAX_DEGREE + 1} exceeds cap"),
+        (1, 5, 20000, TruncationError, f"required degree 20000 exceeds cap {MAX_DEGREE}"),
+    ],
+    ids=["n", "j_max", "z0", "j_max_above_cap", "j_max_20000"],
+)
+def test_importance_estimate_refuses_bad_arguments_before_any_draw(
+    name, z0, n, j_max, error, message, monkeypatch
+):
+    # the messages of ``quenched_coeff_row``; no stream, tilt or level is made
+    model = {"weakly": weakly_model(), "finite": FINITE_MODEL}[name]
+
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    for fn in ("stream", "tilt", "_code_level"):
+        monkeypatch.setattr(simulate, fn, refuse)
+    with pytest.raises(error, match=message) as info:
+        importance_estimate(model, z0, n, j_max, 0.3, 400, root_seed=1)
+    assert (error is ContractError) == (type(info.value) is ContractError)
+
+
+def test_code_levels_are_built_once_per_tilted_model(monkeypatch):
+    # after a first call, another horizon with the same levels, another
+    # j_max and 200 calls of 400 replicates (criterion 10's pattern) build
+    # no level and run no alias build; the kept arrays are read-only, and
+    # the estimates are those of a cold call, bit for bit
+    model = weakly_model()
+    nu = solve_critical_tilt(model)
+    assert exact.block_length(model.states) == 12
+    importance_estimate(model, 1, 22, 4, nu, 400, root_seed=1)  # levels of 10 and 12 generations
+    assert _code_level.cache_info().misses == 2
+    built = []
+    alias_table = simulate._alias_table
+    monkeypatch.setattr(simulate, "_alias_table", lambda law: built.append(law) or alias_table(law))
+    calls = [(34, 4, 2), (22, 64, 3)] + [(10, 4, subseed(424242, "cov", run)) for run in range(200)]
+    warm = [importance_estimate(model, 1, n, j_max, nu, 400, root_seed=seed) for n, j_max, seed in calls]
+    assert _code_level.cache_info().misses == 2 and not built
+    for level in (_code_level(tilt(model, nu)[0], d, False) for d in (10, 12)):
+        for array in (level.q, level.alias, level.walk):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+    for (n, j_max, seed), est in list(zip(calls, warm))[:4]:
+        _code_level.cache_clear()
+        assert importance_estimate(model, 1, n, j_max, nu, 400, root_seed=seed) == est
 
 
 # ---------------------------------------------------------------------------
