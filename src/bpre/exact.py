@@ -471,24 +471,29 @@ def _lf_composed(table: _BlockTable, blocks):
     return np.ldexp(p, -512 * e) if bound < _TINY else p, a, r
 
 
-def composed_stats(
-    states: tuple[OffspringLaw, ...], blocks: list[tuple[int, np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(p, a, r) of f_{0,n}, each (b,), for all-LF rows given as block codes, innermost first.
-
-    The codes index the block table of ``states``, which must exist (every
-    state LF and ``block_length`` at least 1), at depths at most its L;
-    the statistics are those ``horizon_rows`` composes for the same
-    environments in a block of more than one row.
-    """
-    return _lf_composed(_lf_block_table(states), blocks)
-
-
 def composed_rows(
     states: tuple[OffspringLaw, ...], blocks: list[tuple[int, np.ndarray]], width: int
 ) -> np.ndarray:
-    """Rows (b, width) of f_{0,n} from the ``composed_stats`` of the same block codes."""
-    return _lf_layers(*composed_stats(states, blocks), width)
+    """Rows (b, width) of f_{0,n} for all-LF rows given as block codes, innermost first.
+
+    The codes index the block table of ``states``, which must exist (every
+    state LF and ``block_length`` at least 1), at depths at most its L;
+    the rows are those ``horizon_rows`` composes for the same environments
+    in a block of more than one row.
+    """
+    return _lf_layers(*_lf_composed(_lf_block_table(states), blocks), width)
+
+
+def composed_stats(
+    states: tuple[OffspringLaw, ...], blocks: list[tuple[int, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, a, r) of f_{0,n}, each (b,), for the block codes ``composed_rows`` takes.
+
+    Public beside ``composed_rows`` because importance sampling needs only
+    p and a where Z_0 = 1 (the mass on 1..J is p (1 - (1 - a)^J)) and the
+    rows, to raise to the power Z_0, elsewhere.
+    """
+    return _lf_composed(_lf_block_table(states), blocks)
 
 
 def _lf_compose(outer: np.ndarray, p, e, a, r, carry: bool):

@@ -13,12 +13,11 @@ generation at a time, one raw 64-bit word per generation
 draws it one block of L generations at a time instead, two uniforms per
 block for one alias draw of the block's code (``_importance_chunk``), with
 L = ``exact.block_length`` of the tilted states, so its draws depend on L
-and through it on ``exact._SUFFIX_ROWS``; its alias tables are built once
-per tilted model and block length and kept (``_code_level``).  In
-importance sampling and the exact MRCA sampler an all-LF environment
-reads ``exact``'s block table, which each process builds once per model,
-for every horizon, keeping only the last, so the chunks and horizons of
-a model that run in one process share one.  Trajectories, the
+and through it on ``exact._SUFFIX_ROWS``.  In importance sampling and the
+exact MRCA sampler an all-LF environment reads ``exact``'s block table,
+which each process builds once per model, for every horizon, keeping
+only the last, so the chunks and horizons of a model that run in one
+process share one.  Trajectories, the
 spine sampler's side subtrees and the rejection lane's trees grow by one
 branching step, ``_generations``, which branches a forest: one tree per
 environment row, individuals kept in tree order, offspring drawn by
@@ -75,7 +74,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -429,26 +428,15 @@ class _CodeLevel(NamedTuple):
         return np.where(u1 < self.q[i], i, self.alias[i])
 
 
-@lru_cache(maxsize=8)
 def _code_level(model: EnvironmentModel, depth: int, expand: bool) -> _CodeLevel:
-    """The ``_CodeLevel`` of blocks of ``depth`` generations, with ``digits`` where ``expand``.
-
-    The last few levels built are kept, read-only, keyed by the (tilted)
-    model, so every horizon, ``j_max`` and call on one model shares one
-    alias table per block length, as every chunk does; a horizon reads at
-    most two levels, of at most max(K, ``exact._SUFFIX_ROWS``) codes each.
-    """
+    """The ``_CodeLevel`` of blocks of ``depth`` generations, with ``digits`` where ``expand``."""
     law, walk = np.ones(1), np.zeros(1)
     w, x = np.asarray(model.weights), np.asarray(model.x_values)
     for _ in range(depth):  # the new digit is the least significant
         law = np.multiply.outer(law, w).ravel()
         walk = np.add.outer(walk, x).ravel()
     digits = np.indices((len(w),) * depth).reshape(depth, -1).T.copy() if expand else None
-    level = _CodeLevel(depth, *_alias_table(law), walk, digits)
-    for array in level[1:]:
-        if array is not None:
-            array.flags.writeable = False
-    return level
+    return _CodeLevel(depth, *_alias_table(law), walk, digits)
 
 
 class _Blocks(NamedTuple):
@@ -569,15 +557,14 @@ def importance_estimate(
 
     Each environment is drawn as the codes of its blocks of L generations
     (``_Blocks``), one alias draw per block; the alias tables of the one or
-    two block lengths the horizon uses are built from the tilted weights
-    once per model and block length (``_code_level`` keeps them), so
-    every chunk, horizon, ``j_max`` and call on one tilted model shares
-    them.  The chunks run serially, in one process, and on an all-LF model
-    share the block table of the model's states, which ``exact`` builds at
-    most once and keeps for every horizon until a call with another model:
-    each row is composed from its drawn codes, about n / L draws, gathers
-    and compositions, and S_n is the sum of their n / L walks; at z0 = 1
-    its value is p (1 - (1 - a)^j_max), whatever j_max.
+    two block lengths the horizon uses are built once per call, from the
+    tilted weights, and passed to every chunk.  The chunks run serially,
+    in one process, and on an all-LF model share the block table of the
+    model's states, which ``exact`` builds at most once and keeps for every
+    horizon until a call with another model: each row is composed from its
+    drawn codes, about n / L draws, gathers and compositions, and S_n is
+    the sum of their n / L walks; at z0 = 1 its value is
+    p (1 - (1 - a)^j_max), whatever j_max.
 
     z0, n or j_max below 0 raise ContractError and j_max above
     ``MAX_DEGREE`` TruncationError, before any draw.

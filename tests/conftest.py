@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
-from bpre import exact, simulate
+from bpre import exact
 
 # subprocess tests run ``python -m bpre.cli``; let them import the source tree
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -22,14 +22,11 @@ settings.load_profile("bpre")
 
 @pytest.fixture(autouse=True)
 def _no_kept_block_table():
-    # ``exact`` keeps the last block table it built, and ``simulate`` the
-    # last code levels; each test starts and ends without them, so no test
-    # reads a table or a level another one built
+    # ``exact`` keeps the last block table it built; each test starts and
+    # ends without one, so no test reads a table another one built
     exact._lf_block_table.cache_clear()
-    simulate._code_level.cache_clear()
     yield
     exact._lf_block_table.cache_clear()
-    simulate._code_level.cache_clear()
 
 
 @pytest.fixture

@@ -571,32 +571,6 @@ def test_importance_estimate_refuses_bad_arguments_before_any_draw(
     assert (error is ContractError) == (type(info.value) is ContractError)
 
 
-def test_code_levels_are_built_once_per_tilted_model(monkeypatch):
-    # after a first call, another horizon with the same levels, another
-    # j_max and 200 calls of 400 replicates (criterion 10's pattern) build
-    # no level and run no alias build; the kept arrays are read-only, and
-    # the estimates are those of a cold call, bit for bit
-    model = weakly_model()
-    nu = solve_critical_tilt(model)
-    assert exact.block_length(model.states) == 12
-    importance_estimate(model, 1, 22, 4, nu, 400, root_seed=1)  # levels of 10 and 12 generations
-    assert _code_level.cache_info().misses == 2
-    built = []
-    alias_table = simulate._alias_table
-    monkeypatch.setattr(simulate, "_alias_table", lambda law: built.append(law) or alias_table(law))
-    calls = [(34, 4, 2), (22, 64, 3)] + [(10, 4, subseed(424242, "cov", run)) for run in range(200)]
-    warm = [importance_estimate(model, 1, n, j_max, nu, 400, root_seed=seed) for n, j_max, seed in calls]
-    assert _code_level.cache_info().misses == 2 and not built
-    for level in (_code_level(tilt(model, nu)[0], d, False) for d in (10, 12)):
-        for array in (level.q, level.alias, level.walk):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0
-    for (n, j_max, seed), est in list(zip(calls, warm))[:4]:
-        _code_level.cache_clear()
-        assert importance_estimate(model, 1, n, j_max, nu, 400, root_seed=seed) == est
-
-
 # ---------------------------------------------------------------------------
 # conditioned MRCA sampling
 
