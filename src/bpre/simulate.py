@@ -3,9 +3,10 @@
 Randomness contract: every stochastic routine is a deterministic function of
 (root_seed, index).  Single trajectories derive a counter-based Philox stream
 per replicate index.  Importance sampling and both MRCA methods share one
-driver, ``_map_chunks``, which gives chunk c of at most ``_CHUNK`` units the
-stream (root_seed, c), built when the chunk runs, so results are
-independent of the worker count (BPRE_THREADS only maps MRCA chunks to
+driver, ``_map_batches``, which gives chunk c of at most ``_CHUNK`` units the
+stream (root_seed, c), built when the chunk runs, and hands the chunks to
+their caller in batches, one per worker process, so results are
+independent of the worker count (BPRE_THREADS only maps MRCA batches to
 processes, never changes the draws; importance sampling stays serial).
 The MRCA lanes and ``simulate_forward`` draw an environment one
 generation at a time, one raw 64-bit word per generation
@@ -44,15 +45,21 @@ gives the age n - g.  A chunk draws its proposals' uniforms u first.
 Those with u >= ``_spine_bound``, a constant per (model, target) at least
 A_0 for every environment, are cut, and only the rest draw an
 environment, so the chunk's draws follow its kept proposals; u and the
-environment are independent, so the order leaves the law unchanged.  On
-a model with a finite state, where the cut is loose, ``exact.survival_rows``,
-P(Z_n > 0 | env) itself, thins the rest.  Both take the LF closed form for
-environments whose laws are all linear fractional: there the survival is
-the bounded LF suffix statistic p, kept however small, and
-A_g = p_0 a_0 r_g^(target-1) comes from the same statistics, finite at any
-horizon; their last L generations are read from the block table, with
-the same bits, and a survival is composed from its blocks.  The rest take
-the series route: 1 - t_0 from the width-1 extinction ladder, layers of
+environment are independent, so the order leaves the law unchanged.  The
+chunk then thins its kept proposals, on its own, to the near-accepts: on
+an all-LF model those with u <= A_0 (1 + 2^-20), A_0 read off
+``exact.horizon_rows``; on a model with a finite state, where the cut is
+loose, those with u < ``exact.survival_rows``, P(Z_n > 0 | env) itself.
+Few kept proposals accept, so the near-accepts of consecutive chunks,
+up to a cell budget, take their tail masses in one ``mrca_rows`` call,
+whose fixed cost is then paid per group, not per chunk.  All three take
+the LF closed form for environments whose laws are all linear
+fractional: there the survival is the bounded LF suffix statistic p,
+kept however small, and A_g = p_0 a_0 r_g^(target-1) comes from the
+same statistics, finite at any horizon; ``mrca_rows`` reads their last
+L generations from the block table, with the same bits, and a survival
+or a pre-test A_0 is composed from its blocks.  The rest take the
+series route: 1 - t_0 from the width-1 extinction ladder, layers of
 f_{k,n} and log-derivative products.
 
 When the environment is random, conditioning on {Z_n = target} under the
@@ -72,7 +79,6 @@ import hashlib
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -82,8 +88,8 @@ import numpy as np
 from .environment import EnvironmentModel, tilt
 from .errors import BudgetError, ContractError, PopulationCapError, TruncationError
 from .exact import (
-    EnvSequence, block_length, composed_rows, composed_stats, horizon_rows, mrca_rows,
-    survival_rows,
+    _BLOCK_CELLS, EnvSequence, block_length, composed_rows, composed_stats, horizon_rows,
+    mrca_rows, survival_rows,
 )
 from .laws import PROB_TOL, FiniteLaw, LinearFractionalLaw, OffspringLaw
 from .pgf import MAX_DEGREE, pow_rows
@@ -92,6 +98,7 @@ _MASK64 = (1 << 64) - 1
 DEFAULT_POPULATION_CAP = 10_000_000
 PROPOSAL_CAP = 100_000_000
 _CHUNK = 4096
+_ROW_ROUNDING = 1.0 + 2.0**-20  # covers row arithmetic's rounding over up to MAX_DEGREE generations
 _COPY = FiniteLaw((0.0, 1.0))  # exactly one child: carries side founders to their generation
 
 logger = logging.getLogger(__name__)
@@ -124,37 +131,72 @@ def worker_count() -> int:
     return count
 
 
-def _run_chunk(fn, root_seed: int, c: int, size: int):
-    """fn(stream(root_seed, c), size): chunk c, its stream built where the chunk runs."""
-    return fn(stream(root_seed, c), size)
+def _chunk_streams(root_seed: int, lo: int, hi: int):
+    """Yield (stream(root_seed, c), size) for the chunks c of units lo .. hi - 1, in order.
+
+    lo is a multiple of ``_CHUNK``, and chunk c holds units c*_CHUNK ..
+    min((c+1)*_CHUNK, hi) - 1.  Each stream is built when its chunk is
+    reached, so no more than one is held at once.
+    """
+    for start in range(lo, hi, _CHUNK):
+        yield stream(root_seed, start // _CHUNK), min(_CHUNK, hi - start)
+
+
+def _logged(chunks, count: int):
+    """The chunks of ``chunks``, logging progress after each tenth of ``count``."""
+    every = max(1, count // 10)
+    for c, chunk in enumerate(chunks, 1):
+        yield chunk
+        if c % every == 0:
+            logger.info("progress: %d/%d chunks", c, count)
+
+
+def _run_batch(fn, root_seed: int, lo: int, hi: int):
+    """fn(the chunks of units lo .. hi - 1), their streams built where the batch runs."""
+    return fn(_chunk_streams(root_seed, lo, hi))
+
+
+def _map_batches(fn, total: int, root_seed: int, workers: int) -> list:
+    """[fn(chunks) for each batch of the chunks of ``total`` units], in chunk order.
+
+    ``chunks`` yields (stream(root_seed, c), size) for the batch's chunks c
+    (``_chunk_streams``), so a batch may carry work from one chunk to the
+    next, as the spine lane groups its near-accepts.  With one worker, or
+    one chunk, the one batch holds every chunk and runs here, logging its
+    progress.  Otherwise the batches run in a process pool, imported only
+    then, one batch of ceil(chunks / workers) consecutive chunks per
+    worker, so that ``fn`` and what it carries (a model) are pickled once
+    per worker, not once per chunk, and a worker whose chunks read a block
+    table builds it once.  Every chunk but the last holds ``_CHUNK`` units
+    of one task, so equal batches are already balanced; smaller ones would
+    only pickle ``fn`` and build tables more often.  A chunk's stream is a
+    function of (root_seed, c) alone, so the draws do not depend on the
+    batches.
+    """
+    chunks = -(-total // _CHUNK)
+    if workers <= 1 or chunks <= 1:
+        return [fn(_logged(_chunk_streams(root_seed, 0, total), chunks))]
+    from concurrent.futures import ProcessPoolExecutor
+
+    step = -(-chunks // workers) * _CHUNK
+    los = range(0, total, step)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        his = (min(lo + step, total) for lo in los)
+        return list(pool.map(partial(_run_batch, fn, root_seed), los, his))
+
+
+def _each_chunk(fn, chunks) -> list:
+    """[fn(rng, size) for each chunk of ``chunks``]."""
+    return [fn(rng, size) for rng, size in chunks]
 
 
 def _map_chunks(fn, total: int, root_seed: int, workers: int) -> list:
     """[fn(stream(root_seed, c), size) for each chunk c of ``total`` units], in chunk order.
 
-    Chunk c holds units c*_CHUNK .. min((c+1)*_CHUNK, total) - 1.  With more
-    than one worker and more than one chunk the calls run in a process pool,
-    which is sent (c, size) pairs in one batch per worker, so that ``fn``
-    and what it carries (a model) are pickled once per worker, not once per
-    chunk, and a worker whose chunks read a block table builds it once.
-    Every chunk but the last holds ``_CHUNK`` units of one task, so equal
-    batches are already balanced; smaller ones would only pickle ``fn`` and
-    build tables more often.  Either way a chunk's stream is built when the
-    chunk runs, so no more than one per worker is held at once.
+    The chunks run in batches (``_map_batches``), each chunk on its own.
     """
-    chunks = -(-total // _CHUNK)
-    sizes = (min(_CHUNK, total - lo) for lo in range(0, total, _CHUNK))
-    run = partial(_run_chunk, fn, root_seed)
-    if workers <= 1 or chunks <= 1:
-        out = []
-        every = max(1, chunks // 10)
-        for c, size in enumerate(sizes):
-            out.append(run(c, size))
-            if (c + 1) % every == 0:
-                logger.info("progress: %d/%d chunks", c + 1, chunks)
-        return out
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(chunks), sizes, chunksize=-(-chunks // workers)))
+    parts = _map_batches(partial(_each_chunk, fn), total, root_seed, workers)
+    return parts[0] if len(parts) == 1 else [out for part in parts for out in part]
 
 
 # ---------------------------------------------------------------------------
@@ -641,49 +683,99 @@ def _spine_bound(model: EnvironmentModel, target: int) -> float:
     """
     kappa = max(1.0 - law.p0 for law in model.states)
     c = (1.0 - 1.0 / target) ** (target - 1) / target if model.is_lf_pure else 1.0
-    return min(1.0, kappa * c * (1.0 + 2.0**-20) + PROB_TOL)
+    return min(1.0, kappa * c * _ROW_ROUNDING + PROB_TOL)
 
 
-def _tally(ages: np.ndarray, n: int) -> dict[int, int]:
-    """{age: count} of MRCA ages in 0..n, ascending, nonzero counts only."""
-    counts = np.bincount(ages, minlength=n + 1)
+def _tally(counts: np.ndarray) -> dict[int, int]:
+    """{age: count} of a bincount of MRCA ages, ascending, nonzero counts only."""
     values = counts.nonzero()[0]
     return dict(zip(values.tolist(), counts[values].tolist()))
+
+
+def _spine_near_accepts(
+    model: EnvironmentModel, n: int, target: int, rng: np.random.Generator, size: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Stage 1 of one proposal chunk of the exact MRCA sampler: (kept, u, idx) of its near-accepts.
+
+    The chunk draws one uniform u per proposal, ``rng.random(size)``.
+    Proposals with u >= ``_spine_bound`` cannot accept and are cut before
+    they draw an environment; the ``kept`` ones then draw theirs,
+    ``sample_indices`` of (kept, n) raw words, the words
+    ``rng.random((kept, n))`` would turn into doubles, with the same states,
+    so a cut proposal costs one word of the stream and no (n,) row.  That
+    is every draw of the chunk.  The kept proposals are then thinned to the
+    near-accepts, which lose none that can accept.  On an all-LF model A_0
+    = P(Z_n = target | env) is read off ``exact.horizon_rows`` at width
+    target + 1, each row composed from the block table in about n / L
+    steps, and u <= A_0 (1 + 2^-20) keeps a row: the margin
+    ``_spine_bound`` takes for rounding covers the composed row's distance
+    from ``mrca_rows``' stepped one, and ``<=`` keeps a u of 0 where A_0
+    underflows.  On a model with a finite state ``exact.survival_rows``
+    keeps u < P(Z_n > 0 | env), which is at least A_0.
+    """
+    u = rng.random(size)
+    u = u[u < _spine_bound(model, target)]
+    idx = model.sample_indices(rng, (u.size, n))
+    if model.is_lf_pure:
+        near = u <= horizon_rows(model.states, idx, target + 1)[:, target] * _ROW_ROUNDING
+    else:
+        near = u < survival_rows(model.states, idx)
+    return u.size, u[near], idx[near]
+
+
+def _spine_ages(model: EnvironmentModel, n: int, target: int, group) -> np.ndarray:
+    """Stage 2: the bincount of MRCA ages of the accepted rows of ``group``, a list of (u, idx).
+
+    One ``exact.mrca_rows`` call gives every row its tail masses A_g;
+    u < A_0 accepts, and the first g with u < A_0 - A_{g+1} gives the age
+    n - g.  Every row value is computed by row-wise arithmetic, so neither
+    the thinning nor the grouping changes an accepted row or an age.
+    ``group`` is emptied once its rows are joined, so its parts are not
+    held beside them.
+    """
+    u, idx = (np.concatenate(part) for part in zip(*group))
+    group.clear()
+    if u.size == 0:
+        return np.zeros(n + 1, dtype=np.int64)
+    a = mrca_rows(model.states, idx, target)
+    del idx  # not held beside the differences of the accepted rows' tail masses
+    hit = u < a[:, 0]
+    ages = n - np.argmax(u[hit, None] < a[hit, :1] - a[hit, 1:], axis=1)
+    return np.bincount(ages, minlength=n + 1)
+
+
+def _mrca_spine_batch(model: EnvironmentModel, n: int, target: int, chunks):
+    """A batch of proposal chunks of the exact MRCA sampler: (MRCA counts, kept, near-accepts).
+
+    Each chunk of ``chunks`` (pairs (rng, size)) draws and thins its
+    proposals alone (``_spine_near_accepts``).  Its near-accepts join those
+    of the chunks before it, and a group is given its tail masses in one
+    ``mrca_rows`` call (``_spine_ages``) before a chunk would take it past
+    ``_BLOCK_CELLS`` cells (rows times n), so the call's fixed cost is paid
+    once per group and memory follows that budget, or one chunk's
+    near-accepts where they alone exceed it, never the proposal count.
+    ``mrca_rows`` reads each all-LF row's last L generations from the block
+    table, built by the first chunk of a process and kept for the rest and
+    for other horizons, with the bits of the full recursion.
+    """
+    counts = np.zeros(n + 1, dtype=np.int64)
+    group, rows, kept, near = [], 0, 0, 0
+    for rng, size in chunks:
+        k, u, idx = _spine_near_accepts(model, n, target, rng, size)
+        if group and (rows + u.size) * n > _BLOCK_CELLS:
+            counts += _spine_ages(model, n, target, group)
+            rows = 0
+        group.append((u, idx))
+        rows, kept, near = rows + u.size, kept + k, near + u.size
+    counts += _spine_ages(model, n, target, group)
+    return _tally(counts), kept, near
 
 
 def _mrca_spine_chunk(
     model: EnvironmentModel, n: int, target: int, rng: np.random.Generator, size: int
 ) -> dict[int, int]:
-    """One proposal chunk of the exact MRCA sampler; returns MRCA counts.
-
-    Every step is batched over the chunk.  The chunk draws one uniform u
-    per proposal, ``rng.random(size)``.  Proposals with u >= ``_spine_bound``
-    cannot accept and are cut before they draw an environment; the kept
-    ones then draw theirs, ``sample_indices`` of (kept, n) raw words, the
-    words ``rng.random((kept, n))`` would turn into doubles, with the same
-    states, so a cut proposal costs one word of the stream and no (n,)
-    row.  On a model with a finite state the bound may be 1, and
-    ``exact.survival_rows`` keeps the proposals with
-    u < P(Z_n > 0 | env), which loses nothing because
-    P(Z_n = target | env) is at most that.  For the kept ones,
-    ``exact.mrca_rows`` gives the tail masses A_g of the MRCA generation g;
-    u < A_0 = P(Z_n = target | env) accepts, and the first g with
-    u < A_0 - A_{g+1} gives the age n - g.  Every row value is computed by
-    row-wise arithmetic, so neither cut changes an accepted row or an age.
-    Both passes read each all-LF row from the block table of the model's
-    states, built by the first chunk of a process and kept for the rest and
-    for other horizons: ``mrca_rows`` gathers the last L generations, with
-    the same bits, and ``survival_rows`` composes the row from its blocks.
-    """
-    u = rng.random(size)
-    u = u[u < _spine_bound(model, target)]
-    idx = model.sample_indices(rng, (u.size, n))
-    if not model.is_lf_pure:
-        live = u < survival_rows(model.states, idx)
-        idx, u = idx[live], u[live]
-    a = mrca_rows(model.states, idx, target)
-    hit = u < a[:, 0]
-    return _tally(n - np.argmax(u[hit, None] < a[hit, :1] - a[hit, 1:], axis=1), n)
+    """MRCA counts of one proposal chunk of the exact MRCA sampler, a batch of one chunk."""
+    return _mrca_spine_batch(model, n, target, [(rng, size)])[0]
 
 
 def _forest_mrca_ages(parents: list[np.ndarray], sizes: np.ndarray, target: int) -> np.ndarray:
@@ -714,7 +806,8 @@ def _mrca_rejection_chunk(
     genealogy is held at once.
     """
     idx = model.sample_indices(rng, (size, n))
-    return _tally(_forest_mrca_ages(*_grow(model.states, idx, np.arange(size), rng), target), n)
+    ages = _forest_mrca_ages(*_grow(model.states, idx, np.arange(size), rng), target)
+    return _tally(np.bincount(ages, minlength=n + 1))
 
 
 def conditioned_mrca_sample(
@@ -727,21 +820,27 @@ def conditioned_mrca_sample(
 ) -> MrcaDistribution:
     """Empirical law of MRCA_n given Z_n = target_size, Z_0 = 1.
 
-    Method "geiger" samples the exact law (``_mrca_spine_chunk``) for every
+    Method "geiger" samples the exact law (``_mrca_spine_batch``) for every
     model and target: each environment is accepted with its quenched
     probability P(Z_n = target | env) and its MRCA age is drawn from the
     quenched law of ``exact.mrca_rows``, with one uniform per proposal and
     no tree simulated; that uniform is drawn first, and only proposals with
-    u < ``_spine_bound`` draw an environment.  Each process builds one
+    u < ``_spine_bound`` draw an environment.  Each chunk thins those to
+    its near-accepts, and the near-accepts of consecutive chunks of a
+    batch take their tail masses together, one ``mrca_rows`` call per
+    ``_BLOCK_CELLS`` cells.  The counts of proposals, of those kept under
+    the bound, of near-accepts and of accepted samples are logged once
+    per call, at INFO, and reach no artifact.  Each process builds one
     block table of the model's states, for every horizon, and keeps only
-    the last, and every chunk it runs reads the last L generations of its
-    all-LF rows from it; for n up to L no row steps at all.
+    the last, and every chunk it runs reads its all-LF rows from it: the
+    pre-test composes each row from its blocks, and ``mrca_rows`` reads
+    the last L generations; for n up to L no row steps at all.
     Method "rejection" simulates full forward trees, one forest per chunk of
     at most ``_CHUNK`` trees whose genealogy is held at once, and raises
     PopulationCapError when one tree's population exceeds
     ``DEFAULT_POPULATION_CAP``.  ``proposals`` counts uniforms u, cut or
     not (geiger), or trees (rejection); the accepted sample count is random.
-    Proposals are drawn in chunks seeded by index (``_map_chunks``), so the
+    Proposals are drawn in chunks seeded by index (``_map_batches``), so the
     result is a pure function of (model, n, target_size, method, proposals,
     root_seed), whatever the number of worker processes ``BPRE_THREADS``
     asks for (``worker_count``).
@@ -761,9 +860,18 @@ def conditioned_mrca_sample(
         "conditioned MRCA: %s proposals (method=%s, n=%s, target=%s)",
         proposals, method, n, target_size,
     )
-    chunk = _mrca_rejection_chunk if method == "rejection" else _mrca_spine_chunk
-    fn = partial(chunk, model, n, target_size)
-    counts, accepted = _merge_counts(_map_chunks(fn, proposals, root_seed, worker_count()))
+    if method == "rejection":
+        fn = partial(_mrca_rejection_chunk, model, n, target_size)
+        counts, accepted = _merge_counts(_map_chunks(fn, proposals, root_seed, worker_count()))
+    else:
+        fn = partial(_mrca_spine_batch, model, n, target_size)
+        parts = _map_batches(fn, proposals, root_seed, worker_count())
+        counts, accepted = _merge_counts(part for part, _, _ in parts)
+        logger.info(
+            "geiger n=%s: %s proposals, %s under the bound, %s near-accepts, %s accepted",
+            n, proposals, sum(kept for _, kept, _ in parts), sum(near for *_, near in parts),
+            accepted,
+        )
     if accepted == 0:
         raise ContractError(
             f"zero accepted replicates out of {proposals} proposals "

@@ -2,6 +2,9 @@ import itertools
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -982,6 +985,135 @@ def test_spine_chunk_memory_follows_kept_proposals(model, table_free):
     _both_routes(table_free, check)
 
 
+def _pre_test_blocks(rng):
+    """(states, idx) blocks of several rows on which the spine lane's A_0 pre-test is checked.
+
+    All-LF rows at n = 1, L - 1, L, L + 1, 3L + 1 and 300 for the block
+    table's L, so that a composed row has no block, one partial block,
+    exactly one, or many; rows of 1100 supercritical and 1100 subcritical
+    generations, in both orders and mixed, which carry the survival below
+    2^-512; and finite and mixed blocks, on the series route.
+    """
+    states = tuple(random_lf_law(rng) for _ in range(3))
+    length = exact.block_length(states)
+    for n in (1, length - 1, length, length + 1, 3 * length + 1, 300):
+        yield states, rng.integers(0, 3, (48, n))
+    carry = (LinearFractionalLaw(2.0, 8.0), LinearFractionalLaw(0.5, 0.5))
+    idx = rng.integers(0, 2, (8, 2200))
+    idx[0], idx[1] = np.repeat([0, 1], 1100), np.repeat([1, 0], 1100)
+    yield carry, idx
+    for block in ("finite", "mixed"):
+        for n in (1, 4, 12, 30):
+            yield _mrca_block(block, rng, n)
+
+
+@pytest.mark.parametrize("target", [2, 3, 5])
+def test_pre_test_mass_covers_the_mrca_rows_mass(target):
+    # stage 1 of the spine lane reads A_0 off ``horizon_rows`` (an all-LF row
+    # composed from the block table), stage 2 off ``mrca_rows`` (stepped
+    # before its last L generations); with the rounding margin the first is
+    # at least the second on every row, so no row ``mrca_rows`` would accept
+    # is thinned away, and a series row has the same bits on both routes
+    rng = np.random.default_rng(50 + target)
+    positive = 0
+    for states, idx in _pre_test_blocks(rng):
+        mass = horizon_rows(states, idx, target + 1)[:, target]
+        tails = mrca_rows(states, idx, target)[:, 0]
+        assert np.all(mass * simulate._ROW_ROUNDING >= tails)
+        series = ~exact._lf_states(states).is_lf[idx].all(axis=1)
+        assert np.array_equal(mass[series], tails[series])
+        positive += np.count_nonzero(tails > 0.0)
+        if idx.shape[1] == 2200:
+            assert tails[0] > 0.0  # the row whose survival is carried below 2^-512
+    assert positive > 500
+
+
+@DIFFERENCED_RULE_CASES
+def test_spine_groups_span_chunks_and_keep_the_per_chunk_counts(model, n, target, monkeypatch):
+    # under a cell budget of three chunks' near-accepts, each ``mrca_rows``
+    # call takes the near-accepts of several chunks and the call holds more
+    # than one group; the counts are the per-chunk oracle's, merged
+    sizes = (_CHUNK,) * 5 + (1001,)
+    near = [
+        simulate._spine_near_accepts(model, n, target, stream(9, c), size)[1].size
+        for c, size in enumerate(sizes)
+    ]
+    monkeypatch.setattr(simulate, "_BLOCK_CELLS", 3 * max(near) * n)
+    calls = []
+
+    def spy(states, idx, target):
+        calls.append(idx.shape[0])
+        return mrca_rows(states, idx, target)
+
+    monkeypatch.setattr(simulate, "mrca_rows", spy)
+    chunks = simulate._chunk_streams(9, 0, sum(sizes))
+    counts, _, got_near = simulate._mrca_spine_batch(model, n, target, chunks)
+    oracle = Counter()
+    for c, size in enumerate(sizes):
+        oracle.update(_differenced_rule_counts(model, n, target, stream(9, c), size))
+    assert counts == dict(oracle) and sum(oracle.values()) > 0
+    assert got_near == sum(calls) == sum(near) and 2 <= len(calls) < len(sizes)
+
+
+@pytest.mark.parametrize(
+    "model, n, target",
+    [(strongly_model(), 12, 2), (EVEN_FINITE_MODEL, 6, 2), (MIXED_MODEL, 6, 3)],
+    ids=["strongly", "finite", "mixed"],
+)
+def test_spine_groups_agree_across_workers(model, n, target, monkeypatch):
+    # a pool worker groups within its own batch of chunks, and a small budget
+    # splits each batch into several groups; neither moves a count
+    monkeypatch.setattr(simulate, "_BLOCK_CELLS", 64 * n)
+    results = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("BPRE_THREADS", workers)
+        d = conditioned_mrca_sample(model, n, target, "geiger", 7 * _CHUNK + 5, root_seed=4)
+        results.append((d.counts, d.accepted))
+    assert results[0] == results[1] and results[0][1] > 0
+
+
+def test_spine_group_memory_follows_the_cell_budget():
+    # on one critical LF state about one proposal in 24 is a near-accept, so
+    # 96 chunks at n = 32 hold 17k, whose indices alone would take more than
+    # four budgets of int64 cells; a group holds at most one budget of
+    # indices, and its tail masses and their differences about one each
+    model = EnvironmentModel((LinearFractionalLaw(1.0, 0.2),), (1.0,))
+    n, budget = 32, 8 * simulate._BLOCK_CELLS
+    simulate._mrca_spine_chunk(model, n, 2, stream(1, 0), _CHUNK)  # the block table, untraced
+    tracemalloc.start()
+    try:
+        chunks = simulate._chunk_streams(1, 0, 96 * _CHUNK)
+        counts, _, near = simulate._mrca_spine_batch(model, n, 2, chunks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert near * n * 8 > 4 * budget and sum(counts.values()) > 0
+    assert peak < 4 * budget
+
+
+def test_geiger_logs_its_thinning_counts_outside_the_artifact(tmp_path, caplog):
+    # one line per horizon: proposals, kept under the bound, near-accepts and
+    # accepted, the last the artifact's own count; logging changes no byte
+    path = tmp_path / "strongly.json"
+    path.write_text(json.dumps(strongly_model().to_json()))
+    out = tmp_path / "mrca.json"
+    argv = ["mrca", "--model", str(path), "--n-list", "8,16", "--replicates", str(3 * _CHUNK),
+            "--seed", "5", "--out", str(out)]
+    assert main(argv) == 0
+    artifact = out.read_bytes()
+    with caplog.at_level(logging.INFO, logger="bpre.simulate"):
+        assert main(argv) == 0
+    assert out.read_bytes() == artifact
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("geiger")]
+    logged = []
+    for line in lines:
+        counts = line.split(": ")[1].split(", ")
+        proposals, kept, near, accepted = (int(part.split()[0]) for part in counts)
+        assert proposals == 3 * _CHUNK and proposals > kept > near >= accepted > 0
+        logged.append(accepted)
+    assert logged == [point["accepted"] for point in json.loads(artifact)["estimated"]["points"]]
+
+
 @pytest.mark.parametrize(
     "model, n, counts",
     [
@@ -1205,6 +1337,21 @@ def test_map_chunks_memory_does_not_grow_with_chunk_count():
             tracemalloc.stop()
         assert out == [None] * chunks
     assert peaks[1] - peaks[0] < 2000 * 16
+
+
+def test_a_serial_run_loads_no_process_pool():
+    # the pool is imported only where more than one worker runs, so a serial
+    # geiger run, with the CLI loaded, starts no faster for loading it
+    code = (
+        "import sys, bpre.cli\n"
+        "from bpre.models import strongly_model\n"
+        "from bpre.simulate import conditioned_mrca_sample\n"
+        "conditioned_mrca_sample(strongly_model(), 8, 2, 'geiger', 2 * 4096 + 1, 1)\n"
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
+    )
+    env = dict(os.environ, BPRE_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout.strip() == "[]"
 
 
 class _CountedPickles:
