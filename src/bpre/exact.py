@@ -73,11 +73,17 @@ fixed order.
 A Fekete sweep (``fekete_bounds``) reads coefficient z0 of each horizon
 and nothing else, so it emits only that coefficient, through the same
 BLAS product and with the same bits.  At z0 = 1 it also folds the last
-generation in closed form: [s^1] f_a(g) = f_a'(g_0) g_1 is linear in the
-outermost law, so the children of a block one generation short of the
-deepest horizon are never built, and their sum is the block's g_1
-weighted by sum_a w_a f_a'(g_0).  At z0 >= 2, [s^z0] f_a(g)^z0 is not
-linear in the law, and nothing is folded.
+L generations, as many as the descent would take: environments are
+i.i.d., so Z is Markov under the annealed law, and [s^1] F(g) = F'(g_0)
+g_1 is linear in the outer map F.  The sweep stops at depth n_max - L,
+the breadth-first block where that fits, and reads horizon
+n_max - L + l off its rows as the sum of w g_1 Phi_l(g_0), where Phi_l
+is the derivative of the annealed pgf of l generations: a polynomial
+with nonnegative coefficients on an all-finite model (Horner's scheme on
+column 0, D^l + 1 below ``_LADDER_WIDTH``), a sum over the K^l outer
+blocks of ``_lf_levels`` on an all-LF one (read from the survival p
+itself).  A mixed model folds one generation law by law.  At z0 >= 2,
+[s^z0] f_a(g)^z0 is not linear in the law, and nothing is folded.
 
 The reachability closure behind z0 works on Python-int bitmasks: bit k of a
 mask marks size k, and the sizes reachable from z in one generation are the
@@ -86,6 +92,7 @@ z-fold sumset of a state's support, built once per distinct support.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -103,6 +110,8 @@ _BLOCK_CELLS = 1 << 17
 _LADDER_WIDTH = 33  # series sweeps at least this wide may expand each node once (``_power_ladder``)
 _TINY = 2.0**-512  # LF survival below this is carried as a mantissa and a power of 2^-512
 _SUFFIX_ROWS = 4096  # the most blocks of one length in an ``_lf_block_table``, a chunk's rows
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -180,6 +189,20 @@ def survival_rows(states: tuple[OffspringLaw, ...], idx: np.ndarray) -> np.ndarr
         lambda sub: _lf_suffix(states, sub, 1, False)[0],
         lambda sub: 1.0 - _series_layers(states, sub, 1, False)[..., 0],
     )[0]
+
+
+def lf_coefficient(states: tuple[OffspringLaw, ...], idx: np.ndarray, j: int) -> np.ndarray:
+    """[s^j] f_{0,n} = P(Z_n = j | env, Z_0 = 1), j >= 1, for environment rows whose laws are all LF.
+
+    Column j of ``horizon_rows`` bit for bit, without its other columns:
+    p a r^(j-1) from the ``_lf_suffix`` statistics at width j + 1, the
+    powers of r running products as in ``_lf_layers``.
+    """
+    p, a, r = _lf_suffix(states, idx, j + 1, False)
+    c = p[0] * a[0]
+    for _ in range(j - 1):
+        c *= r[0]
+    return c
 
 
 def _by_route(states: tuple[OffspringLaw, ...], idx: np.ndarray, closed, series) -> np.ndarray:
@@ -880,21 +903,21 @@ def _annealed_rows(
 
     The state after d generations is a block with one row per environment of
     those d generations, standing for f_{n-d+1,n}.  The block grows
-    breadth-first while the next block fits in ``_BLOCK_CELLS`` cells (rows
-    x states x cells per row, 5 cells for an LF row whatever it carries),
-    and always with a single state, whose block never widens.  Where every
-    enumerated state is LF, a row is the (p, e, a, r) of ``_lf_step``, the
-    levels are those of the block table (``_lf_levels``), and coefficient
-    rows are built only at requested horizons (``_lf_layers``, in chunks of
-    at most ``_BLOCK_CELLS`` cells), so each is the row ``horizon_rows``
-    gives for its environment; otherwise a row is the series row itself, and
-    its children are formed either law by law (``apply_law_rows``, a Horner
-    scheme for a finite law) or all at once by ``_power_ladder``.  The ladder
-    is taken where the sweep's width j_max + 1 is at least ``_LADDER_WIDTH``
-    and two finite states have degree 2 or more, so that it saves a product
-    per node; narrower rows gain less from a saved product than the ladder's
-    scaled adds cost, and a single such state shares nothing.  The choice is
-    made once per sweep, whatever the width of a breadth-first block, so
+    breadth-first while the next block fits in ``_BLOCK_CELLS`` cells
+    (``_sweep_depths``), and always with a single state, whose block never
+    widens.  Where every enumerated state is LF, a row is the (p, e, a, r)
+    of ``_lf_step``, the levels are those of the block table
+    (``_lf_levels``), and coefficient rows are built only at requested
+    horizons (``_lf_layers``, in chunks of at most ``_BLOCK_CELLS`` cells),
+    so each is the row ``horizon_rows`` gives for its environment;
+    otherwise a row is the series row itself, and its children are formed
+    either law by law (``apply_law_rows``, a Horner scheme for a finite
+    law) or all at once by ``_power_ladder``.  The ladder is taken where
+    the sweep's width j_max + 1 is at least ``_LADDER_WIDTH`` and two
+    finite states have degree 2 or more, so that it saves a product per
+    node; narrower rows gain less from a saved product than the ladder's
+    scaled adds cost, and a single such state shares nothing.  The choice
+    is made once per sweep, whatever the width of a breadth-first block, so
     every row of a sweep has one arithmetic and the rows of a Horner sweep
     keep their bits.
 
@@ -934,18 +957,31 @@ def _annealed_rows(
     sums column z0 in the same order, so every emitted horizon keeps its
     bits.
 
-    At z0 = 1 the last generation is folded as well.  The horizon-n_max
-    coefficient of a child f_a(g) of a depth-(n_max - 1) row g is
-    [s^1] f_a(g) = f_a'(g_0) g_1, linear in the law, so the descent expands
-    no block of depth n_max - 1: ``emit_children`` adds, per state a,
-    w_a (wvec f_a'(g_0)) . g_1 over the block's rows, with wvec f_a'(g_0)
-    formed in the level-n_max weight buffer.  An LF row has g_1 = p a and
-    f_a'(g_0) = m_a / (1 + eta_a m_a p)^2, from the survival p itself
-    (after the exponent carry), never from 1 - p; a series row takes
-    ``law.pgf_prime`` of column 0.  At z0 >= 2, [s^z0] f_a(g)^z0 is not
-    linear in the law, so nothing is folded.  The fold sums the same terms
-    as the children would in another order, so horizon n_max moves by a few
-    ulps.
+    At z0 = 1 the last L generations are folded as well, as many as the
+    descent would otherwise take (``_sweep_depths``), so no block is deeper
+    than n_max - L.  Environments are i.i.d. across generations, so under
+    the annealed law Z is a Markov chain: horizon d + l reads a row g of
+    depth d = n_max - L through the outer l generations, whose blocks P
+    give [s^1] F_P(g) = F_P'(g_0) g_1, linear in the outer map.  So
+    ``fold`` adds sum over rows of w g_1 Phi_l(g_0) for l = 1..L, where
+    Phi_l = sum_P w_P F_P' is the derivative of the annealed pgf of l
+    generations.  An all-finite model's Phi_l is the derivative of the law
+    of Z_l from Z_0 = 1, taken from a sweep of l generations at width
+    D^l + 1 (D the largest degree) and evaluated by Horner's scheme
+    (``FiniteLaw.pgf_prime``) on column 0: every coefficient is >= 0 and
+    t is in [0, 1].  An all-LF model's is sum_P c_P / (a_P + r_P p)^2 over
+    the K^l outer blocks (``_lf_outer``, ``_lf_fold``), from the survival
+    p itself (after the exponent carry), never from 1 - p, on grids of at
+    most ``_BLOCK_CELLS`` cells.  A mixed model folds one generation, law
+    by law: w_a (wvec f_a'(g_0)) . g_1 per state a.  At z0 >= 2,
+    [s^z0] f_a(g)^z0 is not linear in the law, so nothing is folded.
+    Every horizon n <= n_max - L keeps its bits; a folded one sums the
+    same terms in another order and moves in its last bits.
+
+    Each Fekete sweep logs one INFO line on the module logger, never into
+    an artifact: n_max, z0, the breadth-first depth, L, the rows of a
+    block, the fold's cells (terms of Phi per row, times the rows of every
+    folded block) and the descent's nodes.
     """
     n_max = max(horizons, default=0)
     states = list(zip(model.states, model.weights))
@@ -957,13 +993,11 @@ def _annealed_rows(
         )
     width = j_max + 1
     totals = {n: np.zeros(width) for n in horizons}
-    fold = only_z0 and z0 == 1
-
-    # breadth-first to depth `top`, while the next block fits in _BLOCK_CELLS cells
-    cells = 5 if model.is_lf_pure else width  # an LF row holds p, e, a, r and the weight
-    top = 0
-    while top < n_max and (k == 1 or k ** (top + 1) * cells <= _BLOCK_CELLS):
-        top += 1
+    first = only_z0 and z0 == 1  # the sweep reads [s^1] alone
+    finite = all(isinstance(law, FiniteLaw) for law in model.states)
+    top, span = _sweep_depths(model, n_max, width, first)
+    last, terms = n_max - span, 0  # blocks reach depth `last`, and a fold reads those
+    rows = k**top  # the rows of every block of depth top or more
 
     if model.is_lf_pure:
         keep = min(1.0 - law.p0 for law, _ in states)  # every p of depth d is >= keep^d
@@ -986,15 +1020,17 @@ def _annealed_rows(
             return np.ldexp(p, -512 * e) if keep**depth < _TINY else p
 
         # one chunk of at most _BLOCK_CELLS cells of coefficient rows, shared by
-        # every emission; a fold-route chunk keeps its column 0 at zero
-        chunk = (np.zeros if fold else np.empty)((min(k**top, max(1, _BLOCK_CELLS // width)), width))
+        # every emission; a Fekete chunk at z0 = 1 keeps its column 0 at zero
+        chunk = (np.zeros if first else np.empty)(
+            (min(k**top, max(1, _BLOCK_CELLS // width)), width)
+        )
 
         def emit(block, wvec, depth):
             p, a, r = survival(block, depth), block[2], block[3]
             total = 0
             for i in range(0, len(p), len(chunk)):
                 c = slice(i, i + len(chunk))
-                if fold:  # [s^1] f = p a
+                if first:  # [s^1] f = p a
                     rows = chunk[: len(p[c])]
                     np.multiply(p[c], a[c], out=rows[:, 1])
                 else:
@@ -1003,28 +1039,22 @@ def _annealed_rows(
                 total = total + wvec[c] @ rows
             return total
 
-        def emit_children(block, wvec, depth, out):
-            # sum_a w_a f_a'(1 - p) p a, with f_a'(1 - p) = m / (1 + eta m p)^2;
-            # a descent block has at most _BLOCK_CELLS / 5 rows, and a width-2
-            # chunk holds _BLOCK_CELLS / 2
+        if span:
+            outer = _lf_outer(model, keep, span)
+            terms = len(outer.a)
+            grid = np.empty(min(terms, max(1, _BLOCK_CELLS // rows)) * rows)
+
+        def fold(block, wvec, depth):
+            # Phi_l from the survival p itself (after the exponent carry), never 1 - p
             p = survival(block, depth)
-            rows = chunk[: len(p)]
-            np.multiply(p, block[2], out=rows[:, 1])
-            total = 0
-            for law, w in states:
-                np.multiply(law.eta_lf * law.m, p, out=out)
-                out += 1.0
-                np.multiply(out, out, out=out)
-                np.divide(wvec, out, out=out)
-                total = total + w * law.m * (out @ rows)
-            return total
+            return _lf_fold(outer, p, wvec * p * block[2], grid)
 
     else:
         laws = [law for law, _ in states]
         degrees = [len(law.probs) - 1 for law in laws if isinstance(law, FiniteLaw)]
         # a finite law of degree d takes a series of degree D to degree d D;
         # an LF law has no finite degree, so it keeps every block at full width
-        maxdeg = max(degrees) if len(degrees) == k else width
+        maxdeg = max(degrees) if finite else width
         # a sweep at least _LADDER_WIDTH wide whose ladder saves a product (two
         # finite states of degree >= 2) expands each node once into all of its
         # children (``_power_ladder``); any other applies each law in turn
@@ -1070,18 +1100,32 @@ def _annealed_rows(
                 c[:, z0] = p[:, z0]
             return wvec @ c
 
-        def emit_children(rows, wvec, depth, out):
-            # sum_a w_a f_a'(g_0) g_1, each f_a'(g_0) written into ``out``, because
-            # temporaries would raise the sweep's peak memory
+        if span:
+            out, wg = np.empty(rows), np.empty(rows)  # scratch of the fold
+            terms = k  # a mixed model's fold takes one derivative per law
+        if span and finite:
+            # the law of Z_l from Z_0 = 1, l = 1..span, as an offspring law,
+            # whose pgf_prime is Phi_l by Horner's scheme; a finite sweep
+            # only multiplies and adds probabilities, so none is negative
+            pmf = _annealed_rows(model, 1, range(1, span + 1), maxdeg**span)
+            outer = [FiniteLaw(tuple(pmf[l][: maxdeg**l + 1])) for l in pmf]
+            terms = sum(len(law.probs) - 1 for law in outer)
+
+        def fold(rows, wvec, depth):
             t = rows[:, 0]
+            if finite:
+                np.multiply(wvec, rows[:, 1], out=wg)
+                return [float(law.pgf_prime(t, out=out) @ wg) for law in outer]
+            # sum_a w_a (wvec f_a'(g_0)) . g_1, law by law, each f_a'(g_0) written
+            # into ``out``, because temporaries would raise the sweep's peak memory
             c = chunk[: len(rows)]
             c[:, 1] = rows[:, 1]
             total = 0
             for law, w in states:
-                law.pgf_prime(t, out=out)
-                out *= wvec
-                total = total + w * (out @ c)
-            return total
+                d = law.pgf_prime(t, out=out)
+                d *= wvec
+                total = total + w * (d @ c)[1]
+            return [total]
 
         def grow():
             # each level only as wide as the next generation can reach, and
@@ -1098,27 +1142,33 @@ def _annealed_rows(
 
         levels = grow()
 
+    if only_z0:
+        logger.info(
+            "fekete sweep: n_max=%d z0=%d breadth_first_depth=%d folded=%d inner_rows=%d "
+            "fold_cells=%d descent_nodes=%d",
+            n_max, z0, top, span, rows, terms * rows * k ** (last - top),
+            sum(k**i for i in range(1, last - top + 1)),
+        )
+
     for depth, block in enumerate(levels):
         wvec = np.concatenate([wvec * w for _, w in states]) if depth else np.ones(1)
         if depth in totals:
             totals[depth] += emit(block, wvec, depth)
-    if top == n_max:
-        return totals
 
     # depth-first: level i holds a block of depth `top + i`, and nxt[i] is
-    # the next state to apply to it; a fold expands no block of depth n_max - 1
-    rows = len(wvec)
-    blocks = [block] + [None] * (n_max - top)
-    outs = [None] + [buffers(rows, d) for d in range(top + 1, n_max + 1 - fold)]
-    weights = [wvec] + [np.empty(rows) for _ in range(top + 1, n_max + 1)]
-    nxt = [0] * (n_max - top + 1)
+    # the next state to apply to it; a block of depth `last` is a leaf,
+    # folded where span > 0
+    blocks = [block] + [None] * (last - top)
+    outs = [None] + [buffers(rows, d) for d in range(top + 1, last + 1)]
+    weights = [wvec] + [np.empty(rows) for _ in range(top + 1, last + 1)]
+    nxt = [0] * (last - top + 1)
     i = 0
     while i >= 0:
-        if fold and top + i == n_max - 1:
-            totals[n_max] += emit_children(blocks[i], weights[i], top + i, weights[i + 1])
-            i -= 1
-            continue
-        if top + i == n_max or nxt[i] == k:
+        if top + i == last and span:
+            for n, value in enumerate(fold(blocks[i], weights[i], last), last + 1):
+                if n in totals:
+                    totals[n][1] += value
+        if top + i == last or nxt[i] == k:
             i -= 1
             continue
         a = nxt[i]
@@ -1130,6 +1180,99 @@ def _annealed_rows(
         if top + i in totals:
             totals[top + i] += emit(blocks[i], weights[i], top + i)
     return totals
+
+
+def _sweep_depths(model: EnvironmentModel, n_max: int, width: int, first: bool) -> tuple[int, int]:
+    """(top, span) of an enumeration sweep to n_max: its breadth-first depth and its folded generations.
+
+    The block grows breadth-first while the next one fits in
+    ``_BLOCK_CELLS`` cells (rows x states x cells per row, 5 cells for an
+    LF row whatever it carries), and always with a single state.  A sweep
+    that reads [s^1] alone (``first``) folds the last span generations,
+    as many as the depth-first descent would otherwise take, up to
+    ``_fold_cap`` on an all-LF or all-finite model and one on a mixed one;
+    0 where the block reaches n_max.
+    """
+    k = len(model.states)
+    cells = 5 if model.is_lf_pure else width  # an LF row holds p, e, a, r and the weight
+    top = 0
+    while top < n_max and (k == 1 or k ** (top + 1) * cells <= _BLOCK_CELLS):
+        top += 1
+    if not first or top == n_max:
+        return top, 0
+    mixed = not model.is_lf_pure and not all(isinstance(law, FiniteLaw) for law in model.states)
+    return top, min(n_max - top, 1 if mixed else _fold_cap(model))
+
+
+def _fold_cap(model: EnvironmentModel) -> int:
+    """The most generations a Fekete sweep folds at z0 = 1 on an all-LF or all-finite model.
+
+    The outer law of L generations has K^L blocks, so L is at most the
+    block table's length (``block_length``: K^L <= ``_SUFFIX_ROWS``); an
+    all-finite model's Z_L has degree D^L, and D^L + 1 stays below
+    ``_LADDER_WIDTH``, so Phi_L has at most D^L Horner terms and the law of
+    Z_L comes from a narrow sweep.  At least 1.
+    """
+    length = max(block_length(model.states), 1)
+    degree = max((len(law.probs) - 1 for law in model.states if isinstance(law, FiniteLaw)), default=0)
+    while length > 1 and degree**length + 1 >= _LADDER_WIDTH:
+        length -= 1
+    return length
+
+
+class _LFOuter(NamedTuple):
+    """The outer blocks of l = 1..L generations of an all-LF fold, level l at ``start[l-1]:start[l]``.
+
+    Each block P is the map u -> p_P u / (a_P + r_P u) in u = 1 - s
+    (``_lf_compose``); ``a`` and ``r`` hold a_P and r_P, and ``c`` the
+    block's weight w_P times p_P a_P.
+    """
+
+    a: np.ndarray
+    r: np.ndarray
+    c: np.ndarray
+    start: list[int]
+
+
+def _lf_outer(model: EnvironmentModel, keep: float, length: int) -> _LFOuter:
+    """The ``_LFOuter`` of ``length`` generations: levels 1..length of ``_lf_levels``, weighted.
+
+    A level's weights are concatenated state by state, as its blocks are,
+    and p_P is the value, after the exponent carry.
+    """
+    a, r, c, start = [], [], [], [0]
+    w = np.ones(1)
+    for d, (p, e, ad, rd) in enumerate(_lf_levels(model.states, keep, length, 3)):
+        if d:
+            w = np.concatenate([w * x for x in model.weights])
+            a.append(ad)
+            r.append(rd)
+            c.append(w * np.ldexp(p, -512 * e) * ad)
+            start.append(start[-1] + len(ad))
+    return _LFOuter(np.concatenate(a), np.concatenate(r), np.concatenate(c), start)
+
+
+def _lf_fold(outer: _LFOuter, p: np.ndarray, wg: np.ndarray, grid: np.ndarray) -> list[float]:
+    """sum over rows of wg Phi_l(p), l = 1..L, on inner all-LF rows of survival p.
+
+    Phi_l(p) = sum_P c_P / (a_P + r_P p)^2 sums, over the outer blocks P
+    of l generations, w_P F_P'(t) at t = 1 - p: the derivative of
+    u -> p_P u / (a_P + r_P u) at u = p.  It is the [s^1] coefficient of
+    ``_lf_compose`` per unit of the inner p a, read from the survival p
+    itself.  The (block x row) grid is formed in ``grid``, a whole number
+    of rows at a time, and every term is nonnegative.
+    """
+    s = np.empty(len(outer.a))
+    step = len(grid) // len(p)
+    for i in range(0, len(s), step):
+        g = grid[: min(step, len(s) - i) * len(p)].reshape(-1, len(p))
+        j = i + len(g)
+        np.multiply.outer(outer.r[i:j], p, out=g)
+        g += outer.a[i:j, None]
+        np.multiply(g, g, out=g)
+        np.divide(1.0, g, out=g)
+        np.matmul(g, wg, out=s[i:j])
+    return [float(outer.c[lo:hi] @ s[lo:hi]) for lo, hi in zip(outer.start, outer.start[1:])]
 
 
 def annealed_pmf(model: EnvironmentModel, z0: int, n: int, j: int) -> float:
@@ -1169,13 +1312,16 @@ def fekete_bounds(model: EnvironmentModel, z0: int | None = None, n_max: int = 1
     """a_n = -log P_{z0}(Z_n = z0) for n = 1..n_max; every a_n/n bounds the rate.
 
     One enumeration sweep gives every horizon, and it computes coefficient
-    z0 alone (``_annealed_rows`` with ``only_z0``): each a_n with n < n_max
-    is the ``annealed_pmf`` value bit for bit.  At z0 = 1 the generation
-    n_max is folded into sum_a w_a f_a'(g_0) g_1 of the depth-(n_max - 1)
-    rows g, which sums the same terms in another order, so a_{n_max} may
-    differ from ``annealed_pmf`` in its last bits.  At z0 >= 2 the
-    coefficient is not linear in the last law, and a_{n_max} too keeps its
-    bits.
+    z0 alone (``_annealed_rows`` with ``only_z0``).  At z0 = 1 the last L
+    generations are folded: each horizon n_max - L + l is read off the
+    depth-(n_max - L) rows g as the weighted sum of g_1 Phi_l(g_0), Phi_l
+    the derivative of the annealed law of l generations, which sums the
+    same terms in another order, so those a_n may differ from
+    ``annealed_pmf`` in their last bits; each a_n with n <= n_max - L is
+    the ``annealed_pmf`` value bit for bit.  L is 0 where the breadth-first
+    block reaches n_max, and 1 on a model with both LF and finite states.
+    At z0 >= 2 the coefficient is not linear in the outer laws, nothing is
+    folded, and every a_n keeps its bits.
 
     Slope entries (a_n - a_{n/2}) / (n/2) are attached at even n as
     non-certified proxies that cancel the O(1) prefactor.

@@ -47,8 +47,8 @@ A_0 for every environment, are cut, and only the rest draw an
 environment, so the chunk's draws follow its kept proposals; u and the
 environment are independent, so the order leaves the law unchanged.  The
 chunk then thins its kept proposals, on its own, to the near-accepts: on
-an all-LF model those with u <= A_0 (1 + 2^-20), A_0 read off
-``exact.horizon_rows``; on a model with a finite state, where the cut is
+an all-LF model those with u <= A_0 (1 + 2^-20), A_0 from
+``exact.lf_coefficient``; on a model with a finite state, where the cut is
 loose, those with u < ``exact.survival_rows``, P(Z_n > 0 | env) itself.
 Few kept proposals accept, so the near-accepts of consecutive chunks,
 up to a cell budget, take their tail masses in one ``mrca_rows`` call,
@@ -89,7 +89,7 @@ from .environment import EnvironmentModel, tilt
 from .errors import BudgetError, ContractError, PopulationCapError, TruncationError
 from .exact import (
     _BLOCK_CELLS, EnvSequence, block_length, composed_rows, composed_stats, horizon_rows,
-    mrca_rows, survival_rows,
+    lf_coefficient, mrca_rows, survival_rows,
 )
 from .laws import PROB_TOL, FiniteLaw, LinearFractionalLaw, OffspringLaw
 from .pgf import MAX_DEGREE, pow_rows
@@ -705,19 +705,19 @@ def _spine_near_accepts(
     so a cut proposal costs one word of the stream and no (n,) row.  That
     is every draw of the chunk.  The kept proposals are then thinned to the
     near-accepts, which lose none that can accept.  On an all-LF model A_0
-    = P(Z_n = target | env) is read off ``exact.horizon_rows`` at width
-    target + 1, each row composed from the block table in about n / L
-    steps, and u <= A_0 (1 + 2^-20) keeps a row: the margin
-    ``_spine_bound`` takes for rounding covers the composed row's distance
-    from ``mrca_rows``' stepped one, and ``<=`` keeps a u of 0 where A_0
-    underflows.  On a model with a finite state ``exact.survival_rows``
+    = P(Z_n = target | env) is ``exact.lf_coefficient``, column target of
+    ``horizon_rows`` with no other column built, each row composed from
+    the block table in about n / L steps, and u <= A_0 (1 + 2^-20) keeps a
+    row: the margin ``_spine_bound`` takes for rounding covers the composed
+    row's distance from ``mrca_rows``' stepped one, and ``<=`` keeps a u
+    of 0 where A_0 underflows.  On a model with a finite state ``exact.survival_rows``
     keeps u < P(Z_n > 0 | env), which is at least A_0.
     """
     u = rng.random(size)
     u = u[u < _spine_bound(model, target)]
     idx = model.sample_indices(rng, (u.size, n))
     if model.is_lf_pure:
-        near = u <= horizon_rows(model.states, idx, target + 1)[:, target] * _ROW_ROUNDING
+        near = u <= lf_coefficient(model.states, idx, target) * _ROW_ROUNDING
     else:
         near = u < survival_rows(model.states, idx)
     return u.size, u[near], idx[near]

@@ -1,7 +1,10 @@
 import gc
 import itertools
+import json
+import logging
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bpre.cli import main
 from bpre.environment import EnvironmentModel
 from bpre.errors import BudgetError, ContractError, TruncationError
 from bpre import exact
@@ -336,6 +340,24 @@ def test_block_table_keeps_every_bit_of_r_layers(name, offset, table_free):
     assert _as_bytes(got) == _as_bytes(table_free(kernels))
     if name == "lf_carry" and n > 2 * length:  # some row carries an exponent past the table
         assert got[0][0][0].min() < 2.0**-512
+
+
+@HORIZONS
+@pytest.mark.parametrize("name", ["two", "lf", "single", "lf_carry"])
+def test_lf_coefficient_is_a_column_of_horizon_rows(name, offset):
+    # A_0 = [s^T] f_{0,n} alone, which the MRCA spine lane's pre-test
+    # reads, against column T of ``horizon_rows``, byte for byte: rows
+    # composed from the block table (a block of 64) and stepped (one row),
+    # and on lf_carry past 2L rows whose survival carries an exponent
+    states, length, draw = _suffix_case(name)
+    n = _horizon(offset, length)
+    idx = draw(64, n)
+    for rows in (idx, idx[:1]):
+        for target in (1, 2, 3, 7):
+            want = exact.horizon_rows(states, rows, target + 1)[:, target]
+            assert exact.lf_coefficient(states, rows, target).tobytes() == want.tobytes()
+    if name == "lf_carry" and n > 2 * length:
+        assert survival_rows(states, idx).min() < 2.0**-512
 
 
 @HORIZONS
@@ -1430,25 +1452,34 @@ def _fold_model(kind, seed):
 def _check_fekete_route(model, z0, n_max, folded):
     """The Fekete sweep's coefficient z0 against ``annealed_pmf_row`` at every horizon.
 
-    Every horizon below n_max keeps its bits; with ``folded`` the last one,
-    whose generation is folded in closed form, agrees to 1e-13 relative.
+    Every horizon n <= n_max - L keeps its bits, L the generations the
+    sweep folds (``_sweep_depths``); with ``folded`` L >= 1, and the
+    horizons the fold computes agree to 1e-13 relative.
     """
+    _, span = exact._sweep_depths(model, n_max, z0 + 1, z0 == 1)
+    assert (span > 0) == folded
     got = exact._annealed_rows(model, z0, range(1, n_max + 1), z0, only_z0=True)
     for n in range(1, n_max + 1):
         want = annealed_pmf_row(model, z0, n, z0)[z0]
         assert want > 0.0
-        if n < n_max or not folded:
+        if n <= n_max - span:
             assert got[n][z0] == want, n
         else:
-            assert abs(got[n][z0] - want) <= 1e-13 * want
+            assert abs(got[n][z0] - want) <= 1e-13 * want, n
 
 
+@pytest.mark.parametrize("cap", [None, 2])
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("kind", ["lf", "lf_three", "finite", "mixed"])
-def test_fekete_route_matches_annealed_rows(kind, seed, monkeypatch):
+def test_fekete_route_matches_annealed_rows(kind, seed, cap, monkeypatch):
     # a 15-cell block stops at depth 1 (LF rows) or 2 (series rows of width
-    # 2), so the descent emits nearly every horizon and folds the last one
+    # 2); the fold takes every generation past it on an LF model, 4 on a
+    # finite one and 1 on a mixed one, and the descent the rest.  A cap of
+    # 2 leaves the descent all but the last two generations on every model
+    # but the mixed one, so many leaves are folded
     monkeypatch.setattr(exact, "_BLOCK_CELLS", 15)
+    if cap is not None:
+        monkeypatch.setattr(exact, "_fold_cap", lambda model: cap)
     model = _fold_model(kind, seed)
     _check_fekete_route(model, 1, 6 if kind == "lf_three" else 9, folded=True)
 
@@ -1468,13 +1499,22 @@ _FOLD_EDGE_MODELS = {
 }
 
 
+@pytest.mark.parametrize("cap", [None, 1, 11])
 @pytest.mark.parametrize("name", sorted(_FOLD_EDGE_MODELS))
-def test_fekete_route_folds_from_the_survival_itself(name, monkeypatch):
+def test_fekete_route_folds_from_the_survival_itself(name, cap, monkeypatch):
+    # a 15-cell block stops at depth 1.  On lf_carry the fold's own cap is
+    # 10 (keep^10 is the last power above 2^-512), so the outer blocks hold
+    # no carried exponent; a cap of 1 folds the depth-11 rows, whose
+    # all-first-state row carries one, and a cap of 11 gives the outer law
+    # an all-first-state block of 11 generations that carries one
     model = _FOLD_EDGE_MODELS[name]
     if name == "lf_carry":
         keep = 1.0 - model.states[0].p0
         assert keep**10 > 2.0**-512 > keep**11
+        assert exact._fold_cap(model) == 10
     monkeypatch.setattr(exact, "_BLOCK_CELLS", 15)
+    if cap is not None:
+        monkeypatch.setattr(exact, "_fold_cap", lambda model: cap)
     _check_fekete_route(model, 1, 12, folded=True)
 
 
@@ -1522,8 +1562,10 @@ def test_fekete_route_keeps_every_horizon_where_nothing_folds(model, z0, n_max, 
 
 
 def test_fekete_sweep_expands_no_block_of_the_last_generation(monkeypatch):
-    # at n_max = 20 an LF block stops at depth 14, so the descent has
-    # 2 + 4 + ... + 64 = 126 nodes; the fold removes the 64 of depth 20, and
+    # at n_max = 20 an LF block stops at depth 14, so an unfolded sweep
+    # steps 2 states at 14 breadth-first levels and 2 + 4 + ... + 64 = 126
+    # descent nodes; the fold takes the last 6 generations, so it expands
+    # no descent node and steps only the 6 levels of the outer law, and
     # the sweep forms no 1 - p row and no power
     steps, rows = [], []
 
@@ -1538,11 +1580,132 @@ def test_fekete_sweep_expands_no_block_of_the_last_generation(monkeypatch):
     monkeypatch.setattr(exact, "_lf_layers", spy(rows, exact._lf_layers))
     monkeypatch.setattr(exact, "pow_rows", spy(rows, exact.pow_rows))
     fekete_bounds(weakly_model(), 1, 20)
-    folded = len(steps)
+    assert len(steps) == 2 * (14 + 6)
     assert rows == []
     steps.clear()
     exact._annealed_rows(weakly_model(), 1, range(1, 21), 1)
-    assert len(steps) - folded == 64
+    assert len(steps) == 2 * 14 + 126
+
+
+_ORACLE_MODELS = {
+    # dyadic laws and weights, so that the oracle's convolutions and the
+    # sweep start from exact values
+    "dyadic_finite": EnvironmentModel(
+        (FiniteLaw((0.25, 0.5, 0.25)), FiniteLaw((0.5, 0.25, 0.25))), (0.5, 0.5)
+    ),
+    "dyadic_finite_three": EnvironmentModel(
+        (FiniteLaw((0.25, 0.25, 0.5)), FiniteLaw((0.5, 0.5)), FiniteLaw((0.125, 0.375, 0.25, 0.25))),
+        (0.25, 0.25, 0.5),
+    ),
+    # geometric ratios 2/5 and 5/21, so a cap of 48 drops no visible mass
+    "lf": EnvironmentModel((LinearFractionalLaw(1.5, 2.0), LinearFractionalLaw(0.8, 0.5)), (0.5, 0.5)),
+    "one_state": EnvironmentModel((FiniteLaw((0.25, 0.5, 0.25)),), (1.0,)),
+    "zero_weight_state": EnvironmentModel(
+        (FiniteLaw((0.25, 0.5, 0.25)), FiniteLaw((0.5, 0.5)), FiniteLaw((0.5, 0.0, 0.5))),
+        (0.5, 0.0, 0.5),
+    ),
+    "monotone": EnvironmentModel((FiniteLaw((0.0, 0.5, 0.5)), FiniteLaw((0.0, 0.25, 0.75))), (0.5, 0.5)),
+    **_FOLD_EDGE_MODELS,
+}
+
+
+def _push_forward_first(model, n, cap):
+    """P_1(Z_n = 1): ``push_forward_distribution`` summed over all K^n environments, weighted."""
+    total = 0.0
+    for env in itertools.product(range(len(model.states)), repeat=n):
+        w = math.prod(model.weights[a] for a in env)
+        total += w * push_forward_distribution([model.states[a] for a in env], 1, cap)[1]
+    return total
+
+
+def _lf_first_exact(model, n):
+    """P_1(Z_n = 1) of an all-LF model in exact rationals, summed over all K^n environments.
+
+    In u = 1 - s an LF law is u -> u / (1/m + eta u), and the composition
+    of such maps, innermost first, is u -> u / (A + B u) with
+    (A, B) <- (A / m, B / m + eta); [s^1] f_{0,n} = A / (A + B)^2.  The
+    lf_heavy model puts nearly all its mass at sizes near 10^9, out of
+    reach of a convolution oracle.
+    """
+    laws = [(1 / Fraction(law.m), Fraction(law.b) / (2 * Fraction(law.m) ** 2)) for law in model.states]
+    weights = [Fraction(w) for w in model.weights]
+    total = Fraction(0)
+    for env in itertools.product(range(len(laws)), repeat=n):
+        big_a, big_b, w = Fraction(1), Fraction(0), Fraction(1)
+        for a in reversed(env):
+            alpha, eta = laws[a]
+            big_a, big_b, w = alpha * big_a, alpha * big_b + eta, w * weights[a]
+        total += w * big_a / (big_a + big_b) ** 2
+    return float(total)
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_MODELS))
+def test_fekete_fold_matches_enumeration_oracle(name, monkeypatch):
+    # a 15-cell block stops at depth 1 or 2, so nearly every horizon is
+    # folded or reached by the descent; both the folded sweep and
+    # annealed_pmf are checked against environments enumerated one by one
+    model = _ORACLE_MODELS[name]
+    monkeypatch.setattr(exact, "_BLOCK_CELLS", 15)
+    if name.startswith("lf"):
+        n_max = 9 if name in _FOLD_EDGE_MODELS else 8
+        oracle = lambda n: _lf_first_exact(model, n)  # noqa: E731
+    else:
+        degree = max(len(law.probs) - 1 for law in model.states)
+        n_max = 8 if len(model.states) < 3 else 5
+        oracle = lambda n: _push_forward_first(model, n, degree ** (n - 1))  # noqa: E731
+    got = exact._annealed_rows(model, 1, range(1, n_max + 1), 1, only_z0=True)
+    for n in range(1, n_max + 1):
+        want = oracle(n)
+        assert want > 0.0
+        assert abs(got[n][1] - want) <= 1e-13 * want, n
+        assert abs(annealed_pmf(model, 1, n, 1) - want) <= 1e-13 * want, n
+    if name == "lf":  # and the convolution oracle on the LF laws, truncated at 48
+        for n in range(1, 6):
+            want = _push_forward_first(model, n, 48)
+            assert abs(got[n][1] - want) <= 1e-13 * want, n
+
+
+@pytest.mark.parametrize("name", ["dyadic_finite", "dyadic_finite_three", "lf"])
+def test_markov_split_at_every_folded_length(name):
+    # environments are i.i.d., so P_1(Z_n = 1) = sum_k P_1(Z_l = k) P_k(Z_{n-l} = 1)
+    # for every l; the fold reads the right side at l = 1..L, and here each
+    # factor comes from an unfolded enumeration
+    model = _ORACLE_MODELS[name]
+    n = 8 if len(model.states) == 2 else 6
+    want = annealed_pmf(model, 1, n, 1)
+    for l in range(1, min(exact._fold_cap(model), n - 1) + 1):
+        if isinstance(model.states[0], FiniteLaw):
+            sizes = max(len(law.probs) - 1 for law in model.states) ** l
+        else:  # P_k(Z_{n-l} = 1) <= k t^(k-1), t the extinction probability, so
+            sizes = 300  # sizes past 300 hold no visible mass
+        outer = annealed_pmf_row(model, 1, l, sizes)
+        split = sum(outer[k] * annealed_pmf(model, k, n - l, 1) for k in range(1, sizes + 1))
+        assert split == pytest.approx(want, rel=1e-13, abs=0.0), l
+
+
+def test_fekete_sweep_logs_its_plan_outside_the_artifact(tmp_path, caplog):
+    # one line per Fekete sweep, with the fold's shape; logging changes no byte
+    path = tmp_path / "weakly.json"
+    path.write_text(json.dumps(weakly_model().to_json()))
+    out = tmp_path / "rho.json"
+    argv = ["rho", "--model", str(path), "--n-max", "20", "--out", str(out)]
+    assert main(argv) == 0
+    artifact = out.read_bytes()
+    with caplog.at_level(logging.INFO, logger="bpre.exact"):
+        assert main(argv) == 0
+    assert out.read_bytes() == artifact
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("fekete sweep")]
+    assert lines == [
+        "fekete sweep: n_max=20 z0=1 breadth_first_depth=14 folded=6 inner_rows=16384 "
+        f"fold_cells={126 * 16384} descent_nodes=0"
+    ]
+    with caplog.at_level(logging.INFO, logger="bpre.exact"):
+        caplog.clear()
+        fekete_bounds(gw_binary(), n_max=20)  # one state: no descent, nothing folded at z0 = 2
+    assert [r.getMessage() for r in caplog.records] == [
+        "fekete sweep: n_max=20 z0=2 breadth_first_depth=20 folded=0 inner_rows=1 "
+        "fold_cells=0 descent_nodes=0"
+    ]
 
 
 def test_fekete_table():
